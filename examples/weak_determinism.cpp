@@ -84,7 +84,9 @@ int main() {
     for (size_t t = 0; t < kThreads; ++t) {
       follower.emplace_back([&, t] {
         for (size_t r = 0; r < kRounds; ++r) {
-          runtime.FollowerAcquire(f, static_cast<uint32_t>(t));
+          // Hold the turn until this thread's step is recorded.
+          const nxe::SynccallRuntime::Turn turn =
+              runtime.FollowerAcquire(f, static_cast<uint32_t>(t));
           std::lock_guard<std::mutex> lock(mu);
           replayed.push_back(static_cast<uint32_t>(t));
         }

@@ -50,7 +50,7 @@ RandomCase GenerateCase(uint64_t seed) {
   }
 
   // Leader template: per-episode action soup, barrier-aligned across threads.
-  std::vector<std::vector<nxe::ThreadAction>> tmpl(n_threads);
+  std::vector<nxe::ThreadTrace> tmpl(n_threads);
   uint32_t lock_id = 0;
   for (size_t e = 0; e <= barriers; ++e) {
     for (size_t t = 0; t < n_threads; ++t) {
@@ -61,29 +61,29 @@ RandomCase GenerateCase(uint64_t seed) {
           case 1:
           case 2:
           case 3:
-            tmpl[t].push_back(nxe::ThreadAction::Compute(cost_dist(rng)));
+            tmpl[t].Append(nxe::ThreadAction::Compute(cost_dist(rng)));
             break;
           case 4:
           case 5:
           case 6:
-            tmpl[t].push_back(nxe::ThreadAction::Syscall(RandomRecord(rng, false)));
+            tmpl[t].AppendSyscall(RandomRecord(rng, false));
             break;
           case 7:
-            tmpl[t].push_back(nxe::ThreadAction::Syscall(RandomRecord(rng, true)));
+            tmpl[t].AppendSyscall(RandomRecord(rng, true));
             break;
           case 8:
-            tmpl[t].push_back(nxe::ThreadAction::Syscall(IgnoredRecord(rng)));
+            tmpl[t].AppendSyscall(IgnoredRecord(rng));
             break;
           case 9:
-            tmpl[t].push_back(nxe::ThreadAction::Lock(lock_id));
-            tmpl[t].push_back(nxe::ThreadAction::Compute(cost_dist(rng)));
-            tmpl[t].push_back(nxe::ThreadAction::Unlock(lock_id));
+            tmpl[t].Append(nxe::ThreadAction::Lock(lock_id));
+            tmpl[t].Append(nxe::ThreadAction::Compute(cost_dist(rng)));
+            tmpl[t].Append(nxe::ThreadAction::Unlock(lock_id));
             lock_id = (lock_id + 1) % 4;
             break;
         }
       }
       if (e < barriers) {
-        tmpl[t].push_back(nxe::ThreadAction::Barrier(static_cast<uint32_t>(e)));
+        tmpl[t].Append(nxe::ThreadAction::Barrier(static_cast<uint32_t>(e)));
       }
     }
   }
@@ -95,8 +95,9 @@ RandomCase GenerateCase(uint64_t seed) {
     trace.compute_scale = (v == 0) ? 1.0 : scale_dist(rng);
     trace.threads.resize(n_threads);
     for (size_t t = 0; t < n_threads; ++t) {
-      trace.threads[t].actions = tmpl[t];
-      for (auto& a : trace.threads[t].actions) {
+      nxe::ThreadTrace& thread = trace.threads[t];
+      thread = tmpl[t];
+      for (auto& a : thread.actions) {
         if (a.kind == nxe::ActionKind::kCompute) {
           a.cost *= jitter_dist(rng);  // per-clone scheduling jitter
         }
@@ -104,11 +105,10 @@ RandomCase GenerateCase(uint64_t seed) {
       // Sanitizer-introduced memory management, never compared (§3.3).
       const size_t extra_mm = rng() % 3;
       for (size_t i = 0; i < extra_mm; ++i) {
-        const size_t pos = rng() % (trace.threads[t].actions.size() + 1);
-        trace.threads[t].actions.insert(trace.threads[t].actions.begin() + pos,
-                                        nxe::ThreadAction::Syscall(IgnoredRecord(rng)));
+        const size_t pos = rng() % (thread.actions.size() + 1);
+        thread.InsertSyscall(pos, IgnoredRecord(rng));
       }
-      trace.threads[t].actions.push_back(nxe::ThreadAction::Exit());
+      thread.Append(nxe::ThreadAction::Exit());
     }
     const size_t pre = rng() % 3;
     for (size_t i = 0; i < pre; ++i) {
@@ -121,17 +121,16 @@ RandomCase GenerateCase(uint64_t seed) {
   }
 
   // Injected incident, if any.
-  auto random_thread_of = [&](size_t v) -> std::vector<nxe::ThreadAction>& {
-    return c.variants[v].threads[rng() % n_threads].actions;
+  auto random_thread_of = [&](size_t v) -> nxe::ThreadTrace& {
+    return c.variants[v].threads[rng() % n_threads];
   };
   switch (rng() % 10) {
     case 0:
     case 1: {  // sanitizer detection fires mid-run (maybe in several variants)
       const size_t n_detects = 1 + rng() % 2;
       for (size_t i = 0; i < n_detects; ++i) {
-        auto& actions = random_thread_of(rng() % n_variants);
-        actions.insert(actions.begin() + rng() % actions.size(),
-                       nxe::ThreadAction::Detect("__asan_report_store"));
+        nxe::ThreadTrace& thread = random_thread_of(rng() % n_variants);
+        thread.InsertDetect(rng() % thread.actions.size(), "__asan_report_store");
       }
       c.label = "detection";
       break;
@@ -142,13 +141,13 @@ RandomCase GenerateCase(uint64_t seed) {
         c.label = "clean";
         break;
       }
-      auto& actions = random_thread_of(1 + rng() % (n_variants - 1));
-      for (auto& a : actions) {
-        if (a.kind == nxe::ActionKind::kSyscall && sc::IsSyncRelevant(a.syscall.no)) {
+      nxe::ThreadTrace& thread = random_thread_of(1 + rng() % (n_variants - 1));
+      for (const auto& a : thread.actions) {
+        if (a.kind == nxe::ActionKind::kSyscall && sc::IsSyncRelevant(thread.RecordOf(a).no)) {
           if (rng() % 2 == 0) {
-            a.syscall.args[0] += 1;
+            thread.RecordOf(a).args[0] += 1;
           } else {
-            a.syscall.payload_digest ^= 0x5bd1e995ULL;
+            thread.RecordOf(a).payload_digest ^= 0x5bd1e995ULL;
           }
           c.label = "arg-divergence";
           break;
@@ -161,7 +160,7 @@ RandomCase GenerateCase(uint64_t seed) {
         c.label = "clean";
         break;
       }
-      auto& actions = random_thread_of(1 + rng() % (n_variants - 1));
+      auto& actions = random_thread_of(1 + rng() % (n_variants - 1)).actions;
       const size_t cut = rng() % actions.size();
       actions.erase(actions.begin() + cut, actions.end());
       actions.push_back(nxe::ThreadAction::Exit());
@@ -173,7 +172,7 @@ RandomCase GenerateCase(uint64_t seed) {
         c.label = "clean";
         break;
       }
-      auto& actions = random_thread_of(rng() % n_variants);
+      auto& actions = random_thread_of(rng() % n_variants).actions;
       for (auto it = actions.begin(); it != actions.end(); ++it) {
         if (it->kind == nxe::ActionKind::kBarrier) {
           actions.erase(it, actions.end());

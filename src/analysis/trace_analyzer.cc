@@ -40,8 +40,8 @@ std::vector<SkeletonEntry> BuildSkeleton(const nxe::ThreadTrace& thread) {
   for (const nxe::ThreadAction& action : thread.actions) {
     switch (action.kind) {
       case nxe::ActionKind::kSyscall:
-        if (sc::IsSyncRelevant(action.syscall.no)) {
-          out.push_back({action.kind, &action.syscall});
+        if (sc::IsSyncRelevant(thread.RecordOf(action).no)) {
+          out.push_back({action.kind, &thread.RecordOf(action)});
         }
         break;
       case nxe::ActionKind::kBarrier:
@@ -87,14 +87,14 @@ class LockOrderGraph {
     for (const nxe::ThreadAction& action : thread.actions) {
       if (action.kind == nxe::ActionKind::kLockAcquire) {
         for (const uint32_t held : held_) {
-          if (held != action.sync_id) {
-            edges_[held].insert(action.sync_id);
+          if (held != thread.SyncIdOf(action)) {
+            edges_[held].insert(thread.SyncIdOf(action));
           }
         }
-        held_.push_back(action.sync_id);
+        held_.push_back(thread.SyncIdOf(action));
       } else if (action.kind == nxe::ActionKind::kLockRelease) {
         for (size_t i = held_.size(); i > 0; --i) {
-          if (held_[i - 1] == action.sync_id) {
+          if (held_[i - 1] == thread.SyncIdOf(action)) {
             held_.erase(held_.begin() + static_cast<long>(i - 1));
             break;
           }
@@ -168,7 +168,8 @@ size_t CountSyncSyscalls(const nxe::VariantTrace& variant) {
   size_t n = 0;
   for (const nxe::ThreadTrace& thread : variant.threads) {
     for (const nxe::ThreadAction& action : thread.actions) {
-      if (action.kind == nxe::ActionKind::kSyscall && sc::IsSyncRelevant(action.syscall.no)) {
+      if (action.kind == nxe::ActionKind::kSyscall &&
+          sc::IsSyncRelevant(thread.RecordOf(action).no)) {
         ++n;
       }
     }
@@ -357,10 +358,11 @@ void AnalyzeTraces(const nxe::EngineConfig& config,
   for (size_t v = 0; v < variants.size(); ++v) {
     bool noted = false;
     for (size_t t = 0; t < variants[v].threads.size() && !noted; ++t) {
-      for (const nxe::ThreadAction& action : variants[v].threads[t].actions) {
+      const nxe::ThreadTrace& thread = variants[v].threads[t];
+      for (const nxe::ThreadAction& action : thread.actions) {
         if (action.kind == nxe::ActionKind::kDetect) {
           report->AddNote("analysis/expected-detection", Loc(v, t),
-                          "sanitizer check '" + action.detector +
+                          "sanitizer check '" + thread.DetectorOf(action) +
                               "' fires here; the engine aborts all variants with a detection "
                               "report");
           noted = true;

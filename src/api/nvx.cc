@@ -143,13 +143,17 @@ class IrBackend final : public Backend {
 // Per-session scratch the warm path reuses across runs of one backend:
 // built traces and derived baseline times are pure functions of
 // (plan, members, seed), so a run with the scratch's seed skips trace
-// construction and the baseline simulations entirely. Run() is const and
-// concurrent, so scratches live on a checkout freelist (one per in-flight
-// run), never as bare mutable members.
+// construction and the baseline simulations entirely. A run with a new seed
+// builds one template into `tmpl` and derives the member traces and the
+// baseline trace from it into the buffers below, which keep their capacity
+// from seed to seed. Run() is const and concurrent, so scratches live on a
+// checkout freelist (one per in-flight run), never as bare mutable members.
 struct SessionScratch {
   bool valid = false;
   uint64_t seed = 0;
+  workload::TraceTemplate tmpl;
   std::vector<nxe::VariantTrace> traces;
+  nxe::VariantTrace baseline_trace;       // owns_baseline backends only
   std::optional<double> baseline_time;    // owns_baseline backends only
   std::vector<double> standalone;         // measure_standalone plans only
   bool standalone_valid = false;
@@ -199,14 +203,16 @@ class TraceBackend final : public Backend {
     } scratch_return{this, scratch};
 
     if (!scratch->valid || scratch->seed != seed) {
-      // Trace construction + injection splicing live in BuildPlanTraces so
-      // the static analyzer proves properties of exactly the traces run
-      // here. The scratch caches the result per seed: a warm run (same
-      // plan, same seed) skips this entirely.
+      // Trace construction + injection splicing live in BuildPlanTemplate /
+      // DerivePlanTraces (the halves of BuildPlanTraces) so the static
+      // analyzer proves properties of exactly the traces run here. The
+      // scratch caches the result per seed: a warm run (same plan, same
+      // seed) skips this entirely.
       scratch->valid = false;
       scratch->baseline_time.reset();
       scratch->standalone_valid = false;
-      Status built = BuildPlanTraces(plan, members_, seed, &scratch->traces);
+      BuildPlanTemplate(plan, seed, &scratch->tmpl);
+      Status built = DerivePlanTraces(plan, members_, scratch->tmpl, &scratch->traces);
       if (!built.ok()) {
         return built;
       }
@@ -236,7 +242,8 @@ class TraceBackend final : public Backend {
     report.backend = name();
     if (owns_baseline_) {
       if (!scratch->baseline_time.has_value()) {
-        auto baseline = engine.RunBaseline(BuildOne(workload::VariantSpec{}, seed), workspace);
+        workload::DeriveTrace(scratch->tmpl, workload::VariantSpec{}, &scratch->baseline_trace);
+        auto baseline = engine.RunBaseline(scratch->baseline_trace, workspace);
         if (!baseline.ok()) {
           return baseline.status();
         }
@@ -312,13 +319,6 @@ class TraceBackend final : public Backend {
   }
 
  private:
-  nxe::VariantTrace BuildOne(const workload::VariantSpec& spec, uint64_t seed) const {
-    if (plan_->server.has_value()) {
-      return workload::BuildServerTrace(*plan_->server, spec, seed);
-    }
-    return workload::BuildTrace(*plan_->benchmark, spec, seed);
-  }
-
   std::unique_ptr<SessionScratch> TakeScratch() const {
     {
       std::lock_guard<std::mutex> lock(scratch_mu_);

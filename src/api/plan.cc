@@ -10,14 +10,6 @@ namespace bunshin {
 namespace api {
 namespace {
 
-nxe::VariantTrace BuildOneTrace(const VariantPlan& plan, const workload::VariantSpec& spec,
-                                uint64_t seed) {
-  if (plan.server.has_value()) {
-    return workload::BuildServerTrace(*plan.server, spec, seed);
-  }
-  return workload::BuildTrace(*plan.benchmark, spec, seed);
-}
-
 // Local slot of global variant `global`, if this member subset runs it.
 std::optional<size_t> LocalSlot(const std::vector<size_t>& members, size_t global) {
   for (size_t local = 0; local < members.size(); ++local) {
@@ -157,11 +149,25 @@ StatusOr<std::vector<nxe::VariantTrace>> BuildPlanTraces(const VariantPlan& plan
 
 Status BuildPlanTraces(const VariantPlan& plan, const std::vector<size_t>& members,
                        uint64_t seed, std::vector<nxe::VariantTrace>* out) {
+  workload::TraceTemplate tmpl;
+  BuildPlanTemplate(plan, seed, &tmpl);
+  return DerivePlanTraces(plan, members, tmpl, out);
+}
+
+void BuildPlanTemplate(const VariantPlan& plan, uint64_t seed, workload::TraceTemplate* out) {
+  if (plan.server.has_value()) {
+    workload::BuildServerTemplate(*plan.server, seed, out);
+  } else {
+    workload::BuildTemplate(*plan.benchmark, seed, out);
+  }
+}
+
+Status DerivePlanTraces(const VariantPlan& plan, const std::vector<size_t>& members,
+                        const workload::TraceTemplate& tmpl, std::vector<nxe::VariantTrace>* out) {
   std::vector<nxe::VariantTrace>& traces = *out;
-  traces.clear();
-  traces.reserve(members.size());
-  for (size_t global : members) {
-    traces.push_back(BuildOneTrace(plan, plan.specs[global], seed));
+  traces.resize(members.size());
+  for (size_t local = 0; local < members.size(); ++local) {
+    workload::DeriveTrace(tmpl, plan.specs[members[local]], &traces[local]);
   }
   for (const auto& injection : plan.detect_injections) {
     const std::optional<size_t> local = LocalSlot(members, injection.variant);
@@ -170,9 +176,8 @@ Status BuildPlanTraces(const VariantPlan& plan, const std::vector<size_t>& membe
     }
     // Splice the firing check mid-run into the variant's first thread (the
     // attack reaches the vulnerable function partway through execution).
-    auto& actions = traces[*local].threads.front().actions;
-    actions.insert(actions.begin() + static_cast<ptrdiff_t>(actions.size() / 2),
-                   nxe::ThreadAction::Detect(injection.detector));
+    nxe::ThreadTrace& thread = traces[*local].threads.front();
+    thread.InsertDetect(thread.actions.size() / 2, injection.detector);
   }
   for (const auto& injection : plan.diverge_injections) {
     const std::optional<size_t> local = LocalSlot(members, injection.variant);
@@ -181,11 +186,11 @@ Status BuildPlanTraces(const VariantPlan& plan, const std::vector<size_t>& membe
     }
     // The compromised variant tries to push a different payload through a
     // mid-run observable syscall; the monitor must flag the mismatch.
-    auto& actions = traces[*local].threads.front().actions;
+    nxe::ThreadTrace& thread = traces[*local].threads.front();
     std::vector<size_t> sites;
-    for (size_t i = 0; i < actions.size(); ++i) {
-      if (actions[i].kind == nxe::ActionKind::kSyscall &&
-          sc::IsSyncRelevant(actions[i].syscall.no)) {
+    for (size_t i = 0; i < thread.actions.size(); ++i) {
+      if (thread.actions[i].kind == nxe::ActionKind::kSyscall &&
+          sc::IsSyncRelevant(thread.RecordOf(thread.actions[i]).no)) {
         sites.push_back(i);
       }
     }
@@ -195,7 +200,7 @@ Status BuildPlanTraces(const VariantPlan& plan, const std::vector<size_t>& membe
                                 std::to_string(injection.variant) +
                                 " has no sync-relevant syscall to diverge at");
     }
-    sc::SyscallRecord& rec = actions[sites[sites.size() / 2]].syscall;
+    sc::SyscallRecord& rec = thread.RecordOf(thread.actions[sites[sites.size() / 2]]);
     rec.payload_digest = sc::DigestString(injection.payload);
     rec.args[1] = static_cast<int64_t>(injection.payload.size());
   }

@@ -127,11 +127,21 @@ StatusOr<std::vector<nxe::VariantTrace>> BuildPlanTraces(const VariantPlan& plan
                                                          const std::vector<size_t>& members,
                                                          uint64_t seed);
 
-// Out-param form for warm callers: `out` is cleared and refilled, reusing
-// its element capacity where the generators allow. On error `out` is left
-// cleared. Identical traces to the value-returning overload.
+// Out-param form for warm callers: `out` is refilled in place, every trace
+// reusing its buffers' capacity. On error `out` is left cleared. Identical
+// traces to the value-returning overload.
 Status BuildPlanTraces(const VariantPlan& plan, const std::vector<size_t>& members,
                        uint64_t seed, std::vector<nxe::VariantTrace>* out);
+
+// The two halves of BuildPlanTraces, for callers that derive more than the
+// member traces from one template (a backend's baseline trace is
+// DeriveTrace(tmpl, VariantSpec{}) of the same template). BuildPlanTemplate
+// makes the target's structural draws for `seed` once; DerivePlanTraces
+// derives each member's trace from that template and splices the
+// injections, with BuildPlanTraces' semantics.
+void BuildPlanTemplate(const VariantPlan& plan, uint64_t seed, workload::TraceTemplate* out);
+Status DerivePlanTraces(const VariantPlan& plan, const std::vector<size_t>& members,
+                        const workload::TraceTemplate& tmpl, std::vector<nxe::VariantTrace>* out);
 
 // The session's variant slots dealt into k shard groups — the single home of
 // the grouping rule, shared by ShardedBackend (in-process fan-out) and

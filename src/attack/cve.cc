@@ -104,29 +104,29 @@ StatusOr<CveRunResult> RunCve(const CveCase& cve_case, uint64_t seed) {
     nxe::VariantTrace& trace = variants[v];
     trace.name = v == 0 ? "A" : "B";
     trace.threads.resize(1);
-    auto& actions = trace.threads[0].actions;
+    nxe::ThreadTrace& thread = trace.threads[0];
 
     for (int i = 0; i < 3; ++i) {
       sc::SyscallRecord benign;
       benign.no = sc::Sysno::kRecv;
       benign.args = {4, 512, 0, 0, 0, 0};
       benign.payload_digest = sc::DigestString(cve_case.cve + "/benign#" + std::to_string(i));
-      actions.push_back(nxe::ThreadAction::Compute(40.0));
-      actions.push_back(nxe::ThreadAction::Syscall(benign));
+      thread.Append(nxe::ThreadAction::Compute(40.0));
+      thread.AppendSyscall(benign);
     }
 
     sc::SyscallRecord exploit_input;
     exploit_input.no = sc::Sysno::kRecv;
     exploit_input.args = {4, 4096, 0, 0, 0, 0};
     exploit_input.payload_digest = sc::DigestString(cve_case.exploit_sources.front());
-    actions.push_back(nxe::ThreadAction::Syscall(exploit_input));
-    actions.push_back(nxe::ThreadAction::Compute(25.0));
+    thread.AppendSyscall(exploit_input);
+    thread.Append(nxe::ThreadAction::Compute(25.0));
 
     if (v == protected_variant) {
       // The check in this variant fires inside the vulnerable function. Its
       // runtime writes the report (the extra write syscall the paper observes
       // from variant A) and aborts.
-      actions.push_back(nxe::ThreadAction::Detect(DetectorFor(cve_case)));
+      thread.AppendDetect(DetectorFor(cve_case));
     } else {
       // The unprotected variant is corrupted; its post-exploit behavior
       // (payload stage 2) diverges from the protected sibling.
@@ -134,9 +134,9 @@ StatusOr<CveRunResult> RunCve(const CveCase& cve_case, uint64_t seed) {
       damage.no = sc::Sysno::kWrite;
       damage.args = {4, 64, 0, 0, 0, 0};
       damage.payload_digest = sc::DigestString("leaked-secret");
-      actions.push_back(nxe::ThreadAction::Syscall(damage));
+      thread.AppendSyscall(damage);
     }
-    actions.push_back(nxe::ThreadAction::Exit());
+    thread.Append(nxe::ThreadAction::Exit());
   }
 
   nxe::EngineConfig config;

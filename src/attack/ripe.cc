@@ -263,20 +263,20 @@ bool BunshinStopsAttack(const RipeAttack& attack) {
     nxe::VariantTrace& trace = variants[v];
     trace.name = v == 0 ? "A" : "B";
     trace.threads.resize(1);
-    auto& actions = trace.threads[0].actions;
+    nxe::ThreadTrace& thread = trace.threads[0];
 
     // Benign prefix shared by both variants.
     sc::SyscallRecord input;
     input.no = sc::Sysno::kRead;
     input.args = {0, 1024, 0, 0, 0, 0};
     input.payload_digest = sc::DigestString("ripe-input#" + std::to_string(attack.Index()));
-    actions.push_back(nxe::ThreadAction::Compute(50.0));
-    actions.push_back(nxe::ThreadAction::Syscall(input));
-    actions.push_back(nxe::ThreadAction::Compute(30.0));
+    thread.Append(nxe::ThreadAction::Compute(50.0));
+    thread.AppendSyscall(input);
+    thread.Append(nxe::ThreadAction::Compute(30.0));
 
     if (detectable && v == protected_variant) {
       // This variant carries the ASan check of the vulnerable function.
-      actions.push_back(nxe::ThreadAction::Detect("__asan_report_store"));
+      thread.AppendDetect("__asan_report_store");
     } else if (detectable) {
       // The overflow corrupts this unprotected variant; the attacker's
       // payload eventually issues its damage syscall, which diverges from
@@ -284,8 +284,8 @@ bool BunshinStopsAttack(const RipeAttack& attack) {
       sc::SyscallRecord damage;
       damage.no = sc::Sysno::kExecve;
       damage.payload_digest = sc::DigestString("/bin/sh");
-      actions.push_back(nxe::ThreadAction::Syscall(damage));
-      actions.push_back(nxe::ThreadAction::Exit());
+      thread.AppendSyscall(damage);
+      thread.Append(nxe::ThreadAction::Exit());
       continue;
     } else {
       // ASan would not catch it either: both variants are compromised by the
@@ -294,9 +294,9 @@ bool BunshinStopsAttack(const RipeAttack& attack) {
       sc::SyscallRecord damage;
       damage.no = sc::Sysno::kExecve;
       damage.payload_digest = sc::DigestString("/bin/sh");
-      actions.push_back(nxe::ThreadAction::Syscall(damage));
+      thread.AppendSyscall(damage);
     }
-    actions.push_back(nxe::ThreadAction::Exit());
+    thread.Append(nxe::ThreadAction::Exit());
   }
 
   nxe::EngineConfig config;

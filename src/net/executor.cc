@@ -1,5 +1,6 @@
 #include "src/net/executor.h"
 
+#include <chrono>
 #include <utility>
 
 #include "src/analysis/plan_analyzer.h"
@@ -43,15 +44,13 @@ void ExecutorServer::Start() {
 }
 
 void ExecutorServer::Stop() {
-  std::vector<std::shared_ptr<support::Socket>> connections;
-  std::vector<std::thread> threads;
+  std::map<uint64_t, Connection> connections;
   std::unique_ptr<support::TcpListener> listener;
   std::thread accept_thread;
   {
     std::lock_guard<std::mutex> lock(mu_);
     stopped_ = true;
     connections.swap(connections_);
-    threads.swap(threads_);
     listener = std::move(listener_);
     accept_thread = std::move(accept_thread_);
   }
@@ -61,13 +60,11 @@ void ExecutorServer::Stop() {
   if (listener != nullptr) {
     listener->Close();
   }
-  for (const auto& socket : connections) {
-    socket->Close();
+  for (const auto& [id, connection] : connections) {
+    connection.socket->Close();
   }
-  for (auto& thread : threads) {
-    if (thread.joinable()) {
-      thread.join();
-    }
+  for (auto& [id, connection] : connections) {
+    connection.thread.join();
   }
   if (accept_thread.joinable()) {
     accept_thread.join();
@@ -94,6 +91,10 @@ Status ExecutorServer::ListenTcp(uint16_t port) {
 }
 
 void ExecutorServer::AcceptLoop() {
+  // Back-off after a failed accept on a live listener: the process or system
+  // is out of descriptors (EMFILE/ENFILE), which reaping finished
+  // connections and waiting out in-flight ones resolves.
+  constexpr auto kAcceptBackoff = std::chrono::milliseconds(10);
   for (;;) {
     support::TcpListener* listener;
     {
@@ -105,40 +106,74 @@ void ExecutorServer::AcceptLoop() {
     }
     StatusOr<std::unique_ptr<support::Socket>> accepted = listener->Accept();
     if (!accepted.ok()) {
-      return;  // listener closed by Stop()
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (stopped_) {
+          return;  // listener closed by Stop()
+        }
+      }
+      ReapFinishedConnections();
+      std::this_thread::sleep_for(kAcceptBackoff);
+      continue;
     }
-    std::shared_ptr<support::Socket> socket = std::move(*accepted);
-    std::thread thread([this, socket] { ServeConnection(socket); });
-    TrackConnection(socket, std::move(thread));
+    StartConnection(std::move(*accepted));
   }
 }
 
 StatusOr<std::unique_ptr<support::Socket>> ExecutorServer::ConnectLoopback() {
   auto [client, server] = support::LoopbackSocketPair();
-  std::shared_ptr<support::Socket> served = std::move(server);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopped_) {
       return Unavailable("executor is stopped");
     }
   }
-  std::thread thread([this, served] { ServeConnection(served); });
-  TrackConnection(served, std::move(thread));
+  StartConnection(std::move(server));
   return std::move(client);
 }
 
-void ExecutorServer::TrackConnection(std::shared_ptr<support::Socket> socket,
-                                     std::thread thread) {
+void ExecutorServer::StartConnection(std::shared_ptr<support::Socket> socket) {
+  ReapFinishedConnections();
   std::lock_guard<std::mutex> lock(mu_);
   if (stopped_) {
-    // Lost the race with Stop(): sever immediately; the thread exits on its
-    // first read and is detached (nothing left to join it).
+    // Lost the race with Stop(): sever immediately; the peer's first read
+    // fails as it would against a killed daemon.
     socket->Close();
-    thread.detach();
     return;
   }
-  connections_.push_back(std::move(socket));
-  threads_.push_back(std::move(thread));
+  const uint64_t id = next_connection_id_++;
+  Connection& connection = connections_[id];
+  connection.socket = socket;
+  // Started under mu_, so the thread's finish notice cannot precede its
+  // registration.
+  connection.thread = std::thread([this, socket, id] {
+    ServeConnection(socket);
+    std::lock_guard<std::mutex> finished_lock(mu_);
+    finished_.push_back(id);
+  });
+}
+
+void ExecutorServer::ReapFinishedConnections() {
+  std::vector<Connection> reaped;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (uint64_t id : finished_) {
+      auto it = connections_.find(id);
+      if (it != connections_.end()) {  // absent: already joined by Stop()
+        reaped.push_back(std::move(it->second));
+        connections_.erase(it);
+      }
+    }
+    finished_.clear();
+  }
+  for (Connection& connection : reaped) {
+    connection.thread.join();  // its serve loop already returned
+  }
+}
+
+size_t ExecutorServer::tracked_connections() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return connections_.size();
 }
 
 void ExecutorServer::ServeConnection(std::shared_ptr<support::Socket> socket) {

@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -94,16 +95,30 @@ class ExecutorServer {
 
   ExecutorOccupancy occupancy() const;
   ExecutorStats stats() const;
+  // Connections currently tracked: being served, or finished and not yet
+  // reaped (finished ones are joined and closed at the next accept).
+  size_t tracked_connections() const;
   api::PlanCacheStats plan_cache_stats() const { return plan_cache_.stats(); }
 
  private:
+  // One served connection: its socket and the thread running its serve loop.
+  struct Connection {
+    std::shared_ptr<support::Socket> socket;
+    std::thread thread;
+  };
+
   // One connection's serve loop: read frame, handle, reply, repeat until the
   // peer or Stop() closes the stream.
   void ServeConnection(std::shared_ptr<support::Socket> socket);
   void AcceptLoop();
   // Handles one kRunRequest payload; always produces a reply frame.
   RunReplyMsg HandleRun(const std::string& payload);
-  void TrackConnection(std::shared_ptr<support::Socket> socket, std::thread thread);
+  // Tracks `socket` and starts its serve thread (or severs it when the
+  // server is stopped); reaps finished connections first.
+  void StartConnection(std::shared_ptr<support::Socket> socket);
+  // Joins the serve threads whose loops returned and drops their sockets,
+  // releasing their descriptors.
+  void ReapFinishedConnections();
 
   const ExecutorOptions options_;
   api::PlanCache plan_cache_;
@@ -114,8 +129,9 @@ class ExecutorServer {
 
   mutable std::mutex mu_;
   bool stopped_ = false;
-  std::vector<std::shared_ptr<support::Socket>> connections_;
-  std::vector<std::thread> threads_;
+  std::map<uint64_t, Connection> connections_;  // by connection id
+  std::vector<uint64_t> finished_;              // ids whose serve loop returned
+  uint64_t next_connection_id_ = 0;
   std::unique_ptr<support::TcpListener> listener_;
   std::thread accept_thread_;
   uint16_t port_ = 0;

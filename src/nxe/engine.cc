@@ -205,6 +205,7 @@ static_assert(sizeof(EvThread) == 32, "EvThread must keep its power-of-two strid
 struct Walk {
   const ThreadAction* cur = nullptr;
   const ThreadAction* end = nullptr;
+  const sc::SyscallRecord* recs = nullptr;  // the thread's syscall table
   double clock = 0.0;
   size_t pos = 0;       // sync-relevant syscalls completed
   bool parked = false;  // at a sync-relevant syscall (else: done)
@@ -433,10 +434,11 @@ void SummarizeLeader(const VariantTrace& leader, LeaderSummary* s) {
   s->has_barrier_or_detect = false;
   for (size_t t = 0; t < n_threads; ++t) {
     size_t syncs = 0;
-    for (const auto& action : leader.threads[t].actions) {
+    const ThreadTrace& thread = leader.threads[t];
+    for (const auto& action : thread.actions) {
       switch (action.kind) {
         case ActionKind::kSyscall:
-          if (sc::IsSyncRelevant(action.syscall.no)) {
+          if (sc::IsSyncRelevant(thread.RecordOf(action).no)) {
             ++syncs;
           }
           break;
@@ -570,6 +572,13 @@ class EventScheduler {
   const ThreadAction& Act(size_t v, size_t t) const {
     return variants_[v].threads[t].actions[th_[v * T_ + t].cursor];
   }
+  // The syscall record / detector of the action (v, t) is parked at.
+  const sc::SyscallRecord& Rec(size_t v, size_t t) const {
+    return variants_[v].threads[t].RecordOf(Act(v, t));
+  }
+  const std::string& Detector(size_t v, size_t t) const {
+    return variants_[v].threads[t].DetectorOf(Act(v, t));
+  }
 
   static void AddReady(std::vector<uint32_t>& set, std::vector<char>& flags, size_t idx,
                        uint32_t entry) {
@@ -590,7 +599,8 @@ class EventScheduler {
   // Identical to the reference's advance_local, on flattened state.
   void AdvanceLocal(size_t v, size_t t, size_t vt) {
     EvThread& ts = th_[vt];
-    const auto& actions = variants_[v].threads[t].actions;
+    const ThreadTrace& thread = variants_[v].threads[t];
+    const auto& actions = thread.actions;
     const double vscale = variants_[v].compute_scale;
     while (ts.cursor < actions.size()) {
       const ThreadAction& a = actions[ts.cursor];
@@ -600,7 +610,7 @@ class EventScheduler {
           ++ts.cursor;
           continue;
         case ActionKind::kSyscall:
-          if (!sc::IsSyncRelevant(a.syscall.no)) {
+          if (!sc::IsSyncRelevant(thread.RecordOf(a).no)) {
             // Sanitizer memory-management syscall: executed locally, never
             // compared (§3.3 class 2).
             ts.clock += cm_.kernel_syscall + cm_.trap_hook;
@@ -639,7 +649,7 @@ class EventScheduler {
         ++sys_parked_[t];
         if (selective_) {
           if (v == 0) {
-            const sc::SyscallRecord& rec = Act(0, t).syscall;
+            const sc::SyscallRecord& rec = Rec(0, t);
             if (!sc::IsIoWriteRelated(rec.no)) {
               // Ring back-pressure: publishing entry k reuses the slot of
               // entry k - capacity; readiness needs that slot fetched by
@@ -703,7 +713,7 @@ class EventScheduler {
         return;  // a lagging follower still has ring slots to consume
       }
     }
-    if (selective_ && !sc::IsIoWriteRelated(Act(0, t).syscall.no)) {
+    if (selective_ && !sc::IsIoWriteRelated(Rec(0, t).no)) {
       return;  // handled by the ring-buffer publish path
     }
     AddReady(lockstep_ready_, in_lockstep_, t, static_cast<uint32_t>(t));
@@ -743,10 +753,10 @@ class EventScheduler {
   // a divergence was recorded (caller aborts).
   bool ExecuteLockstep(size_t t) {
     const size_t k = th_[t].stream_pos;
-    const sc::SyscallRecord& leader_rec = Act(0, t).syscall;
+    const sc::SyscallRecord& leader_rec = Rec(0, t);
     // Argument agreement check (sequence + arguments, §2.2).
     for (size_t v = 1; v < V_; ++v) {
-      const sc::SyscallRecord& rec = Act(v, t).syscall;
+      const sc::SyscallRecord& rec = Rec(v, t);
       if (!rec.SameRequest(leader_rec)) {
         report_.divergence =
             Divergence{v, t, k, sc::RecordToString(leader_rec), sc::RecordToString(rec)};
@@ -796,7 +806,7 @@ class EventScheduler {
   void ExecutePublish(size_t t) {
     EvThread& ts = th_[t];
     const size_t k = ts.stream_pos;
-    const sc::SyscallRecord& rec = Act(0, t).syscall;
+    const sc::SyscallRecord& rec = Rec(0, t);
     double free_time = 0.0;
     if (k >= config_.ring_capacity) {
       // Readiness guaranteed the reused slot was fetched by every follower.
@@ -835,7 +845,7 @@ class EventScheduler {
     const size_t vt = v * T_ + t;
     EvThread& ts = th_[vt];
     const size_t k = ts.stream_pos;
-    const sc::SyscallRecord& rec = Act(v, t).syscall;
+    const sc::SyscallRecord& rec = Rec(v, t);
     // Note: a slot only exists here when the leader's k-th record went
     // through the ring (non-IO). If the follower's record is IO-related
     // the comparison below reports the sequence divergence.
@@ -1088,7 +1098,7 @@ StatusOr<SyncReport> EventScheduler::Execute() {
       for (size_t v = 0; v < V_; ++v) {
         for (size_t t = 0; t < T_; ++t) {
           if (th_[v * T_ + t].park == Park::kDetect) {
-            report_.detection = DetectionReport{v, t, Act(v, t).detector};
+            report_.detection = DetectionReport{v, t, Detector(v, t)};
             return FinishIncident();
           }
         }
@@ -1203,7 +1213,7 @@ StatusOr<SyncReport> EventScheduler::Execute() {
       if (someone_waiting && someone_done) {
         report_.divergence =
             Divergence{waiting_variant, t, th_[waiting_variant * T_ + t].stream_pos,
-                       "<exited>", sc::RecordToString(Act(waiting_variant, t).syscall)};
+                       "<exited>", sc::RecordToString(Rec(waiting_variant, t))};
         return FinishIncident();
       }
     }
@@ -1310,7 +1320,7 @@ class EagerScheduler {
           ++w.cur;
           continue;
         case ActionKind::kSyscall:
-          if (!sc::IsSyncRelevant(a.syscall.no)) {
+          if (!sc::IsSyncRelevant(w.recs[a.arg].no)) {
             w.clock += cm_.kernel_syscall + cm_.trap_hook;
             ++report_.ignored_syscalls;
             ++w.cur;
@@ -1400,9 +1410,10 @@ std::optional<SyncReport> EagerScheduler::Execute() {
   for (size_t t = 0; t < T_; ++t) {
     for (size_t v = 0; v < V_; ++v) {
       Walk& w = walks[v];
-      const auto& actions = variants_[v].threads[t].actions;
-      w.cur = actions.data();
-      w.end = actions.data() + actions.size();
+      const ThreadTrace& thread = variants_[v].threads[t];
+      w.cur = thread.actions.data();
+      w.end = thread.actions.data() + thread.actions.size();
+      w.recs = thread.syscalls.data();
       w.clock = startup[v];
       w.pos = 0;
       w.parked = false;
@@ -1421,7 +1432,7 @@ std::optional<SyncReport> EagerScheduler::Execute() {
       // IO/strict lockstep point needs every variant; run each lockstep as
       // soon as all variants arrive.
       while (L.parked) {
-        const sc::SyscallRecord& rec = L.cur->syscall;
+        const sc::SyscallRecord& rec = L.recs[L.cur->arg];
         if (!selective_ || sc::IsIoWriteRelated(rec.no)) {
           // Lockstep: every variant must be parked at this position.
           bool all_at = true;
@@ -1435,7 +1446,7 @@ std::optional<SyncReport> EagerScheduler::Execute() {
             break;  // followers still have slots to drain
           }
           for (size_t v = 1; v < V_; ++v) {
-            if (!walks[v].cur->syscall.SameRequest(rec)) {
+            if (!walks[v].recs[walks[v].cur->arg].SameRequest(rec)) {
               return std::nullopt;  // divergence: report needs round clocks
             }
           }
@@ -1517,7 +1528,7 @@ std::optional<SyncReport> EagerScheduler::Execute() {
           Walk& w = walks[v];
           const size_t f = v - 1;
           while (w.parked && w.pos < pub_count) {
-            const sc::SyscallRecord& rec = w.cur->syscall;
+            const sc::SyscallRecord& rec = w.recs[w.cur->arg];
             if (!rec.SameRequest(*pub_rec[base + w.pos])) {
               return std::nullopt;  // divergence (or IO record meeting a ring slot)
             }
@@ -1816,8 +1827,9 @@ StatusOr<SyncReport> Engine::RunReference(const std::vector<VariantTrace>& varia
     size_t leader_locks = 0;
     for (size_t t = 0; t < n_threads; ++t) {
       size_t leader_syncs = 0;
-      for (const auto& action : variants[0].threads[t].actions) {
-        if (action.kind == ActionKind::kSyscall && sc::IsSyncRelevant(action.syscall.no)) {
+      const ThreadTrace& thread = variants[0].threads[t];
+      for (const auto& action : thread.actions) {
+        if (action.kind == ActionKind::kSyscall && sc::IsSyncRelevant(thread.RecordOf(action).no)) {
           ++leader_syncs;
         } else if (action.kind == ActionKind::kLockAcquire) {
           ++leader_locks;
@@ -1834,8 +1846,11 @@ StatusOr<SyncReport> Engine::RunReference(const std::vector<VariantTrace>& varia
   uint64_t gap_samples = 0;
   double gap_sum = 0.0;
 
-  auto record_of = [&](size_t v, size_t t) -> const ThreadAction& {
+  auto action_of = [&](size_t v, size_t t) -> const ThreadAction& {
     return variants[v].threads[t].actions[vs[v].threads[t].cursor];
+  };
+  auto record_of = [&](size_t v, size_t t) -> const sc::SyscallRecord& {
+    return variants[v].threads[t].RecordOf(action_of(v, t));
   };
   auto thread_done = [&](size_t v, size_t t) { return vs[v].threads[t].park == Park::kDone; };
 
@@ -1845,7 +1860,8 @@ StatusOr<SyncReport> Engine::RunReference(const std::vector<VariantTrace>& varia
     if (ts.park == Park::kDone) {
       return;
     }
-    const auto& actions = variants[v].threads[t].actions;
+    const ThreadTrace& thread = variants[v].threads[t];
+    const auto& actions = thread.actions;
     while (ts.cursor < actions.size()) {
       const ThreadAction& a = actions[ts.cursor];
       switch (a.kind) {
@@ -1854,7 +1870,7 @@ StatusOr<SyncReport> Engine::RunReference(const std::vector<VariantTrace>& varia
           ++ts.cursor;
           continue;
         case ActionKind::kSyscall:
-          if (!sc::IsSyncRelevant(a.syscall.no)) {
+          if (!sc::IsSyncRelevant(thread.RecordOf(a).no)) {
             // Sanitizer memory-management syscall: executed locally, never
             // compared (§3.3 class 2).
             ts.clock += cm.kernel_syscall + cm.trap_hook;
@@ -1928,7 +1944,8 @@ StatusOr<SyncReport> Engine::RunReference(const std::vector<VariantTrace>& varia
       for (size_t v = 0; v < n_variants && !found; ++v) {
         for (size_t t = 0; t < n_threads && !found; ++t) {
           if (vs[v].threads[t].park == Park::kDetect) {
-            report.detection = DetectionReport{v, t, record_of(v, t).detector};
+            report.detection =
+                DetectionReport{v, t, variants[v].threads[t].DetectorOf(action_of(v, t))};
             found = true;
           }
         }
@@ -1964,7 +1981,7 @@ StatusOr<SyncReport> Engine::RunReference(const std::vector<VariantTrace>& varia
       if (!all_at) {
         continue;
       }
-      const sc::SyscallRecord& leader_rec = record_of(0, t).syscall;
+      const sc::SyscallRecord& leader_rec = record_of(0, t);
       const bool needs_lockstep = config_.mode == LockstepMode::kStrict ||
                                   sc::IsIoWriteRelated(leader_rec.no);
       if (!needs_lockstep) {
@@ -1973,7 +1990,7 @@ StatusOr<SyncReport> Engine::RunReference(const std::vector<VariantTrace>& varia
 
       // Argument agreement check (sequence + arguments, §2.2).
       for (size_t v = 1; v < n_variants; ++v) {
-        const sc::SyscallRecord& rec = record_of(v, t).syscall;
+        const sc::SyscallRecord& rec = record_of(v, t);
         if (!rec.SameRequest(leader_rec)) {
           report.divergence = Divergence{v, t, k, sc::RecordToString(leader_rec),
                                          sc::RecordToString(rec)};
@@ -2021,7 +2038,7 @@ StatusOr<SyncReport> Engine::RunReference(const std::vector<VariantTrace>& varia
         if (ts.park != Park::kSyscall) {
           continue;
         }
-        const sc::SyscallRecord& rec = record_of(0, t).syscall;
+        const sc::SyscallRecord& rec = record_of(0, t);
         if (sc::IsIoWriteRelated(rec.no)) {
           continue;  // must go through the lockstep path
         }
@@ -2069,7 +2086,7 @@ StatusOr<SyncReport> Engine::RunReference(const std::vector<VariantTrace>& varia
           if (k >= published[t].size()) {
             continue;  // leader has not published this slot yet
           }
-          const sc::SyscallRecord& rec = record_of(v, t).syscall;
+          const sc::SyscallRecord& rec = record_of(v, t);
           // Note: a slot only exists here when the leader's k-th record went
           // through the ring (non-IO). If the follower's record is IO-related
           // the comparison below reports the sequence divergence.
@@ -2207,7 +2224,7 @@ StatusOr<SyncReport> Engine::RunReference(const std::vector<VariantTrace>& varia
       if (someone_waiting && someone_done) {
         report.divergence = Divergence{
             waiting_variant, t, vs[waiting_variant].threads[t].stream_pos,
-            "<exited>", sc::RecordToString(record_of(waiting_variant, t).syscall)};
+            "<exited>", sc::RecordToString(record_of(waiting_variant, t))};
         return finish_incident(std::move(report));
       }
     }

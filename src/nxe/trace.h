@@ -3,15 +3,33 @@
 // A simulated variant process is described by the sequence of actions each of
 // its threads performs: compute bursts (with a cost in abstract cycles),
 // syscalls (with full argument records), and pthreads-style synchronization
-// operations. The workload generators (src/workload) produce a common
-// template per benchmark; the variant generator derives per-variant traces by
-// scaling compute (sanitizer slowdown), adding sanitizer-introduced syscalls,
-// and splicing in attack behavior for the security experiments.
+// operations.
+//
+// Layout. A ThreadAction is a trivially copyable 16-byte record: its cost,
+// one 32-bit argument and its kind. The argument's meaning depends on the
+// kind:
+//   kCompute                            unused (0); `cost` is the cycles
+//   kLockAcquire, kLockRelease, kBarrier the sync id
+//   kSyscall                            index into the thread's `syscalls`
+//   kDetect                             index into the thread's `detectors`
+//   kExit                               unused (0)
+// Every ThreadTrace owns its two tables, and they are append-only: splicing
+// an action in mid-stream (an attack overlay, a sanitizer's memory-management
+// syscall) appends its record and inserts one 16-byte action, so no index
+// already handed out moves. The engine walks the dense action arrays and
+// reads a record only at the syscalls it filters or synchronizes.
+//
+// The workload generators (src/workload) build one template per (benchmark,
+// workload seed) and derive every variant's trace from it: a jitter pass over
+// the compute costs plus an in-order merge of the sanitizer-introduced
+// syscalls. Attack behavior for the security experiments is spliced in on
+// top (src/api/plan.cc, src/attack).
 #ifndef BUNSHIN_SRC_NXE_TRACE_H_
 #define BUNSHIN_SRC_NXE_TRACE_H_
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/syscall/syscall.h"
@@ -21,66 +39,59 @@ namespace nxe {
 
 enum class ActionKind : uint8_t {
   kCompute,      // burn `cost` cycles
-  kSyscall,      // trap with `syscall`
-  kLockAcquire,  // pthread_mutex_lock-style primitive on `sync_id`
+  kSyscall,      // trap with the record `arg` names
+  kLockAcquire,  // pthread_mutex_lock-style primitive on sync id `arg`
   kLockRelease,
-  kBarrier,      // pthread_barrier_wait on `sync_id` (all threads of variant)
+  kBarrier,      // pthread_barrier_wait on sync id `arg` (all threads of variant)
   kDetect,       // a sanitizer check fired here (variant aborts with report)
   kExit,         // thread finishes
 };
 
 struct ThreadAction {
+  double cost = 0.0;  // kCompute: cycles at scale 1; 0 for every other kind
+  uint32_t arg = 0;   // sync id or table index, by kind (see the layout above)
   ActionKind kind = ActionKind::kCompute;
-  double cost = 0.0;          // kCompute: cycles; others: trap/primitive cost extra
-  sc::SyscallRecord syscall;  // kSyscall
-  uint32_t sync_id = 0;       // kLockAcquire/kLockRelease/kBarrier
-  std::string detector;       // kDetect: report handler name
 
-  static ThreadAction Compute(double cycles) {
-    ThreadAction a;
-    a.kind = ActionKind::kCompute;
-    a.cost = cycles;
-    return a;
+  static constexpr ThreadAction Compute(double cycles) {
+    return {cycles, 0, ActionKind::kCompute};
   }
-  static ThreadAction Syscall(const sc::SyscallRecord& record) {
-    ThreadAction a;
-    a.kind = ActionKind::kSyscall;
-    a.syscall = record;
-    return a;
+  static constexpr ThreadAction Lock(uint32_t id) { return {0.0, id, ActionKind::kLockAcquire}; }
+  static constexpr ThreadAction Unlock(uint32_t id) {
+    return {0.0, id, ActionKind::kLockRelease};
   }
-  static ThreadAction Lock(uint32_t id) {
-    ThreadAction a;
-    a.kind = ActionKind::kLockAcquire;
-    a.sync_id = id;
-    return a;
-  }
-  static ThreadAction Unlock(uint32_t id) {
-    ThreadAction a;
-    a.kind = ActionKind::kLockRelease;
-    a.sync_id = id;
-    return a;
-  }
-  static ThreadAction Barrier(uint32_t id) {
-    ThreadAction a;
-    a.kind = ActionKind::kBarrier;
-    a.sync_id = id;
-    return a;
-  }
-  static ThreadAction Detect(std::string detector) {
-    ThreadAction a;
-    a.kind = ActionKind::kDetect;
-    a.detector = std::move(detector);
-    return a;
-  }
-  static ThreadAction Exit() {
-    ThreadAction a;
-    a.kind = ActionKind::kExit;
-    return a;
-  }
+  static constexpr ThreadAction Barrier(uint32_t id) { return {0.0, id, ActionKind::kBarrier}; }
+  static constexpr ThreadAction Exit() { return {0.0, 0, ActionKind::kExit}; }
 };
+static_assert(sizeof(ThreadAction) == 16, "ThreadAction must stay a 16-byte record");
+static_assert(std::is_trivially_copyable_v<ThreadAction>);
 
 struct ThreadTrace {
   std::vector<ThreadAction> actions;
+  std::vector<sc::SyscallRecord> syscalls;  // kSyscall records, by action arg
+  std::vector<std::string> detectors;       // kDetect report handlers, by action arg
+
+  const sc::SyscallRecord& RecordOf(const ThreadAction& a) const { return syscalls[a.arg]; }
+  sc::SyscallRecord& RecordOf(const ThreadAction& a) { return syscalls[a.arg]; }
+  uint32_t SyncIdOf(const ThreadAction& a) const { return a.arg; }
+  const std::string& DetectorOf(const ThreadAction& a) const { return detectors[a.arg]; }
+
+  // Inserts before actions[pos] (pos == actions.size() appends). The
+  // syscall and detect forms append the record or detector to its table.
+  void Insert(size_t pos, ThreadAction action) {
+    actions.insert(actions.begin() + static_cast<std::ptrdiff_t>(pos), action);
+  }
+  void InsertSyscall(size_t pos, const sc::SyscallRecord& record) {
+    syscalls.push_back(record);
+    Insert(pos, {0.0, static_cast<uint32_t>(syscalls.size() - 1), ActionKind::kSyscall});
+  }
+  void InsertDetect(size_t pos, std::string detector) {
+    detectors.push_back(std::move(detector));
+    Insert(pos, {0.0, static_cast<uint32_t>(detectors.size() - 1), ActionKind::kDetect});
+  }
+
+  void Append(ThreadAction action) { actions.push_back(action); }
+  void AppendSyscall(const sc::SyscallRecord& record) { InsertSyscall(actions.size(), record); }
+  void AppendDetect(std::string detector) { InsertDetect(actions.size(), std::move(detector)); }
 };
 
 struct VariantTrace {

@@ -3,7 +3,8 @@
 namespace bunshin {
 namespace nxe {
 
-SynccallRuntime::SynccallRuntime(size_t n_followers) : cursor_(n_followers, 0) {}
+SynccallRuntime::SynccallRuntime(size_t n_followers)
+    : cursor_(n_followers, 0), turn_held_(n_followers, 0) {}
 
 void SynccallRuntime::LeaderAcquire(uint32_t egid) {
   {
@@ -13,19 +14,30 @@ void SynccallRuntime::LeaderAcquire(uint32_t egid) {
   cv_.notify_all();
 }
 
-void SynccallRuntime::FollowerAcquire(size_t follower, uint32_t egid) {
+SynccallRuntime::Turn SynccallRuntime::FollowerAcquire(size_t follower, uint32_t egid) {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [&] {
-    return cursor_[follower] < order_.size() && order_[cursor_[follower]] == egid;
+    return !turn_held_[follower] && cursor_[follower] < order_.size() &&
+           order_[cursor_[follower]] == egid;
   });
-  ++cursor_[follower];
+  turn_held_[follower] = 1;
+  return Turn(this, follower);
+}
+
+void SynccallRuntime::EndTurn(size_t follower) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    turn_held_[follower] = 0;
+    ++cursor_[follower];
+  }
   // Consuming an entry may make the next entry's owner runnable.
   cv_.notify_all();
 }
 
 bool SynccallRuntime::FollowerTryAcquire(size_t follower, uint32_t egid) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (cursor_[follower] < order_.size() && order_[cursor_[follower]] == egid) {
+  if (!turn_held_[follower] && cursor_[follower] < order_.size() &&
+      order_[cursor_[follower]] == egid) {
     ++cursor_[follower];
     cv_.notify_all();
     return true;

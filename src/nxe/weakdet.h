@@ -23,18 +23,40 @@ namespace nxe {
 
 class SynccallRuntime {
  public:
+  // A follower thread's turn at the head of the recorded order. While it is
+  // held no other thread of that follower can take the next entry; its
+  // destruction advances the follower's replay cursor. Hold it across the
+  // step the order protects — taking a lock, recording an event — or the
+  // next EGID's thread can overtake that step.
+  class [[nodiscard]] Turn {
+   public:
+    Turn(const Turn&) = delete;
+    Turn& operator=(const Turn&) = delete;
+    ~Turn() { runtime_->EndTurn(follower_); }
+
+   private:
+    friend class SynccallRuntime;
+    Turn(SynccallRuntime* runtime, size_t follower) : runtime_(runtime), follower_(follower) {}
+
+    SynccallRuntime* runtime_;
+    size_t follower_;
+  };
+
   // `n_followers` follower variants replay the leader's order.
   explicit SynccallRuntime(size_t n_followers);
 
-  // Leader side: called *before* the leader executes a locking primitive.
-  // Appends `egid` to the total order and wakes waiting followers.
+  // Leader side: called while the leader holds the locking primitive, so the
+  // total order is the order the acquisitions happened in. Appends `egid`
+  // and wakes waiting followers.
   void LeaderAcquire(uint32_t egid);
 
   // Follower side: blocks until the next unconsumed order entry for
-  // `follower` equals `egid`, then consumes it.
-  void FollowerAcquire(size_t follower, uint32_t egid);
+  // `follower` equals `egid` and no other thread of `follower` holds its
+  // turn, then returns that turn.
+  Turn FollowerAcquire(size_t follower, uint32_t egid);
 
-  // Non-blocking probe used by tests/telemetry.
+  // Non-blocking probe used by tests/telemetry: consumes the next entry
+  // immediately when it is `egid` and no turn is held.
   bool FollowerTryAcquire(size_t follower, uint32_t egid);
 
   // Snapshot of the recorded total order.
@@ -42,31 +64,38 @@ class SynccallRuntime {
   size_t OrderSize() const;
 
  private:
+  void EndTurn(size_t follower);
+
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<uint32_t> order_;
-  std::vector<size_t> cursor_;  // per-follower replay position
+  std::vector<size_t> cursor_;    // per-follower replay position
+  std::vector<char> turn_held_;   // per-follower: a thread holds the entry at cursor_
 };
 
 // A mutex whose lock order is recorded (leader) or replayed (follower) via a
-// shared SynccallRuntime — the patched pthread_mutex_lock of the paper.
+// shared SynccallRuntime — the patched pthread_mutex_lock of the paper. Any
+// number of threads may contend for it; each passes its own EGID.
 class DetMutex {
  public:
-  DetMutex(SynccallRuntime* runtime, uint32_t egid) : runtime_(runtime), egid_(egid) {}
+  explicit DetMutex(SynccallRuntime* runtime) : runtime_(runtime) {}
 
-  void LockAsLeader() {
-    runtime_->LeaderAcquire(egid_);
+  // Takes the lock, then records the acquisition in the leader's order.
+  void LockAsLeader(uint32_t egid) {
     mu_.lock();
+    runtime_->LeaderAcquire(egid);
   }
-  void LockAsFollower(size_t follower) {
-    runtime_->FollowerAcquire(follower, egid_);
+  // Waits for `egid`'s turn in the leader's order, takes the lock, and only
+  // then releases the turn: the next thread in the order cannot reach the
+  // lock first.
+  void LockAsFollower(size_t follower, uint32_t egid) {
+    const SynccallRuntime::Turn turn = runtime_->FollowerAcquire(follower, egid);
     mu_.lock();
   }
   void Unlock() { mu_.unlock(); }
 
  private:
   SynccallRuntime* runtime_;
-  uint32_t egid_;
   std::mutex mu_;
 };
 

@@ -169,11 +169,19 @@ StatusOr<std::unique_ptr<Socket>> TcpListener::Accept() {
   if (fd_ < 0 || shut_down_.load(std::memory_order_acquire)) {
     return Unavailable("listener is closed");
   }
-  const int client = ::accept(fd_, nullptr, nullptr);
-  if (client < 0) {
+  for (;;) {
+    const int client = ::accept(fd_, nullptr, nullptr);
+    if (client >= 0) {
+      return std::unique_ptr<Socket>(new TcpSocket(client));
+    }
+    // A signal or a peer that reset before accept() leaves the listener
+    // fine: take the next connection.
+    if ((errno == EINTR || errno == ECONNABORTED) &&
+        !shut_down_.load(std::memory_order_acquire)) {
+      continue;
+    }
     return Unavailable(Errno("accept"));
   }
-  return std::unique_ptr<Socket>(new TcpSocket(client));
 }
 
 void TcpListener::Close() {

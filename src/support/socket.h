@@ -69,7 +69,9 @@ class TcpListener {
   Status Listen(uint16_t port);
   uint16_t port() const { return port_; }
 
-  // Blocks for the next connection. kUnavailable after Close().
+  // Blocks for the next connection, retrying EINTR/ECONNABORTED. kUnavailable
+  // after Close(), or when accept() fails otherwise (EMFILE/ENFILE when the
+  // process or system is out of descriptors: the listener stays usable).
   StatusOr<std::unique_ptr<Socket>> Accept();
 
   // Wakes a blocked Accept(); idempotent. Shuts the socket down but keeps

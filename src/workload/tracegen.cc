@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "src/support/rng.h"
 
@@ -62,54 +63,93 @@ double Jitter(double cost, double sigma_coeff, double scale, Rng* rng) {
   return jittered;
 }
 
+// The runtime records a sanitizer adds around every run, parsed once from
+// the catalog (the entries never change).
+struct RuntimeRecords {
+  std::vector<sc::SyscallRecord> pre_main;
+  std::vector<sc::SyscallRecord> post_exit;
+  size_t in_execution = 0;  // catalog in-execution entries
+};
+
+const RuntimeRecords& RuntimeRecordsOf(san::SanitizerId id) {
+  static const std::vector<RuntimeRecords>* table = [] {
+    auto* records = new std::vector<RuntimeRecords>();
+    for (const auto& info : san::AllSanitizers()) {
+      const size_t slot = static_cast<size_t>(info.id);
+      if (records->size() <= slot) {
+        records->resize(slot + 1);
+      }
+      RuntimeRecords& r = (*records)[slot];
+      for (const auto& entry : info.introduced.pre_launch) {
+        r.pre_main.push_back(sc::ParseIntroducedSyscall(entry));
+      }
+      for (const auto& entry : info.introduced.post_exit) {
+        r.post_exit.push_back(sc::ParseIntroducedSyscall(entry));
+      }
+      r.in_execution = info.introduced.in_execution.size();
+    }
+    return records;
+  }();
+  return (*table)[static_cast<size_t>(id)];
+}
+
 void AddSanitizerRuntimeSyscalls(const VariantSpec& variant, nxe::VariantTrace* trace) {
+  trace->pre_main.clear();
+  trace->post_exit.clear();
   for (san::SanitizerId id : variant.sanitizers) {
-    const auto& info = san::GetSanitizer(id);
-    for (const auto& entry : info.introduced.pre_launch) {
-      trace->pre_main.push_back(sc::ParseIntroducedSyscall(entry));
-    }
-    for (const auto& entry : info.introduced.post_exit) {
-      trace->post_exit.push_back(sc::ParseIntroducedSyscall(entry));
-    }
+    const RuntimeRecords& records = RuntimeRecordsOf(id);
+    trace->pre_main.insert(trace->pre_main.end(), records.pre_main.begin(),
+                           records.pre_main.end());
+    trace->post_exit.insert(trace->post_exit.end(), records.post_exit.begin(),
+                            records.post_exit.end());
   }
 }
 
-// Inserts the in-execution memory-management syscalls a sanitizer runtime
-// issues, spread across the thread's timeline. These are *not* in the
-// template — each variant has different ones — which is exactly why the NXE
-// must ignore them (§3.3).
-void SprinkleMemoryManagement(const VariantSpec& variant, Rng* rng, nxe::ThreadTrace* thread) {
-  if (variant.sanitizers.empty() || thread->actions.empty()) {
-    return;
-  }
-  size_t mm_count = 0;
-  for (san::SanitizerId id : variant.sanitizers) {
-    mm_count += san::GetSanitizer(id).introduced.in_execution.size() * 3;
-  }
-  for (size_t i = 0; i < mm_count; ++i) {
+// A template compute segment that each variant's jitter stream perturbs.
+nxe::ThreadAction JitteredSegment(double cost) {
+  return {cost, TraceTemplate::kJittered, nxe::ActionKind::kCompute};
+}
+
+// One in-execution memory-management syscall: its final position in the
+// derived thread and its index in the thread's syscall table.
+struct MmInsert {
+  uint32_t pos;
+  uint32_t record;
+};
+
+// Draws the memory-management syscalls a sanitizer runtime issues, spread
+// across the thread's timeline, and appends their records to `thread`'s
+// syscall table. These are *not* in the template — each variant has
+// different ones — which is exactly why the NXE must ignore them (§3.3).
+// Each draw inserts into the growing action list at a position uniform over
+// its current length; `inserts` receives the positions those inserts end up
+// at in the final list, ascending.
+void DrawMemoryManagement(size_t count, size_t template_len, Rng* rng, nxe::ThreadTrace* thread,
+                          MmInsert* inserts) {
+  for (size_t i = 0; i < count; ++i) {
     sc::SyscallRecord rec;
     rec.no = (rng->NextBounded(2) == 0) ? sc::Sysno::kMmap : sc::Sysno::kMadvise;
     rec.args = {static_cast<int64_t>(rng->NextBounded(1 << 20)), 4096, 0, 0, 0, 0};
-    const size_t pos = rng->NextBounded(thread->actions.size());
-    thread->actions.insert(thread->actions.begin() + static_cast<long>(pos),
-                           nxe::ThreadAction::Syscall(rec));
+    const auto pos = static_cast<uint32_t>(rng->NextBounded(template_len + i));
+    // Earlier inserts at or after `pos` shift one slot right.
+    for (size_t j = 0; j < i; ++j) {
+      inserts[j].pos += inserts[j].pos >= pos ? 1 : 0;
+    }
+    inserts[i] = {pos, static_cast<uint32_t>(thread->syscalls.size())};
+    thread->syscalls.push_back(rec);
   }
+  std::sort(inserts, inserts + count,
+            [](const MmInsert& a, const MmInsert& b) { return a.pos < b.pos; });
 }
 
 }  // namespace
 
-nxe::VariantTrace BuildTrace(const BenchmarkSpec& bench, const VariantSpec& variant,
-                             uint64_t workload_seed) {
-  nxe::VariantTrace trace;
-  trace.name = variant.name;
-  trace.compute_scale = variant.compute_scale;
-
+void BuildTemplate(const BenchmarkSpec& bench, uint64_t workload_seed, TraceTemplate* out) {
   const size_t threads = std::max<size_t>(1, bench.threads);
-  trace.threads.resize(threads);
-
-  Rng template_rng(workload_seed);
-  Rng jitter_rng(variant.jitter_seed * 0x9E3779B97F4A7C15ULL + 17);
-  Rng mm_rng = jitter_rng.Fork(0xABCD);
+  out->threads.resize(threads);
+  out->noise_sigma = bench.noise_rel_sigma;
+  out->jitter_salt = 17;
+  out->sprinkle_memory_management = true;
 
   const double compute_per_thread = bench.total_compute / static_cast<double>(threads);
   const size_t syscalls_per_thread = std::max<size_t>(1, bench.n_syscalls / threads);
@@ -117,30 +157,34 @@ nxe::VariantTrace BuildTrace(const BenchmarkSpec& bench, const VariantSpec& vari
       static_cast<size_t>(bench.locks_per_kilo * compute_per_thread / 1000.0);
   const size_t barriers = bench.barriers;
 
+  // Ordered sync events of one thread: a syscall (id indexes the thread's
+  // record table), a lock (id is the lock) or a barrier (id is the episode).
+  struct Ev {
+    enum class Type : uint8_t { kSyscall, kLock, kBarrier } type;
+    uint32_t id;
+  };
+  std::vector<Ev> events;
+  events.reserve(syscalls_per_thread + locks_per_thread + barriers);
+
   // Segment layout per thread: syscalls, locks, and barriers interleaved with
-  // compute. The template decides positions; both structure and records must
-  // match across variants, so all structural draws come from template_rng
-  // forks seeded identically per thread.
+  // compute. Both structure and records must match across variants, so all
+  // structural draws come from a stream seeded identically per thread.
   for (size_t t = 0; t < threads; ++t) {
     Rng struct_rng = Rng(workload_seed ^ (0x5DEECE66DULL * (t + 1)));
-    nxe::ThreadTrace& thread = trace.threads[t];
+    nxe::ThreadTrace& thread = out->threads[t];
+    thread.actions.clear();
+    thread.syscalls.clear();
+    thread.detectors.clear();
+    thread.syscalls.reserve(syscalls_per_thread);
 
-    // Build the ordered list of sync events for this thread.
-    struct Ev {
-      enum class Type { kSyscall, kLock, kBarrier } type;
-      sc::SyscallRecord rec;
-      uint32_t id;
-    };
-    std::vector<Ev> events;
-    events.reserve(syscalls_per_thread + locks_per_thread + barriers);
+    events.clear();
     for (size_t i = 0; i < syscalls_per_thread; ++i) {
-      events.push_back(
-          {Ev::Type::kSyscall, TemplateSyscall(t * 100000 + i, bench.io_write_frac, &struct_rng),
-           0});
+      thread.syscalls.push_back(
+          TemplateSyscall(t * 100000 + i, bench.io_write_frac, &struct_rng));
+      events.push_back({Ev::Type::kSyscall, static_cast<uint32_t>(i)});
     }
     for (size_t i = 0; i < locks_per_thread; ++i) {
-      events.push_back(
-          {Ev::Type::kLock, {}, static_cast<uint32_t>(struct_rng.NextBounded(8))});
+      events.push_back({Ev::Type::kLock, static_cast<uint32_t>(struct_rng.NextBounded(8))});
     }
     // Shuffle syscalls and locks deterministically (Fisher-Yates).
     for (size_t i = events.size(); i > 1; --i) {
@@ -154,70 +198,123 @@ nxe::VariantTrace BuildTrace(const BenchmarkSpec& bench, const VariantSpec& vari
       for (size_t b = 0; b < barriers; ++b) {
         const size_t pos = std::min(events.size(), (b + 1) * stride + inserted);
         events.insert(events.begin() + static_cast<long>(pos),
-                      {Ev::Type::kBarrier, {}, static_cast<uint32_t>(b)});
+                      {Ev::Type::kBarrier, static_cast<uint32_t>(b)});
         ++inserted;
       }
     }
 
     const double mean_segment =
         compute_per_thread / static_cast<double>(events.size() + 1);
+    thread.actions.reserve(2 * events.size() + 2 * locks_per_thread + 2);
     for (const auto& ev : events) {
-      // Template segment cost jittered per variant (scheduling noise).
+      // Template segment cost; each variant jitters it (scheduling noise).
       const double base = mean_segment * (0.5 + struct_rng.NextDouble());
-      thread.actions.push_back(
-          nxe::ThreadAction::Compute(
-              Jitter(base, bench.noise_rel_sigma, variant.compute_scale, &jitter_rng)));
+      thread.Append(JitteredSegment(base));
       switch (ev.type) {
         case Ev::Type::kSyscall:
-          thread.actions.push_back(nxe::ThreadAction::Syscall(ev.rec));
+          thread.Append({0.0, ev.id, nxe::ActionKind::kSyscall});
           break;
         case Ev::Type::kLock:
-          thread.actions.push_back(nxe::ThreadAction::Lock(ev.id));
-          thread.actions.push_back(nxe::ThreadAction::Compute(mean_segment * 0.05));
-          thread.actions.push_back(nxe::ThreadAction::Unlock(ev.id));
+          thread.Append(nxe::ThreadAction::Lock(ev.id));
+          thread.Append(nxe::ThreadAction::Compute(mean_segment * 0.05));
+          thread.Append(nxe::ThreadAction::Unlock(ev.id));
           break;
         case Ev::Type::kBarrier:
-          thread.actions.push_back(nxe::ThreadAction::Barrier(ev.id));
+          thread.Append(nxe::ThreadAction::Barrier(ev.id));
           break;
       }
     }
-    thread.actions.push_back(
-        nxe::ThreadAction::Compute(
-        Jitter(mean_segment, bench.noise_rel_sigma, variant.compute_scale, &jitter_rng)));
-    thread.actions.push_back(nxe::ThreadAction::Exit());
+    thread.Append(JitteredSegment(mean_segment));
+    thread.Append(nxe::ThreadAction::Exit());
+  }
+}
 
-    SprinkleMemoryManagement(variant, &mm_rng, &thread);
+void DeriveTrace(const TraceTemplate& tmpl, const VariantSpec& variant, nxe::VariantTrace* out) {
+  out->name = variant.name;
+  out->compute_scale = variant.compute_scale;
+  out->threads.resize(tmpl.threads.size());
+
+  Rng jitter_rng(variant.jitter_seed * 0x9E3779B97F4A7C15ULL + tmpl.jitter_salt);
+  size_t mm_count = 0;
+  std::optional<Rng> mm_rng;
+  if (tmpl.sprinkle_memory_management) {
+    mm_rng.emplace(jitter_rng.Fork(0xABCD));
+    for (san::SanitizerId id : variant.sanitizers) {
+      mm_count += RuntimeRecordsOf(id).in_execution * 3;
+    }
+  }
+  std::vector<MmInsert> inserts(mm_count);
+
+  const double sigma = tmpl.noise_sigma;
+  const double scale = variant.compute_scale;
+  for (size_t t = 0; t < tmpl.threads.size(); ++t) {
+    const nxe::ThreadTrace& src = tmpl.threads[t];
+    nxe::ThreadTrace& dst = out->threads[t];
+    const size_t len = src.actions.size();
+    const size_t inserted = len == 0 ? 0 : mm_count;
+
+    dst.syscalls.clear();
+    dst.syscalls.reserve(src.syscalls.size() + inserted);
+    dst.syscalls.insert(dst.syscalls.end(), src.syscalls.begin(), src.syscalls.end());
+    dst.detectors.clear();
+    if (inserted > 0) {
+      DrawMemoryManagement(inserted, len, &*mm_rng, &dst, inserts.data());
+    }
+
+    dst.actions.clear();
+    dst.actions.reserve(len + inserted);
+    size_t next = 0;
+    for (const nxe::ThreadAction& a : src.actions) {
+      while (next < inserted && inserts[next].pos == dst.actions.size()) {
+        dst.Append({0.0, inserts[next++].record, nxe::ActionKind::kSyscall});
+      }
+      if (a.kind == nxe::ActionKind::kCompute) {
+        const double cost =
+            a.arg == TraceTemplate::kJittered ? Jitter(a.cost, sigma, scale, &jitter_rng) : a.cost;
+        dst.Append(nxe::ThreadAction::Compute(cost));
+      } else {
+        dst.Append(a);
+      }
+    }
+    while (next < inserted) {
+      dst.Append({0.0, inserts[next++].record, nxe::ActionKind::kSyscall});
+    }
   }
 
-  AddSanitizerRuntimeSyscalls(variant, &trace);
+  AddSanitizerRuntimeSyscalls(variant, out);
+}
+
+nxe::VariantTrace BuildTrace(const BenchmarkSpec& bench, const VariantSpec& variant,
+                             uint64_t workload_seed) {
+  TraceTemplate tmpl;
+  BuildTemplate(bench, workload_seed, &tmpl);
+  nxe::VariantTrace trace;
+  DeriveTrace(tmpl, variant, &trace);
   return trace;
 }
 
 std::vector<nxe::VariantTrace> BuildIdenticalVariants(const BenchmarkSpec& bench, size_t n,
                                                       uint64_t workload_seed) {
-  std::vector<nxe::VariantTrace> variants;
-  variants.reserve(n);
+  TraceTemplate tmpl;
+  BuildTemplate(bench, workload_seed, &tmpl);
+  std::vector<nxe::VariantTrace> variants(n);
   for (size_t v = 0; v < n; ++v) {
     VariantSpec spec;
     spec.name = "v" + std::to_string(v);
     spec.jitter_seed = 1000 + v;
-    variants.push_back(BuildTrace(bench, spec, workload_seed));
+    DeriveTrace(tmpl, spec, &variants[v]);
   }
   return variants;
 }
 
-nxe::VariantTrace BuildServerTrace(const ServerSpec& server, const VariantSpec& variant,
-                                   uint64_t workload_seed) {
-  nxe::VariantTrace trace;
-  trace.name = variant.name;
-  trace.compute_scale = variant.compute_scale;
-  trace.threads.resize(std::max<size_t>(1, server.threads));
-
-  Rng jitter_rng(variant.jitter_seed * 0x9E3779B97F4A7C15ULL + 29);
+void BuildServerTemplate(const ServerSpec& server, uint64_t workload_seed, TraceTemplate* out) {
+  out->threads.resize(std::max<size_t>(1, server.threads));
   // Queueing pressure from concurrent connections: more in-flight requests
   // means noisier scheduling around each request.
-  const double queue_sigma =
+  out->noise_sigma =
       server.noise_rel_sigma * (1.0 + static_cast<double>(server.concurrency) / 2048.0);
+  out->jitter_salt = 29;
+  out->sprinkle_memory_management = false;
 
   const bool large = server.file_kb >= 1024;
   const size_t chunks = large ? 16 : 1;
@@ -226,10 +323,13 @@ nxe::VariantTrace BuildServerTrace(const ServerSpec& server, const VariantSpec& 
   const double parse_compute = large ? 160.0 : 55.0;
   const double read_compute = large ? 9200.0 : 18.0;
 
-  for (size_t t = 0; t < trace.threads.size(); ++t) {
+  for (size_t t = 0; t < out->threads.size(); ++t) {
     Rng struct_rng = Rng(workload_seed ^ (0xC0FFEEULL * (t + 1)));
-    nxe::ThreadTrace& thread = trace.threads[t];
-    const size_t reqs = server.requests / trace.threads.size();
+    nxe::ThreadTrace& thread = out->threads[t];
+    thread.actions.clear();
+    thread.syscalls.clear();
+    thread.detectors.clear();
+    const size_t reqs = server.requests / out->threads.size();
     for (size_t r = 0; r < reqs; ++r) {
       const std::string req_tag =
           "req#" + std::to_string(t) + "/" + std::to_string(r);
@@ -237,58 +337,60 @@ nxe::VariantTrace BuildServerTrace(const ServerSpec& server, const VariantSpec& 
       sc::SyscallRecord accept;
       accept.no = sc::Sysno::kAccept;
       accept.args = {4, 0, 0, 0, 0, 0};
-      thread.actions.push_back(nxe::ThreadAction::Syscall(accept));
+      thread.AppendSyscall(accept);
 
-      thread.actions.push_back(
-          nxe::ThreadAction::Compute(
-          Jitter(parse_compute, queue_sigma, variant.compute_scale, &jitter_rng)));
+      thread.Append(JitteredSegment(parse_compute));
 
       sc::SyscallRecord open;
       open.no = sc::Sysno::kOpen;
       open.payload_digest = sc::DigestString("www/file" + std::to_string(struct_rng.NextBounded(8)));
-      thread.actions.push_back(nxe::ThreadAction::Syscall(open));
+      thread.AppendSyscall(open);
 
       sc::SyscallRecord read;
       read.no = sc::Sysno::kRead;
       read.args = {5, static_cast<int64_t>(server.file_kb * 1024), 0, 0, 0, 0};
-      thread.actions.push_back(nxe::ThreadAction::Syscall(read));
-      thread.actions.push_back(
-          nxe::ThreadAction::Compute(
-          Jitter(read_compute, queue_sigma, variant.compute_scale, &jitter_rng)));
+      thread.AppendSyscall(read);
+      thread.Append(JitteredSegment(read_compute));
 
       for (size_t c = 0; c < chunks; ++c) {
         sc::SyscallRecord write;
         write.no = sc::Sysno::kWrite;
         write.args = {6, static_cast<int64_t>(server.file_kb * 1024 / chunks), 0, 0, 0, 0};
         write.payload_digest = sc::DigestString(req_tag + "#chunk" + std::to_string(c));
-        thread.actions.push_back(nxe::ThreadAction::Syscall(write));
+        thread.AppendSyscall(write);
         if (large) {
-          thread.actions.push_back(
-              nxe::ThreadAction::Compute(Jitter(34.0, queue_sigma, variant.compute_scale, &jitter_rng)));
+          thread.Append(JitteredSegment(34.0));
         }
       }
 
       sc::SyscallRecord close;
       close.no = sc::Sysno::kClose;
       close.args = {6, 0, 0, 0, 0, 0};
-      thread.actions.push_back(nxe::ThreadAction::Syscall(close));
+      thread.AppendSyscall(close);
     }
-    thread.actions.push_back(nxe::ThreadAction::Exit());
+    thread.Append(nxe::ThreadAction::Exit());
   }
+}
 
-  AddSanitizerRuntimeSyscalls(variant, &trace);
+nxe::VariantTrace BuildServerTrace(const ServerSpec& server, const VariantSpec& variant,
+                                   uint64_t workload_seed) {
+  TraceTemplate tmpl;
+  BuildServerTemplate(server, workload_seed, &tmpl);
+  nxe::VariantTrace trace;
+  DeriveTrace(tmpl, variant, &trace);
   return trace;
 }
 
 std::vector<nxe::VariantTrace> BuildIdenticalServerVariants(const ServerSpec& server, size_t n,
                                                             uint64_t workload_seed) {
-  std::vector<nxe::VariantTrace> variants;
-  variants.reserve(n);
+  TraceTemplate tmpl;
+  BuildServerTemplate(server, workload_seed, &tmpl);
+  std::vector<nxe::VariantTrace> variants(n);
   for (size_t v = 0; v < n; ++v) {
     VariantSpec spec;
     spec.name = "v" + std::to_string(v);
     spec.jitter_seed = 2000 + v;
-    variants.push_back(BuildServerTrace(server, spec, workload_seed));
+    DeriveTrace(tmpl, spec, &variants[v]);
   }
   return variants;
 }

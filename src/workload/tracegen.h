@@ -3,10 +3,14 @@
 // The *template* (benign syscall records, compute segmentation, lock/barrier
 // structure) is a pure function of the workload seed, so every variant of a
 // benchmark issues exactly the same sync-relevant syscall sequence — the
-// N-version invariant. Per-variant differences are:
+// N-version invariant. Generation therefore has two steps: BuildTemplate
+// makes every structural draw once per (benchmark, workload seed), and
+// DeriveTrace turns the template into one variant's trace. Per-variant
+// differences are:
 //   * compute_scale (the sanitizer slowdown the variant carries),
-//   * scheduling jitter (a per-variant multiplicative noise stream — clones
-//     of one binary do not run in perfectly identical time),
+//   * scheduling jitter (a per-variant noise stream — clones of one binary
+//     do not run in perfectly identical time): additive Gaussian noise with
+//     sigma proportional to sqrt(segment cost), plus rare preemption bursts,
 //   * sanitizer-introduced syscalls (pre-main, in-execution memory
 //     management, post-exit) taken from the sanitizer catalog.
 #ifndef BUNSHIN_SRC_WORKLOAD_TRACEGEN_H_
@@ -32,9 +36,38 @@ struct VariantSpec {
   std::vector<san::SanitizerId> sanitizers;
 };
 
-// Builds the trace of one variant of `bench`. Two calls with the same
-// workload_seed produce the same sync-relevant syscall sequence regardless of
-// the VariantSpec.
+// The variant-independent part of a target's traces: every draw of the
+// template streams (syscall records, lock ids, the shuffle, barrier slots,
+// base segment costs), laid out per thread exactly as a derived trace is,
+// minus the sanitizer memory-management syscalls.
+struct TraceTemplate {
+  // Marks a template kCompute action (in `arg`) whose cost the variant's
+  // jitter stream perturbs; the other compute actions (lock hold times) keep
+  // their base cost. Derived traces carry arg 0 on every compute action.
+  static constexpr uint32_t kJittered = 1;
+
+  std::vector<nxe::ThreadTrace> threads;
+  double noise_sigma = 0.0;   // jitter coefficient: sigma = coeff * sqrt(cost)
+  uint64_t jitter_salt = 0;   // mixed with VariantSpec::jitter_seed into the jitter stream
+  // Whether variants carry in-execution memory-management syscalls (the
+  // benchmark generator sprinkles them; the server generator does not).
+  bool sprinkle_memory_management = false;
+};
+
+// Builds `bench`'s template for `workload_seed` into `out`, reusing its
+// buffers' capacity.
+void BuildTemplate(const BenchmarkSpec& bench, uint64_t workload_seed, TraceTemplate* out);
+
+// Derives one variant's trace from `tmpl` into `out`, reusing its buffers'
+// capacity. The variant's jitter stream is drawn in action order; the
+// memory-management insert positions (a stream of their own) are drawn
+// first and merged in the same single pass. The result depends only on
+// (tmpl, variant), never on which other variants share the template.
+void DeriveTrace(const TraceTemplate& tmpl, const VariantSpec& variant, nxe::VariantTrace* out);
+
+// Builds the trace of one variant of `bench` (BuildTemplate + DeriveTrace).
+// Two calls with the same workload_seed produce the same sync-relevant
+// syscall sequence regardless of the VariantSpec.
 nxe::VariantTrace BuildTrace(const BenchmarkSpec& bench, const VariantSpec& variant,
                              uint64_t workload_seed);
 
@@ -54,9 +87,12 @@ struct ServerSpec {
   double noise_rel_sigma = 0.18;
 };
 
-// Builds one variant of the server request-processing loop. Each request is
+// The server request-processing loop's template: each request is
 // accept/open/read/write.../close with parse compute; 1MB responses issue 16
 // chunked writes. Concurrency adds queueing jitter.
+void BuildServerTemplate(const ServerSpec& server, uint64_t workload_seed, TraceTemplate* out);
+
+// Builds one variant of the server loop (BuildServerTemplate + DeriveTrace).
 nxe::VariantTrace BuildServerTrace(const ServerSpec& server, const VariantSpec& variant,
                                    uint64_t workload_seed);
 

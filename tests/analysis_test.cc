@@ -101,14 +101,14 @@ std::vector<nxe::VariantTrace> IdenticalVariants(size_t n, size_t threads, bool 
     variants[v].name = "v" + std::to_string(v);
     variants[v].threads.resize(threads);
     for (size_t t = 0; t < threads; ++t) {
-      auto& actions = variants[v].threads[t].actions;
-      actions.push_back(nxe::ThreadAction::Compute(5.0));
-      actions.push_back(nxe::ThreadAction::Syscall(SyncRecord(1)));
+      nxe::ThreadTrace& thread = variants[v].threads[t];
+      thread.Append(nxe::ThreadAction::Compute(5.0));
+      thread.AppendSyscall(SyncRecord(1));
       if (with_barrier) {
-        actions.push_back(nxe::ThreadAction::Barrier(0));
+        thread.Append(nxe::ThreadAction::Barrier(0));
       }
-      actions.push_back(nxe::ThreadAction::Syscall(SyncRecord(2)));
-      actions.push_back(nxe::ThreadAction::Exit());
+      thread.AppendSyscall(SyncRecord(2));
+      thread.Append(nxe::ThreadAction::Exit());
     }
   }
   return variants;
@@ -162,11 +162,11 @@ TEST(TraceAnalyzerTest, FlagsSkippedBarrierAsTheMalformedTraceItIs) {
   const nxe::EngineConfig config;
   auto variants = IdenticalVariants(2, 2, /*with_barrier=*/true);
   // Variant 1 thread 1 exits before the barrier its sibling waits at.
-  auto& actions = variants[1].threads[1].actions;
-  actions.clear();
-  actions.push_back(nxe::ThreadAction::Compute(5.0));
-  actions.push_back(nxe::ThreadAction::Syscall(SyncRecord(1)));
-  actions.push_back(nxe::ThreadAction::Exit());
+  nxe::ThreadTrace& thread = variants[1].threads[1];
+  thread.actions.clear();
+  thread.Append(nxe::ThreadAction::Compute(5.0));
+  thread.AppendSyscall(SyncRecord(1));
+  thread.Append(nxe::ThreadAction::Exit());
   AnalysisReport report;
   AnalyzeTraces(config, variants, &report);
   EXPECT_TRUE(report.HasRule("liveness/barrier-participation")) << report.Render();
@@ -181,9 +181,9 @@ TEST(TraceAnalyzerTest, FlagsSkeletonMismatchConservatively) {
   auto variants = IdenticalVariants(2, 1, false);
   // The follower acquires a lock the leader never does: its replay waits for
   // a leader acquisition that never comes.
-  auto& actions = variants[1].threads[0].actions;
-  actions.insert(actions.begin() + 1, nxe::ThreadAction::Lock(0));
-  actions.insert(actions.begin() + 2, nxe::ThreadAction::Unlock(0));
+  nxe::ThreadTrace& thread = variants[1].threads[0];
+  thread.Insert(1, nxe::ThreadAction::Lock(0));
+  thread.Insert(2, nxe::ThreadAction::Unlock(0));
   AnalysisReport report;
   AnalyzeTraces(config, variants, &report);
   EXPECT_TRUE(report.HasRule("liveness/skeleton-mismatch")) << report.Render();
@@ -217,18 +217,12 @@ TEST(TraceAnalyzerTest, LockOrderCycleIsADeploymentWarningNotAnError) {
   trace.threads.resize(2);
   // Thread 0 holds lock 0 while taking lock 1; thread 1 the reverse. The
   // engine's serialized replay survives this; a preemptive scheduler can't.
-  auto& t0 = trace.threads[0].actions;
-  t0.push_back(nxe::ThreadAction::Lock(0));
-  t0.push_back(nxe::ThreadAction::Lock(1));
-  t0.push_back(nxe::ThreadAction::Unlock(1));
-  t0.push_back(nxe::ThreadAction::Unlock(0));
-  t0.push_back(nxe::ThreadAction::Exit());
-  auto& t1 = trace.threads[1].actions;
-  t1.push_back(nxe::ThreadAction::Lock(1));
-  t1.push_back(nxe::ThreadAction::Lock(0));
-  t1.push_back(nxe::ThreadAction::Unlock(0));
-  t1.push_back(nxe::ThreadAction::Unlock(1));
-  t1.push_back(nxe::ThreadAction::Exit());
+  trace.threads[0].actions = {nxe::ThreadAction::Lock(0), nxe::ThreadAction::Lock(1),
+                              nxe::ThreadAction::Unlock(1), nxe::ThreadAction::Unlock(0),
+                              nxe::ThreadAction::Exit()};
+  trace.threads[1].actions = {nxe::ThreadAction::Lock(1), nxe::ThreadAction::Lock(0),
+                              nxe::ThreadAction::Unlock(0), nxe::ThreadAction::Unlock(1),
+                              nxe::ThreadAction::Exit()};
   const std::vector<nxe::VariantTrace> variants = {trace};
   AnalysisReport report;
   AnalyzeTraces(config, variants, &report);
@@ -241,8 +235,7 @@ TEST(TraceAnalyzerTest, LockOrderCycleIsADeploymentWarningNotAnError) {
 TEST(TraceAnalyzerTest, PredictsInjectedDetections) {
   const nxe::EngineConfig config;
   auto variants = IdenticalVariants(2, 1, false);
-  auto& actions = variants[1].threads[0].actions;
-  actions.insert(actions.begin() + 1, nxe::ThreadAction::Detect("__asan_report_store"));
+  variants[1].threads[0].InsertDetect(1, "__asan_report_store");
   AnalysisReport report;
   AnalyzeTraces(config, variants, &report);
   EXPECT_TRUE(report.HasRule("analysis/expected-detection"));

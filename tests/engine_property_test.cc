@@ -60,7 +60,7 @@ TEST_P(EngineSweepTest, CompletesWithSaneReport) {
   for (const auto& thread : variants[0].threads) {
     for (const auto& action : thread.actions) {
       if (action.kind == nxe::ActionKind::kSyscall &&
-          sc::IsSyncRelevant(action.syscall.no)) {
+          sc::IsSyncRelevant(thread.RecordOf(action).no)) {
         ++expected_syscalls;
       }
     }
@@ -261,21 +261,20 @@ TEST(EngineEquivalenceTest, TinyRingBackPressureMatchesReference) {
   // The ring-full path (leader blocked on the slowest follower's fetch) and
   // the mixed lockstep/ring stream are where an event-driven scheduler can
   // drift; pin them at every tiny capacity.
-  std::vector<nxe::ThreadAction> actions;
+  nxe::ThreadTrace thread;
   std::mt19937_64 rng(7);
   for (int i = 0; i < 30; ++i) {
-    actions.push_back(nxe::ThreadAction::Compute(5.0 + static_cast<double>(rng() % 10)));
-    actions.push_back(nxe::ThreadAction::Syscall(RandomRecord(rng, i % 5 == 4)));
+    thread.Append(nxe::ThreadAction::Compute(5.0 + static_cast<double>(rng() % 10)));
+    thread.AppendSyscall(RandomRecord(rng, i % 5 == 4));
   }
-  actions.push_back(nxe::ThreadAction::Exit());
+  thread.Append(nxe::ThreadAction::Exit());
   for (const size_t ring : {1u, 2u, 3u, 5u}) {
     for (const size_t n : {2u, 3u, 6u}) {
       std::vector<nxe::VariantTrace> variants(n);
       for (size_t v = 0; v < n; ++v) {
         variants[v].name = "ring-v" + std::to_string(v);
         variants[v].compute_scale = 1.0 + 0.7 * static_cast<double>(v);
-        variants[v].threads.resize(1);
-        variants[v].threads[0].actions = actions;
+        variants[v].threads = {thread};
       }
       nxe::EngineConfig config;
       config.mode = nxe::LockstepMode::kSelective;

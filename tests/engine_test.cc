@@ -32,21 +32,55 @@ sc::SyscallRecord MakeRead() {
   return rec;
 }
 
-VariantTrace SimpleVariant(const std::string& name, double scale,
-                           const std::vector<ThreadAction>& actions) {
+// One hand-written action: a syscall or detection carries its record or
+// detector, which Thread() appends to the thread's tables.
+struct Op {
+  ThreadAction action;
+  sc::SyscallRecord record = {};
+  std::string detector = {};
+};
+
+Op Compute(double cycles) { return {ThreadAction::Compute(cycles)}; }
+Op Syscall(const sc::SyscallRecord& record) {
+  return {{0.0, 0, ActionKind::kSyscall}, record};
+}
+Op Detect(std::string detector) {
+  return {{0.0, 0, ActionKind::kDetect}, {}, std::move(detector)};
+}
+Op Barrier(uint32_t id) { return {ThreadAction::Barrier(id)}; }
+Op Exit() { return {ThreadAction::Exit()}; }
+
+nxe::ThreadTrace Thread(const std::vector<Op>& ops) {
+  nxe::ThreadTrace thread;
+  for (const Op& op : ops) {
+    switch (op.action.kind) {
+      case ActionKind::kSyscall:
+        thread.AppendSyscall(op.record);
+        break;
+      case ActionKind::kDetect:
+        thread.AppendDetect(op.detector);
+        break;
+      default:
+        thread.Append(op.action);
+        break;
+    }
+  }
+  return thread;
+}
+
+VariantTrace SimpleVariant(const std::string& name, double scale, const std::vector<Op>& ops) {
   VariantTrace trace;
   trace.name = name;
   trace.compute_scale = scale;
-  trace.threads.resize(1);
-  trace.threads[0].actions = actions;
-  trace.threads[0].actions.push_back(ThreadAction::Exit());
+  trace.threads.push_back(Thread(ops));
+  trace.threads[0].Append(ThreadAction::Exit());
   return trace;
 }
 
 TEST(EngineTest, IdenticalVariantsComplete) {
-  const std::vector<ThreadAction> actions = {
-      ThreadAction::Compute(100), ThreadAction::Syscall(MakeRead()),
-      ThreadAction::Compute(50), ThreadAction::Syscall(MakeWrite("hello"))};
+  const std::vector<Op> actions = {
+      Compute(100), Syscall(MakeRead()),
+      Compute(50), Syscall(MakeWrite("hello"))};
   std::vector<VariantTrace> variants = {SimpleVariant("a", 1.0, actions),
                                         SimpleVariant("b", 1.0, actions),
                                         SimpleVariant("c", 1.0, actions)};
@@ -59,10 +93,10 @@ TEST(EngineTest, IdenticalVariantsComplete) {
 }
 
 TEST(EngineTest, ArgumentDivergenceDetected) {
-  const std::vector<ThreadAction> good = {ThreadAction::Compute(10),
-                                          ThreadAction::Syscall(MakeWrite("normal"))};
-  const std::vector<ThreadAction> evil = {ThreadAction::Compute(10),
-                                          ThreadAction::Syscall(MakeWrite("leaked-secret"))};
+  const std::vector<Op> good = {Compute(10),
+                                          Syscall(MakeWrite("normal"))};
+  const std::vector<Op> evil = {Compute(10),
+                                          Syscall(MakeWrite("leaked-secret"))};
   std::vector<VariantTrace> variants = {SimpleVariant("leader", 1.0, good),
                                         SimpleVariant("follower", 1.0, evil)};
   Engine engine(EngineConfig{});
@@ -74,9 +108,9 @@ TEST(EngineTest, ArgumentDivergenceDetected) {
 }
 
 TEST(EngineTest, SequenceDivergenceDetected) {
-  const std::vector<ThreadAction> two = {ThreadAction::Syscall(MakeRead()),
-                                         ThreadAction::Syscall(MakeWrite("x"))};
-  const std::vector<ThreadAction> one = {ThreadAction::Syscall(MakeRead())};
+  const std::vector<Op> two = {Syscall(MakeRead()),
+                                         Syscall(MakeWrite("x"))};
+  const std::vector<Op> one = {Syscall(MakeRead())};
   std::vector<VariantTrace> variants = {SimpleVariant("leader", 1.0, two),
                                         SimpleVariant("follower", 1.0, one)};
   Engine engine(EngineConfig{});
@@ -86,10 +120,10 @@ TEST(EngineTest, SequenceDivergenceDetected) {
 }
 
 TEST(EngineTest, DetectionAbortsAllVariants) {
-  const std::vector<ThreadAction> protected_v = {ThreadAction::Compute(10),
-                                                 ThreadAction::Detect("__asan_report_store")};
-  const std::vector<ThreadAction> unprotected_v = {ThreadAction::Compute(10),
-                                                   ThreadAction::Syscall(MakeWrite("pwned"))};
+  const std::vector<Op> protected_v = {Compute(10),
+                                                 Detect("__asan_report_store")};
+  const std::vector<Op> unprotected_v = {Compute(10),
+                                                   Syscall(MakeWrite("pwned"))};
   std::vector<VariantTrace> variants = {SimpleVariant("a", 1.0, protected_v),
                                         SimpleVariant("b", 1.0, unprotected_v)};
   Engine engine(EngineConfig{});
@@ -107,11 +141,11 @@ TEST(EngineTest, SanitizerMemoryManagementSyscallsIgnored) {
   sc::SyscallRecord mmap_rec;
   mmap_rec.no = sc::Sysno::kMmap;
   mmap_rec.args = {0, 4096, 0, 0, 0, 0};
-  const std::vector<ThreadAction> plain = {ThreadAction::Compute(10),
-                                           ThreadAction::Syscall(MakeWrite("ok"))};
-  const std::vector<ThreadAction> with_mm = {
-      ThreadAction::Syscall(mmap_rec), ThreadAction::Compute(10),
-      ThreadAction::Syscall(mmap_rec), ThreadAction::Syscall(MakeWrite("ok"))};
+  const std::vector<Op> plain = {Compute(10),
+                                           Syscall(MakeWrite("ok"))};
+  const std::vector<Op> with_mm = {
+      Syscall(mmap_rec), Compute(10),
+      Syscall(mmap_rec), Syscall(MakeWrite("ok"))};
   std::vector<VariantTrace> variants = {SimpleVariant("a", 1.0, plain),
                                         SimpleVariant("b", 1.2, with_mm)};
   Engine engine(EngineConfig{});
@@ -122,8 +156,8 @@ TEST(EngineTest, SanitizerMemoryManagementSyscallsIgnored) {
 }
 
 TEST(EngineTest, PreMainAndPostExitSyscallsIgnored) {
-  const std::vector<ThreadAction> actions = {ThreadAction::Compute(10),
-                                             ThreadAction::Syscall(MakeWrite("ok"))};
+  const std::vector<Op> actions = {Compute(10),
+                                             Syscall(MakeWrite("ok"))};
   std::vector<VariantTrace> variants = {SimpleVariant("asan", 1.5, actions),
                                         SimpleVariant("plain", 1.0, actions)};
   // The ASan variant reads /proc/self before main and writes a report at exit.
@@ -220,8 +254,8 @@ TEST(EngineTest, MultithreadedOverheadIncludesLockOrdering) {
 }
 
 TEST(EngineTest, VariantFinishTimesTrackComputeScale) {
-  const std::vector<ThreadAction> actions = {ThreadAction::Compute(1000),
-                                             ThreadAction::Syscall(MakeWrite("done"))};
+  const std::vector<Op> actions = {Compute(1000),
+                                             Syscall(MakeWrite("done"))};
   std::vector<VariantTrace> variants = {SimpleVariant("slow", 2.0, actions),
                                         SimpleVariant("fast", 1.0, actions)};
   Engine engine(EngineConfig{});
@@ -272,9 +306,9 @@ TEST(EngineTest, LockstepConsumeTimesUseFollowerFetchClock) {
   // and fetches the result only at done_time + result_fetch + wakeup. The
   // leader's next (ring) syscall reuses the only slot and must stall until
   // that real fetch time.
-  const std::vector<ThreadAction> actions = {
-      ThreadAction::Compute(100), ThreadAction::Syscall(MakeWrite("w")),
-      ThreadAction::Compute(0.1), ThreadAction::Syscall(MakeRead())};
+  const std::vector<Op> actions = {
+      Compute(100), Syscall(MakeWrite("w")),
+      Compute(0.1), Syscall(MakeRead())};
   std::vector<VariantTrace> variants = {SimpleVariant("leader", 2.0, actions),
                                         SimpleVariant("follower", 1.0, actions)};
   Engine engine(config);
@@ -305,9 +339,9 @@ TEST(EngineTest, MalformedBarrierTraceConsistentAcrossRunAndBaseline) {
   VariantTrace trace;
   trace.name = "partial-barrier";
   trace.threads.resize(2);
-  trace.threads[0].actions = {ThreadAction::Compute(10), ThreadAction::Barrier(0),
-                              ThreadAction::Exit()};
-  trace.threads[1].actions = {ThreadAction::Compute(5), ThreadAction::Exit()};
+  trace.threads[0] = Thread({Compute(10), Barrier(0),
+                              Exit()});
+  trace.threads[1] = Thread({Compute(5), Exit()});
 
   Engine engine(EngineConfig{});
   auto baseline = engine.RunBaseline(trace);
@@ -325,9 +359,9 @@ TEST(EngineTest, ThreadMayExitAfterItsLastBarrier) {
   VariantTrace trace;
   trace.name = "early-exit";
   trace.threads.resize(2);
-  trace.threads[0].actions = {ThreadAction::Barrier(0), ThreadAction::Compute(50),
-                              ThreadAction::Syscall(MakeWrite("tail")), ThreadAction::Exit()};
-  trace.threads[1].actions = {ThreadAction::Barrier(0), ThreadAction::Exit()};
+  trace.threads[0] = Thread({Barrier(0), Compute(50),
+                              Syscall(MakeWrite("tail")), Exit()});
+  trace.threads[1] = Thread({Barrier(0), Exit()});
 
   Engine engine(EngineConfig{});
   auto baseline = engine.RunBaseline(trace);
@@ -347,10 +381,10 @@ TEST(EngineTest, BaselineDetectAbortsWholeProcess) {
     VariantTrace trace;
     trace.name = "standalone-detect";
     trace.threads.resize(2);
-    trace.threads[detect_thread].actions = {ThreadAction::Compute(10),
-                                            ThreadAction::Detect("__asan_report_store")};
-    trace.threads[1 - detect_thread].actions = {
-        ThreadAction::Compute(1000), ThreadAction::Barrier(0), ThreadAction::Exit()};
+    trace.threads[detect_thread] = Thread({Compute(10),
+                                            Detect("__asan_report_store")});
+    trace.threads[1 - detect_thread] = Thread({
+        Compute(1000), Barrier(0), Exit()});
     Engine engine(EngineConfig{});
     auto baseline = engine.RunBaseline(trace);
     ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
@@ -362,10 +396,10 @@ TEST(EngineTest, TinyRingThrottlesLeaderToFollowerPace) {
   // ring_capacity back-pressure: with a slow follower and a tiny ring the
   // leader stalls on each slot's free time and is held to the follower's
   // pace; with a ring larger than the stream it runs ahead unthrottled.
-  std::vector<ThreadAction> actions;
+  std::vector<Op> actions;
   for (int i = 0; i < 20; ++i) {
-    actions.push_back(ThreadAction::Compute(10));
-    actions.push_back(ThreadAction::Syscall(MakeRead()));
+    actions.push_back(Compute(10));
+    actions.push_back(Syscall(MakeRead()));
   }
   std::vector<VariantTrace> variants = {SimpleVariant("leader", 1.0, actions),
                                         SimpleVariant("slow-follower", 4.0, actions)};
@@ -403,7 +437,7 @@ TEST(EngineTest, TinyRingThrottlesLeaderToFollowerPace) {
 }
 
 TEST(EngineTest, SelectiveModeRejectsZeroRingCapacity) {
-  const std::vector<ThreadAction> actions = {ThreadAction::Syscall(MakeRead())};
+  const std::vector<Op> actions = {Syscall(MakeRead())};
   std::vector<VariantTrace> variants = {SimpleVariant("a", 1.0, actions),
                                         SimpleVariant("b", 1.0, actions)};
   EngineConfig config;

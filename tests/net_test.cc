@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -731,6 +732,51 @@ TEST(TcpTest, RemoteSessionOverRealSockets) {
   ASSERT_TRUE(local.ok());
   ExpectReportsIdentical(*remote, *local, "tcp remote vs local");
   server->Stop();
+}
+
+size_t OpenFdCount() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+// A long-running daemon serves one connection per session. Finished
+// connections must be joined and closed as the server goes, not kept until
+// Stop(): after thousands of sequential sessions, descriptors and tracked
+// connections are back near where they started.
+TEST(TcpTest, SequentialSessionsDoNotLeakConnections) {
+  if (!std::filesystem::exists("/proc/self/fd")) {
+    GTEST_SKIP() << "no /proc/self/fd to count descriptors with";
+  }
+  ExecutorServer server;
+  Status listening = server.ListenTcp(0);
+  if (!listening.ok()) {
+    GTEST_SKIP() << "cannot bind a TCP socket in this environment: "
+                 << listening.ToString();
+  }
+  const size_t fds_before = OpenFdCount();
+  constexpr size_t kSessions = 2000;
+  for (size_t i = 0; i < kSessions; ++i) {
+    auto socket = support::TcpConnect("127.0.0.1", server.port(), 5000);
+    ASSERT_TRUE(socket.ok()) << "session " << i << ": " << socket.status().ToString();
+    (*socket)->SetRecvTimeout(5000);
+    Frame ping;
+    ping.type = MessageType::kPing;
+    ping.request_id = i;
+    ASSERT_TRUE(net::WriteFrame(**socket, ping).ok()) << "session " << i;
+    auto pong = net::ReadFrame(**socket);
+    ASSERT_TRUE(pong.ok()) << "session " << i << ": " << pong.status().ToString();
+    EXPECT_EQ(pong->type, MessageType::kPong);
+  }
+  // The last connections finish once their serve loops see the close; each
+  // accept reaps the ones finished before it.
+  constexpr size_t kSlack = 4;
+  EXPECT_LE(server.tracked_connections(), kSlack);
+  EXPECT_LE(OpenFdCount(), fds_before + kSlack);
+  server.Stop();
+  EXPECT_EQ(server.tracked_connections(), 0u);
 }
 
 }  // namespace
