@@ -1,21 +1,20 @@
 // Shard scaling on the engine hot path: sessions/sec and per-variant
 // overhead vs shard count at n_variants in {2, 4, 8}.
 //
-// Sharding does not change what a session computes (see tests/shard_test.cc
-// and tests/concurrency_test.cc) — it changes who computes it: each engine
-// instance simulates only its shard's traces, and the shards run
-// concurrently on the session pool, steered to spread physical cores by
-// NvxBuilder::Placement(PlacementPolicy::kSpread). On a multi-core host the
-// sharded wall-clock at n_variants = 8 should be well below the unsharded
-// one — this bench gates on > 1.3x sessions/sec at 4 shards when the host
-// has >= 4 cores. A 1-core host (some CI runners) shows ~1.0x or a small
-// regression (the leader-replica redundancy with no parallelism to pay for
-// it), so the gate self-skips there; the emitted rows carry detected_cores
-// so compare_bench.py's shard_speedup gate knows whether two artifacts are
-// comparable. The virtual overhead column is the merged report's Overhead()
-// — nearly flat across shard counts (a shard's leader replica stalls
-// slightly less behind a smaller follower set in selective mode), which is
-// the point: sharding is a wall-clock optimization, not a semantics change.
+// Sharding does not change what a session computes (see tests/shard_test.cc)
+// — it changes who computes it: each engine instance simulates only its
+// shard's traces, and the shards run concurrently on the session pool. On a
+// multi-core host the sharded wall-clock at n_variants = 8 should be well
+// below the unsharded one — this bench gates on > 1.3x sessions/sec at 4
+// shards when the host has >= 4 cores. A 1-core host (some CI runners)
+// shows ~1.0x or a small regression (the leader-replica redundancy with no
+// parallelism to pay for it), so the gate self-skips there; the emitted rows
+// carry detected_cores so compare_bench.py's shard_speedup gate knows
+// whether two artifacts are comparable. The virtual overhead column is the
+// merged report's Overhead() — nearly flat across shard counts (a shard's
+// leader replica stalls slightly less behind a smaller follower set in
+// selective mode), which is the point: sharding is a wall-clock
+// optimization, not a semantics change.
 //
 // This bench is also the workload that surfaced the Engine::Run per-event
 // vector growth fixed in src/nxe/engine.cc (per-action bookkeeping is now
@@ -42,8 +41,7 @@ struct Sample {
 
 // Wall-clock seconds and virtual overhead for `runs` sessions of `n`
 // check-distributed variants split across `shards` engine shards
-// (shards == 0 builds the unsharded session). Sharded sessions use spread
-// placement — the production configuration this bench is sizing.
+// (shards == 0 builds the unsharded session).
 Sample TimeConfig(const workload::BenchmarkSpec& bench, size_t n, size_t shards, size_t runs) {
   api::NvxBuilder builder;
   builder.Benchmark(bench)
@@ -52,7 +50,7 @@ Sample TimeConfig(const workload::BenchmarkSpec& bench, size_t n, size_t shards,
       .Lockstep(nxe::LockstepMode::kSelective)
       .Seed(2027);
   if (shards > 0) {
-    builder.Shards(shards).Placement(api::PlacementPolicy::kSpread);
+    builder.Shards(shards);
   }
   auto session = builder.Build();
   if (!session.ok()) {
@@ -115,7 +113,7 @@ int EmitRows(const std::string& rows_json) {
 
 int main() {
   bench::PrintHeader("Shard scaling (sessions/sec, per-variant overhead vs shard count)",
-                     "variant sharding + spread placement (ROADMAP); no paper figure");
+                     "variant sharding (ROADMAP); no paper figure");
 
   const workload::BenchmarkSpec& bench = workload::Spec2006()[0];  // perlbench
   constexpr size_t kRuns = 24;

@@ -41,19 +41,36 @@ CompletionQueue::~CompletionQueue() {
          "CompletionQueue destroyed with registered producers still pending");
 }
 
-CompletionEvent CompletionQueue::Wait() { return events_.Pop(); }
-
-std::optional<CompletionEvent> CompletionQueue::TryNext() {
-  CompletionEvent event;
-  if (!events_.TryPop(&event)) {
-    return std::nullopt;
-  }
+CompletionEvent CompletionQueue::Wait() {
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [this] { return !events_.empty(); });
+  CompletionEvent event = std::move(events_.front());
+  events_.pop_front();
   return event;
 }
 
-size_t CompletionQueue::size() const { return events_.size(); }
+std::optional<CompletionEvent> CompletionQueue::TryNext() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (events_.empty()) {
+    return std::nullopt;
+  }
+  CompletionEvent event = std::move(events_.front());
+  events_.pop_front();
+  return event;
+}
 
-void CompletionQueue::Push(CompletionEvent event) { events_.Push(std::move(event)); }
+size_t CompletionQueue::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return events_.size();
+}
+
+void CompletionQueue::Push(CompletionEvent event) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    events_.push_back(std::move(event));
+  }
+  cv_.notify_one();
+}
 
 // ---------------------------------------------------------------------------
 // RunHandle

@@ -31,13 +31,13 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <utility>
 
 #include "src/api/nvx.h"
-#include "src/support/lanes.h"
 #include "src/support/thread_pool.h"
 
 namespace bunshin {
@@ -96,15 +96,9 @@ struct CompletionEvent {
 // one thread's pushes come out in push order whenever pops are serialized —
 // with no ordering across threads (consumers match events by token). The
 // queue must outlive every session still submitting into it.
-//
-// Internally sharded into per-producer lanes (support::LaneQueue) so shard
-// engines completing concurrently never serialize on one mutex; the lane
-// count and per-lane ring capacity are tunable for embedded uses like the
-// per-dispatch queues in ShardedBackend.
 class CompletionQueue {
  public:
   CompletionQueue() = default;
-  CompletionQueue(size_t n_lanes, size_t lane_capacity) : events_(n_lanes, lane_capacity) {}
   CompletionQueue(const CompletionQueue&) = delete;
   CompletionQueue& operator=(const CompletionQueue&) = delete;
   // Debug builds abort when producers are still registered: a queue that
@@ -124,8 +118,8 @@ class CompletionQueue {
   void Push(CompletionEvent event);
 
   // Lifetime tracking: submitters register while a push into this queue is
-  // pending and deregister after the push. AsyncNvxSession::Submit and
-  // ShardedBackend do this automatically; custom executors should too.
+  // pending and deregister after the push. AsyncNvxSession::Submit does
+  // this automatically; custom executors should too.
   void AddProducer() { producers_.fetch_add(1, std::memory_order_relaxed); }
   void RemoveProducer() { producers_.fetch_sub(1, std::memory_order_release); }
   size_t registered_producers() const {
@@ -133,7 +127,9 @@ class CompletionQueue {
   }
 
  private:
-  support::LaneQueue<CompletionEvent> events_;
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<CompletionEvent> events_;
   std::atomic<size_t> producers_{0};
 };
 

@@ -742,10 +742,6 @@ NvxBuilder& NvxBuilder::Shards(size_t k) {
   shards_ = k;
   return *this;
 }
-NvxBuilder& NvxBuilder::Placement(PlacementPolicy policy) {
-  placement_ = policy;
-  return *this;
-}
 NvxBuilder& NvxBuilder::Remote(std::vector<net::Endpoint> endpoints, net::RemoteOptions options) {
   remote_endpoints_ = std::move(endpoints);
   remote_options_ = options;
@@ -872,13 +868,8 @@ std::shared_ptr<support::ThreadPool> NvxBuilder::MakePool(bool always) const {
   // host (CI) must not produce a single-worker pool. The dispatcher also
   // claims shards itself, so this is throughput insurance, not a deadlock
   // precondition (see docs/concurrency.md, "Nested dispatch sizing").
-  support::ThreadPool::Options options;
-  options.n_workers = async_workers_.value_or(0);
-  options.min_workers = sharded ? 2 : 1;
-  // kSpread pins workers one per physical core (topology Detect()ed by the
-  // pool) so the SubmitTo steering in ShardedBackend maps shards to cores.
-  options.pin_threads = sharded && placement_ == PlacementPolicy::kSpread;
-  return std::make_shared<support::ThreadPool>(options);
+  return std::make_shared<support::ThreadPool>(async_workers_.value_or(0),
+                                               /*min_workers=*/sharded ? 2 : 1);
 }
 
 StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildBackend(
@@ -937,7 +928,7 @@ StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildBackend(
         shared, std::move(groups[j]), /*owns_baseline=*/j == 0, engine_pool)));
   }
   return std::unique_ptr<Backend>(new ShardedBackend(std::move(shared), std::move(shard_backends),
-                                                     shard_pool, backend_owns_pool, placement_));
+                                                     shard_pool, backend_owns_pool));
 }
 
 StatusOr<NvxSession> NvxBuilder::Build() const {
@@ -984,7 +975,7 @@ StatusOr<AsyncNvxSession> NvxBuilder::BuildAsync(
   // re-submit itself to the same pool it is already executing on. A sharded
   // backend does share the session pool for its shard dispatch: its
   // dispatcher claims shards itself, so even a fully busy pool makes
-  // progress (support/thread_pool.h's nested-dispatch rule). The backend
+  // progress (the nested-dispatch rule, docs/concurrency.md). The backend
   // must NOT own the pool here: in-flight submissions can release the last
   // session reference from a pool worker, and a ThreadPool must never be
   // destroyed on its own worker — AsyncNvxSession owns the pool instead.

@@ -326,18 +326,6 @@ class NvxSession {
 // NvxBuilder: fluent configuration producing an NvxSession.
 // ---------------------------------------------------------------------------
 
-// How a sharded session maps shards onto pool workers (and, through worker
-// pinning, onto cores — support::Topology::PlacementOrder()).
-enum class PlacementPolicy {
-  // No steering: shard helpers land on pool workers round-robin.
-  kNone,
-  // Shard i is steered to pool worker i, and the pool's workers are pinned
-  // one per physical core (spread across LLC groups first, SMT siblings
-  // last). Placement is an affinity, not an assignment — an idle worker
-  // still steals a stalled worker's shard.
-  kSpread,
-};
-
 class NvxBuilder {
  public:
   // --- Target selection (exactly one required) -----------------------------
@@ -403,12 +391,8 @@ class NvxBuilder {
   // Each Run() dispatches the shards onto a thread pool and merges their
   // PartialReports (RunReport::Merge). Composes with Async(n): both layers
   // share one pool, sized by n and clamped to >= 2 workers so the shard
-  // dispatcher can never starve its own shards (see support/thread_pool.h).
+  // dispatcher can never starve its own shards (docs/concurrency.md).
   NvxBuilder& Shards(size_t k);
-  // Topology-aware shard placement (with Shards(k)): kSpread pins the shard
-  // pool's workers one per physical core and steers shard i to worker i.
-  // Reports are bit-identical under any policy; only scheduling changes.
-  NvxBuilder& Placement(PlacementPolicy policy);
   // Fan the session's shard groups out across executor daemons instead of
   // in-process engine shards (trace targets only; composes with Shards(k) to
   // set the group count, default k = number of endpoints). Each Run() ships
@@ -509,7 +493,6 @@ class NvxBuilder {
   uint64_t interpreter_fuel_ = 50'000'000;
   std::optional<size_t> async_workers_;  // set by Async(); 0 = hw concurrency
   std::optional<size_t> shards_;         // set by Shards()
-  PlacementPolicy placement_ = PlacementPolicy::kNone;
   std::vector<net::Endpoint> remote_endpoints_;  // set by Remote()
   net::RemoteOptions remote_options_;
   bool remote_ = false;

@@ -1,99 +1,66 @@
 #include "src/api/plan_cache.h"
 
 #include <algorithm>
-#include <thread>
 
 namespace bunshin {
 namespace api {
 namespace internal {
 
-namespace {
+LruCacheCore::LruCacheCore(size_t capacity) : capacity_(std::max<size_t>(1, capacity)) {}
 
-size_t DefaultSegments(size_t capacity) {
-  // One segment per hardware thread up to 8 — beyond that, stripe contention
-  // is already negligible next to the hash map work. Single-core hosts get
-  // one segment (the legacy strict-LRU behavior).
-  const size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  return std::min<size_t>({hw, 8, std::max<size_t>(1, capacity)});
-}
-
-}  // namespace
-
-LruCacheCore::LruCacheCore(size_t capacity, size_t n_segments)
-    : capacity_(std::max<size_t>(1, capacity)) {
-  if (n_segments == 0) {
-    n_segments = DefaultSegments(capacity_);
-  }
-  n_segments = std::max<size_t>(1, std::min(n_segments, capacity_));
-  segments_.reserve(n_segments);
-  for (size_t i = 0; i < n_segments; ++i) {
-    auto segment = std::make_unique<Segment>();
-    // Deal the capacity out exactly: the first (capacity % n) segments take
-    // one extra entry, so the striped bound sums to the requested one.
-    segment->capacity = capacity_ / n_segments + (i < capacity_ % n_segments ? 1 : 0);
-    segments_.push_back(std::move(segment));
-  }
-}
-
-LruCacheCore::Segment& LruCacheCore::SegmentFor(const std::string& key) {
-  return *segments_[std::hash<std::string>{}(key) % segments_.size()];
-}
-
-LruCacheCore::ValuePtr LruCacheCore::LookupLocked(Segment& segment, const std::string& key) {
-  auto it = segment.index.find(key);
-  if (it == segment.index.end()) {
+LruCacheCore::ValuePtr LruCacheCore::LookupLocked(const std::string& key) {
+  auto it = index_.find(key);
+  if (it == index_.end()) {
     return nullptr;
   }
-  segment.lru.splice(segment.lru.begin(), segment.lru, it->second);  // touch: MRU
+  lru_.splice(lru_.begin(), lru_, it->second);  // touch: most recently used
   return it->second->second;
 }
 
-void LruCacheCore::InsertLocked(Segment& segment, const std::string& key, ValuePtr value) {
-  auto it = segment.index.find(key);
-  if (it != segment.index.end()) {
+void LruCacheCore::InsertLocked(const std::string& key, ValuePtr value) {
+  auto it = index_.find(key);
+  if (it != index_.end()) {
     it->second->second = std::move(value);
-    segment.lru.splice(segment.lru.begin(), segment.lru, it->second);
+    lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  segment.lru.emplace_front(key, std::move(value));
-  segment.index[key] = segment.lru.begin();
-  while (segment.lru.size() > segment.capacity) {
-    segment.index.erase(segment.lru.back().first);
-    segment.lru.pop_back();
-    segment.evictions.fetch_add(1, std::memory_order_relaxed);
+  lru_.emplace_front(key, std::move(value));
+  index_[key] = lru_.begin();
+  while (lru_.size() > capacity_) {
+    index_.erase(lru_.back().first);
+    lru_.pop_back();
+    ++evictions_;
   }
-  segment.entries.store(segment.lru.size(), std::memory_order_relaxed);
 }
 
 StatusOr<LruCacheCore::ValuePtr> LruCacheCore::GetOr(const std::string& key,
                                                      const Factory& factory, bool* was_hit) {
-  Segment& segment = SegmentFor(key);
-  std::unique_lock<std::mutex> lock(segment.mu);
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    if (ValuePtr value = LookupLocked(segment, key)) {
-      segment.hits.fetch_add(1, std::memory_order_relaxed);
+    if (ValuePtr value = LookupLocked(key)) {
+      ++hits_;
       if (was_hit != nullptr) {
         *was_hit = true;
       }
       return value;
     }
-    auto flight = segment.inflight.find(key);
-    if (flight == segment.inflight.end()) {
+    auto flight = inflight_.find(key);
+    if (flight == inflight_.end()) {
       break;  // nobody is planning this key: become the planner
     }
     // Coalesce: another caller is already planning this key. Wait for it and
     // share its result (plan or error) — never produce a duplicate instance.
     std::shared_ptr<InFlight> entry = flight->second;
-    segment.done_cv.wait(lock, [&entry] { return entry->done; });
+    done_cv_.wait(lock, [&entry] { return entry->done; });
     // Only a shared *plan* counts as a hit; a shared planner error is a miss
     // (nothing was served from the store — dashboards must not read reuse
     // into a failing configuration).
     const bool ok = entry->result.ok();
     if (ok) {
-      segment.hits.fetch_add(1, std::memory_order_relaxed);
-      segment.coalesced.fetch_add(1, std::memory_order_relaxed);
+      ++hits_;
+      ++coalesced_;
     } else {
-      segment.misses.fetch_add(1, std::memory_order_relaxed);
+      ++misses_;
     }
     if (was_hit != nullptr) {
       *was_hit = ok;
@@ -101,12 +68,12 @@ StatusOr<LruCacheCore::ValuePtr> LruCacheCore::GetOr(const std::string& key,
     return entry->result;
   }
 
-  segment.misses.fetch_add(1, std::memory_order_relaxed);
+  ++misses_;
   if (was_hit != nullptr) {
     *was_hit = false;
   }
   auto entry = std::make_shared<InFlight>();
-  segment.inflight.emplace(key, entry);
+  inflight_.emplace(key, entry);
   lock.unlock();
 
   // Planning runs outside the lock: other keys stay serviceable, and only
@@ -123,56 +90,48 @@ StatusOr<LruCacheCore::ValuePtr> LruCacheCore::GetOr(const std::string& key,
 
   lock.lock();
   if (produced.ok()) {
-    InsertLocked(segment, key, *produced);
+    InsertLocked(key, *produced);
   }
   // Errors are handed to coalesced waiters but not cached: a transient
   // planning failure should not poison the key.
   entry->result = produced;
   entry->done = true;
-  segment.inflight.erase(key);
+  inflight_.erase(key);
   lock.unlock();
-  segment.done_cv.notify_all();
+  done_cv_.notify_all();
   return produced;
 }
 
 LruCacheCore::ValuePtr LruCacheCore::Lookup(const std::string& key) {
-  Segment& segment = SegmentFor(key);
-  std::lock_guard<std::mutex> lock(segment.mu);
-  ValuePtr value = LookupLocked(segment, key);
+  std::lock_guard<std::mutex> lock(mu_);
+  ValuePtr value = LookupLocked(key);
   if (value != nullptr) {
-    segment.hits.fetch_add(1, std::memory_order_relaxed);
+    ++hits_;
   } else {
-    segment.misses.fetch_add(1, std::memory_order_relaxed);
+    ++misses_;
   }
   return value;
 }
 
 void LruCacheCore::Insert(const std::string& key, ValuePtr value) {
-  Segment& segment = SegmentFor(key);
-  std::lock_guard<std::mutex> lock(segment.mu);
-  InsertLocked(segment, key, std::move(value));
+  std::lock_guard<std::mutex> lock(mu_);
+  InsertLocked(key, std::move(value));
 }
 
 void LruCacheCore::Clear() {
-  for (auto& segment : segments_) {
-    std::lock_guard<std::mutex> lock(segment->mu);
-    segment->lru.clear();
-    segment->index.clear();
-    segment->entries.store(0, std::memory_order_relaxed);
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  lru_.clear();
+  index_.clear();
 }
 
 PlanCacheStats LruCacheCore::stats() const {
-  // No segment lock anywhere: the roll-up reads only relaxed atomics, so a
-  // telemetry poller can never stall a plan lookup.
+  std::lock_guard<std::mutex> lock(mu_);
   PlanCacheStats stats;
-  for (const auto& segment : segments_) {
-    stats.hits += segment->hits.load(std::memory_order_relaxed);
-    stats.misses += segment->misses.load(std::memory_order_relaxed);
-    stats.coalesced += segment->coalesced.load(std::memory_order_relaxed);
-    stats.evictions += segment->evictions.load(std::memory_order_relaxed);
-    stats.entries += segment->entries.load(std::memory_order_relaxed);
-  }
+  stats.hits = hits_;
+  stats.misses = misses_;
+  stats.coalesced = coalesced_;
+  stats.evictions = evictions_;
+  stats.entries = lru_.size();
   stats.capacity = capacity_;
   return stats;
 }
@@ -183,7 +142,7 @@ PlanCacheStats LruCacheCore::stats() const {
 // PlanCache
 // ---------------------------------------------------------------------------
 
-PlanCache::PlanCache(size_t capacity, size_t n_segments) : core_(capacity, n_segments) {}
+PlanCache::PlanCache(size_t capacity) : core_(capacity) {}
 
 StatusOr<std::shared_ptr<const VariantPlan>> PlanCache::GetOrPlan(const std::string& key,
                                                                   const Factory& factory,
@@ -221,8 +180,7 @@ PlanCacheStats PlanCache::stats() const { return core_.stats(); }
 // IrSystemCache
 // ---------------------------------------------------------------------------
 
-IrSystemCache::IrSystemCache(size_t capacity, size_t n_segments)
-    : core_(capacity, n_segments) {}
+IrSystemCache::IrSystemCache(size_t capacity) : core_(capacity) {}
 
 StatusOr<std::shared_ptr<const core::IrNvxSystem>> IrSystemCache::GetOrBuild(
     const std::string& key, const Factory& factory, bool* was_hit) {

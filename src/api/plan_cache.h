@@ -39,7 +39,6 @@
 #ifndef BUNSHIN_SRC_API_PLAN_CACHE_H_
 #define BUNSHIN_SRC_API_PLAN_CACHE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -49,7 +48,6 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "src/api/plan.h"
 #include "src/support/status.h"
@@ -77,24 +75,12 @@ namespace internal {
 // Type-erased core shared by PlanCache and IrSystemCache: a thread-safe,
 // capacity-bounded LRU of shared_ptr<const void> with single-flight
 // coalescing of concurrent misses on one key.
-//
-// The store is lock-striped into N segments keyed by the key's hash; each
-// segment is an independent LRU (own mutex, own recency list, own slice of
-// the capacity), so concurrent lookups of different keys only collide when
-// they hash to the same segment. Eviction is therefore per-segment, not
-// globally least-recently-used — the capacity bound and the single-flight
-// guarantee are unchanged, and n_segments=1 restores the exact global-LRU
-// behavior. Counters are relaxed per-segment atomics rolled up by stats(),
-// so telemetry reads never take any segment lock.
 class LruCacheCore {
  public:
   using ValuePtr = std::shared_ptr<const void>;
   using Factory = std::function<StatusOr<ValuePtr>()>;
 
-  // n_segments == 0 picks a default from the hardware concurrency (1 on a
-  // single-core host — the legacy strict-LRU behavior). The count is
-  // clamped to [1, capacity] so every segment owns at least one entry.
-  explicit LruCacheCore(size_t capacity, size_t n_segments = 0);
+  explicit LruCacheCore(size_t capacity);
 
   // Returns the cached value for `key`, or runs `factory` (once, even under
   // concurrent callers: latecomers block and share the winner's result) and
@@ -108,11 +94,7 @@ class LruCacheCore {
   // Inserts/overwrites, marking `key` most recently used.
   void Insert(const std::string& key, ValuePtr value);
   void Clear();
-  // Lock-free roll-up of the per-segment counters. Each counter is itself
-  // exact; the snapshot across counters is only consistent when quiescent.
   PlanCacheStats stats() const;
-
-  size_t n_segments() const { return segments_.size(); }
 
  private:
   struct InFlight {
@@ -120,31 +102,21 @@ class LruCacheCore {
     StatusOr<ValuePtr> result{Status(StatusCode::kInternal, "planning in flight")};
   };
 
-  // One lock-striped LRU shard. alignas keeps one segment's hot mutex off
-  // its neighbors' cache lines in the segment array.
-  struct alignas(64) Segment {
-    mutable std::mutex mu;
-    std::condition_variable done_cv;  // signals InFlight completion
-    size_t capacity = 1;
-    // Front = most recently used; index points into the list.
-    std::list<std::pair<std::string, ValuePtr>> lru;
-    std::unordered_map<std::string, std::list<std::pair<std::string, ValuePtr>>::iterator> index;
-    std::unordered_map<std::string, std::shared_ptr<InFlight>> inflight;
-    // Relaxed: counters are monotonic telemetry, not synchronization.
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-    std::atomic<uint64_t> coalesced{0};
-    std::atomic<uint64_t> evictions{0};
-    std::atomic<size_t> entries{0};  // mirrors lru.size() for lock-free stats()
-  };
+  // Both require mu_ held.
+  void InsertLocked(const std::string& key, ValuePtr value);
+  ValuePtr LookupLocked(const std::string& key);
 
-  Segment& SegmentFor(const std::string& key);
-  // Both require segment.mu held.
-  static void InsertLocked(Segment& segment, const std::string& key, ValuePtr value);
-  static ValuePtr LookupLocked(Segment& segment, const std::string& key);
-
+  mutable std::mutex mu_;
+  std::condition_variable done_cv_;  // signals InFlight completion
   const size_t capacity_;
-  std::vector<std::unique_ptr<Segment>> segments_;
+  // Front = most recently used; index_ points into the list.
+  std::list<std::pair<std::string, ValuePtr>> lru_;
+  std::unordered_map<std::string, std::list<std::pair<std::string, ValuePtr>>::iterator> index_;
+  std::unordered_map<std::string, std::shared_ptr<InFlight>> inflight_;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+  uint64_t coalesced_ = 0;
+  uint64_t evictions_ = 0;
 };
 
 }  // namespace internal
@@ -154,10 +126,8 @@ class PlanCache {
  public:
   // Capacity is clamped to >= 1. 128 keys a sizable fleet: one entry per
   // distinct (target, strategy, n, seed, engine-config) combination, NOT per
-  // attack scenario — injections overlay a shared base entry. n_segments
-  // stripes the store (see internal::LruCacheCore); 0 = auto, 1 = strict
-  // global LRU.
-  explicit PlanCache(size_t capacity = 128, size_t n_segments = 0);
+  // attack scenario — injections overlay a shared base entry.
+  explicit PlanCache(size_t capacity = 128);
 
   using Factory = std::function<StatusOr<VariantPlan>()>;
 
@@ -182,7 +152,7 @@ class PlanCache {
 // and safe to call from many sessions at once.
 class IrSystemCache {
  public:
-  explicit IrSystemCache(size_t capacity = 32, size_t n_segments = 0);
+  explicit IrSystemCache(size_t capacity = 32);
 
   using Factory = std::function<StatusOr<std::shared_ptr<const core::IrNvxSystem>>()>;
 

@@ -1,11 +1,11 @@
 #include "src/api/shard.h"
 
 #include <atomic>
-#include <memory>
+#include <condition_variable>
+#include <mutex>
 #include <optional>
 #include <utility>
 
-#include "src/api/async.h"
 #include "src/support/thread_pool.h"
 
 namespace bunshin {
@@ -13,75 +13,47 @@ namespace api {
 
 // Per-run dispatch state, shared with the pool helpers. Helpers hold raw
 // Backend views: every dereference belongs to a claimed shard, and the
-// dispatching frame drains one completion event per shard before returning,
-// so no helper touches a backend after Run() ends — late-waking helpers that
-// lost the claim race only read the atomic and exit.
-//
-// Blocks are pooled across runs (the request strings, shard view, collection
-// vectors and the completion queue's deque all keep their capacity), but a
-// block only re-enters service once every late helper has dropped its
-// reference — see TakeDispatch().
+// dispatching frame waits for every claimed shard to finish before
+// returning, so no helper touches a backend after Run() ends — a helper
+// that wakes late finds the counter exhausted and exits.
 struct ShardedBackend::Dispatch {
-  RunRequest request;
-  std::vector<const Backend*> shards;
-  // One claim flag per shard, each on its own cache line: helper h tries
-  // flag h first (its placed shard), then scans — so claiming is a per-shard
-  // exchange, not a shared counter every helper hammers, and placement
-  // becomes an affinity the flags make race-free.
-  struct ClaimFlag {
-    alignas(64) std::atomic<bool> taken{false};
-  };
-  std::unique_ptr<ClaimFlag[]> claims;
-  // Small lane footprint: this queue only ever carries n_shards events per
-  // run, one producer per shard helper.
-  alignas(64) CompletionQueue done{/*n_lanes=*/4, /*lane_capacity=*/16};
-  // Dispatcher-only collection scratch, pooled with the block.
-  std::vector<std::optional<StatusOr<RunReport>>> by_shard;
-  std::vector<PartialReport> partials;
-
-  // Claims start at `hint` (the helper's own shard under kSpread) and wrap;
-  // a helper keeps claiming until every shard is taken, so a busy pool never
-  // strands a shard. Returns immediately when all flags are already set.
-  void ClaimShards(size_t hint) {
-    const size_t n = shards.size();
-    for (;;) {
-      size_t claimed = n;
-      for (size_t i = 0; i < n; ++i) {
-        const size_t s = (hint + i) % n;
-        std::atomic<bool>& flag = claims[s].taken;
-        if (!flag.load(std::memory_order_relaxed) &&
-            !flag.exchange(true, std::memory_order_acquire)) {
-          claimed = s;
-          break;
-        }
-      }
-      if (claimed == n) {
-        return;
-      }
-      done.AddProducer();
-      StatusOr<RunReport> report = shards[claimed]->Run(request);
-      done.Push(CompletionEvent{claimed, std::move(report)});
-      done.RemoveProducer();
+  Dispatch(const RunRequest& r, const std::vector<std::unique_ptr<Backend>>& backends)
+      : request(r), results(backends.size()), remaining(backends.size()) {
+    shards.reserve(backends.size());
+    for (const auto& backend : backends) {
+      shards.push_back(backend.get());
     }
   }
+
+  // Claims shards until none is left. Returns immediately when every shard
+  // is already claimed.
+  void ClaimShards() {
+    for (size_t i; (i = next.fetch_add(1)) < shards.size();) {
+      StatusOr<RunReport> report = shards[i]->Run(request);
+      std::lock_guard<std::mutex> lock(mu);
+      results[i].emplace(std::move(report));
+      if (--remaining == 0) {
+        done_cv.notify_one();
+      }
+    }
+  }
+
+  const RunRequest request;
+  std::vector<const Backend*> shards;
+  std::atomic<size_t> next{0};
+  std::mutex mu;
+  std::condition_variable done_cv;                         // remaining hit 0
+  std::vector<std::optional<StatusOr<RunReport>>> results;  // by shard, under mu
+  size_t remaining;                                        // under mu
 };
 
 ShardedBackend::ShardedBackend(std::shared_ptr<const VariantPlan> plan,
                                std::vector<std::unique_ptr<Backend>> shards,
-                               const std::shared_ptr<support::ThreadPool>& pool, bool owns_pool,
-                               PlacementPolicy placement)
+                               const std::shared_ptr<support::ThreadPool>& pool, bool owns_pool)
     : plan_(std::move(plan)),
       shards_(std::move(shards)),
       pool_owner_(owns_pool ? pool : nullptr),
-      pool_(pool.get()),
-      placement_(placement) {
-  // Snapshot each shard's coverage once: shard_coverage() returns by value,
-  // and re-fetching it per run would put an allocation on the warm path.
-  coverage_.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    coverage_.push_back(shard->shard_coverage());
-  }
-}
+      pool_(pool.get()) {}
 
 ShardedBackend::~ShardedBackend() = default;
 
@@ -95,92 +67,40 @@ const std::vector<std::vector<std::string>>* ShardedBackend::sanitizer_groups() 
   return plan_->sanitizer_groups.empty() ? nullptr : &plan_->sanitizer_groups;
 }
 
-std::shared_ptr<ShardedBackend::Dispatch> ShardedBackend::TakeDispatch() const {
-  {
-    std::lock_guard<std::mutex> lock(dispatch_mu_);
-    for (auto& slot : dispatch_free_) {
-      // use_count() == 1 means every helper from the block's previous run
-      // has exited its claim loop; only then is reuse race-free. Helpers
-      // that still hold a reference leave the block parked for next time.
-      if (slot.use_count() == 1) {
-        std::shared_ptr<Dispatch> dispatch = std::move(slot);
-        slot = std::move(dispatch_free_.back());
-        dispatch_free_.pop_back();
-        return dispatch;
-      }
-    }
-  }
-  auto dispatch = std::make_shared<Dispatch>();
-  dispatch->shards.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    dispatch->shards.push_back(shard.get());
-  }
-  dispatch->claims = std::make_unique<Dispatch::ClaimFlag[]>(shards_.size());
-  return dispatch;
-}
-
 StatusOr<RunReport> ShardedBackend::Run(const RunRequest& request) const {
   const size_t n_shards = shards_.size();
-
-  std::shared_ptr<Dispatch> dispatch = TakeDispatch();
-  dispatch->request = request;  // copy-assign: a warm block keeps capacity
-  for (size_t i = 0; i < n_shards; ++i) {
-    dispatch->claims[i].taken.store(false, std::memory_order_relaxed);
-  }
-
-  // Park the block for reuse on every exit path (including shard errors).
-  struct DispatchReturn {
-    const ShardedBackend* backend;
-    std::shared_ptr<Dispatch>& dispatch;
-    ~DispatchReturn() {
-      static constexpr size_t kMaxFree = 8;
-      std::lock_guard<std::mutex> lock(backend->dispatch_mu_);
-      if (backend->dispatch_free_.size() < kMaxFree) {
-        backend->dispatch_free_.push_back(std::move(dispatch));
-      }
-    }
-  } dispatch_return{this, dispatch};
+  auto dispatch = std::make_shared<Dispatch>(request, shards_);
 
   if (pool_ != nullptr) {
     // One helper per extra shard; surplus helpers find nothing to claim.
-    // Under kSpread each helper is steered to pool worker h, whose first
-    // claim attempt is shard h — on a pinned pool, a stable shard->core map.
     for (size_t h = 1; h < n_shards; ++h) {
-      if (placement_ == PlacementPolicy::kSpread) {
-        pool_->SubmitTo(h, [dispatch, h] { dispatch->ClaimShards(h); });
-      } else {
-        pool_->Submit([dispatch, h] { dispatch->ClaimShards(h); });
-      }
+      pool_->Submit([dispatch] { dispatch->ClaimShards(); });
     }
   }
   // The dispatcher claims too: a sharded run completes even when every pool
   // worker is busy dispatching other sharded runs (or there is no pool).
-  dispatch->ClaimShards(0);
-
-  // Collect into shard order so merging (and error reporting) is
-  // deterministic regardless of completion order.
-  dispatch->by_shard.clear();
-  dispatch->by_shard.resize(n_shards);
-  for (size_t i = 0; i < n_shards; ++i) {
-    CompletionEvent event = dispatch->done.Wait();
-    dispatch->by_shard[event.token].emplace(std::move(event.report));
+  dispatch->ClaimShards();
+  {
+    std::unique_lock<std::mutex> lock(dispatch->mu);
+    dispatch->done_cv.wait(lock, [&dispatch] { return dispatch->remaining == 0; });
   }
 
-  dispatch->partials.resize(n_shards);
+  // Merge in shard order, so merging (and error reporting) is deterministic
+  // regardless of completion order.
+  std::vector<PartialReport> partials(n_shards);
   for (size_t i = 0; i < n_shards; ++i) {
-    StatusOr<RunReport>& report = *dispatch->by_shard[i];
+    StatusOr<RunReport>& report = *dispatch->results[i];
     if (!report.ok()) {
       return report.status();
     }
-    PartialReport& partial = dispatch->partials[i];
-    partial.variant_index = coverage_[i];  // copy-assign into warm capacity
-    partial.owns_baseline = shards_[i]->owns_baseline();
-    partial.report = std::move(*report);
+    partials[i].variant_index = shards_[i]->shard_coverage();
+    partials[i].owns_baseline = shards_[i]->owns_baseline();
+    partials[i].report = std::move(*report);
   }
-  StatusOr<RunReport> merged = RunReport::Merge(plan_->n_variants(), dispatch->partials);
+  StatusOr<RunReport> merged = RunReport::Merge(plan_->n_variants(), partials);
   // Merge copied what it needed; hand the shard reports' arenas back to the
   // freelist the shard backends draw from.
-  for (PartialReport& partial : dispatch->partials) {
+  for (PartialReport& partial : partials) {
     RecycleReport(std::move(partial.report));
   }
   return merged;

@@ -10,17 +10,10 @@
 // RunReport::Merge (outcome lattice, leader-relative attribution,
 // session-wide timing/telemetry).
 //
-// Dispatch runs over a support::ThreadPool via one CompletionQueue, and the
-// dispatching thread *claims shards itself* while it waits: a sharded run
-// completes even on a fully busy (or absent) pool, so wrapping the backend
-// in AsyncBackend / AsyncNvxSession on the same pool cannot deadlock.
-//
-// With PlacementPolicy::kSpread each shard is steered to a fixed pool
-// worker (ThreadPool::SubmitTo) — on a pinned pool that means a fixed
-// physical core, placed by support::Topology::PlacementOrder(). Shards are
-// claimed through per-shard flags: a helper takes its own shard first and
-// only then scans for unclaimed ones, so placement is an affinity, never a
-// liveness constraint — a stalled worker's shard is still stolen.
+// Dispatch runs over a support::ThreadPool, and the dispatching thread
+// *claims shards itself* while it waits: a sharded run completes even on a
+// fully busy (or absent) pool, so wrapping the backend in AsyncBackend /
+// AsyncNvxSession on the same pool cannot deadlock.
 //
 //   auto session = api::NvxBuilder()
 //                      .Benchmark(workload::Spec2006()[0])
@@ -58,8 +51,7 @@ class ShardedBackend final : public Backend {
   // composition AsyncNvxSession owns the pool and outlives every run.
   ShardedBackend(std::shared_ptr<const VariantPlan> plan,
                  std::vector<std::unique_ptr<Backend>> shards,
-                 const std::shared_ptr<support::ThreadPool>& pool, bool owns_pool,
-                 PlacementPolicy placement = PlacementPolicy::kNone);
+                 const std::shared_ptr<support::ThreadPool>& pool, bool owns_pool);
   ~ShardedBackend() override;
 
   // Reports keep the execution substrate's identity (e.g. "trace").
@@ -70,8 +62,8 @@ class ShardedBackend final : public Backend {
   const std::vector<std::vector<std::string>>* sanitizer_groups() const override;
 
   // Dispatches every shard (pool workers + the calling thread), collects
-  // their partial reports from one completion queue, and merges them. On a
-  // shard error the lowest-indexed shard's status is returned.
+  // their partial reports in shard order, and merges them. On a shard error
+  // the lowest-indexed shard's status is returned.
   StatusOr<RunReport> Run(const RunRequest& request) const override;
 
   size_t n_shards() const { return shards_.size(); }
@@ -79,22 +71,12 @@ class ShardedBackend final : public Backend {
   support::ThreadPool* pool() const { return pool_; }
 
  private:
-  struct Dispatch;  // per-run fan-out state, pooled across runs (shard.cc)
-  std::shared_ptr<Dispatch> TakeDispatch() const;
+  struct Dispatch;  // per-run fan-out state, shared with pool helpers (shard.cc)
 
   std::shared_ptr<const VariantPlan> plan_;
   std::vector<std::unique_ptr<Backend>> shards_;
-  // Each shard's slot coverage, snapshotted once at construction —
-  // shard_coverage() returns by value, which would allocate on every run.
-  std::vector<std::vector<size_t>> coverage_;
   std::shared_ptr<support::ThreadPool> pool_owner_;  // null when not owning
   support::ThreadPool* pool_ = nullptr;              // the usable view
-  PlacementPolicy placement_ = PlacementPolicy::kNone;
-
-  // Warm-run freelist of Dispatch blocks. A block is only reusable once
-  // every late-waking pool helper has dropped its reference (use_count 1).
-  mutable std::mutex dispatch_mu_;
-  mutable std::vector<std::shared_ptr<Dispatch>> dispatch_free_;
 };
 
 }  // namespace api

@@ -8,17 +8,6 @@
 namespace bunshin {
 namespace net {
 
-namespace {
-
-std::unique_ptr<support::ThreadPool> MakeWorkerPool(const ExecutorOptions& options) {
-  support::ThreadPool::Options pool_options;
-  pool_options.n_workers = options.n_workers;
-  pool_options.pin_threads = options.pin_threads;
-  return std::make_unique<support::ThreadPool>(pool_options);
-}
-
-}  // namespace
-
 ExecutorServer::ExecutorServer(const ExecutorOptions& options)
     : options_(options),
       plan_cache_(options.plan_cache_capacity),
@@ -26,7 +15,7 @@ ExecutorServer::ExecutorServer(const ExecutorOptions& options)
                        ? nullptr
                        : std::make_shared<nxe::EnginePool>(options.engine_pool_capacity,
                                                            options.plan_cache_capacity)),
-      pool_(MakeWorkerPool(options)) {}
+      pool_(std::make_unique<support::ThreadPool>(options.n_workers)) {}
 
 ExecutorServer::~ExecutorServer() { Stop(); }
 
@@ -39,7 +28,7 @@ void ExecutorServer::Start() {
   // A restarted daemon is a fresh process: its plan cache starts cold.
   plan_cache_.Clear();
   if (pool_ == nullptr) {
-    pool_ = MakeWorkerPool(options_);
+    pool_ = std::make_unique<support::ThreadPool>(options_.n_workers);
   }
 }
 

@@ -43,11 +43,6 @@ struct ExecutorOptions {
   // engine state. Bounds the daemon's resident arena memory at roughly
   // engine_pool_capacity * plan-sized workspaces per hot plan.
   size_t engine_pool_capacity = 8;
-  // Pin pool workers one per physical core (support::Topology placement
-  // order; nvx_executord --pin). Best-effort: no-op where affinity calls
-  // fail. Useful on dedicated executor hosts; leave off when the daemon
-  // shares the machine.
-  bool pin_threads = false;
 };
 
 // Cumulative counters (tests and the daemon's shutdown log line).

@@ -3,178 +3,66 @@
 #include <algorithm>
 #include <utility>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace bunshin {
 namespace support {
 
-ThreadPool::ThreadPool(const Options& options) {
-  size_t n_workers = options.n_workers;
+ThreadPool::ThreadPool(size_t n_workers, size_t min_workers) {
   if (n_workers == 0) {
     n_workers = std::max(1u, std::thread::hardware_concurrency());
   }
-  n_workers = std::max(n_workers, std::max<size_t>(1, options.min_workers));
-
-  if (options.pin_threads) {
-    pin_plan_ = PlanWorkerCpus(
-        options.topology.empty() ? Topology::Detect() : options.topology, n_workers);
-  }
-
-  // Every Worker exists before any thread starts: threads index workers_
-  // freely (steal sweeps), so the vector must never grow under them.
+  n_workers = std::max(n_workers, std::max<size_t>(1, min_workers));
   workers_.reserve(n_workers);
   for (size_t i = 0; i < n_workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  for (size_t i = 0; i < n_workers; ++i) {
-    workers_[i]->thread = std::thread([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  stopping_.store(true, std::memory_order_seq_cst);
-  // The empty critical section orders the store against sleepers already
-  // holding sleep_mu_ between their drain recheck and wait().
-  { std::lock_guard<std::mutex> lock(sleep_mu_); }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = true;
+  }
   work_cv_.notify_all();
   for (auto& worker : workers_) {
-    worker->thread.join();
+    worker.join();
   }
-}
-
-std::vector<int> ThreadPool::PlanWorkerCpus(const Topology& topology, size_t n_workers) {
-  const std::vector<int> order = topology.PlacementOrder();
-  std::vector<int> plan(n_workers, -1);
-  if (order.empty()) {
-    return plan;
-  }
-  for (size_t i = 0; i < n_workers; ++i) {
-    plan[i] = order[i % order.size()];
-  }
-  return plan;
-}
-
-int ThreadPool::pinned_cpu(size_t worker) const {
-  if (worker >= workers_.size()) {
-    return -1;
-  }
-  return workers_[worker]->pinned_cpu.load(std::memory_order_relaxed);
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  Enqueue(next_worker_.fetch_add(1, std::memory_order_relaxed) % workers_.size(),
-          std::move(task));
-}
-
-void ThreadPool::SubmitTo(size_t worker, std::function<void()> task) {
-  Enqueue(worker % workers_.size(), std::move(task));
-}
-
-void ThreadPool::Enqueue(size_t worker, std::function<void()> task) {
-  // Counted before it is visible in any queue, so WaitIdle can never observe
-  // "no unfinished work" while a task is mid-push.
-  unfinished_.fetch_add(1, std::memory_order_seq_cst);
   {
-    Worker& target = *workers_[worker];
-    std::lock_guard<std::mutex> lock(target.mu);
-    target.queue.push_back(std::move(task));
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back(std::move(task));
   }
-  // Dekker pairing with the sleep path: a worker registers as a sleeper
-  // (seq_cst) *before* its final drain sweep, and this push (queue mutex)
-  // happened after that sweep read the queue empty — so this load must see
-  // the registration, and the notify below cannot be missed (the sleeper
-  // holds sleep_mu_ from registration until wait()).
-  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-    std::lock_guard<std::mutex> lock(sleep_mu_);
-    work_cv_.notify_one();
-  }
+  work_cv_.notify_one();
 }
 
 void ThreadPool::WaitIdle() {
-  std::unique_lock<std::mutex> lock(idle_mu_);
-  idle_cv_.wait(lock, [this] { return unfinished_.load(std::memory_order_acquire) == 0; });
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
-bool ThreadPool::TryPop(size_t id, std::function<void()>* task) {
-  const size_t n = workers_.size();
-  {
-    Worker& own = *workers_[id];
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.queue.empty()) {
-      *task = std::move(own.queue.front());
-      own.queue.pop_front();
-      return true;
-    }
-  }
-  // Steal newest-first from the victim's back: the front of a targeted
-  // queue stays with its intended worker as long as possible.
-  for (size_t k = 1; k < n; ++k) {
-    Worker& victim = *workers_[(id + k) % n];
-    std::lock_guard<std::mutex> lock(victim.mu);
-    if (!victim.queue.empty()) {
-      *task = std::move(victim.queue.back());
-      victim.queue.pop_back();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(size_t id) {
-#ifdef __linux__
-  if (!pin_plan_.empty()) {
-    const int cpu = pin_plan_[id % pin_plan_.size()];
-    if (cpu >= 0 && cpu < CPU_SETSIZE) {
-      cpu_set_t set;
-      CPU_ZERO(&set);
-      CPU_SET(cpu, &set);
-      if (pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0) {
-        workers_[id]->pinned_cpu.store(cpu, std::memory_order_relaxed);
-      }
-    }
-  }
-#endif
-
-  std::function<void()> task;
+void ThreadPool::WorkerLoop() {
   for (;;) {
-    while (TryPop(id, &task)) {
-      task();
-      task = nullptr;
-      if (unfinished_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(idle_mu_);
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) {
+        return;  // stopping_ and nothing left to drain
+      }
+      task = std::move(queue_.front());
+      queue_.pop_front();
+      ++active_;
+    }
+    task();
+    task = nullptr;  // release captures before reporting idle
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      --active_;
+      if (queue_.empty() && active_ == 0) {
         idle_cv_.notify_all();
       }
     }
-
-    // Nothing to run or steal: park. sleep_mu_ is held from registration
-    // through wait(), so a submitter that saw sleepers_ > 0 can only
-    // deliver its notify while this worker is actually waiting — the
-    // recheck/wait gap is closed by the mutex, not by timing.
-    std::unique_lock<std::mutex> lock(sleep_mu_);
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    if (TryPop(id, &task)) {  // final drain sweep, paired with Enqueue above
-      sleepers_.fetch_sub(1, std::memory_order_relaxed);
-      lock.unlock();
-      task();
-      task = nullptr;
-      if (unfinished_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> idle_lock(idle_mu_);
-        idle_cv_.notify_all();
-      }
-      continue;
-    }
-    if (stopping_.load(std::memory_order_seq_cst)) {
-      // Stopping and every queue drained (the sweep above ran under
-      // sleep_mu_, after stopping_ was published): done. A task that still
-      // submits work does so from a live worker, which re-sweeps after it.
-      sleepers_.fetch_sub(1, std::memory_order_relaxed);
-      return;
-    }
-    work_cv_.wait(lock);
-    sleepers_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 

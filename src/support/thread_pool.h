@@ -1,65 +1,33 @@
-// A worker pool with per-worker task queues, work stealing, and optional
-// CPU pinning.
+// A fixed-size worker pool with one FIFO task queue.
 //
 // This is the execution substrate of the async session layer (src/api/async)
 // and the shard dispatcher (src/api/shard): one pool serves many sessions,
 // so a server keeps a bounded number of synchronization workers no matter
-// how many requests are in flight. Each worker owns its own task deque —
-// Submit() deals tasks round-robin, SubmitTo() targets a specific worker
-// (the shard placement path), and an idle worker steals from its neighbours
-// so a targeted queue can never strand work behind a busy worker. The old
-// single-mutex queue made every submit and every dequeue serialize on one
-// lock; here submitters only touch one worker's queue lock, and workers in
-// the steady state pop from their own.
-//
-// With Options::pin_threads, worker i is pinned to the i-th CPU of the
-// topology's PlacementOrder() — physical cores first, SMT siblings last
-// (src/support/topology.h) — so concurrently running shard engines stop
-// migrating across (and doubling up on) cores. Pinning is best-effort: on
-// hosts where affinity calls fail the pool runs unpinned (pinned_cpu()
-// reports -1).
-//
-// Tasks submitted before destruction are always drained — the destructor
-// joins only after every queue is empty, so completions are never silently
-// dropped. Tasks on one worker's queue start in submission order, but with
-// stealing there is no global start-order guarantee; callers needing
-// ordering must sequence it themselves. Blocking rules for tasks that
-// dispatch onto their own pool are documented in docs/concurrency.md (the
-// nested-dispatch sizing rule).
+// how many requests are in flight. Tasks start in submission order as
+// workers free up. Tasks submitted before destruction are always drained —
+// the destructor joins only after the queue is empty, so completions are
+// never silently dropped. Blocking rules for tasks that dispatch onto their
+// own pool are documented in docs/concurrency.md (the nested-dispatch sizing
+// rule).
 #ifndef BUNSHIN_SRC_SUPPORT_THREAD_POOL_H_
 #define BUNSHIN_SRC_SUPPORT_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "src/support/topology.h"
 
 namespace bunshin {
 namespace support {
 
 class ThreadPool {
  public:
-  struct Options {
-    // 0 picks the hardware concurrency (at least 1). The resolved size is
-    // then clamped to at least min_workers — sharded sessions pass 2 (the
-    // nested-dispatch sizing rule, docs/concurrency.md).
-    size_t n_workers = 0;
-    size_t min_workers = 1;
-    // Pin worker i to topology.PlacementOrder()[i % n_cpus]. An empty
-    // topology is Detect()ed at construction.
-    bool pin_threads = false;
-    Topology topology;
-  };
-
-  explicit ThreadPool(const Options& options);
-  explicit ThreadPool(size_t n_workers, size_t min_workers = 1)
-      : ThreadPool(Options{n_workers, min_workers, false, {}}) {}
+  // n_workers == 0 picks the hardware concurrency (at least 1). The resolved
+  // size is then clamped to at least min_workers — sharded sessions pass 2
+  // (the nested-dispatch sizing rule, docs/concurrency.md).
+  explicit ThreadPool(size_t n_workers, size_t min_workers = 1);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -67,56 +35,23 @@ class ThreadPool {
 
   size_t n_workers() const { return workers_.size(); }
 
-  // Enqueues a task on the next worker's queue (round-robin). Tasks must
-  // not block on work that can only run on this same pool.
+  // Enqueues a task. Tasks must not block on work that can only run on this
+  // same pool.
   void Submit(std::function<void()> task);
 
-  // Enqueues on worker `worker % n_workers()`'s own queue: the task runs
-  // there unless that worker is busy and an idle one steals it first. This
-  // is an affinity hint, not an exclusive assignment — the shard dispatcher
-  // uses it to land shard h on the worker pinned to placement slot h.
-  void SubmitTo(size_t worker, std::function<void()> task);
-
-  // Blocks until every queue is empty and every worker is idle.
+  // Blocks until the queue is empty and every worker is idle.
   void WaitIdle();
 
-  // The OS CPU worker i was pinned to, or -1 when unpinned (pinning off,
-  // or the affinity call failed on this host).
-  int pinned_cpu(size_t worker) const;
-
-  // The pin plan Options{pin_threads, topology} resolves to: worker i ->
-  // placement[i % placement.size()]. Pure, for tests and introspection.
-  static std::vector<int> PlanWorkerCpus(const Topology& topology, size_t n_workers);
-
  private:
-  struct Worker {
-    alignas(64) std::mutex mu;
-    std::deque<std::function<void()>> queue;
-    std::thread thread;
-    std::atomic<int> pinned_cpu{-1};
-  };
+  void WorkerLoop();
 
-  void WorkerLoop(size_t id);
-  bool TryPop(size_t id, std::function<void()>* task);
-  void Enqueue(size_t worker, std::function<void()> task);
-
-  // Workers are held by unique_ptr so the vector never moves a live mutex.
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<int> pin_plan_;  // empty when pinning is off
-
-  std::atomic<size_t> next_worker_{0};  // round-robin submit cursor
-  std::atomic<size_t> unfinished_{0};   // queued + running tasks
-
-  // Sleep/wake coordination. Workers with nothing to run (own queue and all
-  // steal victims empty) park on work_cv_; submitters notify only when a
-  // sleeper is registered, so the steady state never touches this mutex.
-  std::mutex sleep_mu_;
-  std::condition_variable work_cv_;
-  std::atomic<size_t> sleepers_{0};
-  std::atomic<bool> stopping_{false};
-
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;  // WaitIdle waits for unfinished_ == 0
+  std::mutex mu_;
+  std::condition_variable work_cv_;  // workers wait for tasks / shutdown
+  std::condition_variable idle_cv_;  // WaitIdle waits for quiescence
+  std::deque<std::function<void()>> queue_;
+  size_t active_ = 0;      // tasks currently executing
+  bool stopping_ = false;  // destructor ran; drain the queue and exit
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace support

@@ -175,8 +175,7 @@ std::shared_ptr<const VariantPlan> DummyPlan() {
 }
 
 TEST(PlanCacheTest, LruEvictsLeastRecentlyUsed) {
-  // One segment: strict global LRU (striping makes eviction per-segment).
-  PlanCache cache(/*capacity=*/2, /*n_segments=*/1);
+  PlanCache cache(/*capacity=*/2);
   cache.Insert("a", DummyPlan());
   cache.Insert("b", DummyPlan());
   EXPECT_NE(cache.Lookup("a"), nullptr);  // touch a: b becomes LRU

@@ -2,11 +2,15 @@
 // src/api/shard.h): RunReport::Merge semantics over hand-built partials,
 // VariantPlan caching keys, ThreadPool sizing for nested dispatch, and the
 // acceptance property that Shards(k).Build() reproduces the unsharded
-// session's outcome and incident attribution for every strategy. This suite
-// runs under ThreadSanitizer in CI alongside the async suites.
+// session's outcome and incident attribution for every strategy, and that
+// queued shard helpers never touch a destroyed backend. This suite runs under
+// ThreadSanitizer and AddressSanitizer in CI alongside the async suites.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -489,6 +493,53 @@ TEST(ShardedSessionTest, SingleWorkerPoolCannotStarveItsOwnShards) {
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report->outcome, NvxOutcome::kOk);
   }
+}
+
+TEST(ShardedSessionTest, QueuedHelpersExitWithoutTouchingADestroyedBackend) {
+  // Park every worker of a 2-worker pool on a gate, so the shard helpers a
+  // run submits stay queued behind it.
+  auto pool = std::make_shared<support::ThreadPool>(2);
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool gate_open = false;
+  std::atomic<size_t> parked{0};
+  for (size_t i = 0; i < pool->n_workers(); ++i) {
+    pool->Submit([&] {
+      std::unique_lock<std::mutex> lock(gate_mu);
+      parked.fetch_add(1);
+      gate_cv.wait(lock, [&] { return gate_open; });
+    });
+  }
+  while (parked.load() < pool->n_workers()) {
+    std::this_thread::yield();
+  }
+
+  {
+    auto session = NvxBuilder()
+                       .Benchmark(workload::Spec2006()[0])
+                       .Variants(8)
+                       .Shards(4)
+                       .Seed(29)
+                       .BuildAsync(pool);
+    EXPECT_TRUE(session.ok()) << session.status().ToString();
+    if (session.ok()) {
+      // A synchronous run on this thread: with both workers parked, the
+      // dispatcher claims all four shards itself and returns while its
+      // three helpers are still queued.
+      auto report = session->session().Run();
+      EXPECT_TRUE(report.ok()) << report.status().ToString();
+    }
+  }  // the session and its ShardedBackend are destroyed here
+
+  // The queued helpers now run against a destroyed backend: they must find
+  // every shard claimed and exit (under ASan, any touch of the freed
+  // backend is a hard failure).
+  {
+    std::lock_guard<std::mutex> lock(gate_mu);
+    gate_open = true;
+  }
+  gate_cv.notify_all();
+  pool->WaitIdle();
 }
 
 TEST(ShardedSessionTest, ObserverBlocksStaySequencedAcrossShardedRuns) {

@@ -4,15 +4,19 @@
 // CacheKey), runs the requested shard members on a thread pool, and replies
 // with PartialReports plus occupancy.
 //
-//   nvx_executord --port 7001 --workers 4 --pin
+//   nvx_executord --port 7001 --workers 4
 //
 // --port 0 (the default) picks an ephemeral port; the chosen port is printed
 // either way, as the line "nvx_executord listening on port <p>", which the
-// smoke harness parses. The daemon serves until killed.
+// smoke harness parses. Every numeric flag must be a plain non-negative
+// decimal that fits its type; anything else prints the usage and exits 2.
+// The daemon serves until killed.
+#include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <system_error>
 
 #include "src/net/executor.h"
 
@@ -20,47 +24,51 @@ namespace {
 
 void Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--port P] [--workers N] [--pin] [--plan-cache C] [--pool-capacity E]\n"
-               "  --port P           TCP port to listen on (0 = ephemeral; default 0)\n"
+               "usage: %s [--port P] [--workers N] [--plan-cache C] [--pool-capacity E]\n"
+               "  --port P           TCP port to listen on, 0-65535 (0 = ephemeral; default 0)\n"
                "  --workers N        thread-pool size (0 = hardware concurrency; default 0)\n"
-               "  --pin              pin workers one per physical core (topology placement\n"
-               "                     order; best-effort — dedicated executor hosts only)\n"
                "  --plan-cache C     decoded-plan cache capacity (default 64)\n"
                "  --pool-capacity E  idle engine states pooled per plan for the warm-run\n"
                "                     path (0 = disable pooling; default 8)\n",
                argv0);
 }
 
+// Parses all of `text` as a non-negative decimal that fits T: no sign, no
+// whitespace, no trailing characters, no overflow.
+template <typename T>
+bool ParseDecimal(const char* text, T* out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  long port = 0;
+  uint16_t port = 0;
   bunshin::net::ExecutorOptions options;
-  for (int i = 1; i < argc; ++i) {
+  // Every flag takes a value; a missing one parses as "" and is rejected.
+  for (int i = 1; i < argc; i += 2) {
     const char* arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (std::strcmp(arg, "--port") == 0 && has_value) {
-      port = std::atol(argv[++i]);
-    } else if (std::strcmp(arg, "--workers") == 0 && has_value) {
-      options.n_workers = static_cast<size_t>(std::atol(argv[++i]));
-    } else if (std::strcmp(arg, "--pin") == 0) {
-      options.pin_threads = true;
-    } else if (std::strcmp(arg, "--plan-cache") == 0 && has_value) {
-      options.plan_cache_capacity = static_cast<size_t>(std::atol(argv[++i]));
-    } else if (std::strcmp(arg, "--pool-capacity") == 0 && has_value) {
-      options.engine_pool_capacity = static_cast<size_t>(std::atol(argv[++i]));
-    } else {
+    const char* value = i + 1 < argc ? argv[i + 1] : "";
+    bool ok = false;
+    if (std::strcmp(arg, "--port") == 0) {
+      ok = ParseDecimal(value, &port);
+    } else if (std::strcmp(arg, "--workers") == 0) {
+      ok = ParseDecimal(value, &options.n_workers);
+    } else if (std::strcmp(arg, "--plan-cache") == 0) {
+      ok = ParseDecimal(value, &options.plan_cache_capacity);
+    } else if (std::strcmp(arg, "--pool-capacity") == 0) {
+      ok = ParseDecimal(value, &options.engine_pool_capacity);
+    }
+    if (!ok) {
       Usage(argv[0]);
       return 2;
     }
   }
-  if (port < 0 || port > 65535) {
-    std::fprintf(stderr, "nvx_executord: --port must be in [0, 65535]\n");
-    return 2;
-  }
 
   bunshin::net::ExecutorServer server(options);
-  bunshin::Status status = server.ListenTcp(static_cast<uint16_t>(port));
+  bunshin::Status status = server.ListenTcp(port);
   if (!status.ok()) {
     std::fprintf(stderr, "nvx_executord: %s\n", status.ToString().c_str());
     return 1;
