@@ -1,5 +1,6 @@
 #include "src/analysis/plan_analyzer.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <map>
 #include <numeric>
@@ -9,9 +10,11 @@
 
 #include "src/analysis/trace_analyzer.h"
 #include "src/distribution/distribution.h"
+#include "src/nxe/engine.h"
 #include "src/profile/profiler.h"
 #include "src/sanitizer/sanitizer.h"
 #include "src/workload/funcprofile.h"
+#include "src/workload/tracegen.h"
 
 namespace bunshin {
 namespace analysis {
@@ -49,6 +52,31 @@ std::optional<san::SanitizerId> SanitizerIdByName(const std::string& name) {
 
 // --- plan/* well-formedness --------------------------------------------------
 
+// A plan names its own trace shape, and trace construction sizes buffers
+// from it, so a hostile plan could ask for any amount of memory. Variants
+// and threads are bounded by the engine's session width; the action budget
+// covers every variant plus the baseline trace and sits far above the
+// largest in-repo session (under 18k actions).
+constexpr double kMaxSessionActions = 1 << 22;
+
+void CheckTraceShape(const char* target, size_t threads, double template_actions,
+                     size_t n_specs, AnalysisReport* report) {
+  if (threads > nxe::kMaxSessionWidth) {
+    report->AddError("plan/trace-shape", target,
+                     std::to_string(threads) + " threads exceed the engine's " +
+                         std::to_string(nxe::kMaxSessionWidth) + "-thread limit",
+                     "model fewer threads per variant");
+  }
+  const double session_actions = static_cast<double>(n_specs + 1) * template_actions;
+  if (!(session_actions <= kMaxSessionActions)) {  // NaN fails too
+    report->AddError("plan/trace-shape", target,
+                     "the session's " + std::to_string(n_specs + 1) + " traces would hold " +
+                         api::CacheKeyDouble(session_actions) + " actions, above the " +
+                         api::CacheKeyDouble(kMaxSessionActions) + "-action budget",
+                     "use finite, non-negative shape fields sized like the catalog's");
+  }
+}
+
 void CheckWellFormedness(const api::VariantPlan& plan, AnalysisReport* report) {
   const bool has_bench = plan.benchmark.has_value();
   const bool has_server = plan.server.has_value();
@@ -65,6 +93,20 @@ void CheckWellFormedness(const api::VariantPlan& plan, AnalysisReport* report) {
   if (plan.specs.empty()) {
     report->AddError("plan/no-variants", "", "plan has no variant specs",
                      "plan at least one variant");
+  }
+  if (plan.specs.size() > nxe::kMaxSessionWidth) {
+    report->AddError("plan/trace-shape", "",
+                     std::to_string(plan.specs.size()) + " specs exceed the engine's " +
+                         std::to_string(nxe::kMaxSessionWidth) + "-variant limit",
+                     "plan fewer variants");
+  }
+  if (has_bench) {
+    CheckTraceShape("benchmark", std::max<size_t>(1, plan.benchmark->threads),
+                    workload::TemplateActions(*plan.benchmark), plan.specs.size(), report);
+  }
+  if (has_server) {
+    CheckTraceShape("server", std::max<size_t>(1, plan.server->threads),
+                    workload::TemplateActions(*plan.server), plan.specs.size(), report);
   }
   if (plan.labels.size() != plan.specs.size()) {
     report->AddError("plan/labels-mismatch", "",
@@ -345,9 +387,10 @@ AnalysisReport AnalyzePlan(const api::VariantPlan& plan,
   CheckCoverage(plan, &report);
 
   // Liveness needs the concrete traces; skip when the plan is structurally
-  // unable to build them (the plan/* errors above already reject it).
+  // unable to build them, or would build unbounded ones (the plan/* errors
+  // above already reject it).
   const bool one_target = plan.benchmark.has_value() != plan.server.has_value();
-  if (!one_target || plan.specs.empty()) {
+  if (!one_target || plan.specs.empty() || report.HasRule("plan/trace-shape")) {
     return report;
   }
   std::vector<size_t> members(plan.specs.size());

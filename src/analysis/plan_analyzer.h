@@ -4,7 +4,8 @@
 //
 //   * plan/*      — well-formedness: exactly one target, variants present,
 //                   labels aligned, injections in range, compute scales sane,
-//                   strategy/target consistency, contention width.
+//                   strategy/target consistency, contention width, and a
+//                   bounded trace shape (variants, threads, actions).
 //   * coverage/*  — the §3.2 security claim: under kCheck the distribution
 //                   subsets partition the *recomputed* profiled function set
 //                   exactly (no gap, no overlap, no unknown name); under
@@ -41,7 +42,8 @@ namespace analysis {
 // nullopt analyzes at the plan's own seed.
 //
 // Structural plan errors (no/dual target, no variants, label misalignment)
-// make trace construction impossible; the liveness rules are then skipped and
+// make trace construction impossible, and a plan/trace-shape error makes it
+// unbounded; the liveness rules are then skipped and
 // the report carries the plan/* errors — use well_formed() && deadlock_free(),
 // not deadlock_free() alone, as the "engine will not error" verdict.
 AnalysisReport AnalyzePlan(const api::VariantPlan& plan,

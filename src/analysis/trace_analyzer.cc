@@ -256,6 +256,15 @@ void AnalyzeTraces(const nxe::EngineConfig& config,
   }
 
   const size_t threads0 = variants[0].threads.size();
+  if (variants.size() > nxe::kMaxSessionWidth || threads0 > nxe::kMaxSessionWidth) {
+    report->AddError("liveness/session-width", "",
+                     std::to_string(variants.size()) + " variant(s) x " +
+                         std::to_string(threads0) + " thread(s) is wider than the engine's " +
+                         std::to_string(nxe::kMaxSessionWidth) +
+                         " variants or threads; the engine rejects it",
+                     "split the session into narrower ones");
+    return;
+  }
   bool shape_ok = true;
   for (size_t v = 1; v < variants.size(); ++v) {
     if (variants[v].threads.size() != threads0) {

@@ -7,9 +7,11 @@
 // thread" Internal error. The proof obligations, mirroring the engine's own
 // round loop:
 //
-//   1. Input shape: >= 1 variant, equal thread counts, selective mode has a
-//      ring (`liveness/no-variants`, `liveness/variant-thread-count`,
-//      `liveness/ring-capacity` — the engine rejects these up front).
+//   1. Input shape: >= 1 variant, at most 0xffff variants and threads,
+//      equal thread counts, selective mode has a ring
+//      (`liveness/no-variants`, `liveness/session-width`,
+//      `liveness/variant-thread-count`, `liveness/ring-capacity` — the
+//      engine rejects these up front).
 //   2. Barrier participation: within each variant every thread crosses the
 //      same number of barriers; otherwise some thread exits while the rest
 //      park at a barrier and the engine raises the malformed-trace error

@@ -107,8 +107,6 @@ class CompletionQueue {
 
   // Blocks until an event is available.
   CompletionEvent Wait();
-  // Alias of Wait(), matching the blocking-pop naming used elsewhere.
-  CompletionEvent Pop() { return Wait(); }
   // Non-blocking; empty when no run has completed since the last drain.
   std::optional<CompletionEvent> TryNext();
   size_t size() const;

@@ -146,8 +146,9 @@ class IrBackend final : public Backend {
 // construction and the baseline simulations entirely. A run with a new seed
 // builds one template into `tmpl` and derives the member traces and the
 // baseline trace from it into the buffers below, which keep their capacity
-// from seed to seed. Run() is const and concurrent, so scratches live on a
-// checkout freelist (one per in-flight run), never as bare mutable members.
+// from seed to seed, as the engine arenas in `workspace` do from run to run.
+// Run() is const and concurrent, so scratches live on a checkout freelist
+// (one per in-flight run), never as bare mutable members.
 struct SessionScratch {
   bool valid = false;
   uint64_t seed = 0;
@@ -157,22 +158,20 @@ struct SessionScratch {
   std::optional<double> baseline_time;    // owns_baseline backends only
   std::vector<double> standalone;         // measure_standalone plans only
   bool standalone_valid = false;
+  nxe::EngineWorkspace workspace;         // warm backends only
 };
 
 class TraceBackend final : public Backend {
  public:
   TraceBackend(std::shared_ptr<const VariantPlan> plan, std::vector<size_t> members,
-               bool owns_baseline, std::shared_ptr<nxe::EnginePool> engine_pool)
+               bool owns_baseline, bool warm_engines)
       : plan_(std::move(plan)),
         members_(std::move(members)),
         owns_baseline_(owns_baseline),
-        engine_pool_(std::move(engine_pool)) {
+        warm_engines_(warm_engines) {
     labels_.reserve(members_.size());
     for (size_t global : members_) {
       labels_.push_back(plan_->labels[global]);
-    }
-    if (engine_pool_ != nullptr) {
-      pool_key_ = plan_->CacheKey();  // allocates once, not per run
     }
   }
 
@@ -225,18 +224,10 @@ class TraceBackend final : public Backend {
     // host: contention (LLC, core time-sharing) is modeled session-wide.
     nxe::EngineConfig config = plan.engine_config;
     config.contention_variants = plan.n_variants();
-    // Warm path: pooled engine state keyed by the plan, reset in place.
-    // Without a pool, a fresh engine and no workspace — the cold behavior.
-    nxe::EnginePool::Checkout checkout;
-    std::optional<nxe::Engine> fresh_engine;
-    nxe::EngineWorkspace* workspace = nullptr;
-    if (engine_pool_ != nullptr) {
-      checkout = engine_pool_->Acquire(pool_key_, config);
-      workspace = &checkout.workspace();
-    } else {
-      fresh_engine.emplace(config);
-    }
-    const nxe::Engine& engine = engine_pool_ != nullptr ? checkout.engine() : *fresh_engine;
+    const nxe::Engine engine(config);
+    // Warm path: the scratch's engine arenas, reset in place run to run.
+    // A cold backend runs without a workspace.
+    nxe::EngineWorkspace* workspace = warm_engines_ ? &scratch->workspace : nullptr;
 
     RunReport report = AcquireReport();
     report.backend = name();
@@ -345,8 +336,7 @@ class TraceBackend final : public Backend {
   std::shared_ptr<const VariantPlan> plan_;
   std::vector<size_t> members_;  // members_[local_slot] = global slot; [0] is the leader
   bool owns_baseline_;
-  std::shared_ptr<nxe::EnginePool> engine_pool_;  // null = cold (pool-free) backend
-  std::string pool_key_;                          // plan CacheKey, computed once
+  bool warm_engines_;  // false: every engine call runs without a workspace
   std::vector<std::string> labels_;
   mutable std::mutex scratch_mu_;
   mutable std::vector<std::unique_ptr<SessionScratch>> scratch_free_;
@@ -441,13 +431,6 @@ void RecycleReport(RunReport&& report) { GlobalReportFreelist().Recycle(std::mov
 StatusOr<std::unique_ptr<Backend>> MakeTraceBackend(std::shared_ptr<const VariantPlan> plan,
                                                     std::vector<size_t> members,
                                                     bool owns_baseline) {
-  return MakeTraceBackend(std::move(plan), std::move(members), owns_baseline, nullptr);
-}
-
-StatusOr<std::unique_ptr<Backend>> MakeTraceBackend(std::shared_ptr<const VariantPlan> plan,
-                                                    std::vector<size_t> members,
-                                                    bool owns_baseline,
-                                                    std::shared_ptr<nxe::EnginePool> engine_pool) {
   if (plan == nullptr) {
     return InvalidArgument("MakeTraceBackend: null plan");
   }
@@ -474,7 +457,7 @@ StatusOr<std::unique_ptr<Backend>> MakeTraceBackend(std::shared_ptr<const Varian
     seen[global] = true;
   }
   return std::unique_ptr<Backend>(new TraceBackend(std::move(plan), std::move(members),
-                                                   owns_baseline, std::move(engine_pool)));
+                                                   owns_baseline, /*warm_engines=*/true));
 }
 
 const char* NvxOutcomeName(NvxOutcome outcome) {
@@ -800,11 +783,6 @@ NvxBuilder& NvxBuilder::PooledEngines(bool pooled) {
   pooled_engines_ = pooled;
   return *this;
 }
-NvxBuilder& NvxBuilder::WithEnginePool(std::shared_ptr<nxe::EnginePool> pool) {
-  engine_pool_ = std::move(pool);
-  pooled_engines_ = engine_pool_ != nullptr;
-  return *this;
-}
 
 Status NvxBuilder::ValidateTarget() const {
   const int targets = (module_ != nullptr ? 1 : 0) + (benchmark_.has_value() ? 1 : 0) +
@@ -889,14 +867,6 @@ StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildBackend(
   }
   std::shared_ptr<const VariantPlan> shared = std::move(*resolved);
 
-  // One engine pool per session unless the caller shared one across
-  // sessions; every shard backend of this session draws from it (distinct
-  // checkouts, so concurrent shards never contend for one workspace).
-  std::shared_ptr<nxe::EnginePool> engine_pool = engine_pool_;
-  if (engine_pool == nullptr && pooled_engines_) {
-    engine_pool = std::make_shared<nxe::EnginePool>();
-  }
-
   if (remote_) {
     // The group count defaults to the fleet size; Shards(k) overrides it so
     // Remote ≡ Shards(k) equivalence can be tested group-for-group.
@@ -913,8 +883,7 @@ StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildBackend(
     std::vector<size_t> all(shared->n_variants());
     std::iota(all.begin(), all.end(), 0);
     return std::unique_ptr<Backend>(new TraceBackend(std::move(shared), std::move(all),
-                                                     /*owns_baseline=*/true,
-                                                     std::move(engine_pool)));
+                                                     /*owns_baseline=*/true, pooled_engines_));
   }
 
   // Shard 0 carries the baseline/leader slot; followers are dealt
@@ -925,7 +894,7 @@ StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildBackend(
   std::vector<std::vector<size_t>> groups = ShardMemberGroups(shared->n_variants(), *shards_);
   for (size_t j = 0; j < groups.size(); ++j) {
     shard_backends.push_back(std::unique_ptr<Backend>(new TraceBackend(
-        shared, std::move(groups[j]), /*owns_baseline=*/j == 0, engine_pool)));
+        shared, std::move(groups[j]), /*owns_baseline=*/j == 0, pooled_engines_)));
   }
   return std::unique_ptr<Backend>(new ShardedBackend(std::move(shared), std::move(shard_backends),
                                                      shard_pool, backend_owns_pool));

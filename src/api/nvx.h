@@ -42,7 +42,6 @@
 #include "src/distribution/distribution.h"
 #include "src/ir/ir.h"
 #include "src/nxe/engine.h"
-#include "src/nxe/engine_pool.h"
 #include "src/profile/profiler.h"
 #include "src/sanitizer/sanitizer.h"
 #include "src/support/status.h"
@@ -244,20 +243,13 @@ class Backend {
 // A trace backend executing `members` (global slots, [0] must be the leader
 // slot 0) of a shared plan — the unit both the in-process ShardedBackend and
 // a remote executor rebuild from a received plan. Validates plan presence,
-// member shape (non-empty, leader first, in range, no duplicates).
+// member shape (non-empty, leader first, in range, no duplicates). Runs take
+// the warm path (docs/warm_path.md): the backend caches built traces and
+// baseline times per seed and keeps engine arenas across runs, so repeat
+// runs of one plan+seed are allocation-free in the steady state.
 StatusOr<std::unique_ptr<Backend>> MakeTraceBackend(std::shared_ptr<const VariantPlan> plan,
                                                     std::vector<size_t> members,
                                                     bool owns_baseline);
-
-// Warm-run form: with an engine pool the backend checks pooled engine state
-// out per run under the plan's CacheKey() (docs/warm_path.md) and caches
-// built traces / baseline times per seed, so repeat runs of one plan+seed
-// are allocation-free in the steady state. Reports are bit-identical to the
-// pool-free form. A null pool degrades to the form above.
-StatusOr<std::unique_ptr<Backend>> MakeTraceBackend(std::shared_ptr<const VariantPlan> plan,
-                                                    std::vector<size_t> members,
-                                                    bool owns_baseline,
-                                                    std::shared_ptr<nxe::EnginePool> engine_pool);
 
 // Grow-only RunReport recycling (the report half of the warm path): Acquire
 // hands back a report shell whose vectors keep the capacity of a previously
@@ -401,15 +393,12 @@ class NvxBuilder {
   // per-request timeout and bounded retry to a different executor. Merged
   // reports are bit-identical to Shards(k) and to the unsharded session.
   NvxBuilder& Remote(std::vector<net::Endpoint> endpoints, net::RemoteOptions options = {});
-  // Warm-run engine pooling (trace targets; on by default): the session's
-  // trace backends check engine state out of an nxe::EnginePool per run
-  // instead of rebuilding arenas, making repeat runs of one plan
-  // allocation-free in the steady state. Reports are bit-identical either
-  // way. PooledEngines(false) opts a session out; WithEnginePool() shares
-  // one pool across many sessions (an executor daemon's setup), implying
-  // PooledEngines(true).
+  // Warm-run engine arenas (trace targets; on by default): the session's
+  // trace backends keep the engine's scheduler arenas in their per-run
+  // scratch, making repeat runs of one plan allocation-free in the steady
+  // state. Reports are bit-identical either way. PooledEngines(false) runs
+  // every engine call without a workspace (the cold path).
   NvxBuilder& PooledEngines(bool pooled = true);
-  NvxBuilder& WithEnginePool(std::shared_ptr<nxe::EnginePool> pool);
 
   // Validates the configuration and constructs the session (and its
   // variants); all configuration errors surface here, not at Run() time.
@@ -500,7 +489,6 @@ class NvxBuilder {
   std::shared_ptr<PlanCache> plan_cache_;
   std::shared_ptr<IrSystemCache> ir_cache_;
   bool pooled_engines_ = true;
-  std::shared_ptr<nxe::EnginePool> engine_pool_;  // set by WithEnginePool()
 };
 
 }  // namespace api

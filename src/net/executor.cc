@@ -11,10 +11,6 @@ namespace net {
 ExecutorServer::ExecutorServer(const ExecutorOptions& options)
     : options_(options),
       plan_cache_(options.plan_cache_capacity),
-      engine_pool_(options.engine_pool_capacity == 0
-                       ? nullptr
-                       : std::make_shared<nxe::EnginePool>(options.engine_pool_capacity,
-                                                           options.plan_cache_capacity)),
       pool_(std::make_unique<support::ThreadPool>(options.n_workers)) {}
 
 ExecutorServer::~ExecutorServer() { Stop(); }
@@ -263,8 +259,10 @@ RunReplyMsg ExecutorServer::HandleRun(const std::string& payload) {
     return reply;
   }
 
+  // A backend per request: its scratch starts empty, so every run here is
+  // cold (docs/warm_path.md).
   StatusOr<std::unique_ptr<api::Backend>> backend =
-      api::MakeTraceBackend(*plan, msg->members, msg->owns_baseline, engine_pool_);
+      api::MakeTraceBackend(*plan, msg->members, msg->owns_baseline);
   if (!backend.ok()) {
     reply.run_status = backend.status();
     reply.occupancy = occupancy();
@@ -313,11 +311,6 @@ ExecutorOccupancy ExecutorServer::occupancy() const {
   occupancy.queue_depth = queue_depth_.load(std::memory_order_relaxed);
   occupancy.in_flight = in_flight_.load(std::memory_order_relaxed);
   occupancy.plans_cached = plan_cache_.stats().entries;
-  if (engine_pool_ != nullptr) {
-    const nxe::EnginePool::Stats pool_stats = engine_pool_->stats();
-    occupancy.engine_pool_hits = pool_stats.hits;
-    occupancy.engine_pool_misses = pool_stats.misses;
-  }
   return occupancy;
 }
 

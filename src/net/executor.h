@@ -38,11 +38,6 @@ namespace net {
 struct ExecutorOptions {
   size_t n_workers = 0;          // thread pool size; 0 = hardware concurrency
   size_t plan_cache_capacity = 64;
-  // Idle engine states pooled per plan key across requests (the warm-run
-  // path, docs/warm_path.md). 0 disables pooling: every run builds fresh
-  // engine state. Bounds the daemon's resident arena memory at roughly
-  // engine_pool_capacity * plan-sized workspaces per hot plan.
-  size_t engine_pool_capacity = 8;
 };
 
 // Cumulative counters (tests and the daemon's shutdown log line).
@@ -117,9 +112,6 @@ class ExecutorServer {
 
   const ExecutorOptions options_;
   api::PlanCache plan_cache_;
-  // Shared across every backend this daemon builds; null when pooling is
-  // disabled (engine_pool_capacity == 0).
-  std::shared_ptr<nxe::EnginePool> engine_pool_;
   std::unique_ptr<support::ThreadPool> pool_;
 
   mutable std::mutex mu_;

@@ -783,8 +783,8 @@ std::string EncodeOccupancy(const ExecutorOccupancy& occupancy) {
   w.U64(occupancy.queue_depth);
   w.U64(occupancy.in_flight);
   w.U64(occupancy.plans_cached);
-  w.U64(occupancy.engine_pool_hits);
-  w.U64(occupancy.engine_pool_misses);
+  w.U64(0);  // reserved (v2 engine-pool hits)
+  w.U64(0);  // reserved (v2 engine-pool misses)
   w.Bool(occupancy.plan_cache_hit);
   return w.Take();
 }
@@ -796,8 +796,8 @@ ExecutorOccupancy DecodeOccupancyFields(WireReader& r) {
   occupancy.queue_depth = r.U64();
   occupancy.in_flight = r.U64();
   occupancy.plans_cached = r.U64();
-  occupancy.engine_pool_hits = r.U64();
-  occupancy.engine_pool_misses = r.U64();
+  r.U64();  // reserved
+  r.U64();  // reserved
   occupancy.plan_cache_hit = r.Bool();
   return occupancy;
 }
@@ -857,8 +857,8 @@ std::string EncodeRunReplyMsg(const RunReplyMsg& msg) {
   w.U64(msg.occupancy.queue_depth);
   w.U64(msg.occupancy.in_flight);
   w.U64(msg.occupancy.plans_cached);
-  w.U64(msg.occupancy.engine_pool_hits);
-  w.U64(msg.occupancy.engine_pool_misses);
+  w.U64(0);  // reserved (v2 engine-pool hits)
+  w.U64(0);  // reserved (v2 engine-pool misses)
   w.Bool(msg.occupancy.plan_cache_hit);
   w.Bool(msg.partial.has_value());
   if (msg.partial.has_value()) {

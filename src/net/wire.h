@@ -165,11 +165,8 @@ struct ExecutorOccupancy {
   uint64_t queue_depth = 0;   // runs accepted but not yet executing
   uint64_t in_flight = 0;     // runs executing right now
   uint64_t plans_cached = 0;  // entries in the executor's plan cache
-  // Cumulative engine-pool counters (v2): how often the executor's warm-run
-  // path served pooled engine state vs built it fresh. Both zero when the
-  // daemon runs with pooling disabled.
-  uint64_t engine_pool_hits = 0;
-  uint64_t engine_pool_misses = 0;
+  // On the wire, plans_cached is followed by two reserved u64s (written as
+  // zero, skipped on decode) that held v2's engine-pool counters.
   bool plan_cache_hit = false;  // this request's plan skipped decode/rebuild
 };
 

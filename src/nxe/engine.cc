@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <memory>
 #include <optional>
-#include <type_traits>
 
 #include "src/support/enum_name.h"
 
@@ -176,14 +174,6 @@ struct GapMerge {
       }
     }
   }
-
-  template <typename Fn>
-  void ForEachBuffer(Fn&& fn) {
-    fn(min_consumed);
-    fn(ptr);
-    fn(pend_lo);
-    fn(pend_hi);
-  }
 };
 
 // Flat per-(variant, thread) record of the event-driven scheduler. Padded to
@@ -216,8 +206,7 @@ struct Walk {
 // EngineWorkspace so repeat runs reset capacity-warm vectors in place
 // instead of reconstructing them. The schedulers bind these by reference;
 // a null-workspace run binds a stack-local instance and behaves exactly as
-// the pre-workspace code did. ForEachBuffer is the single enumeration the
-// debug poison/verify tripwires walk.
+// the pre-workspace code did.
 // ---------------------------------------------------------------------------
 
 struct EventBuffers {
@@ -244,41 +233,6 @@ struct EventBuffers {
   std::vector<uint32_t> advance_q;
   std::vector<uint32_t> batch_t, batch_p, batch_vt;
   std::vector<uint32_t> batch_v;
-
-  template <typename Fn>
-  void ForEachBuffer(Fn&& fn) {
-    fn(th);
-    fn(pub_base);
-    fn(pub_rec);
-    fn(pub_avail);
-    fn(pub_consumed);
-    fn(cons_time);
-    fn(cons_count);
-    gap.ForEachBuffer(fn);
-    fn(sys_parked);
-    fn(barrier_parked);
-    fn(done_count);
-    fn(waiters);
-    fn(waiters_count);
-    fn(leader_blocked);
-    fn(order_list);
-    fn(order_cursor);
-    fn(last_acquire);
-    fn(lockstep_ready);
-    fn(publish_ready);
-    fn(consume_ready);
-    fn(barrier_ready);
-    fn(in_lockstep);
-    fn(in_publish);
-    fn(in_consume);
-    fn(in_barrier);
-    fn(replay_runnable);
-    fn(advance_q);
-    fn(batch_t);
-    fn(batch_p);
-    fn(batch_vt);
-    fn(batch_v);
-  }
 };
 
 struct EagerBuffers {
@@ -292,45 +246,21 @@ struct EagerBuffers {
   GapMerge gap;
   std::vector<Walk> walks;
   std::vector<double> finish;
-
-  template <typename Fn>
-  void ForEachBuffer(Fn&& fn) {
-    fn(startup);
-    fn(vscale);
-    fn(pub_rec);
-    fn(pub_avail);
-    fn(pub_consumed);
-    fn(cons_time);
-    fn(cons_count);
-    gap.ForEachBuffer(fn);
-    fn(walks);
-    fn(finish);
-  }
 };
 
 struct BaselineBuffers {
   std::vector<double> clock;
   std::vector<size_t> cursor;
-  std::vector<char> done;  // vector<bool> cannot be byte-poisoned
+  std::vector<char> done;
   std::vector<size_t> at_barrier;
-
-  template <typename Fn>
-  void ForEachBuffer(Fn&& fn) {
-    fn(clock);
-    fn(cursor);
-    fn(done);
-    fn(at_barrier);
-  }
 };
-
-constexpr unsigned char kPoisonByte = 0xA5;
 
 }  // namespace detail
 
 // The workspace owns one of each buffer family plus the finish-time spare
 // that closes the report-vector allocation. Buffer families are 64-byte
-// aligned so two workspaces packed into one pool arena (or a workspace next
-// to pool bookkeeping) never false-share a line across worker threads.
+// aligned so the workspaces of concurrent runs never false-share a line
+// across worker threads.
 struct EngineWorkspace::Impl {
   detail::LeaderSummary leader;
   alignas(64) detail::EventBuffers event;
@@ -340,15 +270,6 @@ struct EngineWorkspace::Impl {
   // RecycleFinishBuffer); moved into the report before a run, handed back by
   // the caller after it copied the values out.
   std::vector<double> finish_spare;
-
-  template <typename Fn>
-  void ForEachBuffer(Fn&& fn) {
-    fn(leader.pub_base);
-    event.ForEachBuffer(fn);
-    eager.ForEachBuffer(fn);
-    baseline.ForEachBuffer(fn);
-    fn(finish_spare);
-  }
 };
 
 EngineWorkspace::EngineWorkspace() : impl_(std::make_unique<Impl>()) {}
@@ -361,38 +282,6 @@ void EngineWorkspace::RecycleFinishBuffer(std::vector<double> buffer) {
     buffer.clear();
     impl_->finish_spare = std::move(buffer);
   }
-}
-
-void EngineWorkspace::Poison() {
-#ifndef NDEBUG
-  impl_->ForEachBuffer([](auto& vec) {
-    using Element = typename std::decay_t<decltype(vec)>::value_type;
-    static_assert(std::is_trivially_copyable_v<Element>,
-                  "poisoning assumes trivially copyable buffer elements");
-    if (!vec.empty()) {
-      std::memset(vec.data(), detail::kPoisonByte, vec.size() * sizeof(Element));
-    }
-  });
-#endif
-}
-
-bool EngineWorkspace::VerifyPoison() const {
-#ifndef NDEBUG
-  bool intact = true;
-  impl_->ForEachBuffer([&intact](auto& vec) {
-    using Element = typename std::decay_t<decltype(vec)>::value_type;
-    const auto* bytes = reinterpret_cast<const unsigned char*>(vec.data());
-    for (size_t i = 0, n = vec.size() * sizeof(Element); i < n; ++i) {
-      if (bytes[i] != detail::kPoisonByte) {
-        intact = false;
-        return;
-      }
-    }
-  });
-  return intact;
-#else
-  return true;
-#endif
 }
 
 namespace {
@@ -562,9 +451,8 @@ class EventScheduler {
 
  private:
   // Queue entries carry (v, t) packed into one word — the hot loops never
-  // divide by T_ to recover coordinates. Engine::Run routes sessions with
-  // more than 0xffff variants or threads to RunReference, so the packing
-  // cannot overflow here.
+  // divide by T_ to recover coordinates. Engine::Run rejects sessions wider
+  // than kMaxSessionWidth, so the packing cannot overflow here.
   static uint32_t PackVt(size_t v, size_t t) {
     return static_cast<uint32_t>((v << 16) | t);
   }
@@ -1754,11 +1642,10 @@ StatusOr<SyncReport> Engine::Run(const std::vector<VariantTrace>& variants,
   if (config_.mode == LockstepMode::kSelective && config_.ring_capacity == 0) {
     return InvalidArgument("selective lockstep requires ring_capacity >= 1");
   }
-  if (variants.size() > 0xffff || n_threads > 0xffff) {
-    // The event scheduler packs (v, t) into one 32-bit word; sessions wider
-    // than that (far beyond any real deployment) take the reference path
-    // rather than risk silent index corruption.
-    return RunReference(variants);
+  if (variants.size() > kMaxSessionWidth || n_threads > kMaxSessionWidth) {
+    return InvalidArgument("session of " + std::to_string(variants.size()) + " variants x " +
+                           std::to_string(n_threads) + " threads is wider than " +
+                           std::to_string(kMaxSessionWidth) + " variants or threads");
   }
   if (workspace != nullptr) {
     return RunScheduled(config_, variants, workspace->impl());

@@ -144,7 +144,8 @@ struct SyncReport {
 // capacity-warm vectors) instead of reconstructed, and values are identical
 // to a fresh run bit for bit (the buffers only donate capacity, never
 // content). A workspace serves one run at a time — concurrent Run() calls
-// must use distinct workspaces (nxe::EnginePool hands out one per checkout).
+// must use distinct workspaces (the session layer keeps one per in-flight
+// run, in its per-run scratch).
 class EngineWorkspace {
  public:
   EngineWorkspace();
@@ -160,19 +161,16 @@ class EngineWorkspace {
   // seeds its report from this spare capacity.
   void RecycleFinishBuffer(std::vector<double> buffer);
 
-  // Debug-build stale-state tripwires (no-ops under NDEBUG): Poison() fills
-  // every buffer with a sentinel pattern at pool check-in; VerifyPoison()
-  // confirms the pattern is intact at the next checkout, catching any use of
-  // the workspace through a stale reference while it sat in the pool.
-  void Poison();
-  bool VerifyPoison() const;
-
   struct Impl;
   Impl& impl() const { return *impl_; }
 
  private:
   std::unique_ptr<Impl> impl_;
 };
+
+// The widest session Engine::Run accepts, in variants and in threads: the
+// event scheduler packs (variant, thread) into one 32-bit word.
+inline constexpr size_t kMaxSessionWidth = 0xffff;
 
 class Engine {
  public:
@@ -181,7 +179,8 @@ class Engine {
   const EngineConfig& config() const { return config_; }
 
   // Synchronizes N variants (variants[0] is the leader). All variants must
-  // have the same thread count.
+  // have the same thread count, and a session wider than kMaxSessionWidth
+  // variants or threads is an InvalidArgument.
   //
   // Run() is an event-driven scheduler: per-park-type readiness indices
   // (sync-point arrival counters, ring-slot waiter lists, live-thread
@@ -201,9 +200,9 @@ class Engine {
 
   // The retained round-based reference scheduler (the pre-event-driven
   // Run): a fixpoint loop that re-scans all variants x threads per progress
-  // step. Semantically identical to Run() and kept only as the equivalence
-  // oracle for property tests and as the baseline for
-  // bench/micro_engine_hotpath. Do not use on hot paths.
+  // step. Semantically identical to Run() on every session Run() accepts,
+  // and kept only as the equivalence oracle for property tests and as the
+  // baseline for bench/micro_engine_hotpath. Do not use on hot paths.
   StatusOr<SyncReport> RunReference(const std::vector<VariantTrace>& variants) const;
 
   // Runs a single trace without any engine machinery: the reference time the

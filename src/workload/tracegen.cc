@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 
 #include "src/support/rng.h"
@@ -229,6 +230,22 @@ void BuildTemplate(const BenchmarkSpec& bench, uint64_t workload_seed, TraceTemp
   }
 }
 
+double TemplateActions(const BenchmarkSpec& bench) {
+  // The same shape arithmetic as BuildTemplate, in double.
+  const size_t threads = std::max<size_t>(1, bench.threads);
+  const double syscalls = static_cast<double>(std::max<size_t>(1, bench.n_syscalls / threads));
+  const double locks =
+      std::trunc(bench.locks_per_kilo * (bench.total_compute / static_cast<double>(threads)) /
+                 1000.0);
+  if (locks < 0.0) {
+    return std::numeric_limits<double>::quiet_NaN();  // no lock count is negative
+  }
+  // Per thread: a segment before each syscall, barrier and lock (which adds
+  // the lock, its hold time and the unlock), then a closing segment and exit.
+  return static_cast<double>(threads) *
+         (2.0 * syscalls + 4.0 * locks + 2.0 * static_cast<double>(bench.barriers) + 2.0);
+}
+
 void DeriveTrace(const TraceTemplate& tmpl, const VariantSpec& variant, nxe::VariantTrace* out) {
   out->name = variant.name;
   out->compute_scale = variant.compute_scale;
@@ -370,6 +387,15 @@ void BuildServerTemplate(const ServerSpec& server, uint64_t workload_seed, Trace
     }
     thread.Append(nxe::ThreadAction::Exit());
   }
+}
+
+double TemplateActions(const ServerSpec& server) {
+  const size_t threads = std::max<size_t>(1, server.threads);
+  const double requests = static_cast<double>(server.requests / threads);
+  // accept, parse, open, read, read compute and close, plus each chunk's
+  // write and, for 1MB responses, its send segment; one exit per thread.
+  const double per_request = server.file_kb >= 1024 ? 6.0 + 16.0 * 2.0 : 6.0 + 1.0;
+  return static_cast<double>(threads) * (requests * per_request + 1.0);
 }
 
 nxe::VariantTrace BuildServerTrace(const ServerSpec& server, const VariantSpec& variant,

@@ -58,6 +58,12 @@ struct TraceTemplate {
 // buffers' capacity.
 void BuildTemplate(const BenchmarkSpec& bench, uint64_t workload_seed, TraceTemplate* out);
 
+// The number of actions BuildTemplate(bench, ...) builds, summed over its
+// threads, computed without building it. The count is a double so a hostile
+// spec cannot overflow it: NaN, infinite or negative shape inputs yield NaN
+// or infinity, which no bound accepts.
+double TemplateActions(const BenchmarkSpec& bench);
+
 // Derives one variant's trace from `tmpl` into `out`, reusing its buffers'
 // capacity. The variant's jitter stream is drawn in action order; the
 // memory-management insert positions (a stream of their own) are drawn
@@ -91,6 +97,9 @@ struct ServerSpec {
 // accept/open/read/write.../close with parse compute; 1MB responses issue 16
 // chunked writes. Concurrency adds queueing jitter.
 void BuildServerTemplate(const ServerSpec& server, uint64_t workload_seed, TraceTemplate* out);
+
+// The number of actions BuildServerTemplate(server, ...) builds.
+double TemplateActions(const ServerSpec& server);
 
 // Builds one variant of the server loop (BuildServerTemplate + DeriveTrace).
 nxe::VariantTrace BuildServerTrace(const ServerSpec& server, const VariantSpec& variant,

@@ -9,6 +9,7 @@
 // executor's plan cache.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -144,6 +145,20 @@ TEST(TraceAnalyzerTest, FlagsUnequalThreadCountsLikeTheEngine) {
   EXPECT_TRUE(report.HasRule("liveness/variant-thread-count"));
   EXPECT_FALSE(report.deadlock_free());
   EXPECT_FALSE(nxe::Engine(config).Run(variants).ok());
+}
+
+TEST(TraceAnalyzerTest, FlagsOverWideSessionLikeTheEngine) {
+  const nxe::EngineConfig config;
+  for (const auto& [n, threads] : {std::pair<size_t, size_t>{2, 0x10000}, {0x10000, 1}}) {
+    const auto variants = IdenticalVariants(n, threads, false);
+    AnalysisReport report;
+    AnalyzeTraces(config, variants, &report);
+    EXPECT_TRUE(report.HasRule("liveness/session-width")) << n << " x " << threads;
+    EXPECT_FALSE(report.deadlock_free());
+    const auto run = nxe::Engine(config).Run(variants);
+    ASSERT_FALSE(run.ok()) << n << " x " << threads;
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(TraceAnalyzerTest, FlagsSelectiveModeWithoutRingLikeTheEngine) {
@@ -413,6 +428,18 @@ TEST(PlanAnalyzerTest, FlagsStructuralDefects) {
     EXPECT_TRUE(report.HasRule("liveness/ring-capacity")) << report.Render();
     EXPECT_FALSE(report.deadlock_free());
   }
+  {
+    // An unbounded trace shape is rejected before any trace is built, so
+    // the liveness rules (which would build them) never run.
+    VariantPlan plan = CheckPlanFixture();
+    plan.benchmark->n_syscalls = uint64_t{1} << 40;
+    plan.engine_config.mode = nxe::LockstepMode::kSelective;
+    plan.engine_config.ring_capacity = 0;
+    const AnalysisReport report = AnalyzePlan(plan);
+    EXPECT_TRUE(report.HasRule("plan/trace-shape")) << report.Render();
+    EXPECT_FALSE(report.well_formed());
+    EXPECT_FALSE(report.HasRule("liveness/ring-capacity"));
+  }
 }
 
 TEST(PlanAnalyzerTest, BuilderRefusesDeadlockShapedPlanAtPlanTime) {
@@ -598,6 +625,35 @@ TEST(ExecutorAnalysisTest, RejectsEveryHostilePlanBeforeThePlanCache) {
     m.specs.front().compute_scale = -1.0;
     mutants.emplace_back("compute-scale", std::move(m));
   }
+  // Hostile trace shapes: each count sizes the buffers of the traces the
+  // analyzer's liveness pass would build, so an unbounded one would exhaust
+  // memory or run for seconds.
+  const auto shape_mutant = [&mutants](const char* label, const VariantPlan& plan,
+                                       const auto& mutate) {
+    VariantPlan m = plan;
+    mutate(m);
+    mutants.emplace_back(label, std::move(m));
+  };
+  shape_mutant("threads-2^40", base, [](VariantPlan& m) { m.benchmark->threads = 1ull << 40; });
+  shape_mutant("threads-2^20", base, [](VariantPlan& m) { m.benchmark->threads = 1ull << 20; });
+  shape_mutant("syscalls-2^40", base,
+               [](VariantPlan& m) { m.benchmark->n_syscalls = 1ull << 40; });
+  shape_mutant("barriers-2^40", base, [](VariantPlan& m) { m.benchmark->barriers = 1ull << 40; });
+  shape_mutant("locks-nan", base, [](VariantPlan& m) {
+    m.benchmark->locks_per_kilo = std::numeric_limits<double>::quiet_NaN();
+  });
+  shape_mutant("locks-negative", base, [](VariantPlan& m) { m.benchmark->locks_per_kilo = -1.0; });
+  shape_mutant("compute-infinite", base, [](VariantPlan& m) {
+    m.benchmark->total_compute = std::numeric_limits<double>::infinity();
+  });
+  shape_mutant("specs-65536", base, [](VariantPlan& m) {
+    m.specs.resize(0x10000, m.specs.front());
+    m.labels.resize(0x10000, m.labels.front());
+  });
+  NvxBuilder server_builder;
+  server_builder.Server(workload::ServerSpec{}).Variants(2).Seed(5);
+  shape_mutant("requests-2^40", PlanOrDie(server_builder),
+               [](VariantPlan& m) { m.server->requests = 1ull << 40; });
 
   net::ExecutorServer server;
   uint64_t expected_rejects = 0;

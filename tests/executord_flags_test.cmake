@@ -1,5 +1,6 @@
 # Runs nvx_executord with malformed flags. Each must print the usage and exit
-# 2 at once: not abort, wrap to a huge value, or start listening.
+# 2 at once: not abort, wrap to a huge value, or start listening. Flags the
+# daemon no longer has count as malformed.
 #
 #   cmake -DEXECUTORD=build/tools/nvx_executord -P tests/executord_flags_test.cmake
 if(NOT EXECUTORD)
@@ -13,7 +14,8 @@ foreach(flags IN ITEMS
         "--workers 4x"
         "--workers 18446744073709551616"
         "--port 65536"
-        "--pool-capacity"
+        "--workers"
+        "--pool-capacity 8"
         "--pin")
   separate_arguments(argv UNIX_COMMAND "${flags}")
   execute_process(COMMAND "${EXECUTORD}" ${argv}

@@ -1,10 +1,9 @@
-// Tests for the warm-run engine pool (src/nxe/engine_pool.h) and its session
-// wiring (docs/warm_path.md): pooled sessions must produce bit-identical
-// RunReports to fresh-engine sessions across every outcome class and the
-// shard seam, pooled state must be safe under concurrent sessions sharing
-// one pool (this suite runs under ThreadSanitizer in CI alongside the async
-// suites), and the debug poison tripwire must actually catch stale use of
-// checked-in state.
+// Tests for the warm-run path (docs/warm_path.md): sessions whose trace
+// backends keep engine arenas in their per-run scratch must produce
+// bit-identical RunReports to sessions run without a workspace, across every
+// outcome class and the shard seam, and reused scratch must be safe under
+// many concurrent sessions (this suite runs under ThreadSanitizer in CI
+// alongside the async suites).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,7 +13,6 @@
 #include "src/api/async.h"
 #include "src/api/nvx.h"
 #include "src/nxe/engine.h"
-#include "src/nxe/engine_pool.h"
 #include "src/support/thread_pool.h"
 #include "src/workload/workload.h"
 
@@ -65,7 +63,7 @@ void ExpectReportsBitIdentical(const RunReport& pooled, const RunReport& fresh) 
   }
 }
 
-// Builds the configured session twice — engine pooling off and on — and
+// Builds the configured session twice — PooledEngines off and on — and
 // requires every run of the pooled session (the first, cold, and two warm
 // repeats that exercise reused arenas) to be bit-identical to the fresh one.
 template <typename Configure>
@@ -121,8 +119,8 @@ TEST(PooledEquivalenceTest, DivergenceMatchesFresh) {
 }
 
 TEST(PooledEquivalenceTest, ShardedSessionMatchesFresh) {
-  // Shards share one pool per session: every shard backend checks out of it
-  // and the merged report must still be bit-identical to the unpooled one.
+  // Every shard backend keeps its own scratch arenas, and the merged report
+  // must still be bit-identical to the unpooled one.
   ExpectPooledEquivalence(
       [](NvxBuilder& b) {
         b.Benchmark(workload::Spec2006()[1])
@@ -135,10 +133,10 @@ TEST(PooledEquivalenceTest, ShardedSessionMatchesFresh) {
 }
 
 // ---------------------------------------------------------------------------
-// One shared pool under 16 concurrent sessions on one CompletionQueue.
+// 16 concurrent warm sessions on one CompletionQueue.
 // ---------------------------------------------------------------------------
 
-TEST(EnginePoolConcurrencyTest, SixteenSessionsShareOnePool) {
+TEST(WarmPathConcurrencyTest, SixteenAsyncSessionsOnOneQueue) {
   constexpr size_t kSessions = 16;
   constexpr size_t kRunsPerSession = 4;
 
@@ -150,7 +148,6 @@ TEST(EnginePoolConcurrencyTest, SixteenSessionsShareOnePool) {
   auto reference = reference_session->Run();
   ASSERT_TRUE(reference.ok());
 
-  auto engine_pool = std::make_shared<nxe::EnginePool>();
   auto workers = std::make_shared<support::ThreadPool>(4);
   CompletionQueue done;
 
@@ -158,10 +155,7 @@ TEST(EnginePoolConcurrencyTest, SixteenSessionsShareOnePool) {
   sessions.reserve(kSessions);
   for (size_t s = 0; s < kSessions; ++s) {
     NvxBuilder builder;
-    builder.Benchmark(workload::Spec2006()[0])
-        .Variants(4)
-        .Seed(41)
-        .WithEnginePool(engine_pool);
+    builder.Benchmark(workload::Spec2006()[0]).Variants(4).Seed(41);
     auto session = builder.BuildAsync(workers);
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     sessions.push_back(std::move(*session));
@@ -176,89 +170,6 @@ TEST(EnginePoolConcurrencyTest, SixteenSessionsShareOnePool) {
     ASSERT_TRUE(event.report.ok()) << event.report.status().ToString();
     ExpectReportsBitIdentical(*event.report, *reference);
   }
-
-  const nxe::EnginePool::Stats stats = engine_pool->stats();
-  EXPECT_EQ(stats.hits + stats.misses, kSessions * kRunsPerSession);
-  EXPECT_GT(stats.hits, 0u);  // repeat runs genuinely reused pooled state
-  EXPECT_EQ(stats.poison_violations, 0u);
-  EXPECT_EQ(stats.keys, 1u);  // every session runs the same plan
-  EXPECT_LE(stats.pooled_engines, 8u);  // default per-key bound held
-}
-
-// ---------------------------------------------------------------------------
-// Debug poison tripwire.
-// ---------------------------------------------------------------------------
-
-TEST(EnginePoolPoisonTest, StaleCheckoutMutationIsCaught) {
-#ifdef NDEBUG
-  GTEST_SKIP() << "poison/verify compiles out in release builds";
-#endif
-  const workload::BenchmarkSpec& spec = *workload::FindBenchmark("perlbench");
-  const auto variants = workload::BuildIdenticalVariants(spec, 2, 7);
-  nxe::EngineConfig config;
-
-  nxe::EnginePool pool;
-  nxe::EngineWorkspace* stale = nullptr;
-  {
-    nxe::EnginePool::Checkout checkout = pool.Acquire("plan-key", config);
-    ASSERT_TRUE(checkout.engine().Run(variants, &checkout.workspace()).ok());
-    // A buggy caller holding the workspace past check-in.
-    stale = &checkout.workspace();
-  }
-  // The entry is back in the pool, poisoned. Writing through the stale
-  // reference scribbles live data over the poison pattern...
-  stale->RecycleFinishBuffer(std::vector<double>(256, 1.0));
-
-  // ...which the next checkout must detect: the tainted entry is rebuilt
-  // (never served) and the violation is counted.
-  nxe::EnginePool::Checkout again = pool.Acquire("plan-key", config);
-  EXPECT_EQ(pool.stats().poison_violations, 1u);
-  // The rebuilt state still runs correctly.
-  EXPECT_TRUE(again.engine().Run(variants, &again.workspace()).ok());
-}
-
-TEST(EnginePoolPoisonTest, UntouchedCheckinPassesVerification) {
-  const workload::BenchmarkSpec& spec = *workload::FindBenchmark("perlbench");
-  const auto variants = workload::BuildIdenticalVariants(spec, 2, 7);
-  nxe::EngineConfig config;
-
-  nxe::EnginePool pool;
-  {
-    nxe::EnginePool::Checkout checkout = pool.Acquire("plan-key", config);
-    ASSERT_TRUE(checkout.engine().Run(variants, &checkout.workspace()).ok());
-  }
-  nxe::EnginePool::Checkout again = pool.Acquire("plan-key", config);
-  EXPECT_EQ(pool.stats().hits, 1u);
-  EXPECT_EQ(pool.stats().poison_violations, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Pool bookkeeping: per-key bounds and LRU key eviction.
-// ---------------------------------------------------------------------------
-
-TEST(EnginePoolTest, BoundsAndLruEviction) {
-  nxe::EngineConfig config;
-  nxe::EnginePool pool(/*max_engines_per_key=*/1, /*max_keys=*/2);
-
-  // Two concurrent checkouts of one key: the bucket holds one, the second
-  // check-in is discarded.
-  {
-    nxe::EnginePool::Checkout a = pool.Acquire("alpha", config);
-    nxe::EnginePool::Checkout b = pool.Acquire("alpha", config);
-  }
-  EXPECT_EQ(pool.stats().pooled_engines, 1u);
-  EXPECT_EQ(pool.stats().discards, 1u);
-
-  // Two more keys: "alpha" is least recently used and its entries go.
-  { nxe::EnginePool::Checkout c = pool.Acquire("beta", config); }
-  { nxe::EnginePool::Checkout d = pool.Acquire("gamma", config); }
-  const nxe::EnginePool::Stats stats = pool.stats();
-  EXPECT_EQ(stats.keys, 2u);
-  EXPECT_EQ(stats.misses, 4u);  // every distinct checkout built fresh state
-
-  // "beta" and "gamma" survive; "alpha" rebuilds.
-  { nxe::EnginePool::Checkout e = pool.Acquire("beta", config); }
-  EXPECT_EQ(pool.stats().hits, 1u);
 }
 
 }  // namespace

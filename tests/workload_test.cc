@@ -1,6 +1,7 @@
 // Tests for the workload catalog and trace generation invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/api/nvx.h"
@@ -145,6 +146,41 @@ TEST(TracegenTest, ServerTraceRequestStructure) {
   }
   EXPECT_EQ(accepts, 8u);
   EXPECT_EQ(writes, 8u * 16u);  // 16 chunks per 1MB response
+}
+
+size_t BuiltTemplateActions(const workload::TraceTemplate& tmpl) {
+  size_t actions = 0;
+  for (const nxe::ThreadTrace& thread : tmpl.threads) {
+    actions += thread.actions.size();
+  }
+  return actions;
+}
+
+// The plan analyzer bounds a plan's trace shape with TemplateActions before
+// any trace exists, so the count must be exactly what the builders build.
+TEST(TracegenTest, TemplateActionsCountsTheBuiltTemplate) {
+  workload::TraceTemplate tmpl;
+  size_t largest = 0;
+  for (const auto* suite : {&workload::Spec2006(), &workload::Splash2x(), &workload::Parsec()}) {
+    for (const workload::BenchmarkSpec& bench : *suite) {
+      workload::BuildTemplate(bench, 7, &tmpl);
+      const size_t built = BuiltTemplateActions(tmpl);
+      EXPECT_EQ(workload::TemplateActions(bench), static_cast<double>(built)) << bench.name;
+      largest = std::max(largest, built);
+    }
+  }
+  EXPECT_EQ(largest, 1552u);  // radiosity
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    for (size_t file_kb : {size_t{1}, size_t{1024}}) {
+      workload::ServerSpec server;
+      server.threads = threads;
+      server.file_kb = file_kb;
+      workload::BuildServerTemplate(server, 7, &tmpl);
+      EXPECT_EQ(workload::TemplateActions(server),
+                static_cast<double>(BuiltTemplateActions(tmpl)))
+          << threads << " thread(s), " << file_kb << " KB";
+    }
+  }
 }
 
 TEST(TracegenTest, IdenticalVariantsRunCleanUnderEngine) {

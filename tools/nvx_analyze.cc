@@ -19,7 +19,8 @@
 //       Regenerate the committed fixture corpus (corpus/plans/): well-formed
 //       plans for every distribution strategy plus hostile mutants
 //       (coverage gaps/overlaps, conflicting sanitizer groups, out-of-range
-//       injections, deadlock-shaped engine configs). Each fixture is
+//       injections, deadlock-shaped engine configs, an unbounded trace
+//       shape). Each fixture is
 //       self-checked against its ok_/bad_ expectation before writing.
 //
 //   nvx_analyze --seeded N
@@ -268,6 +269,12 @@ bunshin::StatusOr<std::vector<Fixture>> BuildFixtures() {
     bunshin::api::VariantPlan mutant = ok_none;
     mutant.server = bunshin::workload::ServerSpec{};
     fixtures.push_back({"bad_dual_target.plan", std::move(mutant)});
+  }
+  {  // plan/trace-shape: 2^40 threads — building the traces would exhaust
+     // memory
+    bunshin::api::VariantPlan mutant = ok_none;
+    mutant.benchmark->threads = uint64_t{1} << 40;
+    fixtures.push_back({"bad_trace_shape.plan", std::move(mutant)});
   }
   return fixtures;
 }

@@ -2,7 +2,8 @@
 // plane. Listens for framed RunRequest messages (src/net/wire.h), rebuilds
 // trace backends from received plans (caching decoded plans by their wire
 // CacheKey), runs the requested shard members on a thread pool, and replies
-// with PartialReports plus occupancy.
+// with PartialReports plus occupancy. Each request builds its own backend, so
+// runs here are cold: no engine state is kept between requests.
 //
 //   nvx_executord --port 7001 --workers 4
 //
@@ -24,12 +25,10 @@ namespace {
 
 void Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--port P] [--workers N] [--plan-cache C] [--pool-capacity E]\n"
-               "  --port P           TCP port to listen on, 0-65535 (0 = ephemeral; default 0)\n"
-               "  --workers N        thread-pool size (0 = hardware concurrency; default 0)\n"
-               "  --plan-cache C     decoded-plan cache capacity (default 64)\n"
-               "  --pool-capacity E  idle engine states pooled per plan for the warm-run\n"
-               "                     path (0 = disable pooling; default 8)\n",
+               "usage: %s [--port P] [--workers N] [--plan-cache C]\n"
+               "  --port P        TCP port to listen on, 0-65535 (0 = ephemeral; default 0)\n"
+               "  --workers N     thread-pool size (0 = hardware concurrency; default 0)\n"
+               "  --plan-cache C  decoded-plan cache capacity (default 64)\n",
                argv0);
 }
 
@@ -58,8 +57,6 @@ int main(int argc, char** argv) {
       ok = ParseDecimal(value, &options.n_workers);
     } else if (std::strcmp(arg, "--plan-cache") == 0) {
       ok = ParseDecimal(value, &options.plan_cache_capacity);
-    } else if (std::strcmp(arg, "--pool-capacity") == 0) {
-      ok = ParseDecimal(value, &options.engine_pool_capacity);
     }
     if (!ok) {
       Usage(argv[0]);

@@ -34,7 +34,7 @@ trap cleanup EXIT
 # $1: log file. Sets STARTED_PID and STARTED_PORT.
 start_executor() {
   local log="$1"
-  "$EXECUTORD" --port 0 --workers 4 --pool-capacity 8 >"$log" 2>&1 &
+  "$EXECUTORD" --port 0 --workers 4 >"$log" 2>&1 &
   STARTED_PID=$!
   disown "$STARTED_PID"  # quiet bash's "Killed" notice when cleanup reaps it
   STARTED_PORT=""
@@ -67,9 +67,7 @@ kill -9 "$PID2" 2>/dev/null || fail "could not kill executor 2"
 wait "$PID2" 2>/dev/null
 
 sleep 2
-# The restart exercises the opposite pooling configuration: a fleet mixing
-# pooled and pool-disabled executors must still produce identical verdicts.
-"$EXECUTORD" --port "$PORT2" --workers 4 --pool-capacity 0 >"$WORKDIR/exec2b.log" 2>&1 &
+"$EXECUTORD" --port "$PORT2" --workers 4 >"$WORKDIR/exec2b.log" 2>&1 &
 PID2B=$!
 disown "$PID2B"
 PIDS+=("$PID2B")
