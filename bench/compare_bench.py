@@ -9,15 +9,10 @@ threshold (default 10%) on any gated metric:
   * ns_per_event      (lower is better)  — scheduler hot-path cost
   * sessions_per_sec  (higher is better) — session throughput
   * allocs_per_run    (lower is better)  — warm-path allocation count
-  * shard_speedup     (higher is better) — sharded vs unsharded throughput
+  * work_inflation    (lower is better)  — sharded vs unsharded process CPU
 
 so slowdowns (and the warm path growing allocations back) are caught at the
 PR that introduces them instead of drifting in silently.
-
-shard_speedup is core-count dependent (a 1-core runner cannot exhibit shard
-parallelism, so its speedup is meaningless), so rows carry a detected_cores
-field and the metric is warned about and skipped unless BOTH rows report
-more than one core.
 
 Rows are keyed by (workload, mode, n_variants). Rows present only in the
 baseline (a shape the bench no longer measures) or only in the current run
@@ -43,18 +38,8 @@ METRICS = [
     ("ns_per_event", "lower"),
     ("sessions_per_sec", "higher"),
     ("allocs_per_run", "lower"),
-    ("shard_speedup", "higher"),
+    ("work_inflation", "lower"),
 ]
-
-# Metrics that only mean something on a multi-core host. Gated only when
-# both rows carry detected_cores > 1; otherwise warned and skipped.
-CORE_DEPENDENT = {"shard_speedup"}
-
-
-def multicore(row):
-    """Whether the row was measured on a host with more than one core."""
-    cores = row_metric(row, "detected_cores")
-    return cores is not None and cores > 1.0
 
 
 def load_rows(path):
@@ -123,10 +108,6 @@ def compare(baseline, current, threshold):
                 if (cur_val is None) != (base_val is None):
                     lines.append("  SKIP   {}: {} only in {} row".format(
                         label, metric, "current" if base_val is None else "baseline"))
-                continue
-            if metric in CORE_DEPENDENT and not (multicore(base_row) and multicore(cur_row)):
-                lines.append("  SKIP   {}: {} needs detected_cores > 1 in both rows".format(
-                    label, metric))
                 continue
             if direction == "lower" and base_val <= 0.0 and cur_val <= 0.0:
                 lines.append("  OK     {}: {} stayed 0".format(label, metric))
@@ -197,23 +178,14 @@ def self_test():
         {("w", "warm", 8): {"ns_per_event": 5.0, "allocs_per_run": 3.0}}, 0.10)
     assert regressions == [], regressions
     assert any("only in current" in line for line in lines), lines
-    # shard_speedup gates only when both rows come from multi-core hosts: a
-    # 1-core (or untagged) row on either side warns and skips, a genuine
-    # multi-core drop fails.
-    regressions, lines = compare(
-        {("s", "shards4", 8): {"shard_speedup": 2.0, "detected_cores": 1}},
-        {("s", "shards4", 8): {"shard_speedup": 0.9, "detected_cores": 8}}, 0.10)
-    assert regressions == [], regressions
-    assert any("needs detected_cores" in line for line in lines), lines
-    regressions, lines = compare(
-        {("s", "shards4", 8): {"shard_speedup": 2.0, "detected_cores": 8}},
-        {("s", "shards4", 8): {"shard_speedup": 0.9}}, 0.10)
-    assert regressions == [], regressions
-    assert any("needs detected_cores" in line for line in lines), lines
+    # Shard work inflation is a cost: growing fails, shrinking passes.
     regressions, _ = compare(
-        {("s", "shards4", 8): {"shard_speedup": 2.0, "detected_cores": 8}},
-        {("s", "shards4", 8): {"shard_speedup": 1.2, "detected_cores": 8}}, 0.10)
-    assert regressions == ["s/shards4/n=8:shard_speedup"], regressions
+        {("s", "shards4", 8): {"work_inflation": 1.10},
+         ("s", "shards2", 8): {"work_inflation": 1.10}},
+        {("s", "shards4", 8): {"work_inflation": 1.25},   # +14%: regression
+         ("s", "shards2", 8): {"work_inflation": 1.05}},  # improvement
+        0.10)
+    assert regressions == ["s/shards4/n=8:work_inflation"], regressions
     print("self-test passed")
     return 0
 

@@ -2,9 +2,8 @@
 // event-driven Engine::Run against the retained round-based RunReference.
 //
 // Unlike the other harnesses this bench deliberately calls the engine
-// directly (not the session API): it isolates the scheduler that PR2-PR4's
-// async pools, ShardedBackend, and plan cache all funnel millions of
-// sessions into. The reference re-scans all variants x threads every
+// directly (not the session API): it isolates the scheduler that the async
+// pools, shard groups and plan cache all funnel millions of sessions into. The reference re-scans all variants x threads every
 // progress round, so its per-event cost grows with session width; the
 // event-driven scheduler touches only the threads whose dependency changed,
 // so ns/event should stay near-flat as n_variants grows while the

@@ -1,28 +1,25 @@
-// Shard scaling on the engine hot path: sessions/sec and per-variant
-// overhead vs shard count at n_variants in {2, 4, 8}.
+// Shard work inflation: the total CPU a Shards(4) session costs over the
+// unsharded one.
 //
-// Sharding does not change what a session computes (see tests/shard_test.cc)
-// — it changes who computes it: each engine instance simulates only its
-// shard's traces, and the shards run concurrently on the session pool. On a
-// multi-core host the sharded wall-clock at n_variants = 8 should be well
-// below the unsharded one — this bench gates on > 1.3x sessions/sec at 4
-// shards when the host has >= 4 cores. A 1-core host (some CI runners)
-// shows ~1.0x or a small regression (the leader-replica redundancy with no
-// parallelism to pay for it), so the gate self-skips there; the emitted rows
-// carry detected_cores so compare_bench.py's shard_speedup gate knows
-// whether two artifacts are comparable. The virtual overhead column is the
-// merged report's Overhead() — nearly flat across shard counts (a shard's
-// leader replica stalls slightly less behind a smaller follower set in
-// selective mode), which is the point: sharding is a wall-clock
-// optimization, not a semantics change.
-//
-// This bench is also the workload that surfaced the Engine::Run per-event
-// vector growth fixed in src/nxe/engine.cc (per-action bookkeeping is now
-// reserved up front from one pass over the leader trace).
+// In Bunshin the variants run in parallel and the engine models that in
+// virtual time, so a sharded session runs its shard groups one after another
+// on the calling thread: sharding changes who is simulated together, not
+// how fast one session finishes (see tests/shard_test.cc for what it must not
+// change). What it must not do is multiply the work. This bench alternates
+// unsharded and Shards(4) sessions on one thread — perlbench, ASan check
+// distribution, selective lockstep, n = 8, a fresh workload seed per run —
+// and sums process CPU (CLOCK_PROCESS_CPUTIME_ID, so work done on any other
+// thread counts too) for each side of 9 trials, alternating which side goes
+// first. Both sides share the host and the thread, so their ratio is
+// host-independent. The work left is the leader replicas' engine time, which
+// the design requires. The bench gates the median ratio at <= 1.3 and
+// appends a work_inflation row to BENCH_engine.json for
+// bench/compare_bench.py.
 //
 //   $ ./build/bench/micro_shard_scaling
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
+#include <ctime>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,47 +31,48 @@ using namespace bunshin;
 
 namespace {
 
-struct Sample {
-  double seconds = -1.0;
-  double overhead = 0.0;  // virtual, from the (merged) report
-};
+constexpr size_t kVariants = 8;
+constexpr size_t kShards = 4;
+constexpr size_t kTrials = 9;
+constexpr size_t kRunsPerTrial = 200;
+constexpr double kMaxInflation = 1.3;
 
-// Wall-clock seconds and virtual overhead for `runs` sessions of `n`
-// check-distributed variants split across `shards` engine shards
-// (shards == 0 builds the unsharded session).
-Sample TimeConfig(const workload::BenchmarkSpec& bench, size_t n, size_t shards, size_t runs) {
+double ProcessCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+StatusOr<api::NvxSession> BuildSession(const workload::BenchmarkSpec& bench, size_t shards) {
   api::NvxBuilder builder;
   builder.Benchmark(bench)
-      .Variants(n)
+      .Variants(kVariants)
       .DistributeChecks(san::SanitizerId::kASan)
       .Lockstep(nxe::LockstepMode::kSelective)
       .Seed(2027);
   if (shards > 0) {
     builder.Shards(shards);
   }
-  auto session = builder.Build();
-  if (!session.ok()) {
-    std::fprintf(stderr, "setup failed (n=%zu, shards=%zu): %s\n", n, shards,
-                 session.status().ToString().c_str());
-    return {};
-  }
+  return builder.Build();
+}
 
-  Sample sample;
-  const auto start = std::chrono::steady_clock::now();
+// Process CPU seconds for `runs` sessions on fresh seeds from `first_seed`;
+// negative when a run fails. `overhead` receives the last run's virtual
+// overhead.
+double TimeRuns(const api::NvxSession& session, uint64_t first_seed, size_t runs,
+                double* overhead) {
+  const double start = ProcessCpuSeconds();
   for (size_t i = 0; i < runs; ++i) {
     api::RunRequest request;
-    request.workload_seed = 1 + i;
-    auto report = session->Run(request);
+    request.workload_seed = first_seed + i;
+    auto report = session.Run(request);
     if (!report.ok() || report->outcome != api::NvxOutcome::kOk) {
-      std::fprintf(stderr, "run failed (n=%zu, shards=%zu)\n", n, shards);
-      return {};
+      return -1.0;
     }
-    auto overhead = report->Overhead();
-    sample.overhead = overhead.ok() ? *overhead : -1.0;
+    auto virtual_overhead = report->Overhead();
+    *overhead = virtual_overhead.ok() ? *virtual_overhead : -1.0;
   }
-  sample.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return sample;
+  return ProcessCpuSeconds() - start;
 }
 
 // Appends rows to BENCH_engine.json in place (micro_engine_hotpath writes
@@ -112,80 +110,80 @@ int EmitRows(const std::string& rows_json) {
 }  // namespace
 
 int main() {
-  bench::PrintHeader("Shard scaling (sessions/sec, per-variant overhead vs shard count)",
+  bench::PrintHeader("Shard work inflation (process CPU, Shards(4) vs unsharded)",
                      "variant sharding (ROADMAP); no paper figure");
 
   const workload::BenchmarkSpec& bench = workload::Spec2006()[0];  // perlbench
-  constexpr size_t kRuns = 24;
-  const unsigned cores = std::thread::hardware_concurrency();
-  std::printf("benchmark %s, ASan check distribution, selective lockstep, %zu runs/row\n",
-              bench.name.c_str(), kRuns);
-  std::printf("host cores: %u (sharded speedup needs >1; virtual overhead is core-count"
-              " independent)\n\n",
-              cores);
+  std::printf("benchmark %s, ASan check distribution, selective lockstep, n = %zu, "
+              "%zu fresh-seed runs per side per trial\n\n",
+              bench.name.c_str(), kVariants, kRunsPerTrial);
 
-  std::string rows_json;
-  double gate_speedup = -1.0;  // n=8, 4 shards — the gated configuration
-  std::printf("%-10s %-8s %12s %14s %10s %12s\n", "variants", "shards", "wall (s)",
-              "sessions/sec", "speedup", "overhead");
-  for (size_t n : {2u, 4u, 8u}) {
-    double base_rate = 0.0;
-    for (size_t shards : {0u, 2u, 4u}) {
-      if (shards > 0 && shards >= n) {
-        continue;  // fewer followers than shard groups: nothing left to split
-      }
-      const Sample sample = TimeConfig(bench, n, shards, kRuns);
-      if (sample.seconds < 0.0) {
-        return 1;
-      }
-      const double rate = static_cast<double>(kRuns) / sample.seconds;
-      if (shards == 0) {
-        base_rate = rate;
-      }
-      const double speedup = rate / base_rate;
-      if (n == 8 && shards == 4) {
-        gate_speedup = speedup;
-      }
-      char label[16];
-      std::snprintf(label, sizeof(label), shards == 0 ? "-" : "%zu", shards);
-      std::printf("%-10zu %-8s %12.3f %14.1f %9.2fx %11.1f%%\n", n, label, sample.seconds,
-                  rate, speedup, sample.overhead * 100.0);
+  auto unsharded = BuildSession(bench, 0);
+  auto sharded = BuildSession(bench, kShards);
+  if (!unsharded.ok() || !sharded.ok()) {
+    std::fprintf(stderr, "setup failed: %s\n",
+                 (unsharded.ok() ? sharded.status() : unsharded.status()).ToString().c_str());
+    return 1;
+  }
 
-      // Only sharded rows and only the ratio are emitted: absolute
-      // sessions/sec at these short walls is too noisy to gate, while the
-      // sharded-vs-unsharded ratio cancels the host's speed out (and is
-      // identically 1.0 for the unsharded row).
-      if (shards > 0) {
-        char row[256];
-        std::snprintf(row, sizeof(row),
-                      "    {\"workload\": \"shard_scaling\", \"mode\": \"shards%zu\", "
-                      "\"n_variants\": %zu, \"shard_speedup\": %.3f, \"detected_cores\": %u},\n",
-                      shards, n, speedup, cores);
-        rows_json += row;
-      }
+  std::vector<double> ratios;
+  double unsharded_overhead = 0.0;
+  double sharded_overhead = 0.0;
+  // Warm both sessions' scratch buffers on seeds no trial uses, so the
+  // first trial does not pay for them.
+  constexpr uint64_t kWarmupSeed = 1'000'000;
+  if (TimeRuns(*unsharded, kWarmupSeed, 20, &unsharded_overhead) < 0.0 ||
+      TimeRuns(*sharded, kWarmupSeed, 20, &sharded_overhead) < 0.0) {
+    std::fprintf(stderr, "warm-up run failed\n");
+    return 1;
+  }
+  std::printf("%-6s %-14s %18s %18s %10s\n", "trial", "first", "unsharded ms/run",
+              "sharded ms/run", "ratio");
+  for (size_t trial = 0; trial < kTrials; ++trial) {
+    // Both sides replay the same fresh seeds, in separate sessions, so
+    // neither finds the other's traces memoized.
+    const uint64_t first_seed = 1 + trial * kRunsPerTrial;
+    const bool sharded_first = trial % 2 == 1;
+    double cpu[2] = {0.0, 0.0};  // [unsharded, sharded]
+    for (size_t side = 0; side < 2; ++side) {
+      const bool run_sharded = (side == 0) == sharded_first;
+      cpu[run_sharded ? 1 : 0] =
+          TimeRuns(run_sharded ? *sharded : *unsharded, first_seed, kRunsPerTrial,
+                   run_sharded ? &sharded_overhead : &unsharded_overhead);
     }
-    std::printf("\n");
+    if (cpu[0] <= 0.0 || cpu[1] < 0.0) {
+      std::fprintf(stderr, "trial %zu: a run failed\n", trial);
+      return 1;
+    }
+    ratios.push_back(cpu[1] / cpu[0]);
+    std::printf("%-6zu %-14s %18.4f %18.4f %9.2fx\n", trial,
+                sharded_first ? "sharded" : "unsharded", cpu[0] * 1e3 / kRunsPerTrial,
+                cpu[1] * 1e3 / kRunsPerTrial, ratios.back());
   }
-  std::printf("speedup is vs the unsharded session at the same n_variants.\n");
+  std::sort(ratios.begin(), ratios.end());
+  const double median = ratios[kTrials / 2];
+  std::printf("\nwork inflation: median %.2fx [q1 %.2fx, q3 %.2fx] over %zu trials\n", median,
+              ratios[kTrials / 4], ratios[kTrials - 1 - kTrials / 4], kTrials);
+  std::printf("virtual overhead of the last run: unsharded %.1f%%, sharded %.1f%%\n",
+              unsharded_overhead * 100.0, sharded_overhead * 100.0);
 
-  if (!rows_json.empty()) {
-    rows_json.erase(rows_json.size() - 2, 1);  // drop the trailing comma, keep the newline
-  }
-  if (EmitRows(rows_json) != 0) {
+  char row[256];
+  std::snprintf(row, sizeof(row),
+                "    {\"workload\": \"shard_scaling\", \"mode\": \"shards%zu\", "
+                "\"n_variants\": %zu, \"work_inflation\": %.3f}\n",
+                kShards, kVariants, median);
+  if (EmitRows(row) != 0) {
     return 1;
   }
 
-  if (cores < 4) {
-    std::printf("gate skipped: %u cores cannot exhibit shard parallelism (need >= 4)\n", cores);
-    return 0;
-  }
-  if (gate_speedup < 1.3) {
+  if (median > kMaxInflation) {
     std::fprintf(stderr,
-                 "GATE FAIL: 4 shards at n=8 gave %.2fx sessions/sec vs unsharded "
-                 "(want > 1.3x on a >= 4-core host)\n",
-                 gate_speedup);
+                 "GATE FAIL: Shards(%zu) at n=%zu cost %.2fx the unsharded process CPU "
+                 "(want <= %.1fx)\n",
+                 kShards, kVariants, median, kMaxInflation);
     return 1;
   }
-  std::printf("gate passed: %.2fx > 1.3x at n=8, 4 shards\n", gate_speedup);
+  std::printf("gate passed: %.2fx <= %.1fx at n=%zu, %zu shards\n", median, kMaxInflation,
+              kVariants, kShards);
   return 0;
 }

@@ -1,9 +1,10 @@
-// Sharded monitoring: sessions whose variants are fanned out across engine
-// shards, all draining into one CompletionQueue.
+// Sharded monitoring: sessions whose variants are split into engine shard
+// groups, all draining into one CompletionQueue.
 //
-// Three 2-shard sessions share one worker pool: steady-state server traffic
-// (4 clones, so each shard synchronizes the leader plus followers), a batch
-// benchmark session, and an exploited session whose distributed ASan check
+// Three 2-shard sessions share one worker pool, and each run's shard groups
+// execute one after another on the worker running it: steady-state server
+// traffic (4 clones, so each shard synchronizes the leader plus followers), a
+// batch benchmark session, and an exploited session whose distributed ASan check
 // fires in a follower that runs on shard 1 — the merged report still blames
 // the right variant, because RunReport::Merge remaps shard-local incident
 // attribution back to session slots. One dispatcher drains every verdict
@@ -22,9 +23,7 @@
 using namespace bunshin;
 
 int main() {
-  // Sized for shard dispatch: >= 2 workers even on a 1-core host (the
-  // nested-dispatch sizing rule, docs/concurrency.md).
-  auto pool = std::make_shared<support::ThreadPool>(4, /*min_workers=*/2);
+  auto pool = std::make_shared<support::ThreadPool>(4);
   // Declared before the sessions: the queue must outlive everything that
   // submits into it (sessions drain on destruction, so declaration order is
   // the whole lifetime story — docs/concurrency.md, "Queue lifetime").

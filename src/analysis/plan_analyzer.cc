@@ -58,6 +58,9 @@ std::optional<san::SanitizerId> SanitizerIdByName(const std::string& name) {
 // covers every variant plus the baseline trace and sits far above the
 // largest in-repo session (under 18k actions).
 constexpr double kMaxSessionActions = 1 << 22;
+// Check distribution synthesizes one profile entry per function; the
+// largest catalog program has 2,600.
+constexpr size_t kMaxFunctions = 1 << 16;
 
 void CheckTraceShape(const char* target, size_t threads, double template_actions,
                      size_t n_specs, AnalysisReport* report) {
@@ -103,6 +106,12 @@ void CheckWellFormedness(const api::VariantPlan& plan, AnalysisReport* report) {
   if (has_bench) {
     CheckTraceShape("benchmark", std::max<size_t>(1, plan.benchmark->threads),
                     workload::TemplateActions(*plan.benchmark), plan.specs.size(), report);
+    if (plan.benchmark->n_functions > kMaxFunctions) {
+      report->AddError("plan/trace-shape", "benchmark",
+                       std::to_string(plan.benchmark->n_functions) + " functions exceed the " +
+                           std::to_string(kMaxFunctions) + "-function limit",
+                       "size n_functions like the catalog's programs");
+    }
   }
   if (has_server) {
     CheckTraceShape("server", std::max<size_t>(1, plan.server->threads),
@@ -128,6 +137,17 @@ void CheckWellFormedness(const api::VariantPlan& plan, AnalysisReport* report) {
                        "regenerate the plan or fix requested_variants");
   }
   for (size_t v = 0; v < plan.specs.size(); ++v) {
+    // Each listed sanitizer adds its runtime's syscalls to the trace, and
+    // enforceability is checked pairwise, so a repeat only costs work.
+    std::set<san::SanitizerId> listed;
+    for (san::SanitizerId id : plan.specs[v].sanitizers) {
+      if (!listed.insert(id).second) {
+        report->AddError("plan/trace-shape", SpecLoc(v),
+                         std::string("the spec lists ") + san::SanitizerName(id) + " twice",
+                         "list each sanitizer once");
+        break;
+      }
+    }
     const double scale = plan.specs[v].compute_scale;
     if (scale <= 0.0) {
       report->AddError("plan/compute-scale", SpecLoc(v),
@@ -191,8 +211,8 @@ void CheckCheckDistribution(const api::VariantPlan& plan, AnalysisReport* report
                      "one subset per variant, in slot order");
     return;
   }
-  if (!plan.benchmark.has_value()) {
-    return;  // plan/no-target or plan/server-distribution already reported
+  if (!plan.benchmark.has_value() || report->HasRule("plan/trace-shape")) {
+    return;  // no target, or a reported shape error that can make synthesis unbounded
   }
   // Recompute the ground-truth function set the same way the planner did:
   // profile synthesis is deterministic in (benchmark, sanitizer, seed).
@@ -247,9 +267,11 @@ void CheckGroupDuplicates(const std::vector<std::vector<std::string>>& groups,
                           AnalysisReport* report) {
   std::map<std::string, size_t> owner;
   for (size_t g = 0; g < groups.size(); ++g) {
+    bool reported = false;  // one diagnostic per group, however long its list
     for (const std::string& name : groups[g]) {
       const auto [it, inserted] = owner.emplace(name, g);
-      if (!inserted) {
+      if (!inserted && !reported) {
+        reported = true;
         report->AddError("coverage/group-duplicate", GroupLoc(g),
                          "'" + name + "' already appears in " + GroupLoc(it->second),
                          "each protection unit belongs to exactly one group");
@@ -278,7 +300,11 @@ void CheckSanitizerDistribution(const api::VariantPlan& plan, AnalysisReport* re
         continue;
       }
       covered.insert(name);
-      ids.push_back(*id);
+      // Repeats are coverage/group-duplicate's; keeping one of each bounds
+      // the pairwise conflict check by the catalog size.
+      if (std::find(ids.begin(), ids.end(), *id) == ids.end()) {
+        ids.push_back(*id);
+      }
     }
     for (size_t a = 0; a < ids.size(); ++a) {
       for (size_t b = a + 1; b < ids.size(); ++b) {
@@ -367,7 +393,11 @@ void CheckCoverage(const api::VariantPlan& plan, AnalysisReport* report) {
   // Independent of strategy: the sanitizer set each spec actually carries
   // (which drives its runtime's introduced syscalls) must be collectively
   // enforceable — a wire plan whose specs pair conflicting sanitizers could
-  // not exist as a real binary.
+  // not exist as a real binary. The check is pairwise, so it waits for
+  // bounded sanitizer lists.
+  if (report->HasRule("plan/trace-shape")) {
+    return;
+  }
   for (size_t v = 0; v < plan.specs.size(); ++v) {
     if (!san::CollectivelyEnforceable(plan.specs[v].sanitizers)) {
       report->AddError("coverage/enforceable", SpecLoc(v),

@@ -6,29 +6,6 @@ namespace bunshin {
 namespace api {
 
 // ---------------------------------------------------------------------------
-// AsyncBackend
-// ---------------------------------------------------------------------------
-
-StatusOr<RunReport> AsyncBackend::Run(const RunRequest& request) const {
-  // The same one-shot future RunHandle wraps, awaited inline. Shared, not
-  // stack-captured: keeping the state alive from the task itself makes its
-  // independence from this frame explicit.
-  auto state = std::make_shared<RunHandle::State>();
-  const Backend* inner = inner_.get();
-  pool_->Submit([inner, request, state] {
-    StatusOr<RunReport> report = inner->Run(request);
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      state->result.emplace(std::move(report));
-    }
-    state->cv.notify_all();
-  });
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&] { return state->result.has_value(); });
-  return std::move(*state->result);
-}
-
-// ---------------------------------------------------------------------------
 // CompletionQueue
 // ---------------------------------------------------------------------------
 

@@ -44,45 +44,6 @@ namespace bunshin {
 namespace api {
 
 // ---------------------------------------------------------------------------
-// AsyncBackend: wraps any inner Backend and executes each Run() on a pool
-// worker. The call still blocks its caller (Backend keeps its synchronous
-// contract) — this is what NvxBuilder::Async(n).Build() produces, bounding
-// how many synchronization runs execute at once no matter how many caller
-// threads there are. For non-blocking submission use AsyncNvxSession.
-// ---------------------------------------------------------------------------
-
-class AsyncBackend final : public Backend {
- public:
-  AsyncBackend(std::unique_ptr<Backend> inner, std::shared_ptr<support::ThreadPool> pool)
-      : inner_(std::move(inner)), pool_(std::move(pool)) {}
-
-  // Reports keep the inner backend's identity ("ir" / "trace").
-  const char* name() const override { return inner_->name(); }
-  size_t n_variants() const override { return inner_->n_variants(); }
-  const std::vector<std::string>& variant_labels() const override {
-    return inner_->variant_labels();
-  }
-  const distribution::CheckDistributionPlan* check_plan() const override {
-    return inner_->check_plan();
-  }
-  const std::vector<std::vector<std::string>>* sanitizer_groups() const override {
-    return inner_->sanitizer_groups();
-  }
-  // Shard seam forwards too: wrapping a shard in Async must not change what
-  // its partial reports cover.
-  std::vector<size_t> shard_coverage() const override { return inner_->shard_coverage(); }
-  bool owns_baseline() const override { return inner_->owns_baseline(); }
-
-  StatusOr<RunReport> Run(const RunRequest& request) const override;
-
-  const std::shared_ptr<support::ThreadPool>& pool() const { return pool_; }
-
- private:
-  std::unique_ptr<Backend> inner_;
-  std::shared_ptr<support::ThreadPool> pool_;
-};
-
-// ---------------------------------------------------------------------------
 // CompletionQueue: completion-order delivery of finished runs.
 // ---------------------------------------------------------------------------
 
@@ -150,7 +111,6 @@ class RunHandle {
   std::optional<StatusOr<RunReport>> TryGet() const;
 
  private:
-  friend class AsyncBackend;
   friend class AsyncNvxSession;
 
   struct State {

@@ -8,7 +8,6 @@
 #include "src/analysis/ir_analyzer.h"
 #include "src/analysis/plan_analyzer.h"
 #include "src/api/async.h"
-#include "src/api/shard.h"
 #include "src/ir/verifier.h"
 #include "src/net/remote.h"
 #include "src/support/enum_name.h"
@@ -133,53 +132,62 @@ class IrBackend final : public Backend {
 // ---------------------------------------------------------------------------
 // TraceBackend: calibrated VariantTraces replayed under the NXE.
 //
-// Executes any subset of a shared VariantPlan's variants: `members` lists
-// the global slots this instance runs, and slot 0 is always the leader
-// (every shard replicates it — synchronization needs one). A whole-session
-// backend is just the shard whose members are the identity mapping. Reports
-// are shard-local; RunPartial()/RunReport::Merge do the global remapping.
+// Covers any subset of a shared VariantPlan's variants: `coverage` lists the
+// global slots its reports cover, and slot 0 is always the leader. A
+// whole-session backend covers every slot; an executor's backend covers one
+// remote shard group. The covered variants run as one or more groups, each
+// starting with the leader (a group replicates it for synchronization). One
+// group is the ordinary session. Under Shards(k) the groups are
+// ShardMemberGroups(n, k): they run one after another on the calling thread
+// and their reports merge through RunReport::Merge. RunPartial() and Merge
+// do the global remapping of a subset backend's reports.
 // ---------------------------------------------------------------------------
 
 // Per-session scratch the warm path reuses across runs of one backend:
 // built traces and derived baseline times are pure functions of
-// (plan, members, seed), so a run with the scratch's seed skips trace
+// (plan, coverage, seed), so a run with the scratch's seed skips trace
 // construction and the baseline simulations entirely. A run with a new seed
-// builds one template into `tmpl` and derives the member traces and the
-// baseline trace from it into the buffers below, which keep their capacity
-// from seed to seed, as the engine arenas in `workspace` do from run to run.
-// Run() is const and concurrent, so scratches live on a checkout freelist
-// (one per in-flight run), never as bare mutable members.
+// builds one template into `tmpl` and derives each covered trace and the
+// baseline trace from it once, whatever the group count, into buffers that
+// keep their capacity from seed to seed, as the engine arenas in
+// `workspace` do from run to run. Run() is const and concurrent, so
+// scratches live on a checkout freelist (one per in-flight run), never as
+// bare mutable members.
 struct SessionScratch {
   bool valid = false;
   uint64_t seed = 0;
   workload::TraceTemplate tmpl;
-  std::vector<nxe::VariantTrace> traces;
+  std::vector<nxe::VariantTrace> traces;  // one per covered slot
+  std::vector<nxe::VariantTrace> view;    // one group's traces, swapped in from `traces`
   nxe::VariantTrace baseline_trace;       // owns_baseline backends only
   std::optional<double> baseline_time;    // owns_baseline backends only
-  std::vector<double> standalone;         // measure_standalone plans only
+  std::vector<double> standalone;         // measure_standalone plans only; per covered slot
   bool standalone_valid = false;
   nxe::EngineWorkspace workspace;         // warm backends only
 };
 
 class TraceBackend final : public Backend {
  public:
-  TraceBackend(std::shared_ptr<const VariantPlan> plan, std::vector<size_t> members,
-               bool owns_baseline, bool warm_engines)
+  // `groups` hold positions in `coverage`; groups[0] owns the baseline when
+  // `owns_baseline` is set.
+  TraceBackend(std::shared_ptr<const VariantPlan> plan, std::vector<size_t> coverage,
+               std::vector<std::vector<size_t>> groups, bool owns_baseline, bool warm_engines)
       : plan_(std::move(plan)),
-        members_(std::move(members)),
+        coverage_(std::move(coverage)),
+        groups_(std::move(groups)),
         owns_baseline_(owns_baseline),
         warm_engines_(warm_engines) {
-    labels_.reserve(members_.size());
-    for (size_t global : members_) {
+    labels_.reserve(coverage_.size());
+    for (size_t global : coverage_) {
       labels_.push_back(plan_->labels[global]);
     }
   }
 
   const char* name() const override { return "trace"; }
-  size_t n_variants() const override { return members_.size(); }
+  size_t n_variants() const override { return coverage_.size(); }
   const std::vector<std::string>& variant_labels() const override { return labels_; }
 
-  std::vector<size_t> shard_coverage() const override { return members_; }
+  std::vector<size_t> shard_coverage() const override { return coverage_; }
   bool owns_baseline() const override { return owns_baseline_; }
 
   const distribution::CheckDistributionPlan* check_plan() const override {
@@ -211,17 +219,17 @@ class TraceBackend final : public Backend {
       scratch->baseline_time.reset();
       scratch->standalone_valid = false;
       BuildPlanTemplate(plan, seed, &scratch->tmpl);
-      Status built = DerivePlanTraces(plan, members_, scratch->tmpl, &scratch->traces);
+      Status built = DerivePlanTraces(plan, coverage_, scratch->tmpl, &scratch->traces);
       if (!built.ok()) {
         return built;
       }
       scratch->seed = seed;
       scratch->valid = true;
     }
-    const std::vector<nxe::VariantTrace>& traces = scratch->traces;
 
-    // A shard runs a trace subset, but the whole session still shares the
-    // host: contention (LLC, core time-sharing) is modeled session-wide.
+    // A subset backend runs a trace subset, but the whole session still
+    // shares the host: contention (LLC, core time-sharing) is modeled
+    // session-wide.
     nxe::EngineConfig config = plan.engine_config;
     config.contention_variants = plan.n_variants();
     const nxe::Engine engine(config);
@@ -229,44 +237,92 @@ class TraceBackend final : public Backend {
     // A cold backend runs without a workspace.
     nxe::EngineWorkspace* workspace = warm_engines_ ? &scratch->workspace : nullptr;
 
+    if (owns_baseline_ && !scratch->baseline_time.has_value()) {
+      workload::DeriveTrace(scratch->tmpl, workload::VariantSpec{}, &scratch->baseline_trace);
+      auto baseline = engine.RunBaseline(scratch->baseline_trace, workspace);
+      if (!baseline.ok()) {
+        return baseline.status();
+      }
+      scratch->baseline_time = *baseline;
+    }
+    if (plan.measure_standalone && !scratch->standalone_valid) {
+      scratch->standalone.clear();
+      for (size_t slot = 0; slot < scratch->traces.size(); ++slot) {
+        if (slot == 0 && !owns_baseline_) {
+          // The leader's standalone time is owned (and measured) by the
+          // backend that owns the baseline; Merge ignores this slot, so
+          // don't simulate the most expensive trace again.
+          scratch->standalone.push_back(0.0);
+          continue;
+        }
+        auto standalone = engine.RunBaseline(scratch->traces[slot], workspace);
+        if (!standalone.ok()) {
+          return standalone.status();
+        }
+        scratch->standalone.push_back(*standalone);
+      }
+      scratch->standalone_valid = true;
+    }
+
+    if (groups_.size() == 1) {
+      return RunGroup(engine, workspace, scratch->traces, groups_[0], owns_baseline_, *scratch);
+    }
+    // Each group's traces are swapped into the view for its engine run and
+    // back afterwards, so no trace is copied; the leader passes through
+    // every group's view in turn. The cache is marked invalid while traces
+    // are out, so a throw cannot leave a gutted scratch behind.
+    std::vector<PartialReport> partials(groups_.size());
+    for (size_t g = 0; g < groups_.size(); ++g) {
+      const std::vector<size_t>& group = groups_[g];
+      const bool group_owns_baseline = g == 0 && owns_baseline_;
+      scratch->valid = false;
+      scratch->view.resize(group.size());
+      for (size_t local = 0; local < group.size(); ++local) {
+        std::swap(scratch->view[local], scratch->traces[group[local]]);
+      }
+      StatusOr<RunReport> report =
+          RunGroup(engine, workspace, scratch->view, group, group_owns_baseline, *scratch);
+      for (size_t local = 0; local < group.size(); ++local) {
+        std::swap(scratch->view[local], scratch->traces[group[local]]);
+      }
+      scratch->valid = true;
+      if (!report.ok()) {
+        return report.status();
+      }
+      for (size_t slot : group) {
+        partials[g].variant_index.push_back(coverage_[slot]);
+      }
+      partials[g].owns_baseline = group_owns_baseline;
+      partials[g].report = std::move(*report);
+    }
+    StatusOr<RunReport> merged = RunReport::Merge(coverage_.size(), partials);
+    // Merge copied what it needed; hand the group reports' arenas back to
+    // the freelist.
+    for (PartialReport& partial : partials) {
+      RecycleReport(std::move(partial.report));
+    }
+    return merged;
+  }
+
+ private:
+  // One engine run over `traces`, a group's traces in local order; `group`
+  // holds their positions in coverage_.
+  StatusOr<RunReport> RunGroup(const nxe::Engine& engine, nxe::EngineWorkspace* workspace,
+                               const std::vector<nxe::VariantTrace>& traces,
+                               const std::vector<size_t>& group, bool owns_baseline,
+                               const SessionScratch& scratch) const {
+    const VariantPlan& plan = *plan_;
     RunReport report = AcquireReport();
     report.backend = name();
-    if (owns_baseline_) {
-      if (!scratch->baseline_time.has_value()) {
-        workload::DeriveTrace(scratch->tmpl, workload::VariantSpec{}, &scratch->baseline_trace);
-        auto baseline = engine.RunBaseline(scratch->baseline_trace, workspace);
-        if (!baseline.ok()) {
-          return baseline.status();
-        }
-        scratch->baseline_time = *baseline;
-      }
-      report.baseline_time = scratch->baseline_time;
+    if (owns_baseline) {
+      report.baseline_time = scratch.baseline_time;
     }
-    report.variant_compute_scale.reserve(traces.size());
-    for (size_t global : members_) {
-      report.variant_compute_scale.push_back(plan.specs[global].compute_scale);
-    }
-    if (plan.measure_standalone) {
-      if (!scratch->standalone_valid) {
-        scratch->standalone.clear();
-        scratch->standalone.reserve(traces.size());
-        for (size_t local = 0; local < traces.size(); ++local) {
-          if (local == 0 && !owns_baseline_) {
-            // The leader replica's standalone time is owned (and measured)
-            // by the baseline shard; Merge ignores this slot, so don't
-            // simulate the most expensive trace k-1 extra times.
-            scratch->standalone.push_back(0.0);
-            continue;
-          }
-          auto standalone = engine.RunBaseline(traces[local], workspace);
-          if (!standalone.ok()) {
-            return standalone.status();
-          }
-          scratch->standalone.push_back(*standalone);
-        }
-        scratch->standalone_valid = true;
+    report.variant_compute_scale.reserve(group.size());
+    for (size_t slot : group) {
+      report.variant_compute_scale.push_back(plan.specs[coverage_[slot]].compute_scale);
+      if (plan.measure_standalone) {
+        report.variant_standalone_time.push_back(scratch.standalone[slot]);
       }
-      report.variant_standalone_time = scratch->standalone;
     }
 
     auto sync = engine.Run(traces, workspace);
@@ -309,7 +365,6 @@ class TraceBackend final : public Backend {
     return report;
   }
 
- private:
   std::unique_ptr<SessionScratch> TakeScratch() const {
     {
       std::lock_guard<std::mutex> lock(scratch_mu_);
@@ -334,7 +389,8 @@ class TraceBackend final : public Backend {
   static constexpr size_t kMaxScratch = 32;
 
   std::shared_ptr<const VariantPlan> plan_;
-  std::vector<size_t> members_;  // members_[local_slot] = global slot; [0] is the leader
+  std::vector<size_t> coverage_;  // coverage_[slot] = global slot; [0] is the leader
+  std::vector<std::vector<size_t>> groups_;  // positions in coverage_; [0][0] is the leader
   bool owns_baseline_;
   bool warm_engines_;  // false: every engine call runs without a workspace
   std::vector<std::string> labels_;
@@ -456,8 +512,11 @@ StatusOr<std::unique_ptr<Backend>> MakeTraceBackend(std::shared_ptr<const Varian
     }
     seen[global] = true;
   }
+  std::vector<size_t> group(members.size());
+  std::iota(group.begin(), group.end(), 0);
   return std::unique_ptr<Backend>(new TraceBackend(std::move(plan), std::move(members),
-                                                   owns_baseline, /*warm_engines=*/true));
+                                                   {std::move(group)}, owns_baseline,
+                                                   /*warm_engines=*/true));
 }
 
 const char* NvxOutcomeName(NvxOutcome outcome) {
@@ -836,23 +895,7 @@ Status NvxBuilder::ValidateTarget() const {
   return Status::Ok();
 }
 
-std::shared_ptr<support::ThreadPool> NvxBuilder::MakePool(bool always) const {
-  const bool sharded = shards_.has_value() && *shards_ > 1;
-  if (!always && !async_workers_.has_value() && !sharded) {
-    return nullptr;
-  }
-  // A shard dispatcher blocks on shard tasks of its own pool, so a sharded
-  // session's pool is clamped to >= 2 workers — even Async(0) on a 1-core
-  // host (CI) must not produce a single-worker pool. The dispatcher also
-  // claims shards itself, so this is throughput insurance, not a deadlock
-  // precondition (see docs/concurrency.md, "Nested dispatch sizing").
-  return std::make_shared<support::ThreadPool>(async_workers_.value_or(0),
-                                               /*min_workers=*/sharded ? 2 : 1);
-}
-
-StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildBackend(
-    const std::shared_ptr<support::ThreadPool>& shard_pool, bool backend_owns_pool,
-    CacheTelemetry* telemetry) const {
+StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildBackend(CacheTelemetry* telemetry) const {
   Status valid = ValidateTarget();
   if (!valid.ok()) {
     return valid;
@@ -879,50 +922,24 @@ StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildBackend(
         std::move(shared), std::move(groups), remote_endpoints_, remote_options_));
   }
 
-  if (!shards_.has_value()) {
-    std::vector<size_t> all(shared->n_variants());
-    std::iota(all.begin(), all.end(), 0);
-    return std::unique_ptr<Backend>(new TraceBackend(std::move(shared), std::move(all),
-                                                     /*owns_baseline=*/true, pooled_engines_));
-  }
-
-  // Shard 0 carries the baseline/leader slot; followers are dealt
-  // round-robin. Every shard replicates the leader (local slot 0) for
-  // synchronization; groups that would hold only the replica are dropped
-  // (the single home of the rule: ShardMemberGroups, shared with Remote()).
-  std::vector<std::unique_ptr<Backend>> shard_backends;
-  std::vector<std::vector<size_t>> groups = ShardMemberGroups(shared->n_variants(), *shards_);
-  for (size_t j = 0; j < groups.size(); ++j) {
-    shard_backends.push_back(std::unique_ptr<Backend>(new TraceBackend(
-        shared, std::move(groups[j]), /*owns_baseline=*/j == 0, pooled_engines_)));
-  }
-  return std::unique_ptr<Backend>(new ShardedBackend(std::move(shared), std::move(shard_backends),
-                                                     shard_pool, backend_owns_pool));
+  // One group unless Shards(k): group 0 carries the baseline/leader slot,
+  // followers are dealt round-robin, and every group replicates the leader
+  // (ShardMemberGroups, the rule Remote() shares).
+  std::vector<size_t> all(shared->n_variants());
+  std::iota(all.begin(), all.end(), 0);
+  std::vector<std::vector<size_t>> groups =
+      ShardMemberGroups(shared->n_variants(), shards_.value_or(1));
+  return std::unique_ptr<Backend>(new TraceBackend(std::move(shared), std::move(all),
+                                                   std::move(groups), /*owns_baseline=*/true,
+                                                   pooled_engines_));
 }
 
 StatusOr<NvxSession> NvxBuilder::Build() const {
-  Status valid = ValidateTarget();
-  if (!valid.ok()) {
-    return valid;
-  }
-  // One pool serves both layers: ShardedBackend dispatches shards onto it,
-  // and AsyncBackend offloads whole Run() calls onto it.
-  std::shared_ptr<support::ThreadPool> pool = MakePool(/*always=*/false);
-  // Synchronous sessions are never destroyed on a pool worker, so the
-  // sharded backend may co-own the pool (sole owner when Async() is off).
   CacheTelemetry telemetry;
-  StatusOr<std::unique_ptr<Backend>> backend =
-      BuildBackend(pool, /*backend_owns_pool=*/true, &telemetry);
+  StatusOr<std::unique_ptr<Backend>> backend = BuildBackend(&telemetry);
   if (!backend.ok()) {
     return backend.status();
   }
-
-  if (async_workers_.has_value()) {
-    // Transparent offload: the session behaves synchronously but every Run()
-    // executes on a pool worker. For Submit()-style use, see BuildAsync().
-    backend = std::unique_ptr<Backend>(new AsyncBackend(std::move(*backend), pool));
-  }
-
   NvxSession session(std::move(*backend));
   session.SetObserver(observer_);
   if (telemetry.stats_fn) {
@@ -933,34 +950,14 @@ StatusOr<NvxSession> NvxBuilder::Build() const {
 
 StatusOr<AsyncNvxSession> NvxBuilder::BuildAsync(
     std::shared_ptr<support::ThreadPool> pool) const {
-  Status valid = ValidateTarget();
-  if (!valid.ok()) {
-    return valid;
+  StatusOr<NvxSession> session = Build();
+  if (!session.ok()) {
+    return session.status();
   }
   if (pool == nullptr) {
-    pool = MakePool(/*always=*/true);
+    pool = std::make_shared<support::ThreadPool>(async_workers_.value_or(0));
   }
-  // Note: the raw backend, never AsyncBackend — a Submit()ed run must not
-  // re-submit itself to the same pool it is already executing on. A sharded
-  // backend does share the session pool for its shard dispatch: its
-  // dispatcher claims shards itself, so even a fully busy pool makes
-  // progress (the nested-dispatch rule, docs/concurrency.md). The backend
-  // must NOT own the pool here: in-flight submissions can release the last
-  // session reference from a pool worker, and a ThreadPool must never be
-  // destroyed on its own worker — AsyncNvxSession owns the pool instead.
-  CacheTelemetry telemetry;
-  StatusOr<std::unique_ptr<Backend>> backend =
-      BuildBackend(pool, /*backend_owns_pool=*/false, &telemetry);
-  if (!backend.ok()) {
-    return backend.status();
-  }
-
-  NvxSession session(std::move(*backend));
-  session.SetObserver(observer_);
-  if (telemetry.stats_fn) {
-    session.SetCacheTelemetry(std::move(telemetry.stats_fn), telemetry.from_cache);
-  }
-  return AsyncNvxSession(std::move(session), std::move(pool));
+  return AsyncNvxSession(std::move(*session), std::move(pool));
 }
 
 StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildIrBackend(CacheTelemetry* telemetry) const {
@@ -1150,7 +1147,12 @@ StatusOr<std::string> NvxBuilder::IrCacheKey() const {
   return key;
 }
 
-Status NvxBuilder::ValidateInjections(size_t n_specs) const {
+// Attack splices ride on top of a base plan: validated against its specs,
+// stamped on, and the plan re-analyzed, because injections change the traces
+// the base plan's report describes. A clean session (the common case) leaves
+// the plan untouched.
+Status NvxBuilder::StampInjections(VariantPlan* plan) const {
+  const size_t n_specs = plan->specs.size();
   for (const auto& injection : detect_injections_) {
     if (injection.variant >= n_specs) {
       return InvalidArgument("InjectDetection() variant index " +
@@ -1165,100 +1167,68 @@ Status NvxBuilder::ValidateInjections(size_t n_specs) const {
                              std::to_string(n_specs) + " variants)");
     }
   }
-  return Status::Ok();
+  if (detect_injections_.empty() && diverge_injections_.empty()) {
+    return Status::Ok();
+  }
+  plan->detect_injections = detect_injections_;
+  plan->diverge_injections = diverge_injections_;
+  return AttachAnalysis(plan);
 }
 
-// Attack splices ride on top of the shared base plan: validated here, then
-// either the base is returned untouched (clean session — the common case,
-// zero copies) or one copy is taken and stamped. Cached entries therefore
-// stay injection-free and every attack scenario of one configuration shares
-// one cache slot.
-StatusOr<std::shared_ptr<const VariantPlan>> NvxBuilder::OverlayInjections(
-    std::shared_ptr<const VariantPlan> base) const {
-  Status valid = ValidateInjections(base->specs.size());
-  if (!valid.ok()) {
-    return valid;
+StatusOr<VariantPlan> NvxBuilder::PlanUncached() const {
+  StatusOr<VariantPlan> plan = PlanBase();
+  if (!plan.ok()) {
+    return plan;
   }
-  if (detect_injections_.empty() && diverge_injections_.empty()) {
-    return base;
+  Status stamped = StampInjections(&*plan);
+  if (!stamped.ok()) {
+    return stamped;
   }
-  auto overlaid = std::make_shared<VariantPlan>(*base);
-  overlaid->detect_injections = detect_injections_;
-  overlaid->diverge_injections = diverge_injections_;
-  // Injections change the traces, so the cached base's report no longer
-  // describes this overlay — re-analyze (the base entry keeps its own).
-  Status analyzed = AttachAnalysis(overlaid.get());
-  if (!analyzed.ok()) {
-    return analyzed;
-  }
-  return std::shared_ptr<const VariantPlan>(std::move(overlaid));
+  return plan;
 }
 
 StatusOr<std::shared_ptr<const VariantPlan>> NvxBuilder::ResolveSharedPlan(
     CacheTelemetry* telemetry) const {
-  if (plan_cache_ != nullptr) {
-    StatusOr<std::string> key = PlanCacheKey();
-    if (!key.ok()) {
-      return key.status();
+  if (plan_cache_ == nullptr) {
+    StatusOr<VariantPlan> plan = PlanUncached();
+    if (!plan.ok()) {
+      return plan.status();
     }
-    bool hit = false;
-    StatusOr<std::shared_ptr<const VariantPlan>> base =
-        plan_cache_->GetOrPlan(*key, [this] { return PlanBase(); }, &hit);
-    if (observer_.on_plan_cache) {
-      observer_.on_plan_cache(*key, hit);
-    }
-    if (telemetry != nullptr) {
-      telemetry->from_cache = hit;
-      std::shared_ptr<PlanCache> cache = plan_cache_;
-      telemetry->stats_fn = [cache] { return cache->stats(); };
-    }
-    if (!base.ok()) {
-      return base.status();
-    }
-    return OverlayInjections(std::move(*base));
+    return std::shared_ptr<const VariantPlan>(
+        std::make_shared<const VariantPlan>(std::move(*plan)));
   }
 
-  StatusOr<VariantPlan> plan = PlanBase();
-  if (!plan.ok()) {
-    return plan.status();
+  StatusOr<std::string> key = PlanCacheKey();
+  if (!key.ok()) {
+    return key.status();
   }
-  Status valid = ValidateInjections(plan->specs.size());
-  if (!valid.ok()) {
-    return valid;
+  bool hit = false;
+  StatusOr<std::shared_ptr<const VariantPlan>> base =
+      plan_cache_->GetOrPlan(*key, [this] { return PlanBase(); }, &hit);
+  if (observer_.on_plan_cache) {
+    observer_.on_plan_cache(*key, hit);
   }
-  plan->detect_injections = detect_injections_;
-  plan->diverge_injections = diverge_injections_;
-  if (!detect_injections_.empty() || !diverge_injections_.empty()) {
-    Status analyzed = AttachAnalysis(&*plan);
-    if (!analyzed.ok()) {
-      return analyzed;
-    }
+  if (telemetry != nullptr) {
+    telemetry->from_cache = hit;
+    std::shared_ptr<PlanCache> cache = plan_cache_;
+    telemetry->stats_fn = [cache] { return cache->stats(); };
   }
-  return std::shared_ptr<const VariantPlan>(
-      std::make_shared<const VariantPlan>(std::move(*plan)));
+  if (!base.ok() || (detect_injections_.empty() && diverge_injections_.empty())) {
+    return base;
+  }
+  // Cached entries stay injection-free, so every attack scenario of one
+  // configuration shares one cache slot: the overlay stamps a copy.
+  auto overlaid = std::make_shared<VariantPlan>(**base);
+  Status stamped = StampInjections(overlaid.get());
+  if (!stamped.ok()) {
+    return stamped;
+  }
+  return std::shared_ptr<const VariantPlan>(std::move(overlaid));
 }
 
 StatusOr<VariantPlan> NvxBuilder::PlanVariants() const {
   if (plan_cache_ == nullptr) {
-    // Fast path: plan, stamp injections, and move the value out — no
-    // shared_ptr round-trip, no extra copy.
-    StatusOr<VariantPlan> plan = PlanBase();
-    if (!plan.ok()) {
-      return plan;
-    }
-    Status valid = ValidateInjections(plan->specs.size());
-    if (!valid.ok()) {
-      return valid;
-    }
-    plan->detect_injections = detect_injections_;
-    plan->diverge_injections = diverge_injections_;
-    if (!detect_injections_.empty() || !diverge_injections_.empty()) {
-      Status analyzed = AttachAnalysis(&*plan);
-      if (!analyzed.ok()) {
-        return analyzed;
-      }
-    }
-    return plan;
+    return PlanUncached();  // no shared_ptr round-trip, no extra copy
   }
   StatusOr<std::shared_ptr<const VariantPlan>> shared = ResolveSharedPlan(nullptr);
   if (!shared.ok()) {

@@ -141,10 +141,11 @@ struct RunReport {
   //     the winning class, the earliest virtual abort time (the partial's
   //     total_time) wins; attribution is remapped to global variant indices
   //     and stays leader-relative (every shard replicates the leader).
-  //   * timing: total_time is the slowest shard's virtual time (shards run
-  //     concurrently); per-variant slots come from the shard that *owns*
-  //     each variant (the leader slot belongs to the owns_baseline shard,
-  //     which also contributes baseline_time — so Overhead() keeps working).
+  //   * timing: total_time is the slowest shard's virtual time (the shards'
+  //     variants run concurrently); per-variant slots come from the shard
+  //     that *owns* each variant (the leader slot belongs to the
+  //     owns_baseline shard, which also contributes baseline_time — so
+  //     Overhead() keeps working).
   //   * telemetry: syscall/barrier/lock counters sum across shards (each
   //     shard really performs that monitor work — the redundancy cost of
   //     replicating the leader is visible, not hidden); avg_syscall_gap is
@@ -171,7 +172,7 @@ struct PartialReport {
 // ---------------------------------------------------------------------------
 // Observer hooks. The session guarantees the order: on_variant_finish for
 // each variant in index order, then on_incident at most once. When runs of
-// one session complete concurrently (async backend / pool workers), the
+// one session complete concurrently (async pool workers, caller threads), the
 // session serializes notification so one run's callback sequence is never
 // interleaved with another's. That serialization means callbacks run under
 // the session's delivery lock: they must not call back into the same
@@ -230,7 +231,7 @@ class Backend {
   virtual std::vector<size_t> shard_coverage() const;
   virtual bool owns_baseline() const { return true; }
   // Run() plus the coverage above: the mergeable unit every backend emits
-  // (ShardedBackend and RunReport::Merge consume these).
+  // (RunReport::Merge consumes these).
   StatusOr<PartialReport> RunPartial(const RunRequest& request) const;
 
   // Introspection; null when the backend has no such plan.
@@ -241,9 +242,9 @@ class Backend {
 };
 
 // A trace backend executing `members` (global slots, [0] must be the leader
-// slot 0) of a shared plan — the unit both the in-process ShardedBackend and
-// a remote executor rebuild from a received plan. Validates plan presence,
-// member shape (non-empty, leader first, in range, no duplicates). Runs take
+// slot 0) of a shared plan as one group — the unit a remote executor
+// rebuilds from a received plan. Validates plan presence, member shape
+// (non-empty, leader first, in range, no duplicates). Runs take
 // the warm path (docs/warm_path.md): the backend caches built traces and
 // baseline times per seed and keeps engine arenas across runs, so repeat
 // runs of one plan+seed are allocation-free in the steady state.
@@ -373,20 +374,20 @@ class NvxBuilder {
   // IrCacheKey(). The module is hashed structurally, so an edited module
   // never matches a stale entry.
   NvxBuilder& WithIrCache(std::shared_ptr<IrSystemCache> cache);
-  // Run sessions on a pool of n_workers threads (0 = hardware concurrency).
-  // Build() then returns a session whose Run() executes on a worker, and
-  // BuildAsync() sizes the session's own pool with it.
+  // The size of the pool BuildAsync() creates when it is given none
+  // (0 = hardware concurrency). Build() sessions run on the caller and own
+  // no threads, so it does not affect them.
   NvxBuilder& Async(size_t n_workers);
-  // Fan the session's variants out across k engine shards (trace targets
-  // only). Shard 0 carries the baseline/leader slot; followers are dealt
-  // round-robin; every shard replicates the leader for synchronization.
-  // Each Run() dispatches the shards onto a thread pool and merges their
-  // PartialReports (RunReport::Merge). Composes with Async(n): both layers
-  // share one pool, sized by n and clamped to >= 2 workers so the shard
-  // dispatcher can never starve its own shards (docs/concurrency.md).
+  // Split the session's variants into k engine shard groups (trace targets
+  // only). Group 0 carries the baseline/leader slot; followers are dealt
+  // round-robin; every group replicates the leader for synchronization.
+  // A run with a new seed derives each trace once; every run executes the
+  // groups' engines one after another on the calling thread and merges their
+  // PartialReports (RunReport::Merge). Shards(k) is the in-process oracle
+  // for Remote().
   NvxBuilder& Shards(size_t k);
   // Fan the session's shard groups out across executor daemons instead of
-  // in-process engine shards (trace targets only; composes with Shards(k) to
+  // running them in-process (trace targets only; composes with Shards(k) to
   // set the group count, default k = number of endpoints). Each Run() ships
   // the plan (by wire CacheKey, so executors cache decoded plans) plus each
   // group's member list to an executor chosen by CacheKey affinity, with
@@ -436,29 +437,21 @@ class NvxBuilder {
   };
 
   StatusOr<std::unique_ptr<Backend>> BuildIrBackend(CacheTelemetry* telemetry) const;
-  // Validation + backend construction shared by Build()/BuildAsync(). When
-  // sharding is enabled the sharded backend dispatches onto `shard_pool`;
-  // `backend_owns_pool` must be false when the backend may be destroyed on
-  // a pool worker (the AsyncNvxSession composition — see shard.h).
-  StatusOr<std::unique_ptr<Backend>> BuildBackend(
-      const std::shared_ptr<support::ThreadPool>& shard_pool, bool backend_owns_pool,
-      CacheTelemetry* telemetry) const;
+  // Validation + backend construction behind Build() and BuildAsync().
+  StatusOr<std::unique_ptr<Backend>> BuildBackend(CacheTelemetry* telemetry) const;
   // The planning inputs as a VariantPlan with no strategy output: what
   // PlanCacheKey() hashes and PlanBase() starts from.
   VariantPlan SkeletonPlan() const;
   // Plans the base (injection-free) variant set.
   StatusOr<VariantPlan> PlanBase() const;
-  Status ValidateInjections(size_t n_specs) const;
+  // Validates the builder's injections against `plan`, stamps them on and
+  // re-analyzes it: the one home of that step, cached or not.
+  Status StampInjections(VariantPlan* plan) const;
+  // PlanBase() + StampInjections(): the uncached planning path.
+  StatusOr<VariantPlan> PlanUncached() const;
   // The shared plan a trace backend consumes: through the cache (base plan +
   // injection overlay) when WithPlanCache() is set, fresh otherwise.
   StatusOr<std::shared_ptr<const VariantPlan>> ResolveSharedPlan(CacheTelemetry* telemetry) const;
-  StatusOr<std::shared_ptr<const VariantPlan>> OverlayInjections(
-      std::shared_ptr<const VariantPlan> base) const;
-  // The pool shared by AsyncBackend and ShardedBackend — the single home of
-  // the sizing rule (Async(n) workers, clamped to >= 2 when sharding).
-  // Returns null when neither layer is enabled, unless `always` (BuildAsync
-  // needs a pool regardless).
-  std::shared_ptr<support::ThreadPool> MakePool(bool always) const;
   // Common validation for Build()/PlanVariants().
   Status ValidateTarget() const;
 

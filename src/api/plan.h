@@ -4,10 +4,11 @@
 // spec construction) is the expensive, input-independent half of building a
 // trace session; execution is the cheap, per-run half. This header is the
 // seam between them: NvxBuilder produces one VariantPlan, and any backend —
-// the whole-session TraceBackend, each shard of a ShardedBackend, a future
-// multi-host dispatcher — consumes it without re-planning. Shard backends
-// share one plan by shared_ptr, so distributing a session across K executors
-// costs one profile run and one partition, not K.
+// the TraceBackend running a session's shard groups, the RemoteBackend
+// shipping them to executors, each executor's backend for one group —
+// consumes it without re-planning. Backends share one plan by shared_ptr, so
+// distributing a session across K executors costs one profile run and one
+// partition, not K.
 //
 // The plan is also the unit the ROADMAP's session-batching item caches:
 // CacheKey() identifies everything that determines the plan's content, so
@@ -144,9 +145,9 @@ Status DerivePlanTraces(const VariantPlan& plan, const std::vector<size_t>& memb
                         const workload::TraceTemplate& tmpl, std::vector<nxe::VariantTrace>* out);
 
 // The session's variant slots dealt into k shard groups — the single home of
-// the grouping rule, shared by ShardedBackend (in-process fan-out) and
-// RemoteBackend (multi-host fan-out) so both dispatchers produce identical
-// partials and bit-identical merged reports. groups[0] owns the baseline;
+// the grouping rule, shared by Shards(k) (groups run in-process, one after
+// another) and RemoteBackend (groups run on executors) so both produce
+// identical partials and bit-identical merged reports. groups[0] owns the baseline;
 // followers are dealt round-robin; every group starts with the leader slot 0
 // (each shard replicates the leader for synchronization); groups that would
 // hold only the replica are dropped.

@@ -182,10 +182,9 @@ StatusOr<api::RunReport> RemoteBackend::Run(const api::RunRequest& request) cons
   std::vector<StatusOr<api::PartialReport>> results(
       n_groups, StatusOr<api::PartialReport>(Status(StatusCode::kInternal, "not executed")));
 
-  // One thread per group: connections progress independently, exactly as
-  // ShardedBackend's groups progress independently on pool workers. Group
+  // One thread per group, so connections progress independently. Group
   // count is the shard count (small); threads are cheaper than plumbing a
-  // second pool through the builder.
+  // pool through the builder.
   std::vector<std::thread> threads;
   threads.reserve(n_groups > 0 ? n_groups - 1 : 0);
   for (size_t g = 1; g < n_groups; ++g) {
@@ -201,7 +200,7 @@ StatusOr<api::RunReport> RemoteBackend::Run(const api::RunRequest& request) cons
   }
 
   // Collect in group order so merging is deterministic regardless of
-  // completion order — the same rule as ShardedBackend.
+  // completion order.
   std::vector<api::PartialReport> partials;
   partials.reserve(n_groups);
   for (size_t g = 0; g < n_groups; ++g) {

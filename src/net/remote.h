@@ -1,12 +1,12 @@
 // RemoteBackend: the dispatcher side of the multi-host execution plane.
 //
-// The multi-host analogue of api::ShardedBackend: the same shard member
-// groups (api::ShardMemberGroups — one rule, both dispatchers), fanned over
-// executor connections instead of pool workers. Each Run() ships the encoded
-// plan + each group's member list to an executor, collects the decoded,
-// validated PartialReports in group order, and merges them with
-// RunReport::Merge — so a Remote(loopback) session is bit-identical to
-// Shards(k) and to the unsharded session.
+// The multi-host form of NvxBuilder::Shards(k): the same shard member groups
+// (api::ShardMemberGroups — one rule for both), run on executors instead of
+// one after another in-process. Each Run() ships the encoded plan + each
+// group's member list to an executor, collects the decoded, validated
+// PartialReports in group order, and merges them with RunReport::Merge — so
+// a Remote(loopback) session is bit-identical to Shards(k) and to the
+// unsharded session.
 //
 // Routing is CacheKey-affine: group g of a plan goes to endpoint
 // (fnv1a(plan.CacheKey()) + g) % E, so a fleet serving one hot plan sees

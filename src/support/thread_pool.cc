@@ -6,11 +6,10 @@
 namespace bunshin {
 namespace support {
 
-ThreadPool::ThreadPool(size_t n_workers, size_t min_workers) {
+ThreadPool::ThreadPool(size_t n_workers) {
   if (n_workers == 0) {
     n_workers = std::max(1u, std::thread::hardware_concurrency());
   }
-  n_workers = std::max(n_workers, std::max<size_t>(1, min_workers));
   workers_.reserve(n_workers);
   for (size_t i = 0; i < n_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });

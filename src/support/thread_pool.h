@@ -1,14 +1,12 @@
 // A fixed-size worker pool with one FIFO task queue.
 //
 // This is the execution substrate of the async session layer (src/api/async)
-// and the shard dispatcher (src/api/shard): one pool serves many sessions,
+// and the executor daemon (src/net/executor): one pool serves many sessions,
 // so a server keeps a bounded number of synchronization workers no matter
 // how many requests are in flight. Tasks start in submission order as
 // workers free up. Tasks submitted before destruction are always drained —
 // the destructor joins only after the queue is empty, so completions are
-// never silently dropped. Blocking rules for tasks that dispatch onto their
-// own pool are documented in docs/concurrency.md (the nested-dispatch sizing
-// rule).
+// never silently dropped.
 #ifndef BUNSHIN_SRC_SUPPORT_THREAD_POOL_H_
 #define BUNSHIN_SRC_SUPPORT_THREAD_POOL_H_
 
@@ -24,10 +22,8 @@ namespace support {
 
 class ThreadPool {
  public:
-  // n_workers == 0 picks the hardware concurrency (at least 1). The resolved
-  // size is then clamped to at least min_workers — sharded sessions pass 2
-  // (the nested-dispatch sizing rule, docs/concurrency.md).
-  explicit ThreadPool(size_t n_workers, size_t min_workers = 1);
+  // n_workers == 0 picks the hardware concurrency (at least 1).
+  explicit ThreadPool(size_t n_workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;

@@ -9,6 +9,7 @@
 // executor's plan cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <string>
@@ -397,6 +398,21 @@ TEST(PlanAnalyzerTest, FlagsConflictingSanitizerGroup) {
   EXPECT_FALSE(report.coverage_complete());
 }
 
+TEST(PlanAnalyzerTest, LongDuplicateGroupCostsOneDiagnostic) {
+  NvxBuilder b;
+  b.Benchmark(*workload::FindBenchmark("bzip2")).Variants(3).Seed(5).DistributeSanitizers(
+      {san::SanitizerId::kASan, san::SanitizerId::kMSan, san::SanitizerId::kUBSan});
+  VariantPlan plan = PlanOrDie(b);
+  // A wire plan's group lists are as long as its frame allows; repeats must
+  // cost neither one diagnostic each nor a pairwise conflict check.
+  plan.sanitizer_groups.front().assign(20000, "ubsan");
+  const AnalysisReport report = AnalyzePlan(plan);
+  EXPECT_TRUE(report.HasRule("coverage/group-duplicate")) << report.Render();
+  EXPECT_EQ(std::count_if(report.diagnostics().begin(), report.diagnostics().end(),
+                          [](const auto& d) { return d.rule == "coverage/group-duplicate"; }),
+            1);
+}
+
 TEST(PlanAnalyzerTest, FlagsStructuralDefects) {
   {
     VariantPlan plan = CheckPlanFixture();
@@ -439,6 +455,25 @@ TEST(PlanAnalyzerTest, FlagsStructuralDefects) {
     EXPECT_TRUE(report.HasRule("plan/trace-shape")) << report.Render();
     EXPECT_FALSE(report.well_formed());
     EXPECT_FALSE(report.HasRule("liveness/ring-capacity"));
+  }
+  {
+    // Check distribution synthesizes one profile entry per function, so an
+    // unbounded count is rejected before the coverage rules synthesize it.
+    VariantPlan plan = CheckPlanFixture();
+    plan.benchmark->n_functions = size_t{1} << 40;
+    const AnalysisReport report = AnalyzePlan(plan);
+    EXPECT_TRUE(report.HasRule("plan/trace-shape")) << report.Render();
+    EXPECT_FALSE(report.well_formed());
+    EXPECT_FALSE(report.HasRule("coverage/gap"));
+  }
+  {
+    // A repeated sanitizer is rejected before the pairwise enforceability
+    // check, which is quadratic in the list.
+    VariantPlan plan = CheckPlanFixture();
+    plan.specs.back().sanitizers.assign(20000, san::SanitizerId::kASan);
+    const AnalysisReport report = AnalyzePlan(plan);
+    EXPECT_TRUE(report.HasRule("plan/trace-shape")) << report.Render();
+    EXPECT_FALSE(report.well_formed());
   }
 }
 
@@ -649,6 +684,11 @@ TEST(ExecutorAnalysisTest, RejectsEveryHostilePlanBeforeThePlanCache) {
   shape_mutant("specs-65536", base, [](VariantPlan& m) {
     m.specs.resize(0x10000, m.specs.front());
     m.labels.resize(0x10000, m.labels.front());
+  });
+  shape_mutant("functions-2^40", base,
+               [](VariantPlan& m) { m.benchmark->n_functions = size_t{1} << 40; });
+  shape_mutant("sanitizers-20000", base, [](VariantPlan& m) {
+    m.specs.back().sanitizers.assign(20000, san::SanitizerId::kASan);
   });
   NvxBuilder server_builder;
   server_builder.Server(workload::ServerSpec{}).Variants(2).Seed(5);

@@ -253,28 +253,6 @@ TEST(AsyncSessionTest, ObserverBlocksStaySequencedPerSession) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Async(n).Build(): the transparent synchronous wrapper.
-// ---------------------------------------------------------------------------
-
-TEST(AsyncSessionTest, AsyncBuildMatchesPlainBuild) {
-  NvxBuilder builder;
-  builder.Benchmark(workload::Spec2006()[2]).Variants(2);
-  auto plain = builder.Build();
-  ASSERT_TRUE(plain.ok());
-  auto offloaded = builder.Async(2).Build();
-  ASSERT_TRUE(offloaded.ok());
-  EXPECT_STREQ(offloaded->backend_name(), "trace");  // identity preserved
-
-  auto expected = plain->Run();
-  auto actual = offloaded->Run();  // executes on a pool worker, blocks caller
-  ASSERT_TRUE(expected.ok());
-  ASSERT_TRUE(actual.ok());
-  EXPECT_EQ(actual->outcome, expected->outcome);
-  EXPECT_DOUBLE_EQ(actual->total_time, expected->total_time);
-  EXPECT_DOUBLE_EQ(*actual->baseline_time, *expected->baseline_time);
-}
-
 TEST(AsyncSessionTest, DestructorDrainsOutstandingRuns) {
   CompletionQueue done;
   {

@@ -1,23 +1,21 @@
-// Tests for the plan/execute seam and the sharded backend (src/api/plan.h,
-// src/api/shard.h): RunReport::Merge semantics over hand-built partials,
-// VariantPlan caching keys, ThreadPool sizing for nested dispatch, and the
-// acceptance property that Shards(k).Build() reproduces the unsharded
-// session's outcome and incident attribution for every strategy, and that
-// queued shard helpers never touch a destroyed backend. This suite runs under
-// ThreadSanitizer and AddressSanitizer in CI alongside the async suites.
+// Tests for the plan/execute seam and sharded sessions (src/api/plan.h,
+// NvxBuilder::Shards): RunReport::Merge semantics over hand-built partials,
+// VariantPlan caching keys, the acceptance property that Shards(k).Build()
+// reproduces the unsharded session's outcome and incident attribution for
+// every strategy, and that sharded sessions run on their callers without
+// threads of their own. This suite runs under ThreadSanitizer and
+// AddressSanitizer in CI alongside the async suites.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <condition_variable>
+#include <dirent.h>
+
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/api/async.h"
 #include "src/api/nvx.h"
-#include "src/api/shard.h"
 #include "src/support/thread_pool.h"
 
 namespace bunshin {
@@ -214,21 +212,6 @@ TEST(VariantPlanTest, BuilderValidatesShardConfigurations) {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadPool sizing for nested dispatch.
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPoolSizingTest, MinWorkersClampApplies) {
-  support::ThreadPool clamped(1, /*min_workers=*/2);
-  EXPECT_EQ(clamped.n_workers(), 2u);
-  support::ThreadPool unclamped(4, /*min_workers=*/2);
-  EXPECT_EQ(unclamped.n_workers(), 4u);
-  // 0 still resolves to hardware concurrency first, then clamps: on a 1-core
-  // CI container this is exactly the sharding deadlock guard.
-  support::ThreadPool resolved(0, /*min_workers=*/2);
-  EXPECT_GE(resolved.n_workers(), 2u);
-}
-
-// ---------------------------------------------------------------------------
 // Sharded sessions reproduce the unsharded session.
 // ---------------------------------------------------------------------------
 
@@ -398,10 +381,45 @@ TEST(ShardedSessionTest, StandaloneTimesScatterAcrossShards) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharding composed with the async layer (the TSan-sensitive paths).
+// Concurrent callers and the async layer (the TSan-sensitive paths).
 // ---------------------------------------------------------------------------
 
-TEST(ShardedSessionTest, ComposesWithAsyncBuildOnOneSharedPool) {
+// Threads of this process, from /proc/self/task.
+size_t CountThreads() {
+  size_t n = 0;
+  if (DIR* dir = opendir("/proc/self/task")) {
+    while (const dirent* entry = readdir(dir)) {
+      n += entry->d_name[0] != '.';
+    }
+    closedir(dir);
+  }
+  return n;
+}
+
+TEST(ShardedSessionTest, BuildSpawnsNoThreads) {
+  const size_t before = CountThreads();
+  ASSERT_GT(before, 0u);
+  std::vector<api::NvxSession> sessions;
+  for (uint64_t i = 0; i < 8; ++i) {
+    auto session = NvxBuilder()
+                       .Benchmark(workload::Spec2006()[0])
+                       .Variants(8)
+                       .DistributeChecks(san::SanitizerId::kASan)
+                       .Shards(4)
+                       .Seed(60 + i)
+                       .Build();
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    auto report = session->Run();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->outcome, NvxOutcome::kOk);
+    sessions.push_back(std::move(*session));
+  }
+  // Counted while every session is alive: a session that owned threads
+  // would still hold them here.
+  EXPECT_EQ(CountThreads(), before);
+}
+
+TEST(ShardedSessionTest, FourCallersShareOneShardedSession) {
   NvxBuilder builder;
   builder.Benchmark(workload::Spec2006()[0]).Variants(6).Seed(37);
   auto plain = builder.Build();
@@ -409,12 +427,12 @@ TEST(ShardedSessionTest, ComposesWithAsyncBuildOnOneSharedPool) {
   auto expected = plain->Run();
   ASSERT_TRUE(expected.ok());
 
-  auto session = builder.Shards(2).Async(2).Build();
+  auto session = builder.Shards(2).Build();
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   EXPECT_STREQ(session->backend_name(), "trace");  // substrate identity kept
   EXPECT_EQ(session->n_variants(), 6u);
 
-  // Concurrent sharded runs through the same shared pool.
+  // Concurrent sharded runs of one session, one per caller thread.
   std::vector<StatusOr<RunReport>> reports(4, Status(StatusCode::kInternal, "pending"));
   {
     std::vector<std::thread> callers;
@@ -474,8 +492,8 @@ TEST(ShardedSessionTest, AsyncSubmissionsDrainOneQueue) {
 }
 
 TEST(ShardedSessionTest, SingleWorkerPoolCannotStarveItsOwnShards) {
-  // A deliberately undersized user pool: the dispatcher occupies the only
-  // worker, so its shards can only run because it claims them itself.
+  // A deliberately undersized user pool: every shard group of a run executes
+  // on the one worker running it, so nothing waits on a second worker.
   auto pool = std::make_shared<support::ThreadPool>(1);
   auto session = NvxBuilder()
                      .Benchmark(workload::Spec2006()[1])
@@ -493,53 +511,6 @@ TEST(ShardedSessionTest, SingleWorkerPoolCannotStarveItsOwnShards) {
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report->outcome, NvxOutcome::kOk);
   }
-}
-
-TEST(ShardedSessionTest, QueuedHelpersExitWithoutTouchingADestroyedBackend) {
-  // Park every worker of a 2-worker pool on a gate, so the shard helpers a
-  // run submits stay queued behind it.
-  auto pool = std::make_shared<support::ThreadPool>(2);
-  std::mutex gate_mu;
-  std::condition_variable gate_cv;
-  bool gate_open = false;
-  std::atomic<size_t> parked{0};
-  for (size_t i = 0; i < pool->n_workers(); ++i) {
-    pool->Submit([&] {
-      std::unique_lock<std::mutex> lock(gate_mu);
-      parked.fetch_add(1);
-      gate_cv.wait(lock, [&] { return gate_open; });
-    });
-  }
-  while (parked.load() < pool->n_workers()) {
-    std::this_thread::yield();
-  }
-
-  {
-    auto session = NvxBuilder()
-                       .Benchmark(workload::Spec2006()[0])
-                       .Variants(8)
-                       .Shards(4)
-                       .Seed(29)
-                       .BuildAsync(pool);
-    EXPECT_TRUE(session.ok()) << session.status().ToString();
-    if (session.ok()) {
-      // A synchronous run on this thread: with both workers parked, the
-      // dispatcher claims all four shards itself and returns while its
-      // three helpers are still queued.
-      auto report = session->session().Run();
-      EXPECT_TRUE(report.ok()) << report.status().ToString();
-    }
-  }  // the session and its ShardedBackend are destroyed here
-
-  // The queued helpers now run against a destroyed backend: they must find
-  // every shard claimed and exit (under ASan, any touch of the freed
-  // backend is a hard failure).
-  {
-    std::lock_guard<std::mutex> lock(gate_mu);
-    gate_open = true;
-  }
-  gate_cv.notify_all();
-  pool->WaitIdle();
 }
 
 TEST(ShardedSessionTest, ObserverBlocksStaySequencedAcrossShardedRuns) {

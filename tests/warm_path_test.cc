@@ -119,8 +119,8 @@ TEST(PooledEquivalenceTest, DivergenceMatchesFresh) {
 }
 
 TEST(PooledEquivalenceTest, ShardedSessionMatchesFresh) {
-  // Every shard backend keeps its own scratch arenas, and the merged report
-  // must still be bit-identical to the unpooled one.
+  // Every shard group runs on the one scratch's arenas, and the merged
+  // report must still be bit-identical to the unpooled one.
   ExpectPooledEquivalence(
       [](NvxBuilder& b) {
         b.Benchmark(workload::Spec2006()[1])
