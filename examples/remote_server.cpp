@@ -15,6 +15,9 @@
 //     (expect kOk) — exercises multi-group fan-out per run.
 // Runs are paced a few tens of milliseconds apart so the batch spans the
 // harness's kill/restart window. Exits nonzero on the first wrong verdict.
+// At the end it reads each executor's counters over the wire (kStats) and
+// prints them, one "executor <host:port> stats: ..." line per executor (an
+// executor that is down at that point is reported, not an error).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -23,6 +26,7 @@
 #include <vector>
 
 #include "src/api/nvx.h"
+#include "src/net/remote.h"
 
 using namespace bunshin;
 
@@ -133,5 +137,23 @@ int main(int argc, char** argv) {
 
   std::printf("remote_server: all %d runs across %zu executor(s) verified\n", completed,
               fleet.size());
+
+  for (const net::Endpoint& endpoint : fleet) {
+    auto stats = net::FetchExecutorStats(endpoint, options.timeout_ms);
+    if (!stats.ok()) {
+      std::printf("executor %s stats: unavailable (%s)\n", endpoint.name.c_str(),
+                  stats.status().ToString().c_str());
+      continue;
+    }
+    std::printf(
+        "executor %s stats: requests=%llu plan_cache_hits=%llu plan_unknown_replies=%llu "
+        "connections_accepted=%llu connections_refused=%llu deadline_closes=%llu\n",
+        endpoint.name.c_str(), static_cast<unsigned long long>(stats->requests),
+        static_cast<unsigned long long>(stats->plan_cache_hits),
+        static_cast<unsigned long long>(stats->plan_unknown_replies),
+        static_cast<unsigned long long>(stats->connections_accepted),
+        static_cast<unsigned long long>(stats->connections_refused),
+        static_cast<unsigned long long>(stats->deadline_closes));
+  }
   return 0;
 }

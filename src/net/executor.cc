@@ -1,5 +1,6 @@
 #include "src/net/executor.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -7,11 +8,19 @@
 
 namespace bunshin {
 namespace net {
+namespace {
+
+std::ptrdiff_t RunSlots(size_t n_workers) {
+  if (n_workers == 0) {
+    n_workers = std::max(1u, std::thread::hardware_concurrency());
+  }
+  return static_cast<std::ptrdiff_t>(n_workers);
+}
+
+}  // namespace
 
 ExecutorServer::ExecutorServer(const ExecutorOptions& options)
-    : options_(options),
-      plan_cache_(options.plan_cache_capacity),
-      pool_(std::make_unique<support::ThreadPool>(options.n_workers)) {}
+    : plan_cache_(options.plan_cache_capacity), run_slots_(RunSlots(options.n_workers)) {}
 
 ExecutorServer::~ExecutorServer() { Stop(); }
 
@@ -23,9 +32,6 @@ void ExecutorServer::Start() {
   stopped_ = false;
   // A restarted daemon is a fresh process: its plan cache starts cold.
   plan_cache_.Clear();
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<support::ThreadPool>(options_.n_workers);
-  }
 }
 
 void ExecutorServer::Stop() {
@@ -126,15 +132,27 @@ void ExecutorServer::StartConnection(std::shared_ptr<support::Socket> socket) {
     socket->Close();
     return;
   }
+  if (serving_ >= kMaxConnections) {
+    connections_refused_.fetch_add(1, std::memory_order_relaxed);
+    socket->Close();
+    return;
+  }
+  connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+  ++serving_;
   const uint64_t id = next_connection_id_++;
   Connection& connection = connections_[id];
   connection.socket = socket;
   // Started under mu_, so the thread's finish notice cannot precede its
   // registration.
   connection.thread = std::thread([this, socket, id] {
-    ServeConnection(socket);
+    ServeConnection(*socket);
+    // Join the threads that finished before this one, so a server whose
+    // connections persist does not keep exited threads and their
+    // descriptors until the next accept.
+    ReapFinishedConnections();
     std::lock_guard<std::mutex> finished_lock(mu_);
     finished_.push_back(id);
+    --serving_;
   });
 }
 
@@ -161,11 +179,16 @@ size_t ExecutorServer::tracked_connections() const {
   return connections_.size();
 }
 
-void ExecutorServer::ServeConnection(std::shared_ptr<support::Socket> socket) {
+void ExecutorServer::ServeConnection(support::Socket& socket) {
   for (;;) {
-    StatusOr<Frame> frame = ReadFrame(*socket);
+    const support::Deadline idle = std::chrono::steady_clock::now() + kIdleDeadline;
+    StatusOr<Frame> frame = ReadFrame(socket, idle, idle + kFrameDeadline);
     if (!frame.ok()) {
-      return;  // peer done, Stop(), or an unrecoverable framing error
+      // Peer done, Stop(), a deadline, or an unrecoverable framing error.
+      if (frame.status().code() == StatusCode::kDeadlineExceeded) {
+        deadline_closes_.fetch_add(1, std::memory_order_relaxed);
+      }
+      break;
     }
     Frame reply;
     reply.request_id = frame->request_id;
@@ -174,9 +197,12 @@ void ExecutorServer::ServeConnection(std::shared_ptr<support::Socket> socket) {
         reply.type = MessageType::kPong;
         reply.payload = EncodeOccupancy(occupancy());
         break;
+      case MessageType::kStatsRequest:
+        reply.type = MessageType::kStatsReply;
+        reply.payload = EncodeExecutorStats(stats());
+        break;
       case MessageType::kRunRequest:
-        reply.type = MessageType::kRunReply;
-        reply.payload = EncodeRunReplyMsg(HandleRun(frame->payload));
+        HandleRun(frame->payload, &reply);
         break;
       default: {
         // A reply-typed frame from a client is a protocol violation; answer
@@ -190,120 +216,130 @@ void ExecutorServer::ServeConnection(std::shared_ptr<support::Socket> socket) {
         break;
       }
     }
-    if (!WriteFrame(*socket, reply).ok()) {
-      return;
+    Status sent =
+        WriteFrame(socket, reply, std::chrono::steady_clock::now() + kSendDeadline);
+    if (!sent.ok()) {
+      if (sent.code() == StatusCode::kDeadlineExceeded) {
+        deadline_closes_.fetch_add(1, std::memory_order_relaxed);
+      }
+      break;
     }
   }
+  // The peer reads EOF now; the descriptor goes when the connection is
+  // reaped.
+  socket.Close();
 }
 
-RunReplyMsg ExecutorServer::HandleRun(const std::string& payload) {
+void ExecutorServer::HandleRun(const std::string& payload, Frame* reply_frame) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   RunReplyMsg reply;
+  reply_frame->type = MessageType::kRunReply;
+  const auto finish = [&] { reply_frame->payload = EncodeRunReplyMsg(reply); };
 
   StatusOr<RunRequestMsg> msg = DecodeRunRequestMsg(payload);
   if (!msg.ok()) {
     decode_errors_.fetch_add(1, std::memory_order_relaxed);
     reply.run_status = msg.status();
     reply.occupancy = occupancy();
-    return reply;
+    return finish();
   }
 
   // Plan resolution through the local cache: repeat plans (the common case —
-  // one hot plan, many runs) skip decode and validation entirely. The
-  // factory re-verifies that the decoded plan's own CacheKey matches the
-  // claimed wire key, so a request cannot poison the cache under a false key.
+  // one hot plan, many runs) skip decode and validation entirely.
+  std::shared_ptr<const api::VariantPlan> plan;
   bool was_hit = false;
-  const std::string plan_bytes = msg->plan_bytes;
-  const std::string claimed_key = msg->cache_key;
-  StatusOr<std::shared_ptr<const api::VariantPlan>> plan = plan_cache_.GetOrPlan(
-      claimed_key,
-      [&plan_bytes, &claimed_key, this]() -> StatusOr<api::VariantPlan> {
-        StatusOr<api::VariantPlan> decoded = DecodeVariantPlan(plan_bytes);
-        if (!decoded.ok()) {
-          return decoded.status();
-        }
-        if (decoded->CacheKey() != claimed_key) {
-          return InvalidArgument(
-              "wire: request cache_key does not match the decoded plan's CacheKey");
-        }
-        // The wire is a trust boundary: a syntactically valid plan can still
-        // be hostile (under-covered subsets, conflicting sanitizer groups,
-        // deadlock-shaped configs). Run the full static analyzer before the
-        // plan is cached or any backend is built from it; rejection is a
-        // factory error, so a bad plan never occupies a cache slot.
-        analysis::AnalysisReport report = analysis::AnalyzePlan(*decoded);
-        if (!report.ok()) {
-          analysis_rejects_.fetch_add(1, std::memory_order_relaxed);
-          return InvalidArgument("wire: plan rejected by static analysis: " + report.Summary() +
-                                 "\n" + report.Render());
-        }
-        decoded->analysis =
-            std::make_shared<const analysis::AnalysisReport>(std::move(report));
-        return decoded;
-      },
-      &was_hit);
+  if (msg->plan_bytes.empty()) {
+    // Key-only: the cache alone answers, and a miss never creates an entry —
+    // only a request that carries the plan can fill the cache.
+    plan = plan_cache_.Lookup(msg->cache_key);
+    if (plan == nullptr) {
+      plan_unknown_replies_.fetch_add(1, std::memory_order_relaxed);
+      reply_frame->type = MessageType::kPlanUnknown;
+      reply_frame->payload = EncodePlanUnknownMsg(PlanUnknownMsg{msg->cache_key});
+      return;
+    }
+    was_hit = true;
+  } else {
+    // The factory re-verifies that the decoded plan's own CacheKey matches
+    // the claimed wire key, so a request cannot poison the cache under a
+    // false key.
+    const RunRequestMsg& request = *msg;
+    StatusOr<std::shared_ptr<const api::VariantPlan>> resolved = plan_cache_.GetOrPlan(
+        request.cache_key,
+        [&request, this]() -> StatusOr<api::VariantPlan> {
+          StatusOr<api::VariantPlan> decoded = DecodeVariantPlan(request.plan_bytes);
+          if (!decoded.ok()) {
+            return decoded.status();
+          }
+          if (decoded->CacheKey() != request.cache_key) {
+            return InvalidArgument(
+                "wire: request cache_key does not match the decoded plan's CacheKey");
+          }
+          // The wire is a trust boundary: a syntactically valid plan can
+          // still be hostile (under-covered subsets, conflicting sanitizer
+          // groups, deadlock-shaped configs). Run the full static analyzer
+          // before the plan is cached or any backend is built from it;
+          // rejection is a factory error, so a bad plan never occupies a
+          // cache slot.
+          analysis::AnalysisReport report = analysis::AnalyzePlan(*decoded);
+          if (!report.ok()) {
+            analysis_rejects_.fetch_add(1, std::memory_order_relaxed);
+            return InvalidArgument("wire: plan rejected by static analysis: " +
+                                   report.Summary() + "\n" + report.Render());
+          }
+          decoded->analysis =
+              std::make_shared<const analysis::AnalysisReport>(std::move(report));
+          return decoded;
+        },
+        &was_hit);
+    if (!resolved.ok()) {
+      decode_errors_.fetch_add(1, std::memory_order_relaxed);
+      reply.run_status = resolved.status();
+      reply.occupancy = occupancy();
+      return finish();
+    }
+    plan = std::move(*resolved);
+  }
   if (was_hit) {
     plan_cache_hits_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (!plan.ok()) {
-    decode_errors_.fetch_add(1, std::memory_order_relaxed);
-    reply.run_status = plan.status();
-    reply.occupancy = occupancy();
-    return reply;
-  }
-  if ((*plan)->n_variants() != msg->n_variants) {
+  if (plan->n_variants() != msg->n_variants) {
     reply.run_status =
         InvalidArgument("wire: request n_variants " + std::to_string(msg->n_variants) +
-                        " does not match the plan's " + std::to_string((*plan)->n_variants()));
+                        " does not match the plan's " + std::to_string(plan->n_variants()));
     reply.occupancy = occupancy();
-    return reply;
+    return finish();
   }
 
   // A backend per request: its scratch starts empty, so every run here is
   // cold (docs/warm_path.md).
   StatusOr<std::unique_ptr<api::Backend>> backend =
-      api::MakeTraceBackend(*plan, msg->members, msg->owns_baseline);
+      api::MakeTraceBackend(plan, msg->members, msg->owns_baseline);
   if (!backend.ok()) {
     reply.run_status = backend.status();
     reply.occupancy = occupancy();
-    return reply;
+    return finish();
   }
 
-  // Execute on the pool; the connection thread blocks for the result (each
-  // connection serves its requests in order; concurrency comes from many
-  // connections sharing the pool). queue_depth/in_flight are the occupancy
-  // feedback the dispatcher's routing consumes.
-  const api::Backend* run_backend = backend->get();
-  const api::RunRequest request = msg->request;
-  StatusOr<api::PartialReport> partial = Status(StatusCode::kInternal, "not executed");
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  bool done = false;
+  // Run on this connection's thread once a run slot is free. queue_depth and
+  // in_flight are the occupancy feedback the dispatcher's routing consumes.
   queue_depth_.fetch_add(1, std::memory_order_relaxed);
-  pool_->Submit([&] {
-    queue_depth_.fetch_sub(1, std::memory_order_relaxed);
-    in_flight_.fetch_add(1, std::memory_order_relaxed);
-    StatusOr<api::PartialReport> result = run_backend->RunPartial(request);
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(done_mu);
-    partial = std::move(result);
-    done = true;
-    done_cv.notify_one();
-  });
-  {
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&] { return done; });
-  }
+  run_slots_.acquire();
+  queue_depth_.fetch_sub(1, std::memory_order_relaxed);
+  in_flight_.fetch_add(1, std::memory_order_relaxed);
+  StatusOr<api::PartialReport> partial = (*backend)->RunPartial(msg->request);
+  in_flight_.fetch_sub(1, std::memory_order_relaxed);
+  run_slots_.release();
 
   reply.occupancy = occupancy();
   reply.occupancy.plan_cache_hit = was_hit;
   if (!partial.ok()) {
     reply.run_status = partial.status();
-    return reply;
+    return finish();
   }
   reply.run_status = Status::Ok();
   reply.partial = std::move(*partial);
-  return reply;
+  finish();
 }
 
 ExecutorOccupancy ExecutorServer::occupancy() const {
@@ -320,6 +356,10 @@ ExecutorStats ExecutorServer::stats() const {
   stats.plan_cache_hits = plan_cache_hits_.load(std::memory_order_relaxed);
   stats.decode_errors = decode_errors_.load(std::memory_order_relaxed);
   stats.analysis_rejects = analysis_rejects_.load(std::memory_order_relaxed);
+  stats.connections_accepted = connections_accepted_.load(std::memory_order_relaxed);
+  stats.connections_refused = connections_refused_.load(std::memory_order_relaxed);
+  stats.deadline_closes = deadline_closes_.load(std::memory_order_relaxed);
+  stats.plan_unknown_replies = plan_unknown_replies_.load(std::memory_order_relaxed);
   return stats;
 }
 

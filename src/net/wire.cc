@@ -1,5 +1,6 @@
 #include "src/net/wire.h"
 
+#include <algorithm>
 #include <cstring>
 #include <unordered_set>
 
@@ -169,7 +170,7 @@ Status CheckFrameHeader(WireReader& r, Frame* frame, uint64_t* payload_len) {
                               ", this build speaks v" + std::to_string(kWireVersion) + ")");
   }
   if (type < static_cast<uint16_t>(MessageType::kRunRequest) ||
-      type > static_cast<uint16_t>(MessageType::kPong)) {
+      type > static_cast<uint16_t>(MessageType::kStatsReply)) {
     return InvalidArgument("wire: unknown message type " + std::to_string(type));
   }
   if (*payload_len > kMaxFramePayload) {
@@ -199,14 +200,22 @@ StatusOr<Frame> DecodeFrameBuffer(std::string_view bytes) {
   return frame;
 }
 
-Status WriteFrame(support::Socket& socket, const Frame& frame) {
+Status WriteFrame(support::Socket& socket, const Frame& frame, support::Deadline deadline) {
   const std::string bytes = EncodeFrame(frame);
-  return socket.SendAll(bytes.data(), bytes.size());
+  return socket.SendAll(bytes.data(), bytes.size(), deadline);
 }
 
-StatusOr<Frame> ReadFrame(support::Socket& socket) {
+StatusOr<Frame> ReadFrame(support::Socket& socket, support::Deadline first_byte,
+                          support::Deadline deadline, bool* started) {
   char header[kFrameHeaderSize];
-  Status status = socket.RecvAll(header, sizeof(header));
+  StatusOr<size_t> got = socket.RecvSome(header, sizeof(header), first_byte);
+  if (!got.ok()) {
+    return got.status();
+  }
+  if (started != nullptr) {
+    *started = true;
+  }
+  Status status = socket.RecvAll(header + *got, sizeof(header) - *got, deadline);
   if (!status.ok()) {
     return status;
   }
@@ -217,14 +226,24 @@ StatusOr<Frame> ReadFrame(support::Socket& socket) {
   if (!status.ok()) {
     return status;
   }
-  frame.payload.resize(payload_len);
-  if (payload_len > 0) {
-    status = socket.RecvAll(frame.payload.data(), payload_len);
+  // Grow the payload as its bytes arrive: a header that overstates its
+  // length costs the reader only the bytes actually sent.
+  constexpr uint64_t kChunk = 64 << 10;
+  while (frame.payload.size() < payload_len) {
+    const size_t have = frame.payload.size();
+    const size_t take = static_cast<size_t>(std::min(payload_len - have, kChunk));
+    frame.payload.resize(have + take);
+    status = socket.RecvAll(frame.payload.data() + have, take, deadline);
     if (!status.ok()) {
       return status;
     }
   }
   return frame;
+}
+
+StatusOr<Frame> ReadFrame(support::Socket& socket) {
+  const support::Deadline deadline = support::DeadlineAfter(socket.recv_timeout_ms());
+  return ReadFrame(socket, deadline, deadline);
 }
 
 // ---------------------------------------------------------------------------
@@ -778,39 +797,99 @@ StatusOr<api::PartialReport> DecodePartialReport(std::string_view bytes, size_t 
 // Messages.
 // ---------------------------------------------------------------------------
 
-std::string EncodeOccupancy(const ExecutorOccupancy& occupancy) {
-  WireWriter w;
+namespace {
+
+void EncodeOccupancyFields(WireWriter& w, const ExecutorOccupancy& occupancy) {
   w.U64(occupancy.queue_depth);
   w.U64(occupancy.in_flight);
   w.U64(occupancy.plans_cached);
-  w.U64(0);  // reserved (v2 engine-pool hits)
-  w.U64(0);  // reserved (v2 engine-pool misses)
   w.Bool(occupancy.plan_cache_hit);
-  return w.Take();
 }
-
-namespace {
 
 ExecutorOccupancy DecodeOccupancyFields(WireReader& r) {
   ExecutorOccupancy occupancy;
   occupancy.queue_depth = r.U64();
   occupancy.in_flight = r.U64();
   occupancy.plans_cached = r.U64();
-  r.U64();  // reserved
-  r.U64();  // reserved
   occupancy.plan_cache_hit = r.Bool();
   return occupancy;
 }
 
+// Every message below ends where its payload ends.
+Status CheckConsumed(const WireReader& r, const char* what) {
+  if (!r.status().ok()) {
+    return r.status();
+  }
+  if (!r.AtEnd()) {
+    return InvalidArgument(std::string("wire: trailing bytes after ") + what);
+  }
+  return Status::Ok();
+}
+
 }  // namespace
+
+std::string EncodeOccupancy(const ExecutorOccupancy& occupancy) {
+  WireWriter w;
+  EncodeOccupancyFields(w, occupancy);
+  return w.Take();
+}
 
 StatusOr<ExecutorOccupancy> DecodeOccupancy(std::string_view bytes) {
   WireReader r(bytes);
   ExecutorOccupancy occupancy = DecodeOccupancyFields(r);
-  if (!r.status().ok()) {
-    return r.status();
+  Status status = CheckConsumed(r, "ExecutorOccupancy");
+  if (!status.ok()) {
+    return status;
   }
   return occupancy;
+}
+
+std::string EncodePlanUnknownMsg(const PlanUnknownMsg& msg) {
+  WireWriter w;
+  w.Str(msg.cache_key);
+  return w.Take();
+}
+
+StatusOr<PlanUnknownMsg> DecodePlanUnknownMsg(std::string_view bytes) {
+  WireReader r(bytes);
+  PlanUnknownMsg msg;
+  msg.cache_key = r.Str();
+  Status status = CheckConsumed(r, "PlanUnknownMsg");
+  if (!status.ok()) {
+    return status;
+  }
+  return msg;
+}
+
+std::string EncodeExecutorStats(const ExecutorStats& stats) {
+  WireWriter w;
+  w.U64(stats.requests);
+  w.U64(stats.plan_cache_hits);
+  w.U64(stats.decode_errors);
+  w.U64(stats.analysis_rejects);
+  w.U64(stats.connections_accepted);
+  w.U64(stats.connections_refused);
+  w.U64(stats.deadline_closes);
+  w.U64(stats.plan_unknown_replies);
+  return w.Take();
+}
+
+StatusOr<ExecutorStats> DecodeExecutorStats(std::string_view bytes) {
+  WireReader r(bytes);
+  ExecutorStats stats;
+  stats.requests = r.U64();
+  stats.plan_cache_hits = r.U64();
+  stats.decode_errors = r.U64();
+  stats.analysis_rejects = r.U64();
+  stats.connections_accepted = r.U64();
+  stats.connections_refused = r.U64();
+  stats.deadline_closes = r.U64();
+  stats.plan_unknown_replies = r.U64();
+  Status status = CheckConsumed(r, "ExecutorStats");
+  if (!status.ok()) {
+    return status;
+  }
+  return stats;
 }
 
 std::string EncodeRunRequestMsg(const RunRequestMsg& msg) {
@@ -854,12 +933,7 @@ std::string EncodeRunReplyMsg(const RunReplyMsg& msg) {
   WireWriter w;
   w.U8(static_cast<uint8_t>(msg.run_status.code()));
   w.Str(msg.run_status.message());
-  w.U64(msg.occupancy.queue_depth);
-  w.U64(msg.occupancy.in_flight);
-  w.U64(msg.occupancy.plans_cached);
-  w.U64(0);  // reserved (v2 engine-pool hits)
-  w.U64(0);  // reserved (v2 engine-pool misses)
-  w.Bool(msg.occupancy.plan_cache_hit);
+  EncodeOccupancyFields(w, msg.occupancy);
   w.Bool(msg.partial.has_value());
   if (msg.partial.has_value()) {
     w.Str(EncodePartialReport(*msg.partial));

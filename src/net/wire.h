@@ -1,10 +1,12 @@
 // The Bunshin wire format: versioned, length-prefixed binary serialization
 // for the multi-host execution plane (see docs/wire_format.md).
 //
-// What travels: the dispatcher ships an immutable api::VariantPlan (identified
-// by its CacheKey()), the shard member list to execute, and an api::RunRequest
-// to an executor; the executor streams back an api::PartialReport plus its
-// occupancy. Everything is wrapped in a small framed envelope (magic, version,
+// What travels: the dispatcher names an immutable api::VariantPlan by its
+// CacheKey() — with the encoded plan attached the first time an executor
+// sees it, or when the executor answers kPlanUnknown — plus the shard member
+// list to execute and an api::RunRequest; the executor streams back an
+// api::PartialReport plus its occupancy. kStatsRequest reads the executor's
+// counters. Everything is wrapped in a small framed envelope (magic, version,
 // message type, request id, payload length) so a stream is self-describing
 // and a framing error is always a definite Status, never a desync or a crash.
 //
@@ -28,6 +30,7 @@
 #ifndef BUNSHIN_SRC_NET_WIRE_H_
 #define BUNSHIN_SRC_NET_WIRE_H_
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -104,18 +107,27 @@ class WireReader {
 // ---------------------------------------------------------------------------
 
 inline constexpr uint32_t kWireMagic = 0x4E565857;  // "NVXW"
-// v2 added the engine-pool counters to ExecutorOccupancy.
-inline constexpr uint16_t kWireVersion = 2;
+// v3: plans by key (kPlanUnknown), kStatsRequest/kStatsReply, and no
+// reserved occupancy words.
+inline constexpr uint16_t kWireVersion = 3;
 // Upper bound on a frame payload; anything larger is a corrupt length field.
 inline constexpr uint64_t kMaxFramePayload = 256ull << 20;
 inline constexpr size_t kFrameHeaderSize = 24;
 
 enum class MessageType : uint16_t {
-  kRunRequest = 1,  // dispatcher -> executor: plan + members + run request
-  kRunReply = 2,    // executor -> dispatcher: status + occupancy [+ partial]
-  kPing = 3,        // dispatcher -> executor: health probe
-  kPong = 4,        // executor -> dispatcher: occupancy snapshot
+  kRunRequest = 1,    // dispatcher -> executor: plan key [+ plan] + members + request
+  kRunReply = 2,      // executor -> dispatcher: status + occupancy [+ partial]
+  kPing = 3,          // dispatcher -> executor: health probe
+  kPong = 4,          // executor -> dispatcher: occupancy snapshot
+  kPlanUnknown = 5,   // executor -> dispatcher: resend that request with its plan
+  kStatsRequest = 6,  // dispatcher -> executor: counters probe
+  kStatsReply = 7,    // executor -> dispatcher: ExecutorStats
 };
+
+// An executor closes a connection on which no frame starts for this long.
+// The dispatcher reuses an idle connection only within half of it, so it
+// does not race the executor's close.
+inline constexpr std::chrono::milliseconds kIdleDeadline{2000};
 
 struct Frame {
   MessageType type = MessageType::kPing;
@@ -128,10 +140,18 @@ struct Frame {
 std::string EncodeFrame(const Frame& frame);
 // Parses a complete frame from a buffer (tests and in-memory paths).
 StatusOr<Frame> DecodeFrameBuffer(std::string_view bytes);
-Status WriteFrame(support::Socket& socket, const Frame& frame);
+Status WriteFrame(support::Socket& socket, const Frame& frame,
+                  support::Deadline deadline = support::kNoDeadline);
 // Reads one frame; validates magic, version, and payload length before
-// allocating. A bad version is kFailedPrecondition; truncation surfaces as
-// the socket's kUnavailable/kDeadlineExceeded.
+// allocating, and grows the payload only as its bytes arrive. A bad version
+// is kFailedPrecondition; truncation surfaces as the socket's
+// kUnavailable/kDeadlineExceeded. The frame's first byte must arrive by
+// `first_byte` and all of it by `deadline`. `*started`, when given, is set
+// once a byte has arrived, so a caller can tell a connection the peer closed
+// between frames from one that failed mid-frame.
+StatusOr<Frame> ReadFrame(support::Socket& socket, support::Deadline first_byte,
+                          support::Deadline deadline, bool* started = nullptr);
+// One deadline for the whole frame: now + socket.recv_timeout_ms().
 StatusOr<Frame> ReadFrame(support::Socket& socket);
 
 // ---------------------------------------------------------------------------
@@ -162,12 +182,24 @@ Status ValidatePartialReport(const api::PartialReport& partial, size_t n_variant
 // Executor load snapshot, piggybacked on every reply: the health/occupancy
 // feedback stream the dispatcher's routing consumes.
 struct ExecutorOccupancy {
-  uint64_t queue_depth = 0;   // runs accepted but not yet executing
+  uint64_t queue_depth = 0;   // runs waiting for one of the executor's run slots
   uint64_t in_flight = 0;     // runs executing right now
   uint64_t plans_cached = 0;  // entries in the executor's plan cache
-  // On the wire, plans_cached is followed by two reserved u64s (written as
-  // zero, skipped on decode) that held v2's engine-pool counters.
   bool plan_cache_hit = false;  // this request's plan skipped decode/rebuild
+};
+
+// Cumulative executor counters: the kStatsReply payload.
+struct ExecutorStats {
+  uint64_t requests = 0;        // run requests handled (including failed ones)
+  uint64_t plan_cache_hits = 0; // requests whose plan skipped decode/rebuild
+  uint64_t decode_errors = 0;   // malformed frames or messages
+  // Wire plans that decoded fine but failed static analysis (hostile or
+  // under-covered plans, rejected before they reach the plan cache).
+  uint64_t analysis_rejects = 0;
+  uint64_t connections_accepted = 0;
+  uint64_t connections_refused = 0;   // closed at accept: the connection cap was reached
+  uint64_t deadline_closes = 0;       // closed by the idle, frame or send deadline
+  uint64_t plan_unknown_replies = 0;  // key-only requests for a plan not in the cache
 };
 
 struct RunRequestMsg {
@@ -178,7 +210,14 @@ struct RunRequestMsg {
   std::vector<size_t> members;  // global slots to execute; [0] must be 0
   bool owns_baseline = false;
   api::RunRequest request;
-  std::string plan_bytes;  // EncodeVariantPlan output
+  // EncodeVariantPlan output, or empty: a key-only request, which the
+  // executor serves from its plan cache or answers with kPlanUnknown.
+  std::string plan_bytes;
+};
+
+// The kPlanUnknown payload: the key the executor could not resolve.
+struct PlanUnknownMsg {
+  std::string cache_key;
 };
 
 struct RunReplyMsg {
@@ -196,6 +235,12 @@ StatusOr<RunReplyMsg> DecodeRunReplyMsg(std::string_view bytes, size_t n_variant
 
 std::string EncodeOccupancy(const ExecutorOccupancy& occupancy);
 StatusOr<ExecutorOccupancy> DecodeOccupancy(std::string_view bytes);
+
+std::string EncodePlanUnknownMsg(const PlanUnknownMsg& msg);
+StatusOr<PlanUnknownMsg> DecodePlanUnknownMsg(std::string_view bytes);
+
+std::string EncodeExecutorStats(const ExecutorStats& stats);
+StatusOr<ExecutorStats> DecodeExecutorStats(std::string_view bytes);
 
 }  // namespace net
 }  // namespace bunshin

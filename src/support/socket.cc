@@ -7,18 +7,64 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <cstring>
 #include <mutex>
 
 namespace bunshin {
 namespace support {
+
+Deadline DeadlineAfter(int timeout_ms) {
+  return timeout_ms > 0 ? std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms)
+                        : kNoDeadline;
+}
+
+Status Socket::RecvAll(void* data, size_t n, Deadline deadline) {
+  char* p = static_cast<char*>(data);
+  while (n > 0) {
+    StatusOr<size_t> got = RecvSome(p, n, deadline);
+    if (!got.ok()) {
+      return got.status();
+    }
+    p += *got;
+    n -= *got;
+  }
+  return Status::Ok();
+}
+
 namespace {
 
 std::string Errno(const std::string& what) { return what + ": " + std::strerror(errno); }
+
+// Waits until `fd` is ready for `events` or `deadline` passes (kNoDeadline:
+// no wait here; the caller blocks in the call itself). A deadline already
+// past still polls once, so ready data is never refused.
+Status PollUntil(int fd, short events, Deadline deadline, const char* what) {
+  if (deadline == kNoDeadline) {
+    return Status::Ok();
+  }
+  for (;;) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    const int timeout_ms = static_cast<int>(std::clamp<int64_t>(left.count(), 0, INT_MAX));
+    struct pollfd pfd = {fd, events, 0};
+    const int ready = ::poll(&pfd, 1, timeout_ms);
+    if (ready > 0) {
+      return Status::Ok();
+    }
+    if (ready == 0) {
+      return DeadlineExceeded(std::string(what) + " deadline passed");
+    }
+    if (errno != EINTR) {
+      return Unavailable(Errno("poll"));
+    }
+  }
+}
 
 // --- TCP -------------------------------------------------------------------
 
@@ -37,12 +83,22 @@ class TcpSocket final : public Socket {
     ::close(fd_);
   }
 
-  Status SendAll(const void* data, size_t n) override {
+  // With a deadline, sends do not block (MSG_DONTWAIT) and a full buffer
+  // waits in poll, so the deadline bounds the whole transfer.
+  Status SendAll(const void* data, size_t n, Deadline deadline) override {
     const char* p = static_cast<const char*>(data);
+    const int flags = MSG_NOSIGNAL | (deadline == kNoDeadline ? 0 : MSG_DONTWAIT);
     while (n > 0) {
-      const ssize_t sent = ::send(fd_, p, n, MSG_NOSIGNAL);
+      const ssize_t sent = ::send(fd_, p, n, flags);
       if (sent < 0) {
         if (errno == EINTR) {
+          continue;
+        }
+        if (errno == EAGAIN || errno == EWOULDBLOCK) {
+          Status ready = PollUntil(fd_, POLLOUT, deadline, "send");
+          if (!ready.ok()) {
+            return ready;
+          }
           continue;
         }
         return Unavailable(Errno("send"));
@@ -53,36 +109,26 @@ class TcpSocket final : public Socket {
     return Status::Ok();
   }
 
-  Status RecvAll(void* data, size_t n) override {
-    char* p = static_cast<char*>(data);
-    while (n > 0) {
-      if (timeout_ms_ > 0) {
-        struct pollfd pfd = {fd_, POLLIN, 0};
-        const int ready = ::poll(&pfd, 1, timeout_ms_);
-        if (ready == 0) {
-          return DeadlineExceeded("recv timed out after " + std::to_string(timeout_ms_) + "ms");
-        }
-        if (ready < 0 && errno != EINTR) {
-          return Unavailable(Errno("poll"));
-        }
+  StatusOr<size_t> RecvSome(void* data, size_t n, Deadline deadline) override {
+    const int flags = deadline == kNoDeadline ? 0 : MSG_DONTWAIT;
+    for (;;) {
+      Status ready = PollUntil(fd_, POLLIN, deadline, "receive");
+      if (!ready.ok()) {
+        return ready;
       }
-      const ssize_t got = ::recv(fd_, p, n, 0);
+      const ssize_t got = ::recv(fd_, data, n, flags);
       if (got == 0) {
         return Unavailable("connection closed by peer");
       }
       if (got < 0) {
-        if (errno == EINTR) {
+        if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
           continue;
         }
         return Unavailable(Errno("recv"));
       }
-      p += got;
-      n -= static_cast<size_t>(got);
+      return static_cast<size_t>(got);
     }
-    return Status::Ok();
   }
-
-  void SetRecvTimeout(int timeout_ms) override { timeout_ms_ = timeout_ms; }
 
   void Close() override {
     // shutdown(), not close(): it wakes a thread blocked in recv()/poll()
@@ -95,7 +141,6 @@ class TcpSocket final : public Socket {
 
  private:
   const int fd_;
-  int timeout_ms_ = 0;
   std::atomic<bool> shut_down_{false};
 };
 
@@ -114,7 +159,9 @@ StatusOr<std::unique_ptr<Socket>> TcpConnect(const std::string& host, uint16_t p
   if (fd < 0) {
     return Unavailable(Errno("socket"));
   }
-  // Connect with a deadline: non-blocking connect + poll, then restore.
+  // Connect with a deadline: SO_SNDTIMEO bounds a blocking connect() (which
+  // then fails with EINPROGRESS), and is cleared afterwards, so later sends
+  // are bounded only by the deadlines their callers pass.
   struct timeval tv = {timeout_ms / 1000, (timeout_ms % 1000) * 1000};
   if (timeout_ms > 0) {
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
@@ -123,6 +170,10 @@ StatusOr<std::unique_ptr<Socket>> TcpConnect(const std::string& host, uint16_t p
     const Status error = Unavailable(Errno("connect to " + host + ":" + std::to_string(port)));
     ::close(fd);
     return error;
+  }
+  if (timeout_ms > 0) {
+    tv = {0, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
   }
   return std::unique_ptr<Socket>(new TcpSocket(fd));
 }
@@ -212,7 +263,9 @@ class LoopbackSocket final : public Socket {
       : in_(std::move(in)), out_(std::move(out)) {}
   ~LoopbackSocket() override { Close(); }
 
-  Status SendAll(const void* data, size_t n) override {
+  // The buffer is unbounded, so a send never waits and `deadline` never
+  // binds.
+  Status SendAll(const void* data, size_t n, Deadline /*deadline*/) override {
     std::lock_guard<std::mutex> lock(out_->mu);
     if (out_->closed) {
       return Unavailable("connection closed");
@@ -222,42 +275,28 @@ class LoopbackSocket final : public Socket {
     return Status::Ok();
   }
 
-  Status RecvAll(void* data, size_t n) override {
-    char* p = static_cast<char*>(data);
+  StatusOr<size_t> RecvSome(void* data, size_t n, Deadline deadline) override {
     std::unique_lock<std::mutex> lock(in_->mu);
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(
-                              timeout_ms_ > 0 ? timeout_ms_ : 0);
-    while (n > 0) {
-      const size_t available = in_->buffer.size() - in_->read_pos;
-      if (available > 0) {
-        const size_t take = available < n ? available : n;
-        std::memcpy(p, in_->buffer.data() + in_->read_pos, take);
-        in_->read_pos += take;
-        p += take;
-        n -= take;
-        // Reclaim consumed bytes once the backlog is fully drained.
-        if (in_->read_pos == in_->buffer.size()) {
-          in_->buffer.clear();
-          in_->read_pos = 0;
-        }
-        continue;
-      }
-      if (in_->closed) {
-        return Unavailable("connection closed");
-      }
-      if (timeout_ms_ > 0) {
-        if (in_->cv.wait_until(lock, deadline) == std::cv_status::timeout &&
-            in_->buffer.size() == in_->read_pos && !in_->closed) {
-          return DeadlineExceeded("recv timed out after " + std::to_string(timeout_ms_) + "ms");
-        }
-      } else {
-        in_->cv.wait(lock);
-      }
+    const auto ready = [this] { return in_->buffer.size() > in_->read_pos || in_->closed; };
+    if (deadline == kNoDeadline) {
+      in_->cv.wait(lock, ready);
+    } else if (!in_->cv.wait_until(lock, deadline, ready)) {
+      return DeadlineExceeded("receive deadline passed");
     }
-    return Status::Ok();
+    const size_t available = in_->buffer.size() - in_->read_pos;
+    if (available == 0) {
+      return Unavailable("connection closed");
+    }
+    const size_t take = available < n ? available : n;
+    std::memcpy(data, in_->buffer.data() + in_->read_pos, take);
+    in_->read_pos += take;
+    // Reclaim consumed bytes once the backlog is fully drained.
+    if (in_->read_pos == in_->buffer.size()) {
+      in_->buffer.clear();
+      in_->read_pos = 0;
+    }
+    return take;
   }
-
-  void SetRecvTimeout(int timeout_ms) override { timeout_ms_ = timeout_ms; }
 
   void Close() override {
     for (const auto& stream : {in_, out_}) {
@@ -270,7 +309,6 @@ class LoopbackSocket final : public Socket {
  private:
   std::shared_ptr<LoopbackStream> in_;
   std::shared_ptr<LoopbackStream> out_;
-  int timeout_ms_ = 0;
 };
 
 }  // namespace

@@ -8,14 +8,19 @@
 // runs under ThreadSanitizer and AddressSanitizer in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/api/nvx.h"
@@ -157,6 +162,44 @@ TEST(FrameTest, OversizePayloadLengthRejectedBeforeAllocation) {
   auto decoded = net::ReadFrame(*b);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Peak resident set of this process in KiB (VmHWM); 0 when unavailable.
+size_t PeakRssKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::stoul(line.substr(6));
+    }
+  }
+  return 0;
+}
+
+// A header may claim up to kMaxFramePayload; the reader must not commit that
+// much memory before the bytes arrive (a silent peer would hold it until its
+// deadline, one per connection).
+TEST(FrameTest, OverstatedPayloadLengthCostsOnlyTheBytesSent) {
+  std::ofstream("/proc/self/clear_refs") << "5";  // peak := current, where allowed
+  const size_t before = PeakRssKb();
+  if (before == 0) {
+    GTEST_SKIP() << "no VmHWM in /proc/self/status";
+  }
+  WireWriter w;
+  w.U32(net::kWireMagic);
+  w.U16(net::kWireVersion);
+  w.U16(static_cast<uint16_t>(MessageType::kRunRequest));
+  w.U64(1);
+  w.U64(200ull << 20);  // claims 200 MiB, sends 10 bytes, then closes
+  auto [a, b] = support::LoopbackSocketPair();
+  ASSERT_TRUE(a->SendAll(w.buffer().data(), w.buffer().size()).ok());
+  ASSERT_TRUE(a->SendAll("0123456789", 10).ok());
+  a->Close();
+  auto decoded = net::ReadFrame(*b);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kUnavailable);
+  EXPECT_LT(PeakRssKb(), before + (32u << 10)) << "peak RSS grew by "
+                                               << (PeakRssKb() - before) << " KiB";
 }
 
 TEST(FrameTest, TruncatedBufferRejected) {
@@ -537,6 +580,121 @@ TEST(ExecutorTest, AffinityIsConsistentPerCacheKeyAndGroup) {
   EXPECT_EQ(backend.PreferredEndpoint(0), backend.PreferredEndpoint(0));
 }
 
+// Forwards to a real connection and records, for each run request sent,
+// whether it carried the plan's bytes.
+struct PlanLog {
+  std::mutex mu;
+  std::vector<bool> carried_plan;
+
+  std::vector<bool> Take() {
+    std::lock_guard<std::mutex> lock(mu);
+    return std::exchange(carried_plan, {});
+  }
+};
+
+class RecordingSocket final : public support::Socket {
+ public:
+  RecordingSocket(std::unique_ptr<support::Socket> inner, std::shared_ptr<PlanLog> log)
+      : inner_(std::move(inner)), log_(std::move(log)) {}
+
+  Status SendAll(const void* data, size_t n, support::Deadline deadline) override {
+    // WriteFrame sends each frame in one call.
+    auto frame = net::DecodeFrameBuffer(std::string_view(static_cast<const char*>(data), n));
+    if (frame.ok() && frame->type == MessageType::kRunRequest) {
+      auto msg = net::DecodeRunRequestMsg(frame->payload);
+      EXPECT_TRUE(msg.ok()) << msg.status().ToString();
+      if (msg.ok()) {
+        std::lock_guard<std::mutex> lock(log_->mu);
+        log_->carried_plan.push_back(!msg->plan_bytes.empty());
+      }
+    }
+    return inner_->SendAll(data, n, deadline);
+  }
+  StatusOr<size_t> RecvSome(void* data, size_t n, support::Deadline deadline) override {
+    return inner_->RecvSome(data, n, deadline);
+  }
+  void Close() override { inner_->Close(); }
+
+ private:
+  std::unique_ptr<support::Socket> inner_;
+  std::shared_ptr<PlanLog> log_;
+};
+
+TEST(ExecutorTest, PlansTravelOncePerEndpoint) {
+  auto server = std::make_shared<ExecutorServer>(net::ExecutorOptions{.plan_cache_capacity = 1});
+  auto log = std::make_shared<PlanLog>();
+  Endpoint endpoint;
+  endpoint.name = "recorded";
+  endpoint.dial = [server, log]() -> StatusOr<std::unique_ptr<support::Socket>> {
+    auto socket = server->ConnectLoopback();
+    if (!socket.ok()) {
+      return socket.status();
+    }
+    return std::unique_ptr<support::Socket>(new RecordingSocket(std::move(*socket), log));
+  };
+
+  NvxBuilder other;
+  other.Benchmark(workload::Spec2006()[1]).Variants(3).Seed(61);
+  auto other_plan = other.PlanVariants();
+  ASSERT_TRUE(other_plan.ok()) << other_plan.status().ToString();
+  auto plan_a = std::make_shared<const api::VariantPlan>(PlanFixture());
+  auto plan_b = std::make_shared<const api::VariantPlan>(*other_plan);
+  ASSERT_NE(plan_a->CacheKey(), plan_b->CacheKey());
+  // Both backends hold copies of one endpoint, so they share its connections.
+  net::RemoteBackend a(plan_a, api::ShardMemberGroups(plan_a->n_variants(), 1), {endpoint},
+                       RemoteOptions{});
+  net::RemoteBackend b(plan_b, api::ShardMemberGroups(plan_b->n_variants(), 1), {endpoint},
+                       RemoteOptions{});
+
+  // One plan: only the first request carries it.
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(a.Run({}).ok());
+  }
+  EXPECT_EQ(log->Take(), (std::vector<bool>{true, false, false, false}));
+  auto stats = net::FetchExecutorStats(endpoint, 5000);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->plan_unknown_replies, 0u);
+  EXPECT_EQ(stats->plan_cache_hits, 3u);
+
+  // Two plans sharing a one-entry cache: each switch back to a plan the
+  // cache evicted costs exactly one plan-unknown reply and one resend.
+  ASSERT_TRUE(b.Run({}).ok());  // b's first request: it carries b
+  ASSERT_TRUE(a.Run({}).ok());  // by key, unknown, resent with a
+  ASSERT_TRUE(b.Run({}).ok());  // by key, unknown, resent with b
+  ASSERT_TRUE(b.Run({}).ok());  // by key, cached
+  EXPECT_EQ(log->Take(), (std::vector<bool>{true, false, true, false, true, false}));
+  stats = net::FetchExecutorStats(endpoint, 5000);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->plan_unknown_replies, 2u);
+  EXPECT_EQ(a.endpoint_stats()[0].failures + b.endpoint_stats()[0].failures, 0u);
+}
+
+// The trust rule for plans by key: only a request that carries a plan (and
+// passes the key check and analysis) fills the cache.
+TEST(ExecutorTest, KeyOnlyRequestsNeverFillTheCache) {
+  ExecutorServer server;
+  const api::VariantPlan plan = PlanFixture();
+  auto socket = server.ConnectLoopback();
+  ASSERT_TRUE(socket.ok());
+  net::RunRequestMsg msg;
+  msg.cache_key = plan.CacheKey();
+  msg.n_variants = plan.n_variants();
+  msg.members = {0, 1};
+  msg.owns_baseline = true;
+  ASSERT_TRUE(net::WriteFrame(**socket, Frame{MessageType::kRunRequest, 7,
+                                              net::EncodeRunRequestMsg(msg)})
+                  .ok());
+  auto reply = net::ReadFrame(**socket);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->type, MessageType::kPlanUnknown);
+  EXPECT_EQ(reply->request_id, 7u);
+  auto unknown = net::DecodePlanUnknownMsg(reply->payload);
+  ASSERT_TRUE(unknown.ok()) << unknown.status().ToString();
+  EXPECT_EQ(unknown->cache_key, plan.CacheKey());
+  EXPECT_EQ(server.plan_cache_stats().entries, 0u);
+  EXPECT_EQ(server.stats().plan_unknown_replies, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection: every fault terminates with a definite Status.
 // ---------------------------------------------------------------------------
@@ -705,6 +863,82 @@ TEST(FaultTest, StoppedExecutorRecoversAfterRestart) {
   ASSERT_TRUE(up.ok()) << up.status().ToString();
 }
 
+// A pooled connection the executor closed is redialed once for free: the
+// run succeeds and the endpoint is not marked failed. Over loopback the send
+// on the stale connection fails; over TCP the send succeeds and the close
+// shows as end-of-stream before the reply's first byte.
+TEST(FaultTest, StalePooledConnectionIsRedialed) {
+  auto plan = std::make_shared<const api::VariantPlan>(PlanFixture());
+  auto server = std::make_shared<ExecutorServer>();
+  net::RemoteBackend backend(plan, api::ShardMemberGroups(plan->n_variants(), 1),
+                             {net::LoopbackEndpoint(server, "cycled")}, FastFail());
+  ASSERT_TRUE(backend.Run({}).ok());
+  server->Stop();
+  server->Start();
+  auto again = backend.Run({});
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(backend.endpoint_stats()[0].failures, 0u);
+
+  ExecutorServer tcp;
+  if (!tcp.ListenTcp(0).ok()) {
+    GTEST_SKIP() << "cannot bind a TCP socket in this environment";
+  }
+  const uint16_t port = tcp.port();
+  net::RemoteBackend tcp_backend(plan, api::ShardMemberGroups(plan->n_variants(), 1),
+                                 {net::TcpEndpoint("127.0.0.1", port)}, FastFail());
+  ASSERT_TRUE(tcp_backend.Run({}).ok());
+  tcp.Stop();
+  tcp.Start();
+  ASSERT_TRUE(tcp.ListenTcp(port).ok());
+  const uint64_t accepted = tcp.stats().connections_accepted;
+  auto tcp_again = tcp_backend.Run({});
+  ASSERT_TRUE(tcp_again.ok()) << tcp_again.status().ToString();
+  EXPECT_EQ(tcp_backend.endpoint_stats()[0].failures, 0u);
+  EXPECT_EQ(tcp.stats().connections_accepted, accepted + 1);  // the redial
+}
+
+// RemoteOptions::timeout_ms is one deadline for the whole reply: a peer that
+// trickles bytes faster than the timeout cannot stretch it.
+TEST(FaultTest, TricklingExecutorHitsTheRequestDeadline) {
+  support::TcpListener listener;
+  if (!listener.Listen(0).ok()) {
+    GTEST_SKIP() << "cannot bind a TCP socket in this environment";
+  }
+  std::atomic<bool> done{false};
+  std::thread trickler([&listener, &done] {
+    auto accepted = listener.Accept();
+    if (!accepted.ok()) {
+      return;
+    }
+    std::unique_ptr<support::Socket> peer = std::move(*accepted);
+    (void)net::ReadFrame(*peer);  // the request
+    // A well-formed reply frame, one byte every 50 ms.
+    const std::string reply =
+        net::EncodeFrame(Frame{MessageType::kRunReply, 1, std::string(64, 'x')});
+    for (size_t i = 0; i < reply.size() && !done.load(); ++i) {
+      if (!peer->SendAll(&reply[i], 1).ok()) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  });
+
+  auto plan = std::make_shared<const api::VariantPlan>(PlanFixture());
+  RemoteOptions options = FastFail();  // 200 ms
+  options.max_attempts = 1;
+  net::RemoteBackend backend(plan, api::ShardMemberGroups(plan->n_variants(), 1),
+                             {net::TcpEndpoint("127.0.0.1", listener.port())}, options);
+  const auto start = std::chrono::steady_clock::now();
+  auto report = backend.Run({});
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  done = true;
+  listener.Close();
+  trickler.join();
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kDeadlineExceeded) << report.status().ToString();
+  EXPECT_LT(elapsed, std::chrono::milliseconds(options.timeout_ms + 200));
+}
+
 // ---------------------------------------------------------------------------
 // TCP transport: the same plane over real sockets.
 // ---------------------------------------------------------------------------
@@ -777,6 +1011,149 @@ TEST(TcpTest, SequentialSessionsDoNotLeakConnections) {
   EXPECT_LE(OpenFdCount(), fds_before + kSlack);
   server.Stop();
   EXPECT_EQ(server.tracked_connections(), 0u);
+}
+
+size_t ThreadCount() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+// Peers that connect and never send hold at most kMaxConnections serve
+// threads (the rest are closed at accept), and the idle deadline closes the
+// held ones; the executor then serves real traffic again.
+TEST(ExecutorTest, SilentPeersAreCappedAndClosed) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task to count threads with";
+  }
+  auto server = std::make_shared<ExecutorServer>();
+  Status listening = server->ListenTcp(0);
+  if (!listening.ok()) {
+    GTEST_SKIP() << "cannot bind a TCP socket in this environment: "
+                 << listening.ToString();
+  }
+  const size_t threads_before = ThreadCount();
+  constexpr size_t kPeers = net::kMaxConnections + 32;
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::unique_ptr<support::Socket>> peers;
+  for (size_t i = 0; i < kPeers; ++i) {
+    auto peer = support::TcpConnect("127.0.0.1", server->port(), 5000);
+    ASSERT_TRUE(peer.ok()) << "peer " << i << ": " << peer.status().ToString();
+    peers.push_back(std::move(*peer));
+  }
+  net::ExecutorStats stats = server->stats();
+  while (stats.connections_accepted + stats.connections_refused < kPeers &&
+         std::chrono::steady_clock::now() < start + net::kIdleDeadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    stats = server->stats();
+  }
+  EXPECT_EQ(stats.connections_accepted, net::kMaxConnections);
+  EXPECT_EQ(stats.connections_refused, kPeers - net::kMaxConnections);
+  EXPECT_LE(ThreadCount(), threads_before + net::kMaxConnections);
+
+  const support::Deadline closed_by = start + net::kIdleDeadline + std::chrono::seconds(1);
+  for (size_t i = 0; i < peers.size(); ++i) {
+    char byte;
+    auto got = peers[i]->RecvSome(&byte, 1, closed_by);
+    ASSERT_FALSE(got.ok()) << "peer " << i << " received a byte";
+    EXPECT_EQ(got.status().code(), StatusCode::kUnavailable)
+        << "peer " << i << " still open: " << got.status().ToString();
+  }
+  EXPECT_EQ(server->stats().deadline_closes, net::kMaxConnections);
+  peers.clear();
+
+  NvxBuilder builder;
+  builder.Benchmark(workload::Spec2006()[0]).Variants(3).Seed(67);
+  auto session = builder.Remote({net::TcpEndpoint("127.0.0.1", server->port())}).Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto report = session->Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+}
+
+// Thousands of runs from several callers over pooled TCP connections: the
+// dispatcher and both executors stay within fixed thread and descriptor
+// bounds throughout, and sampled reports match a local Shards(2) session.
+TEST(TcpTest, SoakKeepsThreadsAndFdsBounded) {
+  if (!std::filesystem::exists("/proc/self/fd") || !std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self to count descriptors and threads with";
+  }
+  ExecutorServer first;
+  ExecutorServer second;
+  if (!first.ListenTcp(0).ok() || !second.ListenTcp(0).ok()) {
+    GTEST_SKIP() << "cannot bind TCP sockets in this environment";
+  }
+  const auto configure = [](NvxBuilder& b) {
+    b.Benchmark(workload::Spec2006()[0]).Variants(3).Seed(71).Shards(2);
+  };
+  NvxBuilder remote_builder;
+  configure(remote_builder);
+  auto remote = remote_builder
+                    .Remote({net::TcpEndpoint("127.0.0.1", first.port()),
+                             net::TcpEndpoint("127.0.0.1", second.port())})
+                    .Build();
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  NvxBuilder local_builder;
+  configure(local_builder);
+  auto local = local_builder.Build();
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+
+  constexpr size_t kCallers = 4;
+  constexpr size_t kRunsPerCaller = 2500;
+  constexpr size_t kSampleEvery = 250;
+  // Per executor, at most one connection per caller is ever open; the slack
+  // covers serve threads and descriptors on their way out.
+  const size_t thread_bound = ThreadCount() + kCallers + 2 * kCallers + 2;
+  const size_t fd_bound = OpenFdCount() + 2 * 2 * kCallers + 4;
+
+  std::mutex mu;
+  std::vector<std::pair<api::RunRequest, RunReport>> samples;
+  std::vector<std::string> errors;
+  size_t max_threads = 0;
+  size_t max_fds = 0;
+  auto caller = [&](size_t c) {
+    for (size_t i = 0; i < kRunsPerCaller; ++i) {
+      api::RunRequest request;
+      request.workload_seed = c * kRunsPerCaller + i;
+      auto report = remote->Run(request);
+      std::lock_guard<std::mutex> lock(mu);
+      if (!report.ok()) {
+        errors.push_back(report.status().ToString());
+        return;
+      }
+      if (i % kSampleEvery == 0) {
+        samples.emplace_back(request, std::move(*report));
+        max_threads = std::max(max_threads, ThreadCount());
+        max_fds = std::max(max_fds, OpenFdCount());
+      }
+    }
+  };
+  std::vector<std::thread> callers;
+  for (size_t c = 1; c < kCallers; ++c) {
+    callers.emplace_back(caller, c);
+  }
+  caller(0);
+  for (auto& thread : callers) {
+    thread.join();
+  }
+
+  ASSERT_TRUE(errors.empty()) << errors.size() << " failed run(s), first: " << errors[0];
+  EXPECT_LE(max_threads, thread_bound);
+  EXPECT_LE(max_fds, fd_bound);
+  EXPECT_LE(ThreadCount(), thread_bound);
+  EXPECT_LE(OpenFdCount(), fd_bound);
+  ASSERT_EQ(samples.size(), kCallers * kRunsPerCaller / kSampleEvery);
+  for (const auto& [request, report] : samples) {
+    auto expected = local->Run(request);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    ExpectReportsIdentical(report, *expected, "pooled tcp vs local Shards(2)");
+  }
+  const net::ExecutorStats a = first.stats();
+  const net::ExecutorStats b = second.stats();
+  EXPECT_EQ(a.requests + b.requests, 2 * kCallers * kRunsPerCaller);
+  EXPECT_LE(a.connections_accepted + b.connections_accepted, 2 * kCallers);
 }
 
 }  // namespace

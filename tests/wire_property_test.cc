@@ -1,7 +1,9 @@
 // Property sweep over the wire format (src/net/wire.h): randomized
 // VariantPlans generated from a seeded rng must round-trip exactly —
 // Decode(Encode(p)) re-encodes to the same bytes and preserves CacheKey() —
-// and every truncation of a valid buffer must return a definite error. Bit
+// and every truncation of a valid buffer must return a definite error. The
+// same holds for the v3 messages: key-only run requests, plan-unknown
+// replies and stats replies. Bit
 // flips anywhere in a valid buffer must never crash or over-read (they may
 // decode to a different valid value; lengths, counts, and enums are the
 // fields that must reject). Runs under AddressSanitizer in CI, where an
@@ -285,7 +287,7 @@ TEST(WirePropertyTest, FrameDecodeSurvivesTruncationAndFlips) {
   std::mt19937_64 rng(0x5EED);
   for (int i = 0; i < 50; ++i) {
     net::Frame frame;
-    frame.type = static_cast<net::MessageType>(1 + rng() % 4);
+    frame.type = static_cast<net::MessageType>(1 + rng() % 7);
     frame.request_id = rng();
     frame.payload = RandomName(rng);
     const std::string bytes = net::EncodeFrame(frame);
@@ -316,6 +318,109 @@ TEST(WirePropertyTest, PartialReportRoundTripAndTruncation) {
             << "partial " << i << " cut at " << cut;
       }
     }
+  }
+}
+
+net::RunRequestMsg RandomKeyOnlyRequest(std::mt19937_64& rng) {
+  net::RunRequestMsg msg;
+  msg.cache_key = RandomName(rng);
+  msg.n_variants = 1 + rng() % 16;
+  msg.members.push_back(0);
+  for (size_t i = 1; i < msg.n_variants; ++i) {
+    if (rng() % 2 == 0) {
+      msg.members.push_back(i);
+    }
+  }
+  msg.owns_baseline = rng() % 2 == 0;
+  msg.request.entry = RandomName(rng);
+  const size_t n_args = rng() % 4;
+  for (size_t i = 0; i < n_args; ++i) {
+    msg.request.args.push_back(static_cast<int64_t>(rng()));
+  }
+  if (rng() % 2 == 0) {
+    msg.request.workload_seed = rng();
+  }
+  return msg;  // no plan_bytes: the plan travels by key
+}
+
+net::ExecutorStats RandomStats(std::mt19937_64& rng) {
+  net::ExecutorStats stats;
+  stats.requests = rng();
+  stats.plan_cache_hits = rng();
+  stats.decode_errors = rng() % 1000;
+  stats.analysis_rejects = rng() % 1000;
+  stats.connections_accepted = rng();
+  stats.connections_refused = rng() % 1000;
+  stats.deadline_closes = rng() % 1000;
+  stats.plan_unknown_replies = rng() % 1000;
+  return stats;
+}
+
+// A message codec's properties: the decode of a valid encoding re-encodes to
+// the same bytes, every truncation is a definite error, and seeded bit flips
+// decode to an error or to a value that re-encodes — never a crash or an
+// over-read.
+template <typename Decode, typename Encode>
+void ExpectCodecProperties(const std::string& bytes, Decode decode, Encode encode,
+                           std::mt19937_64& rng, const std::string& what) {
+  auto decoded = decode(bytes);
+  ASSERT_TRUE(decoded.ok()) << what << ": " << decoded.status().ToString();
+  EXPECT_EQ(encode(*decoded), bytes) << what;
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_FALSE(decode(std::string_view(bytes).substr(0, cut)).ok())
+        << what << " cut at " << cut << "/" << bytes.size();
+  }
+  for (int flip = 0; flip < 64; ++flip) {
+    std::string corrupt = bytes;
+    const size_t pos = rng() % corrupt.size();
+    corrupt[pos] = static_cast<char>(corrupt[pos] ^ (1 << (rng() % 8)));
+    auto result = decode(corrupt);
+    if (result.ok()) {
+      encode(*result);
+    }
+  }
+}
+
+TEST(WirePropertyTest, KeyOnlyRunRequestRoundTripTruncationAndFlips) {
+  std::mt19937_64 rng(0x6B6579);
+  for (int i = 0; i < kPlans; ++i) {
+    const net::RunRequestMsg msg = RandomKeyOnlyRequest(rng);
+    const std::string bytes = net::EncodeRunRequestMsg(msg);
+    auto decoded = net::DecodeRunRequestMsg(bytes);
+    ASSERT_TRUE(decoded.ok()) << "request " << i << ": " << decoded.status().ToString();
+    EXPECT_EQ(decoded->cache_key, msg.cache_key);
+    EXPECT_EQ(decoded->members, msg.members);
+    EXPECT_EQ(decoded->request.workload_seed, msg.request.workload_seed);
+    EXPECT_TRUE(decoded->plan_bytes.empty());
+    ExpectCodecProperties(bytes, net::DecodeRunRequestMsg, net::EncodeRunRequestMsg, rng,
+                          "key-only request " + std::to_string(i));
+  }
+}
+
+TEST(WirePropertyTest, PlanUnknownReplyRoundTripTruncationAndFlips) {
+  std::mt19937_64 rng(0x554E4B);
+  for (int i = 0; i < kPlans; ++i) {
+    const net::PlanUnknownMsg msg{RandomName(rng)};
+    const std::string bytes = net::EncodePlanUnknownMsg(msg);
+    auto decoded = net::DecodePlanUnknownMsg(bytes);
+    ASSERT_TRUE(decoded.ok()) << "reply " << i << ": " << decoded.status().ToString();
+    EXPECT_EQ(decoded->cache_key, msg.cache_key);
+    ExpectCodecProperties(bytes, net::DecodePlanUnknownMsg, net::EncodePlanUnknownMsg, rng,
+                          "plan-unknown reply " + std::to_string(i));
+  }
+}
+
+TEST(WirePropertyTest, StatsReplyRoundTripTruncationAndFlips) {
+  std::mt19937_64 rng(0x5747A75);
+  for (int i = 0; i < kPlans; ++i) {
+    const net::ExecutorStats stats = RandomStats(rng);
+    const std::string bytes = net::EncodeExecutorStats(stats);
+    auto decoded = net::DecodeExecutorStats(bytes);
+    ASSERT_TRUE(decoded.ok()) << "stats " << i << ": " << decoded.status().ToString();
+    EXPECT_EQ(decoded->requests, stats.requests);
+    EXPECT_EQ(decoded->plan_unknown_replies, stats.plan_unknown_replies);
+    ExpectCodecProperties(bytes, net::DecodeExecutorStats, net::EncodeExecutorStats, rng,
+                          "stats reply " + std::to_string(i));
   }
 }
 

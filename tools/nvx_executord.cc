@@ -1,9 +1,14 @@
 // nvx_executord: the standalone executor daemon of the multi-host execution
-// plane. Listens for framed RunRequest messages (src/net/wire.h), rebuilds
-// trace backends from received plans (caching decoded plans by their wire
-// CacheKey), runs the requested shard members on a thread pool, and replies
-// with PartialReports plus occupancy. Each request builds its own backend, so
-// runs here are cold: no engine state is kept between requests.
+// plane. Serves persistent connections of framed RunRequest messages
+// (src/net/wire.h): rebuilds a trace backend from each request's plan
+// (decoded plans are cached by their wire CacheKey, and a request naming an
+// uncached plan by key is answered "plan unknown"), runs the requested shard
+// members on the connection's thread, at most --workers at once, and replies
+// with PartialReports plus occupancy. kStatsRequest frames read its counters.
+// Each request builds its own backend, so runs here are cold: no engine
+// state is kept between requests. Peers are bounded by constants, not flags
+// (src/net/executor.h): at most 64 connections, and idle, frame and send
+// deadlines.
 //
 //   nvx_executord --port 7001 --workers 4
 //
@@ -27,7 +32,7 @@ void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port P] [--workers N] [--plan-cache C]\n"
                "  --port P        TCP port to listen on, 0-65535 (0 = ephemeral; default 0)\n"
-               "  --workers N     thread-pool size (0 = hardware concurrency; default 0)\n"
+               "  --workers N     runs executing at once (0 = hardware concurrency; default 0)\n"
                "  --plan-cache C  decoded-plan cache capacity (default 64)\n",
                argv0);
 }
@@ -73,8 +78,8 @@ int main(int argc, char** argv) {
   std::printf("nvx_executord listening on port %u\n", server.port());
   std::fflush(stdout);
 
-  // Serve until killed: accepting and serving happen on background threads;
-  // park this one. (SIGTERM/SIGINT default to process exit, which is the
+  // Serve until killed: accepting and serving happen on background threads
+  // (one per connection); park this one. (SIGTERM/SIGINT default to process exit, which is the
   // intended shutdown path — the fleet treats an executor as stateless.)
   sigset_t set;
   sigemptyset(&set);

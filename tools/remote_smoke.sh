@@ -2,8 +2,13 @@
 # Multi-host smoke test: two nvx_executord processes on ephemeral localhost
 # ports, a mixed batch of remote sessions driven through them, and a kill -9
 # of one executor mid-batch followed by a restart. The batch must still
-# complete with every verdict correct — the dispatcher retries transport
-# failures on the survivor and re-probes the restarted executor.
+# complete with every verdict correct — the dispatcher redials the pooled
+# connections the kill left stale, retries transport failures on the
+# survivor and re-probes the restarted executor.
+#
+# Before the batch, cap + 32 silent peers connect to executor 1 and never
+# send: the executor must hold at most its connection cap in serve threads,
+# close the rest at accept, and close the held ones at its idle deadline.
 #
 #   $ tools/remote_smoke.sh [build-dir]     # default build dir: ./build
 set -u
@@ -53,6 +58,41 @@ start_executor "$WORKDIR/exec2.log"
 PID2=$STARTED_PID; PORT2=$STARTED_PORT; PIDS+=("$PID2")
 echo "remote_smoke: executors up on ports $PORT1 (pid $PID1) and $PORT2 (pid $PID2)"
 
+# Silent peers. CAP and IDLE_S mirror net::kMaxConnections and
+# net::kIdleDeadline; the 4 spare threads are the daemon's main and accept
+# threads plus slack.
+CAP=64
+IDLE_S=2
+N_SILENT=$((CAP + 32))
+task_count() { ls "/proc/$1/task" | wc -l; }
+THREADS_BEFORE="$(task_count "$PID1")"
+SILENT=()
+for _ in $(seq 1 "$N_SILENT"); do
+  exec {fd}<>"/dev/tcp/127.0.0.1/$PORT1" || fail "silent peer could not connect"
+  SILENT+=("$fd")
+done
+MAX_THREADS=0
+for _ in $(seq 1 10); do
+  n="$(task_count "$PID1")"
+  [ "$n" -gt "$MAX_THREADS" ] && MAX_THREADS=$n
+  sleep 0.1
+done
+[ "$MAX_THREADS" -le $((CAP + 4)) ] \
+  || fail "executor 1 ran $MAX_THREADS threads for $N_SILENT silent peers (cap $CAP)"
+sleep "$IDLE_S"
+for fd in "${SILENT[@]}"; do
+  # read exits 1 at end-of-stream and above 128 on its timeout.
+  read -r -t 1 -u "$fd" _
+  rc=$?
+  [ "$rc" -eq 1 ] || fail "silent peer (fd $fd) still open after the idle deadline (read: $rc)"
+  exec {fd}>&-
+done
+THREADS_AFTER="$(task_count "$PID1")"
+[ "$THREADS_AFTER" -le "$THREADS_BEFORE" ] \
+  || fail "executor 1 has $THREADS_AFTER threads after the silent peers, $THREADS_BEFORE before"
+echo "remote_smoke: $N_SILENT silent peers held at most $MAX_THREADS executor threads" \
+  "and were closed; threads back to $THREADS_AFTER"
+
 # The client paces ~60 runs over several seconds; kill executor 2 a little
 # into the batch, then restart it (on a fresh port 2 would not be seen by the
 # already-running client, so the restart must reuse the same port — pass it
@@ -89,4 +129,9 @@ cat "$WORKDIR/client.log"
 # cooldown-probe path, not just the survivor carrying the whole tail.
 kill -0 "$PID2B" 2>/dev/null || fail "restarted executor not running at batch end"
 
-echo "remote_smoke: PASS (batch survived kill -9 + restart of one executor)"
+# Executor 1's counters, read over the wire by the client: the cap refused
+# exactly the silent peers beyond it.
+grep -q "^executor 127.0.0.1:$PORT1 stats: .* connections_refused=$((N_SILENT - CAP)) " \
+  "$WORKDIR/client.log" || fail "executor 1 stats do not show $((N_SILENT - CAP)) refused peers"
+
+echo "remote_smoke: PASS (silent peers capped and closed; batch survived kill -9 + restart of one executor)"
