@@ -80,10 +80,10 @@ double Rng::NextExponential(double mean) {
   return -mean * std::log(1.0 - u);
 }
 
-double Rng::NextGaussian(double mean, double stddev) {
+Rng::GaussianFactors Rng::NextGaussianFactors() {
   if (have_cached_gaussian_) {
     have_cached_gaussian_ = false;
-    return mean + stddev * cached_gaussian_;
+    return {cached_gaussian_, 1.0};
   }
   double u1 = NextDouble();
   double u2 = NextDouble();
@@ -94,7 +94,12 @@ double Rng::NextGaussian(double mean, double stddev) {
   const double theta = 2.0 * M_PI * u2;
   cached_gaussian_ = radius * std::sin(theta);
   have_cached_gaussian_ = true;
-  return mean + stddev * radius * std::cos(theta);
+  return {radius, std::cos(theta)};
+}
+
+double Rng::NextGaussian(double mean, double stddev) {
+  const GaussianFactors g = NextGaussianFactors();
+  return mean + stddev * g.a * g.b;
 }
 
 Rng Rng::Fork(uint64_t salt) {

@@ -3,6 +3,12 @@
 // All Bunshin simulations must be reproducible run-to-run, so no component may
 // use std::random_device or time-based seeding. Xoshiro256** is fast, has a
 // 256-bit state, and passes BigCrush.
+//
+// Normal draws are Box-Muller, exposed as an unscaled factor pair so a caller
+// can record a stream's draws once and scale them later with the same
+// arithmetic NextGaussian uses: trace generation keeps each variant's jitter
+// stream as a noise tape (src/workload/tracegen.h), drawn here once per
+// process, and derives every trace from it bit for bit.
 #ifndef BUNSHIN_SRC_SUPPORT_RNG_H_
 #define BUNSHIN_SRC_SUPPORT_RNG_H_
 
@@ -33,7 +39,17 @@ class Rng {
   // Exponentially distributed with the given mean (> 0).
   double NextExponential(double mean);
 
-  // Standard normal via Box-Muller, scaled to (mean, stddev).
+  // One Box-Muller standard normal as two factors whose product is the draw:
+  // (radius, cos theta) for the first of a pair, then the cached
+  // (radius * sin theta, 1.0) for the second.
+  struct GaussianFactors {
+    double a;
+    double b;
+  };
+  GaussianFactors NextGaussianFactors();
+
+  // Standard normal scaled to (mean, stddev): mean + stddev * a * b over
+  // NextGaussianFactors (multiplying by the cached half's b = 1.0 is exact).
   double NextGaussian(double mean, double stddev);
 
   // Derive an independent child stream; children with distinct salts are

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <optional>
 
 #include "src/support/rng.h"
@@ -41,27 +44,144 @@ sc::SyscallRecord TemplateSyscall(size_t i, double io_write_frac, Rng* rng) {
   return rec;
 }
 
-// Applies the variant's scheduling jitter to a template compute cost. OS
-// noise behaves like a random walk over the segment, so the absolute
-// deviation grows with sqrt(cost): long compute bursts between syscalls
-// absorb proportionally less jitter than dense syscall bursts.
-// `scale` is the variant's sanitizer slowdown: the engine multiplies every
-// compute cost by it, but OS jitter is a property of wall-clock time, not of
-// the instrumentation, so the deviation is divided out here to be
-// scale-invariant after the engine's multiplication.
-double Jitter(double cost, double sigma_coeff, double scale, Rng* rng) {
-  if (cost <= 0.0) {
-    return cost;
+// --- Noise tapes ---------------------------------------------------------------
+//
+// A variant's jitter stream is seeded from (jitter_seed, jitter_salt) alone and
+// read in a fixed order, so what it yields is the same for every workload seed
+// and every program. A noise tape holds those values; the process keeps a
+// bounded memo of them, and DeriveTrace reads the tape instead of drawing.
+
+// A preemption burst (60 + Exp(50) cycles, before scaling) and the tape entry
+// it follows.
+struct Burst {
+  size_t draw;
+  double cycles;
+};
+
+// The ordered draws of one jitter stream: per jittered segment the factors of
+// its Gaussian, and, when the 0.4% preemption draw fires, a burst.
+struct NoiseTape {
+  std::vector<Rng::GaussianFactors> gaussians;
+  // Ascending by draw, then a sentinel no draw reaches.
+  std::vector<Burst> bursts;
+};
+
+struct TapeKey {
+  uint64_t jitter_seed;
+  uint64_t jitter_salt;
+  bool sprinkle_memory_management;
+  bool operator==(const TapeKey&) const = default;
+};
+
+constexpr uint64_t kMemoryManagementSalt = 0xABCD;
+
+Rng JitterStream(uint64_t jitter_seed, uint64_t jitter_salt) {
+  return Rng(jitter_seed * 0x9E3779B97F4A7C15ULL + jitter_salt);
+}
+
+// The only code that draws jitter: the first `draws` entries of `key`'s
+// stream. The memory-management stream forks off it before the first draw.
+std::shared_ptr<const NoiseTape> FillTape(const TapeKey& key, size_t draws) {
+  Rng rng = JitterStream(key.jitter_seed, key.jitter_salt);
+  if (key.sprinkle_memory_management) {
+    rng.Fork(kMemoryManagementSalt);
   }
-  const double sigma_abs = sigma_coeff * std::sqrt(cost) / std::max(1.0, scale);
-  double jittered = std::max(0.05 * cost, cost + rng->NextGaussian(0.0, sigma_abs));
-  // Occasionally the OS preempts the process for a scheduling quantum — a
-  // heavy-tailed burst that lets the leader run several syscalls ahead of a
-  // follower in selective mode (the §5.3 gap measurements).
-  if (rng->NextBool(0.004)) {
-    jittered += (60.0 + rng->NextExponential(50.0)) / std::max(1.0, scale);
+  auto tape = std::make_shared<NoiseTape>();
+  tape->gaussians.reserve(draws);
+  for (size_t d = 0; d < draws; ++d) {
+    tape->gaussians.push_back(rng.NextGaussianFactors());
+    if (rng.NextBool(0.004)) {
+      tape->bursts.push_back({d, 60.0 + rng.NextExponential(50.0)});
+    }
   }
-  return jittered;
+  tape->bursts.push_back({std::numeric_limits<size_t>::max(), 0.0});
+  return tape;
+}
+
+// The process-wide memo: at most kNoiseTapeStreams tapes of at most
+// kNoiseTapeDraws draws, least recently used evicted first, so junk jitter
+// seeds from the wire cannot pin it. Each tape is as long as the longest
+// template that asked for it. Readers hold their tape by shared_ptr, so a
+// tape replaced or evicted under them stays valid.
+class TapeMemo {
+ public:
+  // The kept tape of `key`, or null.
+  std::shared_ptr<const NoiseTape> Find(const TapeKey& key) {
+    std::lock_guard<std::mutex> lock(mu_);
+    Entry* e = Lookup(key);
+    if (e == nullptr) {
+      return nullptr;
+    }
+    e->last_use = ++clock_;
+    return e->tape;
+  }
+
+  // A tape of `key` holding at least `draws` draws: the kept one if it is
+  // long enough, else a new fill, kept when it fits the bound.
+  std::shared_ptr<const NoiseTape> Get(const TapeKey& key, size_t draws) {
+    if (draws > kNoiseTapeDraws) {
+      return FillTape(key, draws);
+    }
+    if (auto kept = Find(key); kept != nullptr && kept->gaussians.size() >= draws) {
+      return kept;
+    }
+    std::shared_ptr<const NoiseTape> tape = FillTape(key, draws);  // outside the lock
+    std::lock_guard<std::mutex> lock(mu_);
+    Entry* e = Lookup(key);
+    if (e == nullptr) {
+      e = std::min_element(std::begin(entries_), std::end(entries_),
+                           [](const Entry& a, const Entry& b) { return a.last_use < b.last_use; });
+      *e = {key, std::move(tape), 0};
+    } else if (e->tape->gaussians.size() < draws) {
+      e->tape = std::move(tape);
+    }
+    e->last_use = ++clock_;
+    return e->tape;
+  }
+
+ private:
+  struct Entry {
+    TapeKey key{};
+    std::shared_ptr<const NoiseTape> tape;
+    uint64_t last_use = 0;
+  };
+
+  Entry* Lookup(const TapeKey& key) {
+    for (Entry& e : entries_) {
+      if (e.tape != nullptr && e.key == key) {
+        return &e;
+      }
+    }
+    return nullptr;
+  }
+
+  std::mutex mu_;
+  uint64_t clock_ = 0;
+  Entry entries_[kNoiseTapeStreams];
+};
+
+TapeMemo& Tapes() {
+  static TapeMemo* memo = new TapeMemo();
+  return *memo;
+}
+
+// Whether `a` reads the jitter stream: a jittered segment whose cost is not
+// <= 0 (NaN reads it too).
+bool DrawsJitter(const nxe::ThreadAction& a) {
+  return a.kind == nxe::ActionKind::kCompute && a.arg == TraceTemplate::kJittered &&
+         !(a.cost <= 0.0);
+}
+
+// The jitter draws `tmpl` makes from action `i` of thread `t` on.
+size_t JitterDraws(const TraceTemplate& tmpl, size_t t, size_t i) {
+  size_t draws = 0;
+  for (; t < tmpl.threads.size(); ++t, i = 0) {
+    const std::vector<nxe::ThreadAction>& actions = tmpl.threads[t].actions;
+    for (; i < actions.size(); ++i) {
+      draws += DrawsJitter(actions[i]) ? 1 : 0;
+    }
+  }
+  return draws;
 }
 
 // The runtime records a sanitizer adds around every run, parsed once from
@@ -251,16 +371,22 @@ void DeriveTrace(const TraceTemplate& tmpl, const VariantSpec& variant, nxe::Var
   out->compute_scale = variant.compute_scale;
   out->threads.resize(tmpl.threads.size());
 
-  Rng jitter_rng(variant.jitter_seed * 0x9E3779B97F4A7C15ULL + tmpl.jitter_salt);
+  const TapeKey key{variant.jitter_seed, tmpl.jitter_salt, tmpl.sprinkle_memory_management};
   size_t mm_count = 0;
   std::optional<Rng> mm_rng;
   if (tmpl.sprinkle_memory_management) {
-    mm_rng.emplace(jitter_rng.Fork(0xABCD));
+    mm_rng.emplace(JitterStream(key.jitter_seed, key.jitter_salt).Fork(kMemoryManagementSalt));
     for (san::SanitizerId id : variant.sanitizers) {
       mm_count += RuntimeRecordsOf(id).in_execution * 3;
     }
   }
   std::vector<MmInsert> inserts(mm_count);
+
+  // The tape is fetched again, longer, when this template outruns it.
+  std::shared_ptr<const NoiseTape> tape = Tapes().Find(key);
+  size_t held = tape == nullptr ? 0 : tape->gaussians.size();
+  size_t draw = 0;
+  size_t burst = 0;
 
   const double sigma = tmpl.noise_sigma;
   const double scale = variant.compute_scale;
@@ -281,17 +407,43 @@ void DeriveTrace(const TraceTemplate& tmpl, const VariantSpec& variant, nxe::Var
     dst.actions.clear();
     dst.actions.reserve(len + inserted);
     size_t next = 0;
-    for (const nxe::ThreadAction& a : src.actions) {
+    for (size_t i = 0; i < len; ++i) {
+      const nxe::ThreadAction& a = src.actions[i];
       while (next < inserted && inserts[next].pos == dst.actions.size()) {
         dst.Append({0.0, inserts[next++].record, nxe::ActionKind::kSyscall});
       }
-      if (a.kind == nxe::ActionKind::kCompute) {
-        const double cost =
-            a.arg == TraceTemplate::kJittered ? Jitter(a.cost, sigma, scale, &jitter_rng) : a.cost;
-        dst.Append(nxe::ThreadAction::Compute(cost));
-      } else {
+      if (a.kind != nxe::ActionKind::kCompute) {
         dst.Append(a);
+        continue;
       }
+      if (!DrawsJitter(a)) {
+        dst.Append(nxe::ThreadAction::Compute(a.cost));
+        continue;
+      }
+      if (draw == held) {
+        tape = Tapes().Get(key, draw + JitterDraws(tmpl, t, i));
+        held = tape->gaussians.size();
+      }
+      // OS noise behaves like a random walk over the segment, so the
+      // absolute deviation grows with sqrt(cost): long compute bursts
+      // between syscalls absorb proportionally less jitter than dense
+      // syscall bursts. `scale` is the variant's sanitizer slowdown: the
+      // engine multiplies every compute cost by it, but OS jitter is a
+      // property of wall-clock time, not of the instrumentation, so the
+      // deviation is divided out here to be scale-invariant after the
+      // engine's multiplication. The `0.0 +` is NextGaussian's mean: the
+      // arithmetic is the live draw's, operation for operation.
+      const Rng::GaussianFactors& g = tape->gaussians[draw];
+      const double sigma_abs = sigma * std::sqrt(a.cost) / std::max(1.0, scale);
+      double jittered = std::max(0.05 * a.cost, a.cost + (0.0 + sigma_abs * g.a * g.b));
+      // Occasionally the OS preempts the process for a scheduling quantum —
+      // a heavy-tailed burst that lets the leader run several syscalls ahead
+      // of a follower in selective mode (the §5.3 gap measurements).
+      if (tape->bursts[burst].draw == draw) {
+        jittered += tape->bursts[burst++].cycles / std::max(1.0, scale);
+      }
+      ++draw;
+      dst.Append(nxe::ThreadAction::Compute(jittered));
     }
     while (next < inserted) {
       dst.Append({0.0, inserts[next++].record, nxe::ActionKind::kSyscall});

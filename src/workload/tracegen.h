@@ -3,19 +3,29 @@
 // The *template* (benign syscall records, compute segmentation, lock/barrier
 // structure) is a pure function of the workload seed, so every variant of a
 // benchmark issues exactly the same sync-relevant syscall sequence — the
-// N-version invariant. Generation therefore has two steps: BuildTemplate
-// makes every structural draw once per (benchmark, workload seed), and
-// DeriveTrace turns the template into one variant's trace. Per-variant
-// differences are:
+// N-version invariant. Per-variant differences are:
 //   * compute_scale (the sanitizer slowdown the variant carries),
 //   * scheduling jitter (a per-variant noise stream — clones of one binary
 //     do not run in perfectly identical time): additive Gaussian noise with
 //     sigma proportional to sqrt(segment cost), plus rare preemption bursts,
 //   * sanitizer-introduced syscalls (pre-main, in-execution memory
 //     management, post-exit) taken from the sanitizer catalog.
+//
+// Generation has three steps:
+//   * tape: a variant's jitter stream is seeded from (jitter_seed,
+//     jitter_salt) alone, never from the workload seed, so its draws are the
+//     same for every program and request. They are drawn once per process
+//     into a noise tape and memoized (at most kNoiseTapeStreams tapes of
+//     kNoiseTapeDraws draws, least recently used evicted first);
+//   * template: BuildTemplate makes every structural draw once per
+//     (benchmark, workload seed);
+//   * derive: DeriveTrace turns the template into one variant's trace,
+//     scaling the tape's draws, with no sampling of its own.
 #ifndef BUNSHIN_SRC_WORKLOAD_TRACEGEN_H_
 #define BUNSHIN_SRC_WORKLOAD_TRACEGEN_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -25,6 +35,12 @@
 
 namespace bunshin {
 namespace workload {
+
+// Bounds of the process-wide noise-tape memo. A stream whose template needs
+// more than kNoiseTapeDraws draws is filled into a tape of its own for the
+// one derive.
+constexpr size_t kNoiseTapeStreams = 64;
+constexpr size_t kNoiseTapeDraws = 4096;
 
 struct VariantSpec {
   std::string name = "v";
@@ -65,10 +81,13 @@ void BuildTemplate(const BenchmarkSpec& bench, uint64_t workload_seed, TraceTemp
 double TemplateActions(const BenchmarkSpec& bench);
 
 // Derives one variant's trace from `tmpl` into `out`, reusing its buffers'
-// capacity. The variant's jitter stream is drawn in action order; the
-// memory-management insert positions (a stream of their own) are drawn
-// first and merged in the same single pass. The result depends only on
-// (tmpl, variant), never on which other variants share the template.
+// capacity. Jittered segments read the variant's noise tape in action order,
+// one entry per jittered segment whose cost is not <= 0 (NaN included); the
+// memory-management insert positions (a stream forked off the jitter stream
+// before its first draw) are drawn first and merged in the same single pass.
+// The result depends only on (tmpl, variant), never on which other variants
+// share the template or on what the memo holds: it is bit-identical to
+// drawing the stream live.
 void DeriveTrace(const TraceTemplate& tmpl, const VariantSpec& variant, nxe::VariantTrace* out);
 
 // Builds the trace of one variant of `bench` (BuildTemplate + DeriveTrace).

@@ -2,11 +2,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <thread>
 
 #include "src/api/nvx.h"
 #include "src/api/plan.h"
 #include "src/nxe/engine.h"
+#include "src/support/rng.h"
 #include "src/workload/tracegen.h"
 #include "src/workload/workload.h"
 
@@ -401,6 +409,272 @@ TEST(TraceFingerprintTest, ShardedPlanTracesWithOverlays) {
     }
   }
   EXPECT_EQ(digest.value(), 0x2E61BD8E58822BEDULL);
+}
+
+// --- Noise tapes ----------------------------------------------------------------
+//
+// DeriveTrace reads each variant's jitter from a memoized noise tape. These
+// tests hold the tapes to the live stream: a test-local replay of the jitter
+// model draws from a live Rng, and every derived action must match it field
+// by field. The goldens above cover catalog templates at salts 17 and 29;
+// these cover hand-built templates with edge costs, other salts, both
+// memory-management settings and lengths past the memo's per-tape cap.
+
+// The jitter model, drawn live: the deviation grows with sqrt(cost) and is
+// divided by the variant's scale, plus a rare preemption burst. A segment
+// whose cost is <= 0 draws nothing; NaN draws.
+double LiveJitter(double cost, double sigma_coeff, double scale, Rng* rng) {
+  if (cost <= 0.0) {
+    return cost;
+  }
+  const double sigma_abs = sigma_coeff * std::sqrt(cost) / std::max(1.0, scale);
+  double jittered = std::max(0.05 * cost, cost + rng->NextGaussian(0.0, sigma_abs));
+  if (rng->NextBool(0.004)) {
+    jittered += (60.0 + rng->NextExponential(50.0)) / std::max(1.0, scale);
+  }
+  return jittered;
+}
+
+uint64_t CostBits(double cost) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &cost, sizeof(bits));
+  return bits;
+}
+
+// Checks `derived` against `tmpl` with its jitter replayed live: each
+// template action in order, field by field (ThreadAction has padding, so no
+// memcmp), skipping the memory-management syscalls derivation inserts.
+void ExpectLiveDraws(const workload::TraceTemplate& tmpl, const workload::VariantSpec& spec,
+                     const nxe::VariantTrace& derived) {
+  Rng rng(spec.jitter_seed * 0x9E3779B97F4A7C15ULL + tmpl.jitter_salt);
+  if (tmpl.sprinkle_memory_management) {
+    rng.Fork(0xABCD);  // the memory-management stream forks off first
+  }
+  const std::string what = "jitter_seed " + std::to_string(spec.jitter_seed) + ", salt " +
+                           std::to_string(tmpl.jitter_salt);
+  EXPECT_EQ(derived.name, spec.name) << what;
+  EXPECT_EQ(CostBits(derived.compute_scale), CostBits(spec.compute_scale)) << what;
+  ASSERT_EQ(derived.threads.size(), tmpl.threads.size()) << what;
+  for (size_t t = 0; t < tmpl.threads.size(); ++t) {
+    const nxe::ThreadTrace& src = tmpl.threads[t];
+    const std::vector<nxe::ThreadAction>& got = derived.threads[t].actions;
+    auto inserted = [&](size_t d) {
+      return got[d].kind == nxe::ActionKind::kSyscall && got[d].arg >= src.syscalls.size();
+    };
+    size_t d = 0;
+    for (size_t i = 0; i < src.actions.size(); ++i, ++d) {
+      while (d < got.size() && inserted(d)) {
+        ++d;
+      }
+      ASSERT_LT(d, got.size()) << what << ", thread " << t << ", action " << i;
+      const nxe::ThreadAction& want = src.actions[i];
+      ASSERT_EQ(got[d].kind, want.kind) << what << ", thread " << t << ", action " << i;
+      if (want.kind == nxe::ActionKind::kCompute) {
+        const double cost = want.arg == workload::TraceTemplate::kJittered
+                                ? LiveJitter(want.cost, tmpl.noise_sigma, spec.compute_scale, &rng)
+                                : want.cost;
+        ASSERT_EQ(CostBits(got[d].cost), CostBits(cost))
+            << what << ", thread " << t << ", action " << i << ": " << got[d].cost << " vs "
+            << cost;
+        ASSERT_EQ(got[d].arg, 0u) << what << ", thread " << t << ", action " << i;
+      } else {
+        ASSERT_EQ(CostBits(got[d].cost), CostBits(want.cost)) << what << ", thread " << t;
+        ASSERT_EQ(got[d].arg, want.arg) << what << ", thread " << t << ", action " << i;
+      }
+    }
+    for (; d < got.size(); ++d) {
+      ASSERT_TRUE(inserted(d)) << what << ", thread " << t << ": extra action " << d;
+    }
+  }
+}
+
+// A hand-built template of 1-4 threads with `segments` jittered segments
+// spread over them. About one cost in ten is an edge value (zeros,
+// negatives, NaN, infinities, extremes); syscalls, lock hold times and
+// locks sit between segments, and every thread ends in an exit.
+workload::TraceTemplate RandomTemplate(Rng* rng, size_t segments) {
+  static const double kEdgeCosts[] = {0.0,
+                                      -0.0,
+                                      -3.5,
+                                      std::numeric_limits<double>::quiet_NaN(),
+                                      std::numeric_limits<double>::infinity(),
+                                      -std::numeric_limits<double>::infinity(),
+                                      std::numeric_limits<double>::denorm_min(),
+                                      1e300};
+  static const uint64_t kSalts[] = {0, 5, 17, 29, 1ULL << 40};
+  workload::TraceTemplate tmpl;
+  tmpl.threads.resize(1 + rng->NextBounded(4));
+  tmpl.noise_sigma = 0.01 + 0.5 * rng->NextDouble();
+  tmpl.jitter_salt = rng->NextBool(0.5) ? kSalts[rng->NextBounded(std::size(kSalts))]
+                                        : rng->NextU64();
+  tmpl.sprinkle_memory_management = rng->NextBool(0.5);
+  for (size_t s = 0; s < segments; ++s) {
+    nxe::ThreadTrace& thread = tmpl.threads[rng->NextBounded(tmpl.threads.size())];
+    const double cost = rng->NextBool(0.1) ? kEdgeCosts[rng->NextBounded(std::size(kEdgeCosts))]
+                                           : 1.0 + 500.0 * rng->NextDouble();
+    thread.Append({cost, workload::TraceTemplate::kJittered, nxe::ActionKind::kCompute});
+    switch (rng->NextBounded(3)) {
+      case 0: {
+        sc::SyscallRecord rec;
+        rec.no = sc::Sysno::kWrite;
+        rec.args = {1, static_cast<int64_t>(s), 0, 0, 0, 0};
+        thread.AppendSyscall(rec);
+        break;
+      }
+      case 1: {
+        const auto lock = static_cast<uint32_t>(rng->NextBounded(8));
+        thread.Append(nxe::ThreadAction::Lock(lock));
+        thread.Append(nxe::ThreadAction::Compute(2.5));
+        thread.Append(nxe::ThreadAction::Unlock(lock));
+        break;
+      }
+      default:
+        break;
+    }
+  }
+  for (nxe::ThreadTrace& thread : tmpl.threads) {
+    thread.Append(nxe::ThreadAction::Exit());
+  }
+  return tmpl;
+}
+
+// A variant with scale below or above 1 and 0-3 sanitizers. Half the jitter
+// seeds come from a small pool, so streams meet templates of other lengths.
+workload::VariantSpec RandomSpec(Rng* rng) {
+  workload::VariantSpec spec;
+  spec.name = "v" + std::to_string(rng->NextBounded(100));
+  spec.compute_scale =
+      rng->NextBool(0.5) ? 0.2 + 0.8 * rng->NextDouble() : 1.0 + 3.0 * rng->NextDouble();
+  spec.jitter_seed = rng->NextBool(0.5) ? 1000 + rng->NextBounded(8) : rng->NextU64();
+  const auto& catalog = san::AllSanitizers();
+  for (size_t n = rng->NextBounded(4); n > 0; --n) {
+    spec.sanitizers.push_back(catalog[rng->NextBounded(catalog.size())].id);
+  }
+  return spec;
+}
+
+TEST(NoiseTapeTest, DerivedTracesMatchLiveDraws) {
+  Rng rng(0x7A9E);
+  for (int round = 0; round < 200; ++round) {
+    const size_t segments = round % 10 == 9 ? workload::kNoiseTapeDraws + 1 + rng.NextBounded(2000)
+                                            : rng.NextBounded(1500);
+    const workload::TraceTemplate tmpl = RandomTemplate(&rng, segments);
+    for (int v = 0; v < 3; ++v) {
+      const workload::VariantSpec spec = RandomSpec(&rng);
+      nxe::VariantTrace trace;
+      workload::DeriveTrace(tmpl, spec, &trace);
+      ExpectLiveDraws(tmpl, spec, trace);
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+// Several threads derive from a cold memo at once. Each stream gets a short
+// template and a longer one, so its tape is replaced while other threads
+// read the short one; half the threads take the long template first.
+TEST(NoiseTapeTest, ConcurrentDerivesFromAColdMemoMatchLiveDraws) {
+  Rng rng(0xC01D);
+  const workload::TraceTemplate short_tmpl = RandomTemplate(&rng, 300);
+  workload::TraceTemplate long_tmpl = RandomTemplate(&rng, 2500);
+  long_tmpl.jitter_salt = short_tmpl.jitter_salt;
+  long_tmpl.sprinkle_memory_management = short_tmpl.sprinkle_memory_management;
+  std::vector<workload::VariantSpec> specs;
+  for (uint64_t i = 0; i < 24; ++i) {
+    specs.push_back(RandomSpec(&rng));
+    specs.back().jitter_seed = 0xC01D'0000'0000'0000ULL + i;  // no other test uses these
+  }
+
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<nxe::VariantTrace>> traces(
+      kThreads, std::vector<nxe::VariantTrace>(2 * specs.size()));
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&, k] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+        std::this_thread::yield();
+      }
+      for (size_t i = 0; i < specs.size(); ++i) {
+        for (size_t j = 0; j < 2; ++j) {
+          const bool take_long = (j == 0) == (k % 2 == 1);
+          workload::DeriveTrace(take_long ? long_tmpl : short_tmpl, specs[i],
+                                &traces[k][2 * i + (take_long ? 1 : 0)]);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (size_t k = 0; k < kThreads; ++k) {
+    for (size_t i = 0; i < specs.size(); ++i) {
+      ExpectLiveDraws(short_tmpl, specs[i], traces[k][2 * i]);
+      ExpectLiveDraws(long_tmpl, specs[i], traces[k][2 * i + 1]);
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+#ifdef __SANITIZE_ADDRESS__
+// ASan's allocator statistics (declared in sanitizer/allocator_interface.h,
+// which GCC does not ship).
+extern "C" size_t __sanitizer_get_current_allocated_bytes();
+#else
+size_t PeakRssKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::stoul(line.substr(6));
+    }
+  }
+  return 0;
+}
+#endif
+
+// Junk jitter seeds (as a hostile wire client could send) and over-cap
+// templates must not grow the memo past its bound. Kept unbounded, the
+// 10,000 streams below would hold ~160 MiB of tapes and the over-cap ones
+// ~50 MiB. Under ASan, whose quarantine keeps freed blocks resident, peak
+// RSS would measure the quarantine; what the memo retains shows in the live
+// heap instead.
+TEST(NoiseTapeTest, MemoStaysBoundedUnderJunkSeedsAndOverCapTemplates) {
+#ifdef __SANITIZE_ADDRESS__
+  const size_t live_before = __sanitizer_get_current_allocated_bytes();
+#else
+  std::ofstream("/proc/self/clear_refs") << "5";  // peak := current, where allowed
+  const size_t before = PeakRssKb();
+  if (before == 0) {
+    GTEST_SKIP() << "no VmHWM in /proc/self/status";
+  }
+#endif
+  Rng rng(0xB0B);
+  nxe::VariantTrace trace;
+  workload::VariantSpec spec;
+  const workload::TraceTemplate tmpl = RandomTemplate(&rng, 1024);
+  for (uint64_t i = 0; i < 10'000; ++i) {
+    spec.jitter_seed = 0x5EED'0000'0000'0000ULL + i;
+    workload::DeriveTrace(tmpl, spec, &trace);
+  }
+  const workload::TraceTemplate over_cap = RandomTemplate(&rng, 4 * workload::kNoiseTapeDraws);
+  for (uint64_t i = 0; i < 200; ++i) {
+    spec.jitter_seed = 0x0CA9'0000'0000'0000ULL + i;
+    workload::DeriveTrace(over_cap, spec, &trace);
+  }
+  ExpectLiveDraws(over_cap, spec, trace);
+#ifdef __SANITIZE_ADDRESS__
+  EXPECT_LT(__sanitizer_get_current_allocated_bytes(), live_before + (32u << 20))
+      << "live heap grew by " << (__sanitizer_get_current_allocated_bytes() - live_before)
+      << " bytes";
+#else
+  EXPECT_LT(PeakRssKb(), before + (32u << 10)) << "peak RSS grew by " << (PeakRssKb() - before)
+                                               << " KiB";
+#endif
 }
 
 }  // namespace
