@@ -134,28 +134,24 @@ int main() {
     }
   }
 
-  const char* json_path = "BENCH_engine.json";
-  FILE* out = std::fopen(json_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path);
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"host_cores\": %u,\n  \"rows\": [\n",
-               std::thread::hardware_concurrency());
+  std::string rows_json;
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    std::fprintf(out,
-                 "    {\"workload\": \"%s\", \"mode\": \"%s\", \"n_variants\": %zu, "
-                 "\"events\": %zu, \"sessions_per_sec\": %.2f, \"ns_per_event\": %.2f, "
-                 "\"ref_sessions_per_sec\": %.2f, \"speedup\": %.3f}%s\n",
-                 r.workload, r.mode, r.n, r.events, r.ours.sessions_per_sec,
-                 r.ours.ns_per_event, r.ref.sessions_per_sec,
-                 r.ours.sessions_per_sec / r.ref.sessions_per_sec,
-                 i + 1 < rows.size() ? "," : "");
+    char line[512];
+    std::snprintf(line, sizeof(line),
+                  "    {\"workload\": \"%s\", \"mode\": \"%s\", \"n_variants\": %zu, "
+                  "\"events\": %zu, \"sessions_per_sec\": %.2f, \"ns_per_event\": %.2f, "
+                  "\"ref_sessions_per_sec\": %.2f, \"speedup\": %.3f}%s\n",
+                  r.workload, r.mode, r.n, r.events, r.ours.sessions_per_sec,
+                  r.ours.ns_per_event, r.ref.sessions_per_sec,
+                  r.ours.sessions_per_sec / r.ref.sessions_per_sec,
+                  i + 1 < rows.size() ? "," : "");
+    rows_json += line;
   }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s (speedup is event-driven Run vs the retained reference scheduler)\n",
-              json_path);
+  if (bench::EmitEngineRows(rows_json, /*fresh=*/true) != 0) {
+    return 1;
+  }
+  std::printf("wrote BENCH_engine.json (speedup is event-driven Run vs the retained reference "
+              "scheduler)\n");
   return 0;
 }

@@ -130,38 +130,6 @@ double Median(std::vector<double> values) {
   return values[values.size() / 2];
 }
 
-// Appends rows to BENCH_engine.json in place (micro_engine_hotpath writes the
-// file first in CI; standalone invocations start a fresh one).
-int EmitRows(const std::string& rows_json) {
-  const char* json_path = "BENCH_engine.json";
-  std::string existing;
-  if (FILE* in = std::fopen(json_path, "r")) {
-    char buf[4096];
-    size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof(buf), in)) > 0) {
-      existing.append(buf, got);
-    }
-    std::fclose(in);
-  }
-  std::string out_text;
-  const size_t tail = existing.rfind("\n  ]");
-  if (tail != std::string::npos) {
-    out_text = existing.substr(0, tail) + ",\n" + rows_json + existing.substr(tail + 1);
-  } else {
-    out_text = "{\n  \"host_cores\": " + std::to_string(std::thread::hardware_concurrency()) +
-               ",\n  \"rows\": [\n" + rows_json + "  ]\n}\n";
-  }
-  FILE* out = std::fopen(json_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path);
-    return 1;
-  }
-  std::fwrite(out_text.data(), 1, out_text.size(), out);
-  std::fclose(out);
-  std::printf("appended warm_session rows to %s\n", json_path);
-  return 0;
-}
-
 }  // namespace
 
 int main() {
@@ -286,9 +254,10 @@ int main() {
                 "\"sessions_per_sec\": %.2f, \"allocs_per_run\": %.2f}\n",
                 kVariants, Median(cold_rate), cold_allocs, kVariants, Median(warm_rate),
                 warm_allocs);
-  if (EmitRows(rows) != 0) {
+  if (bench::EmitEngineRows(rows, /*fresh=*/false) != 0) {
     return 1;
   }
+  std::printf("appended warm_session rows to BENCH_engine.json\n");
 
   int rc = 0;
   if (warm_allocs > 0.0) {

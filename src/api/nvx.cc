@@ -1,7 +1,6 @@
 #include "src/api/nvx.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <numeric>
 #include <utility>
 
@@ -40,15 +39,12 @@ StatusOr<double> SpecOverhead(const workload::BenchmarkSpec& bench, san::Sanitiz
 // IrBackend: variants of an ir::Module executed on the interpreter.
 // ---------------------------------------------------------------------------
 
-// The built system is held by shared_ptr so an IrSystemCache can hand one
-// immutable IrNvxSystem (the expensive instrument/profile/partition/slice
-// product) to many sessions; RunDetailed is const and per-run state lives on
-// the interpreter stack, so sharing is thread-safe.
+// RunDetailed is const and keeps per-run state on the interpreter stack, so
+// concurrent runs of one session share the system safely.
 class IrBackend final : public Backend {
  public:
-  IrBackend(std::shared_ptr<const core::IrNvxSystem> system,
-            std::unique_ptr<ir::Module> baseline, uint64_t fuel, bool has_check_plan,
-            std::vector<std::string> labels)
+  IrBackend(core::IrNvxSystem system, std::unique_ptr<ir::Module> baseline, uint64_t fuel,
+            bool has_check_plan, std::vector<std::string> labels)
       : system_(std::move(system)),
         baseline_(std::move(baseline)),
         fuel_(fuel),
@@ -56,14 +52,14 @@ class IrBackend final : public Backend {
         labels_(std::move(labels)) {}
 
   const char* name() const override { return "ir"; }
-  size_t n_variants() const override { return system_->n_variants(); }
+  size_t n_variants() const override { return system_.n_variants(); }
   const std::vector<std::string>& variant_labels() const override { return labels_; }
 
   const distribution::CheckDistributionPlan* check_plan() const override {
-    return has_check_plan_ ? &system_->check_plan() : nullptr;
+    return has_check_plan_ ? &system_.check_plan() : nullptr;
   }
   const std::vector<std::vector<std::string>>* sanitizer_groups() const override {
-    return system_->sanitizer_groups().empty() ? nullptr : &system_->sanitizer_groups();
+    return system_.sanitizer_groups().empty() ? nullptr : &system_.sanitizer_groups();
   }
 
   StatusOr<RunReport> Run(const RunRequest& request) const override {
@@ -80,7 +76,7 @@ class IrBackend final : public Backend {
       }
     }
 
-    const core::DetailedNvxRun detailed = system_->RunDetailed(request.entry, request.args);
+    const core::DetailedNvxRun detailed = system_.RunDetailed(request.entry, request.args);
 
     report.variant_finish_time.reserve(detailed.runs.size());
     for (const auto& run : detailed.runs) {
@@ -122,7 +118,7 @@ class IrBackend final : public Backend {
   }
 
  private:
-  std::shared_ptr<const core::IrNvxSystem> system_;
+  core::IrNvxSystem system_;
   std::unique_ptr<ir::Module> baseline_;
   uint64_t fuel_;
   bool has_check_plan_;
@@ -139,8 +135,9 @@ class IrBackend final : public Backend {
 // starting with the leader (a group replicates it for synchronization). One
 // group is the ordinary session. Under Shards(k) the groups are
 // ShardMemberGroups(n, k): they run one after another on the calling thread
-// and their reports merge through RunReport::Merge. RunPartial() and Merge
-// do the global remapping of a subset backend's reports.
+// and their reports merge through RunReport::Merge, which does the global
+// remapping; an executor wraps its subset backend's report in a
+// PartialReport the same way.
 // ---------------------------------------------------------------------------
 
 // Per-session scratch the warm path reuses across runs of one backend:
@@ -186,9 +183,6 @@ class TraceBackend final : public Backend {
   const char* name() const override { return "trace"; }
   size_t n_variants() const override { return coverage_.size(); }
   const std::vector<std::string>& variant_labels() const override { return labels_; }
-
-  std::vector<size_t> shard_coverage() const override { return coverage_; }
-  bool owns_baseline() const override { return owns_baseline_; }
 
   const distribution::CheckDistributionPlan* check_plan() const override {
     return plan_->check_plan.has_value() ? &*plan_->check_plan : nullptr;
@@ -463,8 +457,6 @@ class ReportFreelist {
     r->lock_acquisitions = 0;
     r->avg_syscall_gap = 0.0;
     r->max_syscall_gap = 0;
-    r->plan_from_cache = false;
-    r->plan_cache.reset();
   }
 
   static constexpr size_t kCapacity = 64;
@@ -675,37 +667,9 @@ StatusOr<RunReport> RunReport::Merge(size_t n_variants,
   return merged;
 }
 
-// ---------------------------------------------------------------------------
-// Backend: the default (whole-session) shard seam.
-// ---------------------------------------------------------------------------
-
-std::vector<size_t> Backend::shard_coverage() const {
-  std::vector<size_t> identity(n_variants());
-  std::iota(identity.begin(), identity.end(), 0);
-  return identity;
-}
-
-StatusOr<PartialReport> Backend::RunPartial(const RunRequest& request) const {
-  StatusOr<RunReport> report = Run(request);
-  if (!report.ok()) {
-    return report.status();
-  }
-  PartialReport partial;
-  partial.variant_index = shard_coverage();
-  partial.owns_baseline = owns_baseline();
-  partial.report = std::move(*report);
-  return partial;
-}
-
 StatusOr<RunReport> NvxSession::Run(const RunRequest& request) const {
   StatusOr<RunReport> report = backend_->Run(request);
   if (report.ok()) {
-    if (cache_stats_fn_) {
-      // Stamped above the shard seam: one snapshot per session run, after
-      // any Merge, never per shard.
-      report->plan_from_cache = plan_from_cache_;
-      report->plan_cache = cache_stats_fn_();
-    }
     Notify(*report);
   }
   return report;
@@ -776,10 +740,6 @@ NvxBuilder& NvxBuilder::InjectDivergence(size_t variant, std::string payload) {
   diverge_injections_.push_back({variant, std::move(payload)});
   return *this;
 }
-NvxBuilder& NvxBuilder::Async(size_t n_workers) {
-  async_workers_ = n_workers;
-  return *this;
-}
 NvxBuilder& NvxBuilder::Shards(size_t k) {
   shards_ = k;
   return *this;
@@ -810,10 +770,6 @@ NvxBuilder& NvxBuilder::RingCapacity(size_t slots) {
   engine_config_.ring_capacity = slots;
   return *this;
 }
-NvxBuilder& NvxBuilder::CacheSensitivity(double sensitivity) {
-  cache_sensitivity_ = sensitivity;
-  return *this;
-}
 NvxBuilder& NvxBuilder::Seed(uint64_t seed) {
   seed_ = seed;
   return *this;
@@ -822,20 +778,12 @@ NvxBuilder& NvxBuilder::MeasureStandalone(bool measure) {
   measure_standalone_ = measure;
   return *this;
 }
-NvxBuilder& NvxBuilder::InterpreterFuel(uint64_t fuel) {
-  interpreter_fuel_ = fuel;
-  return *this;
-}
 NvxBuilder& NvxBuilder::SetObserver(Observer observer) {
   observer_ = std::move(observer);
   return *this;
 }
 NvxBuilder& NvxBuilder::WithPlanCache(std::shared_ptr<PlanCache> cache) {
   plan_cache_ = std::move(cache);
-  return *this;
-}
-NvxBuilder& NvxBuilder::WithIrCache(std::shared_ptr<IrSystemCache> cache) {
-  ir_cache_ = std::move(cache);
   return *this;
 }
 NvxBuilder& NvxBuilder::PooledEngines(bool pooled) {
@@ -862,12 +810,8 @@ Status NvxBuilder::ValidateTarget() const {
   // the user opted into amortization and would silently re-plan forever.
   if (plan_cache_ != nullptr && module_ != nullptr) {
     return InvalidArgument(
-        "WithPlanCache() applies to trace targets (Benchmark/Server); module targets use "
-        "WithIrCache()");
-  }
-  if (ir_cache_ != nullptr && module_ == nullptr) {
-    return InvalidArgument(
-        "WithIrCache() applies to Module() targets; trace targets use WithPlanCache()");
+        "WithPlanCache() applies to trace targets (Benchmark/Server); module targets are not "
+        "cached");
   }
   if (shards_.has_value()) {
     if (*shards_ == 0) {
@@ -895,16 +839,16 @@ Status NvxBuilder::ValidateTarget() const {
   return Status::Ok();
 }
 
-StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildBackend(CacheTelemetry* telemetry) const {
+StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildBackend() const {
   Status valid = ValidateTarget();
   if (!valid.ok()) {
     return valid;
   }
   if (module_ != nullptr) {
-    return BuildIrBackend(telemetry);
+    return BuildIrBackend();
   }
 
-  StatusOr<std::shared_ptr<const VariantPlan>> resolved = ResolveSharedPlan(telemetry);
+  StatusOr<std::shared_ptr<const VariantPlan>> resolved = ResolveSharedPlan();
   if (!resolved.ok()) {
     return resolved.status();
   }
@@ -935,16 +879,12 @@ StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildBackend(CacheTelemetry* tele
 }
 
 StatusOr<NvxSession> NvxBuilder::Build() const {
-  CacheTelemetry telemetry;
-  StatusOr<std::unique_ptr<Backend>> backend = BuildBackend(&telemetry);
+  StatusOr<std::unique_ptr<Backend>> backend = BuildBackend();
   if (!backend.ok()) {
     return backend.status();
   }
   NvxSession session(std::move(*backend));
   session.SetObserver(observer_);
-  if (telemetry.stats_fn) {
-    session.SetCacheTelemetry(std::move(telemetry.stats_fn), telemetry.from_cache);
-  }
   return session;
 }
 
@@ -955,12 +895,12 @@ StatusOr<AsyncNvxSession> NvxBuilder::BuildAsync(
     return session.status();
   }
   if (pool == nullptr) {
-    pool = std::make_shared<support::ThreadPool>(async_workers_.value_or(0));
+    pool = std::make_shared<support::ThreadPool>(0);  // 0 = hardware concurrency
   }
   return AsyncNvxSession(std::move(*session), std::move(pool));
 }
 
-StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildIrBackend(CacheTelemetry* telemetry) const {
+StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildIrBackend() const {
   if (!detect_injections_.empty()) {
     return InvalidArgument(
         "InjectDetection() needs a trace target; IR detections come from the program itself");
@@ -984,54 +924,24 @@ StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildIrBackend(CacheTelemetry* te
     return InvalidArgument("Module() failed IR verification: " + module_ok.message());
   }
 
-  // The expensive half: instrument + profile + partition + slice. Runs once
-  // per IrCacheKey() when an IrSystemCache is attached.
-  auto build_system = [this]() -> StatusOr<std::shared_ptr<const core::IrNvxSystem>> {
-    core::Options options;
-    options.n_variants = n_variants_;
-    options.partition = partition_options_;
-    options.interpreter_fuel = interpreter_fuel_;
-
-    StatusOr<core::IrNvxSystem> system = InvalidArgument("unreachable");
-    switch (strategy_) {
-      case DistributionStrategy::kNone:
-        return InvalidArgument("unreachable: rejected above");
-      case DistributionStrategy::kCheck:
-        system = core::IrNvxSystem::CreateCheckDistributed(*module_, check_sanitizer_,
-                                                           profiling_workload_, options);
-        break;
-      case DistributionStrategy::kSanitizer:
-        system = core::IrNvxSystem::CreateSanitizerDistributed(*module_, sanitizers_, options);
-        break;
-      case DistributionStrategy::kUbsanSub:
-        system = core::IrNvxSystem::CreateUbsanDistributed(*module_, options);
-        break;
-    }
-    if (!system.ok()) {
-      return system.status();
-    }
-    return std::shared_ptr<const core::IrNvxSystem>(
-        std::make_shared<const core::IrNvxSystem>(std::move(*system)));
-  };
-
-  StatusOr<std::shared_ptr<const core::IrNvxSystem>> system = InvalidArgument("unreachable");
-  if (ir_cache_ != nullptr) {
-    StatusOr<std::string> key = IrCacheKey();
-    if (!key.ok()) {
-      return key.status();
-    }
-    bool hit = false;
-    system = ir_cache_->GetOrBuild(*key, build_system, &hit);
-    if (observer_.on_plan_cache) {
-      observer_.on_plan_cache(*key, hit);
-    }
-    if (telemetry != nullptr) {
-      telemetry->from_cache = hit;
-      std::shared_ptr<IrSystemCache> cache = ir_cache_;
-      telemetry->stats_fn = [cache] { return cache->stats(); };
-    }
-  } else {
-    system = build_system();
+  // The expensive half: instrument + profile + partition + slice.
+  core::Options options;
+  options.n_variants = n_variants_;
+  options.partition = partition_options_;
+  StatusOr<core::IrNvxSystem> system = InvalidArgument("unreachable");
+  switch (strategy_) {
+    case DistributionStrategy::kNone:
+      return InvalidArgument("unreachable: rejected above");
+    case DistributionStrategy::kCheck:
+      system = core::IrNvxSystem::CreateCheckDistributed(*module_, check_sanitizer_,
+                                                         profiling_workload_, options);
+      break;
+    case DistributionStrategy::kSanitizer:
+      system = core::IrNvxSystem::CreateSanitizerDistributed(*module_, sanitizers_, options);
+      break;
+    case DistributionStrategy::kUbsanSub:
+      system = core::IrNvxSystem::CreateUbsanDistributed(*module_, options);
+      break;
   }
   if (!system.ok()) {
     return system.status();
@@ -1043,11 +953,11 @@ StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildIrBackend(CacheTelemetry* te
     // maintenance everywhere (the §3.2 claim the slicer could break).
     analysis::AnalysisReport report;
     std::vector<const ir::Module*> variant_modules;
-    variant_modules.reserve((*system)->n_variants());
-    for (size_t v = 0; v < (*system)->n_variants(); ++v) {
-      variant_modules.push_back(&(*system)->variant(v));
+    variant_modules.reserve(system->n_variants());
+    for (size_t v = 0; v < system->n_variants(); ++v) {
+      variant_modules.push_back(&system->variant(v));
     }
-    analysis::AnalyzeCheckDistribution(*module_, check_sanitizer_, (*system)->check_plan(),
+    analysis::AnalyzeCheckDistribution(*module_, check_sanitizer_, system->check_plan(),
                                        variant_modules, &report);
     Status analyzed = report.ToStatus("IR analysis");
     if (!analyzed.ok()) {
@@ -1057,9 +967,9 @@ StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildIrBackend(CacheTelemetry* te
 
   const bool has_check_plan = strategy_ == DistributionStrategy::kCheck;
   std::vector<std::string> labels;
-  for (size_t v = 0; v < (*system)->n_variants(); ++v) {
-    if (!(*system)->sanitizer_groups().empty()) {
-      labels.push_back(JoinNames((*system)->sanitizer_groups()[v]));
+  for (size_t v = 0; v < system->n_variants(); ++v) {
+    if (!system->sanitizer_groups().empty()) {
+      labels.push_back(JoinNames(system->sanitizer_groups()[v]));
     } else {
       labels.push_back(std::string(san::SanitizerName(check_sanitizer_)) + "-checks/v" +
                        std::to_string(v));
@@ -1067,7 +977,7 @@ StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildIrBackend(CacheTelemetry* te
   }
 
   return std::unique_ptr<Backend>(new IrBackend(std::move(*system), module_->Clone(),
-                                                interpreter_fuel_, has_check_plan,
+                                                options.interpreter_fuel, has_check_plan,
                                                 std::move(labels)));
 }
 
@@ -1085,8 +995,8 @@ VariantPlan NvxBuilder::SkeletonPlan() const {
   plan.sanitizers = sanitizers_;
   plan.partition_options = partition_options_;
   plan.engine_config = engine_config_;
-  plan.engine_config.cache_sensitivity = cache_sensitivity_.value_or(
-      benchmark_.has_value() ? benchmark_->cache_sensitivity : 1.0);
+  plan.engine_config.cache_sensitivity =
+      benchmark_.has_value() ? benchmark_->cache_sensitivity : 1.0;
   return plan;
 }
 
@@ -1097,8 +1007,8 @@ StatusOr<std::string> NvxBuilder::PlanCacheKey() const {
   }
   if (module_ != nullptr) {
     return InvalidArgument(
-        "PlanCacheKey() requires a trace target (Benchmark/Server); module targets use "
-        "IrCacheKey()");
+        "PlanCacheKey() requires a trace target (Benchmark/Server); module targets are not "
+        "cached");
   }
   if (server_.has_value() && strategy_ != DistributionStrategy::kNone) {
     return InvalidArgument("server targets support identical clones only (no distribution)");
@@ -1106,45 +1016,6 @@ StatusOr<std::string> NvxBuilder::PlanCacheKey() const {
   // The skeleton's key IS the base plan's key: CacheKey() reads planning
   // inputs only, never the derived specs (planning is deterministic).
   return SkeletonPlan().CacheKey();
-}
-
-StatusOr<std::string> NvxBuilder::IrCacheKey() const {
-  if (module_ == nullptr) {
-    return InvalidArgument("IrCacheKey() requires a Module() target");
-  }
-  if (strategy_ == DistributionStrategy::kNone) {
-    return InvalidArgument(
-        "a module target needs a distribution strategy before it has a cache identity");
-  }
-  char hash[32];
-  std::snprintf(hash, sizeof(hash), "%016llx",
-                static_cast<unsigned long long>(core::StructuralHash(*module_)));
-  std::string key = "ir:";
-  key += hash;
-  key += "|";
-  key += DistributionStrategyName(strategy_);
-  key += "|n=" + std::to_string(n_variants_);
-  key += "|fuel=" + std::to_string(interpreter_fuel_);
-  AppendPartitionOptionsKey(&key, partition_options_);
-  if (strategy_ == DistributionStrategy::kCheck) {
-    key += "|san=";
-    key += san::SanitizerName(check_sanitizer_);
-    // The profiling workload drives the overhead profile and therefore the
-    // check partition: every run's entry and arguments are part of the key.
-    key += "|prof=" + std::to_string(profiling_workload_.size());
-    for (const auto& run : profiling_workload_) {
-      key += "|";
-      AppendCacheKeyComponent(&key, run.entry);
-      key += "(";
-      for (int64_t arg : run.args) {
-        key += std::to_string(arg) + ",";
-      }
-      key += ")";
-    }
-  } else if (strategy_ == DistributionStrategy::kSanitizer) {
-    AppendSanitizerListKey(&key, sanitizers_);
-  }
-  return key;
 }
 
 // Attack splices ride on top of a base plan: validated against its specs,
@@ -1187,8 +1058,7 @@ StatusOr<VariantPlan> NvxBuilder::PlanUncached() const {
   return plan;
 }
 
-StatusOr<std::shared_ptr<const VariantPlan>> NvxBuilder::ResolveSharedPlan(
-    CacheTelemetry* telemetry) const {
+StatusOr<std::shared_ptr<const VariantPlan>> NvxBuilder::ResolveSharedPlan() const {
   if (plan_cache_ == nullptr) {
     StatusOr<VariantPlan> plan = PlanUncached();
     if (!plan.ok()) {
@@ -1208,11 +1078,6 @@ StatusOr<std::shared_ptr<const VariantPlan>> NvxBuilder::ResolveSharedPlan(
   if (observer_.on_plan_cache) {
     observer_.on_plan_cache(*key, hit);
   }
-  if (telemetry != nullptr) {
-    telemetry->from_cache = hit;
-    std::shared_ptr<PlanCache> cache = plan_cache_;
-    telemetry->stats_fn = [cache] { return cache->stats(); };
-  }
   if (!base.ok() || (detect_injections_.empty() && diverge_injections_.empty())) {
     return base;
   }
@@ -1230,7 +1095,7 @@ StatusOr<VariantPlan> NvxBuilder::PlanVariants() const {
   if (plan_cache_ == nullptr) {
     return PlanUncached();  // no shared_ptr round-trip, no extra copy
   }
-  StatusOr<std::shared_ptr<const VariantPlan>> shared = ResolveSharedPlan(nullptr);
+  StatusOr<std::shared_ptr<const VariantPlan>> shared = ResolveSharedPlan();
   if (!shared.ok()) {
     return shared.status();
   }

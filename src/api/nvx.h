@@ -14,7 +14,7 @@
 //   auto report = session->Run();        // -> StatusOr<RunReport>
 //
 // A session owns one Backend:
-//   * IrBackend     — wraps core::IrNvxSystem: builds variants from an
+//   * IrBackend     — owns one core::IrNvxSystem: builds variants from an
 //     ir::Module by check/sanitizer/UBSan-sub distribution and executes them
 //     on the interpreter;
 //   * TraceBackend  — wraps nxe::Engine + the workload generators: replays
@@ -126,15 +126,6 @@ struct RunReport {
   double avg_syscall_gap = 0.0;
   uint64_t max_syscall_gap = 0;
 
-  // Plan-cache telemetry, stamped by the session (not the backend) on every
-  // run of a session built through WithPlanCache()/WithIrCache():
-  // plan_from_cache says whether this session's Build() reused a cached
-  // plan/system, and plan_cache snapshots the store's counters at run time.
-  // Absent (false/nullopt) on uncached sessions; Merge leaves both alone
-  // because stamping happens above the shard seam.
-  bool plan_from_cache = false;
-  std::optional<PlanCacheStats> plan_cache;
-
   // Merges the partial reports of shard executions back into one session
   // report over `n_variants` global variant slots. Semantics:
   //   * outcome lattice: Detection > Divergence > Clean. Among incidents of
@@ -161,7 +152,9 @@ struct RunReport {
 // from its local variant slots to the session's global slots. Local slot 0
 // is the shard's leader replica; a shard that does not own the baseline
 // still runs it (synchronization needs a leader) but does not own its
-// merged timing slot or the baseline time.
+// merged timing slot or the baseline time. The trace backend builds one per
+// Shards(k) group; an executor builds one from the members and owns_baseline
+// of the request it ran.
 struct PartialReport {
   // variant_index[local_slot] = global session slot. Empty = an empty shard.
   std::vector<size_t> variant_index;
@@ -183,9 +176,10 @@ struct Observer {
   std::function<void(size_t variant, double finish_time)> on_variant_finish;
   std::function<void(const RunReport& report)> on_incident;
   // Build-time hook, outside the run sequencing above: fired once per
-  // Build()/BuildAsync()/PlanVariants() that consulted a plan or IR-system
-  // cache, with the cache key and whether it hit. Called on the building
-  // thread, before the session exists — not under the delivery lock.
+  // Build()/BuildAsync()/PlanVariants() that consulted a plan cache, with the
+  // cache key and whether it hit. Called on the building thread, before the
+  // session exists — not under the delivery lock. The cache's running
+  // counters are PlanCache::stats() of the cache passed to WithPlanCache().
   std::function<void(const std::string& key, bool hit)> on_plan_cache;
 };
 
@@ -223,16 +217,6 @@ class Backend {
   // runs complete concurrently). Must be safe to call from several threads
   // at once — backends keep all per-run state on the stack.
   virtual StatusOr<RunReport> Run(const RunRequest& request) const = 0;
-
-  // --- The shard seam ------------------------------------------------------
-  // Which global session slots this backend's reports cover, in local slot
-  // order. A whole-session backend covers the identity mapping and owns the
-  // baseline; a shard built over a plan subset overrides both.
-  virtual std::vector<size_t> shard_coverage() const;
-  virtual bool owns_baseline() const { return true; }
-  // Run() plus the coverage above: the mergeable unit every backend emits
-  // (RunReport::Merge consumes these).
-  StatusOr<PartialReport> RunPartial(const RunRequest& request) const;
 
   // Introspection; null when the backend has no such plan.
   virtual const distribution::CheckDistributionPlan* check_plan() const { return nullptr; }
@@ -284,14 +268,6 @@ class NvxSession {
     observer_ = std::move(observer);
   }
 
-  // Installed by NvxBuilder when the session's plan came through a cache:
-  // every report gets plan_from_cache plus a fresh stats snapshot from
-  // `stats_fn` (type-erased so the session is cache-type agnostic).
-  void SetCacheTelemetry(std::function<PlanCacheStats()> stats_fn, bool from_cache) {
-    cache_stats_fn_ = std::move(stats_fn);
-    plan_from_cache_ = from_cache;
-  }
-
   const char* backend_name() const { return backend_->name(); }
   size_t n_variants() const { return backend_->n_variants(); }
   const std::vector<std::string>& variant_labels() const { return backend_->variant_labels(); }
@@ -310,9 +286,6 @@ class NvxSession {
   // Serializes observer delivery across concurrently completing runs (held
   // by pointer so the session stays movable).
   std::unique_ptr<std::mutex> observer_mu_;
-  // Plan-cache telemetry stamped onto every report (see SetCacheTelemetry).
-  std::function<PlanCacheStats()> cache_stats_fn_;
-  bool plan_from_cache_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -354,13 +327,11 @@ class NvxBuilder {
   NvxBuilder& Cores(int cores);
   NvxBuilder& BackgroundLoad(double load);
   NvxBuilder& RingCapacity(size_t slots);
-  NvxBuilder& CacheSensitivity(double sensitivity);
   NvxBuilder& Seed(uint64_t seed);
   // Also run each variant standalone (no synchronization) per Run() so the
   // report's variant_standalone_time is filled — N extra simulations; off by
   // default.
   NvxBuilder& MeasureStandalone(bool measure = true);
-  NvxBuilder& InterpreterFuel(uint64_t fuel);
   NvxBuilder& SetObserver(Observer observer);
   // Session batching (trace targets): Build()/PlanVariants() consult `cache`
   // under PlanCacheKey() instead of re-planning. Only the base
@@ -369,15 +340,6 @@ class NvxBuilder {
   // scenarios do not fragment the cache. Sessions built from a cached plan
   // are bit-identical to uncached ones (planning is deterministic).
   NvxBuilder& WithPlanCache(std::shared_ptr<PlanCache> cache);
-  // IR analogue: Build() on a Module() target reuses built IrNvxSystem
-  // state (instrumentation, profiling, partitioning, slicing) keyed by
-  // IrCacheKey(). The module is hashed structurally, so an edited module
-  // never matches a stale entry.
-  NvxBuilder& WithIrCache(std::shared_ptr<IrSystemCache> cache);
-  // The size of the pool BuildAsync() creates when it is given none
-  // (0 = hardware concurrency). Build() sessions run on the caller and own
-  // no threads, so it does not affect them.
-  NvxBuilder& Async(size_t n_workers);
   // Split the session's variants into k engine shard groups (trace targets
   // only). Group 0 carries the baseline/leader slot; followers are dealt
   // round-robin; every group replicates the leader for synchronization.
@@ -416,29 +378,18 @@ class NvxBuilder {
   // (injection-free) plan's CacheKey(), computed from the builder's
   // configuration without planning. Trace targets only.
   StatusOr<std::string> PlanCacheKey() const;
-  // The IrSystemCache key for a Module() target: the module's structural
-  // hash plus everything that shapes variant construction (strategy and its
-  // parameters, n, partition options, profiling workload, fuel).
-  StatusOr<std::string> IrCacheKey() const;
 
   // Async variant of Build(): a session exposing Submit() -> RunHandle plus
   // completion-queue delivery (src/api/async.h). Pass a shared pool to run
   // many sessions' work on one set of workers; with no pool the session
-  // creates its own, sized by Async(n).
+  // creates its own, one worker per hardware thread.
   StatusOr<AsyncNvxSession> BuildAsync(
       std::shared_ptr<support::ThreadPool> pool = nullptr) const;
 
  private:
-  // How Build() resolved the session's plan/system: filled by the backend
-  // builders, consumed by Build()/BuildAsync() to stamp session telemetry.
-  struct CacheTelemetry {
-    bool from_cache = false;
-    std::function<PlanCacheStats()> stats_fn;  // null when no cache consulted
-  };
-
-  StatusOr<std::unique_ptr<Backend>> BuildIrBackend(CacheTelemetry* telemetry) const;
+  StatusOr<std::unique_ptr<Backend>> BuildIrBackend() const;
   // Validation + backend construction behind Build() and BuildAsync().
-  StatusOr<std::unique_ptr<Backend>> BuildBackend(CacheTelemetry* telemetry) const;
+  StatusOr<std::unique_ptr<Backend>> BuildBackend() const;
   // The planning inputs as a VariantPlan with no strategy output: what
   // PlanCacheKey() hashes and PlanBase() starts from.
   VariantPlan SkeletonPlan() const;
@@ -451,7 +402,7 @@ class NvxBuilder {
   StatusOr<VariantPlan> PlanUncached() const;
   // The shared plan a trace backend consumes: through the cache (base plan +
   // injection overlay) when WithPlanCache() is set, fresh otherwise.
-  StatusOr<std::shared_ptr<const VariantPlan>> ResolveSharedPlan(CacheTelemetry* telemetry) const;
+  StatusOr<std::shared_ptr<const VariantPlan>> ResolveSharedPlan() const;
   // Common validation for Build()/PlanVariants().
   Status ValidateTarget() const;
 
@@ -469,18 +420,14 @@ class NvxBuilder {
   std::vector<DivergeInjection> diverge_injections_;
 
   nxe::EngineConfig engine_config_;
-  std::optional<double> cache_sensitivity_;
   bool measure_standalone_ = false;
   uint64_t seed_ = 42;
-  uint64_t interpreter_fuel_ = 50'000'000;
-  std::optional<size_t> async_workers_;  // set by Async(); 0 = hw concurrency
-  std::optional<size_t> shards_;         // set by Shards()
+  std::optional<size_t> shards_;  // set by Shards()
   std::vector<net::Endpoint> remote_endpoints_;  // set by Remote()
   net::RemoteOptions remote_options_;
   bool remote_ = false;
   Observer observer_;
   std::shared_ptr<PlanCache> plan_cache_;
-  std::shared_ptr<IrSystemCache> ir_cache_;
   bool pooled_engines_ = true;
 };
 

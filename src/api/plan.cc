@@ -20,6 +20,24 @@ std::optional<size_t> LocalSlot(const std::vector<size_t>& members, size_t globa
   return std::nullopt;
 }
 
+// Strategy-parameter fragments of CacheKey().
+void AppendPartitionOptionsKey(std::string* key, const partition::PartitionOptions& options) {
+  *key += "|part=";
+  *key += partition::AlgorithmName(options.algorithm);
+  *key += "/";
+  *key += std::to_string(options.max_nodes);
+  *key += "/";
+  *key += CacheKeyDouble(options.epsilon);
+}
+
+void AppendSanitizerListKey(std::string* key, const std::vector<san::SanitizerId>& sanitizers) {
+  *key += "|sans=" + std::to_string(sanitizers.size());
+  for (san::SanitizerId id : sanitizers) {
+    *key += ",";
+    *key += san::SanitizerName(id);
+  }
+}
+
 }  // namespace
 
 const char* DistributionStrategyName(DistributionStrategy strategy) {
@@ -42,23 +60,6 @@ void AppendCacheKeyComponent(std::string* key, const std::string& component) {
   *key += std::to_string(component.size());
   *key += ':';
   *key += component;
-}
-
-void AppendPartitionOptionsKey(std::string* key, const partition::PartitionOptions& options) {
-  *key += "|part=";
-  *key += partition::AlgorithmName(options.algorithm);
-  *key += "/";
-  *key += std::to_string(options.max_nodes);
-  *key += "/";
-  *key += CacheKeyDouble(options.epsilon);
-}
-
-void AppendSanitizerListKey(std::string* key, const std::vector<san::SanitizerId>& sanitizers) {
-  *key += "|sans=" + std::to_string(sanitizers.size());
-  for (san::SanitizerId id : sanitizers) {
-    *key += ",";
-    *key += san::SanitizerName(id);
-  }
 }
 
 std::string VariantPlan::CacheKey() const {

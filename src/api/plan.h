@@ -10,9 +10,12 @@
 // distributing a session across K executors costs one profile run and one
 // partition, not K.
 //
-// The plan is also the unit the ROADMAP's session-batching item caches:
-// CacheKey() identifies everything that determines the plan's content, so
-// two builders configured alike can share a plan across many Run() calls.
+// The plan is also the unit PlanCache stores: CacheKey() names the planning
+// inputs, so two builders configured alike share a plan across many Run()
+// calls. The key does not bind the derived fields (specs, labels, check
+// plan): bytes from a peer can carry any of those under an honest key, which
+// is why an executor compares a request's plan bytes with the plan it cached
+// under that key (docs/wire_format.md).
 #ifndef BUNSHIN_SRC_API_PLAN_H_
 #define BUNSHIN_SRC_API_PLAN_H_
 
@@ -153,8 +156,8 @@ Status DerivePlanTraces(const VariantPlan& plan, const std::vector<size_t>& memb
 // hold only the replica are dropped.
 std::vector<std::vector<size_t>> ShardMemberGroups(size_t n_variants, size_t k);
 
-// Key-building helpers shared by VariantPlan::CacheKey() and the IR-module
-// cache key (NvxBuilder::IrCacheKey). Exposed for tests.
+// Key-building helpers of VariantPlan::CacheKey(), exposed for the analyzer's
+// messages and for tests.
 //
 // to_string's fixed 6-decimal formatting aliased distinct doubles (any
 // sub-1e-6 delta, e.g. noise_rel_sigma 1e-7 vs 2e-7 both printed
@@ -163,10 +166,6 @@ std::string CacheKeyDouble(double value);
 // Appends `component` length-prefixed ("<len>:<bytes>") so a free-form name
 // containing the key's separators cannot alias across field boundaries.
 void AppendCacheKeyComponent(std::string* key, const std::string& component);
-// Strategy-parameter fragments encoded identically in both keys (one
-// encoding, so the trace and IR keys cannot drift apart field-by-field).
-void AppendPartitionOptionsKey(std::string* key, const partition::PartitionOptions& options);
-void AppendSanitizerListKey(std::string* key, const std::vector<san::SanitizerId>& sanitizers);
 
 }  // namespace api
 }  // namespace bunshin

@@ -4,11 +4,10 @@
 
 namespace bunshin {
 namespace api {
-namespace internal {
 
-LruCacheCore::LruCacheCore(size_t capacity) : capacity_(std::max<size_t>(1, capacity)) {}
+PlanCache::PlanCache(size_t capacity) : capacity_(std::max<size_t>(1, capacity)) {}
 
-LruCacheCore::ValuePtr LruCacheCore::LookupLocked(const std::string& key) {
+PlanCache::PlanPtr PlanCache::LookupLocked(const std::string& key) {
   auto it = index_.find(key);
   if (it == index_.end()) {
     return nullptr;
@@ -17,14 +16,14 @@ LruCacheCore::ValuePtr LruCacheCore::LookupLocked(const std::string& key) {
   return it->second->second;
 }
 
-void LruCacheCore::InsertLocked(const std::string& key, ValuePtr value) {
+void PlanCache::InsertLocked(const std::string& key, PlanPtr plan) {
   auto it = index_.find(key);
   if (it != index_.end()) {
-    it->second->second = std::move(value);
+    it->second->second = std::move(plan);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.emplace_front(key, std::move(value));
+  lru_.emplace_front(key, std::move(plan));
   index_[key] = lru_.begin();
   while (lru_.size() > capacity_) {
     index_.erase(lru_.back().first);
@@ -33,16 +32,16 @@ void LruCacheCore::InsertLocked(const std::string& key, ValuePtr value) {
   }
 }
 
-StatusOr<LruCacheCore::ValuePtr> LruCacheCore::GetOr(const std::string& key,
-                                                     const Factory& factory, bool* was_hit) {
+StatusOr<PlanCache::PlanPtr> PlanCache::GetOrPlan(const std::string& key, const Factory& factory,
+                                                  bool* was_hit) {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    if (ValuePtr value = LookupLocked(key)) {
+    if (PlanPtr plan = LookupLocked(key)) {
       ++hits_;
       if (was_hit != nullptr) {
         *was_hit = true;
       }
-      return value;
+      return plan;
     }
     auto flight = inflight_.find(key);
     if (flight == inflight_.end()) {
@@ -80,9 +79,14 @@ StatusOr<LruCacheCore::ValuePtr> LruCacheCore::GetOr(const std::string& key,
   // same-key callers wait (on the InFlight entry, not the mutex). A throwing
   // factory must not strand the InFlight entry (waiters would block forever),
   // so the exception is converted into a shared error status.
-  StatusOr<ValuePtr> produced = Status(StatusCode::kInternal, "planner threw");
+  StatusOr<PlanPtr> produced = Status(StatusCode::kInternal, "planner threw");
   try {
-    produced = factory();
+    StatusOr<VariantPlan> plan = factory();
+    if (plan.ok()) {
+      produced = PlanPtr(std::make_shared<const VariantPlan>(std::move(*plan)));
+    } else {
+      produced = plan.status();
+    }
   } catch (const std::exception& e) {
     produced = Internal(std::string("planner threw: ") + e.what());
   } catch (...) {
@@ -102,29 +106,29 @@ StatusOr<LruCacheCore::ValuePtr> LruCacheCore::GetOr(const std::string& key,
   return produced;
 }
 
-LruCacheCore::ValuePtr LruCacheCore::Lookup(const std::string& key) {
+PlanCache::PlanPtr PlanCache::Lookup(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  ValuePtr value = LookupLocked(key);
-  if (value != nullptr) {
+  PlanPtr plan = LookupLocked(key);
+  if (plan != nullptr) {
     ++hits_;
   } else {
     ++misses_;
   }
-  return value;
+  return plan;
 }
 
-void LruCacheCore::Insert(const std::string& key, ValuePtr value) {
+void PlanCache::Insert(const std::string& key, PlanPtr plan) {
   std::lock_guard<std::mutex> lock(mu_);
-  InsertLocked(key, std::move(value));
+  InsertLocked(key, std::move(plan));
 }
 
-void LruCacheCore::Clear() {
+void PlanCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();
   index_.clear();
 }
 
-PlanCacheStats LruCacheCore::stats() const {
+PlanCacheStats PlanCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   PlanCacheStats stats;
   stats.hits = hits_;
@@ -135,78 +139,6 @@ PlanCacheStats LruCacheCore::stats() const {
   stats.capacity = capacity_;
   return stats;
 }
-
-}  // namespace internal
-
-// ---------------------------------------------------------------------------
-// PlanCache
-// ---------------------------------------------------------------------------
-
-PlanCache::PlanCache(size_t capacity) : core_(capacity) {}
-
-StatusOr<std::shared_ptr<const VariantPlan>> PlanCache::GetOrPlan(const std::string& key,
-                                                                  const Factory& factory,
-                                                                  bool* was_hit) {
-  auto erased = core_.GetOr(
-      key,
-      [&factory]() -> StatusOr<internal::LruCacheCore::ValuePtr> {
-        StatusOr<VariantPlan> plan = factory();
-        if (!plan.ok()) {
-          return plan.status();
-        }
-        return internal::LruCacheCore::ValuePtr(
-            std::make_shared<const VariantPlan>(std::move(*plan)));
-      },
-      was_hit);
-  if (!erased.ok()) {
-    return erased.status();
-  }
-  return std::static_pointer_cast<const VariantPlan>(*erased);
-}
-
-std::shared_ptr<const VariantPlan> PlanCache::Lookup(const std::string& key) {
-  return std::static_pointer_cast<const VariantPlan>(core_.Lookup(key));
-}
-
-void PlanCache::Insert(const std::string& key, std::shared_ptr<const VariantPlan> plan) {
-  core_.Insert(key, std::move(plan));
-}
-
-void PlanCache::Clear() { core_.Clear(); }
-
-PlanCacheStats PlanCache::stats() const { return core_.stats(); }
-
-// ---------------------------------------------------------------------------
-// IrSystemCache
-// ---------------------------------------------------------------------------
-
-IrSystemCache::IrSystemCache(size_t capacity) : core_(capacity) {}
-
-StatusOr<std::shared_ptr<const core::IrNvxSystem>> IrSystemCache::GetOrBuild(
-    const std::string& key, const Factory& factory, bool* was_hit) {
-  auto erased = core_.GetOr(
-      key,
-      [&factory]() -> StatusOr<internal::LruCacheCore::ValuePtr> {
-        StatusOr<std::shared_ptr<const core::IrNvxSystem>> system = factory();
-        if (!system.ok()) {
-          return system.status();
-        }
-        return internal::LruCacheCore::ValuePtr(std::move(*system));
-      },
-      was_hit);
-  if (!erased.ok()) {
-    return erased.status();
-  }
-  return std::static_pointer_cast<const core::IrNvxSystem>(*erased);
-}
-
-std::shared_ptr<const core::IrNvxSystem> IrSystemCache::Lookup(const std::string& key) {
-  return std::static_pointer_cast<const core::IrNvxSystem>(core_.Lookup(key));
-}
-
-void IrSystemCache::Clear() { core_.Clear(); }
-
-PlanCacheStats IrSystemCache::stats() const { return core_.stats(); }
 
 }  // namespace api
 }  // namespace bunshin

@@ -28,14 +28,9 @@
 //   * Thread-safe with single-flight coalescing: when N builders miss the
 //     same key concurrently, exactly one runs the planner and the other N-1
 //     block briefly and share its plan instance (never N duplicate plans).
-//   * Capacity-bounded LRU with hit/miss/coalesced/eviction counters,
-//     surfaced per-run through RunReport::plan_cache and per-build through
+//   * Capacity-bounded LRU with hit/miss/coalesced/eviction counters, read
+//     through stats() by whoever holds the cache and per build through
 //     Observer::on_plan_cache.
-//
-// IrSystemCache is the IR analogue: built core::IrNvxSystem state (variant
-// construction = instrument + profile + partition + slice) keyed by the
-// module's structural hash plus the strategy configuration
-// (NvxBuilder::IrCacheKey(), core::StructuralHash).
 #ifndef BUNSHIN_SRC_API_PLAN_CACHE_H_
 #define BUNSHIN_SRC_API_PLAN_CACHE_H_
 
@@ -53,10 +48,6 @@
 #include "src/support/status.h"
 
 namespace bunshin {
-namespace core {
-class IrNvxSystem;
-}  // namespace core
-
 namespace api {
 
 // A consistent snapshot of one cache's counters.
@@ -70,102 +61,54 @@ struct PlanCacheStats {
   size_t capacity = 0;
 };
 
-namespace internal {
-
-// Type-erased core shared by PlanCache and IrSystemCache: a thread-safe,
-// capacity-bounded LRU of shared_ptr<const void> with single-flight
-// coalescing of concurrent misses on one key.
-class LruCacheCore {
+// The trace-target plan store (see the header comment for usage).
+class PlanCache {
  public:
-  using ValuePtr = std::shared_ptr<const void>;
-  using Factory = std::function<StatusOr<ValuePtr>()>;
+  using PlanPtr = std::shared_ptr<const VariantPlan>;
+  using Factory = std::function<StatusOr<VariantPlan>()>;
 
-  explicit LruCacheCore(size_t capacity);
+  // Capacity is clamped to >= 1. 128 keys a sizable fleet: one entry per
+  // distinct (target, strategy, n, seed, engine-config) combination, NOT per
+  // attack scenario — injections overlay a shared base entry.
+  explicit PlanCache(size_t capacity = 128);
 
-  // Returns the cached value for `key`, or runs `factory` (once, even under
-  // concurrent callers: latecomers block and share the winner's result) and
-  // caches it. Factory errors propagate to every coalesced caller and are
-  // not cached — the next call retries. `was_hit`, when non-null, reports
-  // whether this caller avoided running the factory.
-  StatusOr<ValuePtr> GetOr(const std::string& key, const Factory& factory, bool* was_hit);
+  // The builder's entry point: the cached plan for `key`, or run `factory`
+  // (once, even under concurrent callers: latecomers block and share the
+  // winner's result) and cache its plan. Factory errors, a thrown exception
+  // included, propagate to every coalesced caller and are not cached — the
+  // next call retries. `was_hit`, when non-null, reports whether this caller
+  // was served a plan without running the factory.
+  StatusOr<PlanPtr> GetOrPlan(const std::string& key, const Factory& factory,
+                              bool* was_hit = nullptr);
 
   // Peek without a factory; counts as a hit or miss. Null when absent.
-  ValuePtr Lookup(const std::string& key);
+  PlanPtr Lookup(const std::string& key);
   // Inserts/overwrites, marking `key` most recently used.
-  void Insert(const std::string& key, ValuePtr value);
+  void Insert(const std::string& key, PlanPtr plan);
   void Clear();
   PlanCacheStats stats() const;
 
  private:
   struct InFlight {
     bool done = false;
-    StatusOr<ValuePtr> result{Status(StatusCode::kInternal, "planning in flight")};
+    StatusOr<PlanPtr> result{Status(StatusCode::kInternal, "planning in flight")};
   };
 
   // Both require mu_ held.
-  void InsertLocked(const std::string& key, ValuePtr value);
-  ValuePtr LookupLocked(const std::string& key);
+  void InsertLocked(const std::string& key, PlanPtr plan);
+  PlanPtr LookupLocked(const std::string& key);
 
   mutable std::mutex mu_;
   std::condition_variable done_cv_;  // signals InFlight completion
   const size_t capacity_;
   // Front = most recently used; index_ points into the list.
-  std::list<std::pair<std::string, ValuePtr>> lru_;
-  std::unordered_map<std::string, std::list<std::pair<std::string, ValuePtr>>::iterator> index_;
+  std::list<std::pair<std::string, PlanPtr>> lru_;
+  std::unordered_map<std::string, std::list<std::pair<std::string, PlanPtr>>::iterator> index_;
   std::unordered_map<std::string, std::shared_ptr<InFlight>> inflight_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t coalesced_ = 0;
   uint64_t evictions_ = 0;
-};
-
-}  // namespace internal
-
-// The trace-target plan store (see the header comment for usage).
-class PlanCache {
- public:
-  // Capacity is clamped to >= 1. 128 keys a sizable fleet: one entry per
-  // distinct (target, strategy, n, seed, engine-config) combination, NOT per
-  // attack scenario — injections overlay a shared base entry.
-  explicit PlanCache(size_t capacity = 128);
-
-  using Factory = std::function<StatusOr<VariantPlan>()>;
-
-  // The builder's entry point: cached plan for `key`, or plan once via
-  // `factory` and cache the result.
-  StatusOr<std::shared_ptr<const VariantPlan>> GetOrPlan(const std::string& key,
-                                                         const Factory& factory,
-                                                         bool* was_hit = nullptr);
-
-  std::shared_ptr<const VariantPlan> Lookup(const std::string& key);
-  void Insert(const std::string& key, std::shared_ptr<const VariantPlan> plan);
-  void Clear();
-  PlanCacheStats stats() const;
-
- private:
-  internal::LruCacheCore core_;
-};
-
-// The IR analogue: built IrNvxSystem state keyed by module structural hash +
-// strategy configuration (NvxBuilder::IrCacheKey()). Cached systems are
-// immutable and shared across sessions; IrNvxSystem::RunDetailed is const
-// and safe to call from many sessions at once.
-class IrSystemCache {
- public:
-  explicit IrSystemCache(size_t capacity = 32);
-
-  using Factory = std::function<StatusOr<std::shared_ptr<const core::IrNvxSystem>>()>;
-
-  StatusOr<std::shared_ptr<const core::IrNvxSystem>> GetOrBuild(const std::string& key,
-                                                                const Factory& factory,
-                                                                bool* was_hit = nullptr);
-
-  std::shared_ptr<const core::IrNvxSystem> Lookup(const std::string& key);
-  void Clear();
-  PlanCacheStats stats() const;
-
- private:
-  internal::LruCacheCore core_;
 };
 
 }  // namespace api

@@ -24,69 +24,7 @@ std::unique_ptr<san::InstrumentationPass> MakePass(san::SanitizerId id) {
   }
 }
 
-// FNV-1a over a structured field stream. Every field goes through U64 so the
-// hash has no concatenation ambiguity (strings are length-prefixed).
-struct Fnv1a {
-  uint64_t hash = 1469598103934665603ull;
-
-  void Byte(uint8_t b) {
-    hash ^= b;
-    hash *= 1099511628211ull;
-  }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      Byte(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
-  void Str(const std::string& s) {
-    U64(s.size());
-    for (char c : s) {
-      Byte(static_cast<uint8_t>(c));
-    }
-  }
-  void Val(const ir::Value& v) {
-    U64(static_cast<uint64_t>(v.kind));
-    U64(static_cast<uint64_t>(v.imm));
-    U64(v.index);
-  }
-};
-
 }  // namespace
-
-uint64_t StructuralHash(const ir::Module& module) {
-  Fnv1a f;
-  f.U64(module.functions().size());
-  for (const auto& fn : module.functions()) {
-    f.Str(fn->name());
-    f.U64(fn->num_args());
-    f.U64(fn->blocks().size());
-    for (const ir::BasicBlock& block : fn->blocks()) {
-      f.U64(block.id);
-      f.Str(block.label);
-      f.U64(block.insts.size());
-      for (const ir::Instruction& inst : block.insts) {
-        f.U64(inst.id);
-        f.U64(static_cast<uint64_t>(inst.op));
-        f.U64(static_cast<uint64_t>(inst.origin));
-        f.U64(static_cast<uint64_t>(inst.bin_op));
-        f.U64(static_cast<uint64_t>(inst.pred));
-        f.U64(inst.operands.size());
-        for (const ir::Value& operand : inst.operands) {
-          f.Val(operand);
-        }
-        f.Str(inst.callee);
-        f.U64(inst.target);
-        f.U64(inst.alt_target);
-        f.U64(inst.incomings.size());
-        for (const ir::PhiIncoming& incoming : inst.incomings) {
-          f.U64(incoming.pred);
-          f.Val(incoming.value);
-        }
-      }
-    }
-  }
-  return f.hash;
-}
 
 std::vector<ir::ExecEvent> FilterObservable(const std::vector<ir::ExecEvent>& events) {
   std::vector<ir::ExecEvent> out;

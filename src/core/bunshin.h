@@ -12,9 +12,10 @@
 //   6. execute all variants on the same input and synchronize their
 //      observable behavior, reporting detection or divergence.
 //
-// For the calibrated trace-level experiments (the paper's figures), use
-// src/nxe + src/workload directly; this facade is the functional pipeline a
-// downstream user programs against.
+// Downstream code reaches it through api::NvxBuilder().Module(m), whose IR
+// backend builds one IrNvxSystem per session and runs it through
+// RunDetailed(). The calibrated trace-level experiments (the paper's figures)
+// run on src/nxe + src/workload instead.
 #ifndef BUNSHIN_SRC_CORE_BUNSHIN_H_
 #define BUNSHIN_SRC_CORE_BUNSHIN_H_
 
@@ -119,16 +120,6 @@ class IrNvxSystem {
 // analogues: sanitizer-internal calls ("__..." helpers) are dropped, exactly
 // like the NXE ignores sanitizer-introduced syscalls.
 std::vector<ir::ExecEvent> FilterObservable(const std::vector<ir::ExecEvent>& events);
-
-// Order-sensitive structural hash of a module: covers function names and
-// arities, block ids/labels, and every instruction field that execution or
-// variant construction can observe (opcode, origin, operands, callee,
-// branch targets, phi incomings). Two structurally identical modules hash
-// equal; any edit the instrumentation or slicing passes could react to
-// changes the hash. This is the trace layer's VariantPlan::CacheKey()
-// analogue — api::IrSystemCache keys built IrNvxSystem state by it so
-// repeated Build()s of one module reuse variant construction.
-uint64_t StructuralHash(const ir::Module& module);
 
 }  // namespace core
 }  // namespace bunshin

@@ -292,6 +292,15 @@ void ExecutorServer::HandleRun(const std::string& payload, Frame* reply_frame) {
           return decoded;
         },
         &was_hit);
+    // The key names planning inputs only, so bytes under an honest key can
+    // still carry other derived fields (specs, labels, check plan). A plan
+    // served from the cache must be exactly the one these bytes encode, or
+    // a hostile request could have planted the plan every later request for
+    // the key runs.
+    if (resolved.ok() && was_hit && EncodeVariantPlan(**resolved) != request.plan_bytes) {
+      resolved = InvalidArgument(
+          "wire: request plan bytes differ from the plan cached under its cache_key");
+    }
     if (!resolved.ok()) {
       decode_errors_.fetch_add(1, std::memory_order_relaxed);
       reply.run_status = resolved.status();
@@ -327,18 +336,19 @@ void ExecutorServer::HandleRun(const std::string& payload, Frame* reply_frame) {
   run_slots_.acquire();
   queue_depth_.fetch_sub(1, std::memory_order_relaxed);
   in_flight_.fetch_add(1, std::memory_order_relaxed);
-  StatusOr<api::PartialReport> partial = (*backend)->RunPartial(msg->request);
+  StatusOr<api::RunReport> report = (*backend)->Run(msg->request);
   in_flight_.fetch_sub(1, std::memory_order_relaxed);
   run_slots_.release();
 
   reply.occupancy = occupancy();
   reply.occupancy.plan_cache_hit = was_hit;
-  if (!partial.ok()) {
-    reply.run_status = partial.status();
+  if (!report.ok()) {
+    reply.run_status = report.status();
     return finish();
   }
   reply.run_status = Status::Ok();
-  reply.partial = std::move(*partial);
+  reply.partial = api::PartialReport{std::move(msg->members), msg->owns_baseline,
+                                     std::move(*report)};
   finish();
 }
 

@@ -7,7 +7,9 @@
 // shard members, and streams back the PartialReport plus an occupancy
 // snapshot (queue depth, in-flight runs) in every reply. A request that names
 // its plan by key alone is served from the cache or answered kPlanUnknown; it
-// never fills the cache. kStatsRequest returns the cumulative counters.
+// never fills the cache. A request that carries plan bytes the cache already
+// holds a plan for must encode exactly that plan, or it gets InvalidArgument.
+// kStatsRequest returns the cumulative counters.
 //
 // Connections are persistent: each one is served on its own thread, which
 // reads a request, runs it and writes the reply. At most

@@ -670,8 +670,6 @@ void EncodeRunReport(WireWriter& w, const api::RunReport& report) {
   w.U64(report.lock_acquisitions);
   w.F64(report.avg_syscall_gap);
   w.U64(report.max_syscall_gap);
-  // plan_from_cache / plan_cache are session-side telemetry stamped above
-  // the shard seam; an executor's partial never carries them.
 }
 
 api::RunReport DecodeRunReport(WireReader& r) {

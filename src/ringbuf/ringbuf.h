@@ -1,4 +1,5 @@
-// Lock-free ring buffers backing the NXE's leader/follower event streaming.
+// Lock-free ring buffers shaped like the leader/follower sync buffer of the
+// paper's Figure 2.
 //
 // SpscRing is a classic single-producer/single-consumer bounded queue.
 // BroadcastRing is what Figure 2 describes: one leader publishes syscall
@@ -8,8 +9,9 @@
 // keeps capacity-1 outstanding entries per step; in selective-lockstep mode
 // the leader runs ahead up to the ring capacity.
 //
-// Both structures are also exercised by real std::thread stress tests; the
-// discrete-event simulator uses them single-threadedly.
+// The engine (src/nxe) models that buffer in virtual time and does not use
+// these; bench/micro_components and the std::thread stress tests in
+// tests/ringbuf_test do.
 #ifndef BUNSHIN_SRC_RINGBUF_RINGBUF_H_
 #define BUNSHIN_SRC_RINGBUF_RINGBUF_H_
 

@@ -81,11 +81,11 @@ TEST(CompletionQueueTest, DeliversInPushOrder) {
 
 TEST(AsyncSessionTest, HandleWaitMatchesSynchronousRun) {
   NvxBuilder builder;
-  builder.Benchmark(workload::Spec2006()[0]).Variants(3).Async(4);
+  builder.Benchmark(workload::Spec2006()[0]).Variants(3);
 
   auto sync_session = builder.Build();
   ASSERT_TRUE(sync_session.ok()) << sync_session.status().ToString();
-  auto async_session = builder.BuildAsync();
+  auto async_session = builder.BuildAsync(std::make_shared<support::ThreadPool>(4));
   ASSERT_TRUE(async_session.ok()) << async_session.status().ToString();
   EXPECT_STREQ(async_session->backend_name(), "trace");
   EXPECT_EQ(async_session->n_variants(), 3u);
@@ -113,8 +113,10 @@ TEST(AsyncSessionTest, HandleWaitMatchesSynchronousRun) {
 }
 
 TEST(AsyncSessionTest, TryGetIsNonBlockingAndEventuallyReady) {
-  auto session =
-      NvxBuilder().Benchmark(workload::Spec2006()[1]).Variants(2).Async(1).BuildAsync();
+  auto session = NvxBuilder()
+                     .Benchmark(workload::Spec2006()[1])
+                     .Variants(2)
+                     .BuildAsync(std::make_shared<support::ThreadPool>(1));
   ASSERT_TRUE(session.ok());
 
   RunHandle invalid;
@@ -236,8 +238,7 @@ TEST(AsyncSessionTest, ObserverBlocksStaySequencedPerSession) {
                        .Variants(3)
                        .InjectDetection(2, "__asan_report_load")
                        .SetObserver(observer)
-                       .Async(4)
-                       .BuildAsync();
+                       .BuildAsync(std::make_shared<support::ThreadPool>(4));
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     for (size_t i = 0; i < kRuns; ++i) {
       session->Submit();
@@ -256,8 +257,10 @@ TEST(AsyncSessionTest, ObserverBlocksStaySequencedPerSession) {
 TEST(AsyncSessionTest, DestructorDrainsOutstandingRuns) {
   CompletionQueue done;
   {
-    auto session =
-        NvxBuilder().Benchmark(workload::Spec2006()[1]).Variants(2).Async(2).BuildAsync();
+    auto session = NvxBuilder()
+                       .Benchmark(workload::Spec2006()[1])
+                       .Variants(2)
+                       .BuildAsync(std::make_shared<support::ThreadPool>(2));
     ASSERT_TRUE(session.ok());
     for (uint64_t i = 0; i < 6; ++i) {
       session->Submit({}, &done, i);  // handles intentionally dropped

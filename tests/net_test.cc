@@ -695,6 +695,109 @@ TEST(ExecutorTest, KeyOnlyRequestsNeverFillTheCache) {
   EXPECT_EQ(server.stats().plan_unknown_replies, 1u);
 }
 
+// A 4-variant ASan check-distribution session on perlbench, and the same
+// plan with two derived fields of one variant changed. CacheKey() reads
+// planning inputs only, so both plans carry one key.
+NvxBuilder PoisonTargetBuilder() {
+  NvxBuilder builder;
+  builder.Benchmark(workload::Spec2006()[0])
+      .Variants(4)
+      .DistributeChecks(san::SanitizerId::kASan)
+      .Seed(5);
+  return builder;
+}
+
+api::VariantPlan TamperedPlan(const api::VariantPlan& honest) {
+  api::VariantPlan tampered = honest;
+  tampered.specs[1].jitter_seed += 50;
+  tampered.specs[1].compute_scale -= 0.05;
+  return tampered;
+}
+
+// Sends `plan`'s bytes under `cache_key` as a whole-session run request on
+// a fresh connection and returns the executor's reply.
+StatusOr<net::RunReplyMsg> SendPlan(ExecutorServer& server, const api::VariantPlan& plan,
+                                    const std::string& cache_key) {
+  auto socket = server.ConnectLoopback();
+  if (!socket.ok()) {
+    return socket.status();
+  }
+  net::RunRequestMsg msg;
+  msg.cache_key = cache_key;
+  msg.n_variants = plan.n_variants();
+  for (size_t v = 0; v < plan.n_variants(); ++v) {
+    msg.members.push_back(v);
+  }
+  msg.owns_baseline = true;
+  msg.plan_bytes = net::EncodeVariantPlan(plan);
+  Status sent =
+      net::WriteFrame(**socket, Frame{MessageType::kRunRequest, 1, net::EncodeRunRequestMsg(msg)});
+  if (!sent.ok()) {
+    return sent;
+  }
+  auto reply = net::ReadFrame(**socket);
+  if (!reply.ok()) {
+    return reply.status();
+  }
+  if (reply->type != MessageType::kRunReply) {
+    return InvalidArgument("expected a run reply");
+  }
+  return net::DecodeRunReplyMsg(reply->payload, plan.n_variants());
+}
+
+TEST(ExecutorTest, CachedPlanRejectsDifferentBytesUnderItsKey) {
+  auto server = std::make_shared<ExecutorServer>();
+  auto honest = PoisonTargetBuilder().PlanVariants();
+  ASSERT_TRUE(honest.ok()) << honest.status().ToString();
+  const api::VariantPlan tampered = TamperedPlan(*honest);
+  ASSERT_EQ(tampered.CacheKey(), honest->CacheKey());
+
+  // The tampered plan reaches the empty cache first and is stored.
+  auto planted = SendPlan(*server, tampered, honest->CacheKey());
+  ASSERT_TRUE(planted.ok()) << planted.status().ToString();
+  ASSERT_TRUE(planted->run_status.ok()) << planted->run_status.ToString();
+
+  // An honest session's request carries its own bytes, which differ from
+  // the cached plan's: it fails definitely instead of running the planted
+  // plan.
+  auto remote = PoisonTargetBuilder().Remote({net::LoopbackEndpoint(server, "solo")}).Build();
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  auto report = remote->Run();
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInternal) << report.status().ToString();
+  EXPECT_EQ(server->stats().decode_errors, 1u);
+}
+
+TEST(ExecutorTest, TamperedPlanCannotReplaceACachedHonestPlan) {
+  auto server = std::make_shared<ExecutorServer>();
+  auto local = PoisonTargetBuilder().Build();
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  auto remote = PoisonTargetBuilder().Remote({net::LoopbackEndpoint(server, "solo")}).Build();
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  auto first = remote->Run();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+
+  auto honest = PoisonTargetBuilder().PlanVariants();
+  ASSERT_TRUE(honest.ok()) << honest.status().ToString();
+  auto rejected = SendPlan(*server, TamperedPlan(*honest), honest->CacheKey());
+  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+  EXPECT_EQ(rejected->run_status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(server->stats().decode_errors, 1u);
+
+  // The honest session's later requests name the plan by key alone and
+  // still run the honest plan.
+  for (uint64_t seed : {5u, 6u}) {
+    api::RunRequest request;
+    request.workload_seed = seed;
+    auto expected = local->Run(request);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    auto actual = remote->Run(request);
+    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+    ExpectReportsIdentical(*actual, *expected, "remote after a rejected tampered plan");
+  }
+  EXPECT_EQ(server->stats().plan_unknown_replies, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection: every fault terminates with a definite Status.
 // ---------------------------------------------------------------------------

@@ -532,8 +532,7 @@ TEST(ShardedSessionTest, ObserverBlocksStaySequencedAcrossShardedRuns) {
                        .Shards(2)
                        .InjectDetection(3, "__asan_report_store")
                        .SetObserver(observer)
-                       .Async(3)
-                       .BuildAsync();
+                       .BuildAsync(std::make_shared<support::ThreadPool>(3));
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     for (size_t i = 0; i < kRuns; ++i) {
       session->Submit();
