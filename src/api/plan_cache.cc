@@ -13,27 +13,33 @@ PlanCache::PlanPtr PlanCache::LookupLocked(const std::string& key) {
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // touch: most recently used
-  return it->second->second;
+  return it->second->plan;
 }
 
-void PlanCache::InsertLocked(const std::string& key, PlanPtr plan) {
+void PlanCache::InsertLocked(const std::string& key, PlanPtr plan, size_t weight) {
+  weight = std::max<size_t>(1, weight);
   auto it = index_.find(key);
   if (it != index_.end()) {
-    it->second->second = std::move(plan);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
+    weight_ -= it->second->weight;
+    lru_.erase(it->second);
+    index_.erase(it);
   }
-  lru_.emplace_front(key, std::move(plan));
+  if (weight > capacity_) {
+    return;  // would evict everything and still not fit: serve it, keep nothing
+  }
+  lru_.push_front(Entry{key, std::move(plan), weight});
   index_[key] = lru_.begin();
-  while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().first);
+  weight_ += weight;
+  while (weight_ > capacity_) {  // never reaches the new entry: it fits alone
+    weight_ -= lru_.back().weight;
+    index_.erase(lru_.back().key);
     lru_.pop_back();
     ++evictions_;
   }
 }
 
 StatusOr<PlanCache::PlanPtr> PlanCache::GetOrPlan(const std::string& key, const Factory& factory,
-                                                  bool* was_hit) {
+                                                  bool* was_hit, size_t weight) {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     if (PlanPtr plan = LookupLocked(key)) {
@@ -94,7 +100,7 @@ StatusOr<PlanCache::PlanPtr> PlanCache::GetOrPlan(const std::string& key, const 
 
   lock.lock();
   if (produced.ok()) {
-    InsertLocked(key, *produced);
+    InsertLocked(key, *produced, weight);
   }
   // Errors are handed to coalesced waiters but not cached: a transient
   // planning failure should not poison the key.
@@ -117,15 +123,16 @@ PlanCache::PlanPtr PlanCache::Lookup(const std::string& key) {
   return plan;
 }
 
-void PlanCache::Insert(const std::string& key, PlanPtr plan) {
+void PlanCache::Insert(const std::string& key, PlanPtr plan, size_t weight) {
   std::lock_guard<std::mutex> lock(mu_);
-  InsertLocked(key, std::move(plan));
+  InsertLocked(key, std::move(plan), weight);
 }
 
 void PlanCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();
   index_.clear();
+  weight_ = 0;
 }
 
 PlanCacheStats PlanCache::stats() const {
@@ -136,6 +143,7 @@ PlanCacheStats PlanCache::stats() const {
   stats.coalesced = coalesced_;
   stats.evictions = evictions_;
   stats.entries = lru_.size();
+  stats.weight = weight_;
   stats.capacity = capacity_;
   return stats;
 }

@@ -20,7 +20,7 @@ std::ptrdiff_t RunSlots(size_t n_workers) {
 }  // namespace
 
 ExecutorServer::ExecutorServer(const ExecutorOptions& options)
-    : plan_cache_(options.plan_cache_capacity), run_slots_(RunSlots(options.n_workers)) {}
+    : plan_cache_(options.plan_cache_bytes), run_slots_(RunSlots(options.n_workers)) {}
 
 ExecutorServer::~ExecutorServer() { Stop(); }
 
@@ -262,7 +262,7 @@ void ExecutorServer::HandleRun(const std::string& payload, Frame* reply_frame) {
   } else {
     // The factory re-verifies that the decoded plan's own CacheKey matches
     // the claimed wire key, so a request cannot poison the cache under a
-    // false key.
+    // false key. The entry weighs its encoded bytes against the budget.
     const RunRequestMsg& request = *msg;
     StatusOr<std::shared_ptr<const api::VariantPlan>> resolved = plan_cache_.GetOrPlan(
         request.cache_key,
@@ -291,7 +291,7 @@ void ExecutorServer::HandleRun(const std::string& payload, Frame* reply_frame) {
               std::make_shared<const analysis::AnalysisReport>(std::move(report));
           return decoded;
         },
-        &was_hit);
+        &was_hit, request.plan_bytes.size());
     // The key names planning inputs only, so bytes under an honest key can
     // still carry other derived fields (specs, labels, check plan). A plan
     // served from the cache must be exactly the one these bytes encode, or

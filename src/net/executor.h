@@ -5,11 +5,15 @@
 // api::PlanCache keyed by the wire cache_key, so a fleet serving one hot plan
 // decodes and validates it once, not once per request — runs the requested
 // shard members, and streams back the PartialReport plus an occupancy
-// snapshot (queue depth, in-flight runs) in every reply. A request that names
-// its plan by key alone is served from the cache or answered kPlanUnknown; it
-// never fills the cache. A request that carries plan bytes the cache already
-// holds a plan for must encode exactly that plan, or it gets InvalidArgument.
-// kStatsRequest returns the cumulative counters.
+// snapshot (queue depth, in-flight runs) in every reply. The cache holds the
+// fleet's working set of plans, bounded in bytes: each entry weighs its
+// encoded plan's size against ExecutorOptions::plan_cache_bytes, and a plan
+// larger than the whole budget runs for its request without being kept. A
+// request that names its plan by key alone is served from the cache or
+// answered kPlanUnknown; it never fills the cache. A request that carries
+// plan bytes the cache already holds a plan for must encode exactly that
+// plan, or it gets InvalidArgument. kStatsRequest returns the cumulative
+// counters.
 //
 // Connections are persistent: each one is served on its own thread, which
 // reads a request, runs it and writes the reply. At most
@@ -47,8 +51,8 @@ namespace bunshin {
 namespace net {
 
 struct ExecutorOptions {
-  size_t n_workers = 0;          // runs executing at once; 0 = hardware concurrency
-  size_t plan_cache_capacity = 64;
+  size_t n_workers = 0;                       // runs executing at once; 0 = hardware concurrency
+  size_t plan_cache_bytes = size_t{8} << 20;  // encoded plan bytes the plan cache holds
 };
 
 // Connections served at once; more are closed at accept.

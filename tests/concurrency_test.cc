@@ -2,7 +2,7 @@
 // CompletionQueue FIFO-per-producer and exactly-once delivery under 16
 // producers x 4 consumers (the TSan acceptance workload), the producer-
 // registration assert, ThreadPool draining, and the plan cache's counters
-// under concurrent lookups. This suite runs under ThreadSanitizer and
+// and weight bound under concurrent lookups. This suite runs under ThreadSanitizer and
 // AddressSanitizer in CI alongside the async/shard suites.
 #include <gtest/gtest.h>
 
@@ -260,6 +260,49 @@ TEST(SegmentedCacheTest, CountersStayCoherentUnderConcurrentLookups) {
   // Single-flight: each key planned at most once per concurrent burst; with
   // 16 keys over 16k lookups, misses stay tiny.
   EXPECT_LE(stats.misses, kKeys * kThreads);
+}
+
+TEST(SegmentedCacheTest, HeldWeightStaysWithinCapacityUnderMixedWeights) {
+  // Weights 1-4096 under a capacity a few entries fill: fills evict, and
+  // about a quarter of the keys weigh more than the whole capacity, so their
+  // plans are served to the planner and its waiters but never kept.
+  constexpr size_t kCapacity = 3'000;
+  PlanCache cache(kCapacity);
+  constexpr size_t kThreads = 8;
+  constexpr size_t kLookups = 2'000;
+  constexpr size_t kKeys = 64;
+  const auto weight_of = [](size_t key) { return 1 + (key * 2'654'435'761u) % 4'096; };
+
+  std::atomic<bool> stop_polling{false};
+  std::thread poller([&] {
+    while (!stop_polling.load()) {
+      const PlanCacheStats stats = cache.stats();
+      EXPECT_LE(stats.weight, kCapacity);
+      EXPECT_LE(stats.entries, stats.weight);
+    }
+  });
+
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&cache, weight_of, t] {
+      for (size_t i = 0; i < kLookups; ++i) {
+        const size_t key = (i * 7 + t) % kKeys;
+        auto plan = cache.GetOrPlan("plan" + std::to_string(key),
+                                    [] { return api::VariantPlan(); }, nullptr, weight_of(key));
+        EXPECT_TRUE(plan.ok());
+      }
+    });
+  }
+  for (auto& thread : workers) {
+    thread.join();
+  }
+  stop_polling.store(true);
+  poller.join();
+
+  const PlanCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * kLookups);
+  EXPECT_LE(stats.weight, kCapacity);
+  EXPECT_GT(stats.evictions, 0u);
 }
 
 }  // namespace

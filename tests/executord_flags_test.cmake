@@ -11,6 +11,9 @@ foreach(flags IN ITEMS
         "--workers -1"
         "--port abc"
         "--plan-cache -1"
+        "--plan-cache 64"
+        "--plan-cache-bytes -1"
+        "--plan-cache-bytes 18446744073709551616"
         "--workers 4x"
         "--workers 18446744073709551616"
         "--port 65536"

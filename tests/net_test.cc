@@ -620,9 +620,8 @@ class RecordingSocket final : public support::Socket {
   std::shared_ptr<PlanLog> log_;
 };
 
-TEST(ExecutorTest, PlansTravelOncePerEndpoint) {
-  auto server = std::make_shared<ExecutorServer>(net::ExecutorOptions{.plan_cache_capacity = 1});
-  auto log = std::make_shared<PlanLog>();
+// An endpoint dialing `server` in-process through a RecordingSocket.
+Endpoint RecordedEndpoint(std::shared_ptr<ExecutorServer> server, std::shared_ptr<PlanLog> log) {
   Endpoint endpoint;
   endpoint.name = "recorded";
   endpoint.dial = [server, log]() -> StatusOr<std::unique_ptr<support::Socket>> {
@@ -632,7 +631,10 @@ TEST(ExecutorTest, PlansTravelOncePerEndpoint) {
     }
     return std::unique_ptr<support::Socket>(new RecordingSocket(std::move(*socket), log));
   };
+  return endpoint;
+}
 
+TEST(ExecutorTest, PlansTravelOncePerEndpoint) {
   NvxBuilder other;
   other.Benchmark(workload::Spec2006()[1]).Variants(3).Seed(61);
   auto other_plan = other.PlanVariants();
@@ -640,6 +642,13 @@ TEST(ExecutorTest, PlansTravelOncePerEndpoint) {
   auto plan_a = std::make_shared<const api::VariantPlan>(PlanFixture());
   auto plan_b = std::make_shared<const api::VariantPlan>(*other_plan);
   ASSERT_NE(plan_a->CacheKey(), plan_b->CacheKey());
+  // A byte budget that fits either plan, but not both.
+  const size_t one_plan = std::max(net::EncodeVariantPlan(*plan_a).size(),
+                                   net::EncodeVariantPlan(*plan_b).size());
+  auto server =
+      std::make_shared<ExecutorServer>(net::ExecutorOptions{.plan_cache_bytes = one_plan});
+  auto log = std::make_shared<PlanLog>();
+  const Endpoint endpoint = RecordedEndpoint(server, log);
   // Both backends hold copies of one endpoint, so they share its connections.
   net::RemoteBackend a(plan_a, api::ShardMemberGroups(plan_a->n_variants(), 1), {endpoint},
                        RemoteOptions{});
@@ -656,7 +665,7 @@ TEST(ExecutorTest, PlansTravelOncePerEndpoint) {
   EXPECT_EQ(stats->plan_unknown_replies, 0u);
   EXPECT_EQ(stats->plan_cache_hits, 3u);
 
-  // Two plans sharing a one-entry cache: each switch back to a plan the
+  // Two plans sharing a one-plan cache: each switch back to a plan the
   // cache evicted costs exactly one plan-unknown reply and one resend.
   ASSERT_TRUE(b.Run({}).ok());  // b's first request: it carries b
   ASSERT_TRUE(a.Run({}).ok());  // by key, unknown, resent with a
@@ -796,6 +805,92 @@ TEST(ExecutorTest, TamperedPlanCannotReplaceACachedHonestPlan) {
     ExpectReportsIdentical(*actual, *expected, "remote after a rejected tampered plan");
   }
   EXPECT_EQ(server->stats().plan_unknown_replies, 0u);
+}
+
+// A cheap plan per seed: mcf at two variants. Each seed is its own cache key.
+NvxBuilder SmallPlanBuilder(uint64_t seed) {
+  NvxBuilder builder;
+  builder.Benchmark(workload::Spec2006()[3]).Variants(2).Seed(seed);
+  return builder;
+}
+
+// The executor's cache is bounded in bytes, not by an entry count: 96 small
+// plans cycled twice in the same order stay cached. A 64-entry LRU would
+// evict each plan before its reuse.
+TEST(ExecutorTest, WorkingSetBeyondSixtyFourPlansStaysCached) {
+  auto server = std::make_shared<ExecutorServer>();
+  const Endpoint endpoint = net::LoopbackEndpoint(server, "solo");
+  std::vector<std::unique_ptr<net::RemoteBackend>> backends;
+  for (uint64_t seed = 1; seed <= 96; ++seed) {
+    auto plan = SmallPlanBuilder(seed).PlanVariants();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto shared = std::make_shared<const api::VariantPlan>(*std::move(plan));
+    backends.push_back(std::make_unique<net::RemoteBackend>(
+        shared, api::ShardMemberGroups(shared->n_variants(), 1), std::vector<Endpoint>{endpoint},
+        RemoteOptions{}));
+  }
+
+  for (auto& backend : backends) {
+    ASSERT_TRUE(backend->Run({}).ok());
+  }
+  const net::ExecutorStats first = server->stats();
+  for (auto& backend : backends) {
+    ASSERT_TRUE(backend->Run({}).ok());
+  }
+  const net::ExecutorStats both = server->stats();
+
+  EXPECT_EQ(both.plan_unknown_replies - first.plan_unknown_replies, 0u);
+  const uint64_t fills = both.requests - both.plan_cache_hits - both.plan_unknown_replies;
+  EXPECT_EQ(fills, 96u) << "each plan decoded and analysed once";
+  EXPECT_EQ(server->plan_cache_stats().entries, 96u);
+}
+
+// Under a small byte budget, LRU eviction keeps the held bytes within it.
+// A plan larger than the whole budget still runs, bit-identical to its
+// local session, but is never kept: each later key-only request for it is
+// answered kPlanUnknown and resent with the plan.
+TEST(ExecutorTest, PlanCacheStaysWithinItsByteBudget) {
+  auto probe = SmallPlanBuilder(1).PlanVariants();
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  const size_t budget = 5 * net::EncodeVariantPlan(*probe).size() / 2;  // about two plans
+  auto server = std::make_shared<ExecutorServer>(net::ExecutorOptions{.plan_cache_bytes = budget});
+  const Endpoint endpoint = net::LoopbackEndpoint(server, "solo");
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    auto session = SmallPlanBuilder(seed).Remote({endpoint}).Build();
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    ASSERT_TRUE(session->Run().ok());
+    const api::PlanCacheStats cache = server->plan_cache_stats();
+    EXPECT_LE(cache.weight, budget) << "after seed " << seed;
+    EXPECT_GE(cache.entries, 1u) << "after seed " << seed;
+  }
+  const api::PlanCacheStats before = server->plan_cache_stats();
+  EXPECT_GT(before.evictions, 0u);
+
+  auto big = PoisonTargetBuilder().PlanVariants();
+  ASSERT_TRUE(big.ok()) << big.status().ToString();
+  ASSERT_GT(net::EncodeVariantPlan(*big).size(), budget);
+  auto log = std::make_shared<PlanLog>();
+  auto local = PoisonTargetBuilder().Build();
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  auto remote = PoisonTargetBuilder().Remote({RecordedEndpoint(server, log)}).Build();
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  for (uint64_t seed : {5u, 6u}) {
+    api::RunRequest request;
+    request.workload_seed = seed;
+    auto expected = local->Run(request);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    auto actual = remote->Run(request);
+    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+    ExpectReportsIdentical(*actual, *expected, "over-budget plan vs local");
+    const api::PlanCacheStats after = server->plan_cache_stats();
+    EXPECT_EQ(after.entries, before.entries);
+    EXPECT_EQ(after.weight, before.weight);
+    EXPECT_EQ(after.evictions, before.evictions);
+  }
+  // The first run carries the plan; the second names it by key, is answered
+  // kPlanUnknown and resends it.
+  EXPECT_EQ(log->Take(), (std::vector<bool>{true, false, true}));
+  EXPECT_EQ(server->stats().plan_unknown_replies, 1u);
 }
 
 // ---------------------------------------------------------------------------

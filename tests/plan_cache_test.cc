@@ -3,7 +3,9 @@
 //   * collision regressions — fixed 6-decimal double formatting aliased
 //     sub-1e-6 deltas, and unescaped free-form names aliased across key
 //     fields (both would have made a cache return the wrong plan);
-//   * LRU eviction order, hit/miss/coalesced/eviction counters;
+//   * LRU eviction order by entry weight (an entry heavier than the
+//     capacity is served but not kept), hit/miss/coalesced/eviction
+//     counters;
 //   * base-plan caching with injection overlays (attack scenarios share the
 //     clean sessions' cache entry);
 //   * cached sessions bit-identical to uncached ones, plain and sharded;
@@ -185,7 +187,63 @@ TEST(PlanCacheTest, LruEvictsLeastRecentlyUsed) {
   const PlanCacheStats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.weight, 2u) << "the default weight counts entries";
   EXPECT_EQ(stats.capacity, 2u);
+}
+
+TEST(PlanCacheTest, WeightedEntriesEvictLeastRecentlyUsedUntilTheyFit) {
+  PlanCache cache(/*capacity=*/10);
+  cache.Insert("a", DummyPlan(), 4);
+  cache.Insert("b", DummyPlan(), 3);
+  cache.Insert("c", DummyPlan(), 3);
+  EXPECT_EQ(cache.stats().weight, 10u);
+  EXPECT_NE(cache.Lookup("a"), nullptr);  // touch a: b, then c, are LRU
+  cache.Insert("d", DummyPlan(), 5);      // 15 held: evicts b, then c
+
+  EXPECT_EQ(cache.Lookup("b"), nullptr);
+  EXPECT_EQ(cache.Lookup("c"), nullptr);
+  EXPECT_NE(cache.Lookup("a"), nullptr);
+  EXPECT_NE(cache.Lookup("d"), nullptr);
+  PlanCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 2u);
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.weight, 9u);
+
+  cache.Insert("a", DummyPlan(), 1);  // an overwrite re-weighs its entry
+  EXPECT_EQ(cache.stats().weight, 6u);
+  cache.Clear();
+  stats = cache.stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.weight, 0u);
+}
+
+TEST(PlanCacheTest, EntryHeavierThanTheCapacityIsServedButNotKept) {
+  PlanCache cache(/*capacity=*/10);
+  cache.Insert("small", DummyPlan(), 4);
+  size_t planned = 0;
+  auto factory = [&planned]() -> StatusOr<VariantPlan> {
+    ++planned;
+    return VariantPlan();
+  };
+
+  bool hit = true;
+  auto first = cache.GetOrPlan("big", factory, &hit, 11);
+  ASSERT_TRUE(first.ok());
+  EXPECT_NE(*first, nullptr);
+  EXPECT_FALSE(hit);
+  auto second = cache.GetOrPlan("big", factory, &hit, 11);
+  ASSERT_TRUE(second.ok());
+  EXPECT_FALSE(hit) << "an over-capacity plan is planned again, not kept";
+  EXPECT_EQ(planned, 2u);
+  EXPECT_NE(cache.Lookup("small"), nullptr) << "it must not flush what fits";
+
+  // Overwriting a kept key with an over-capacity plan leaves nothing stale.
+  cache.Insert("small", DummyPlan(), 11);
+  EXPECT_EQ(cache.Lookup("small"), nullptr);
+  const PlanCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.weight, 0u);
+  EXPECT_EQ(stats.evictions, 0u);
 }
 
 TEST(PlanCacheTest, HitAndMissCountersTrackLookups) {

@@ -5,12 +5,14 @@
 // uncached plan by key is answered "plan unknown"), runs the requested shard
 // members on the connection's thread, at most --workers at once, and replies
 // with PartialReports plus occupancy. kStatsRequest frames read its counters.
-// Each request builds its own backend, so runs here are cold: no engine
-// state is kept between requests. Peers are bounded by constants, not flags
-// (src/net/executor.h): at most 64 connections, and idle, frame and send
-// deadlines.
+// The plan cache holds at most --plan-cache-bytes of encoded plans (8 MiB by
+// default, a few thousand typical plans); a plan larger than that runs for
+// its request and is not kept. Each request builds its own backend, so runs
+// here are cold: no engine state is kept between requests. Peers are
+// bounded by constants, not flags (src/net/executor.h): at most 64
+// connections, and idle, frame and send deadlines.
 //
-//   nvx_executord --port 7001 --workers 4
+//   nvx_executord --port 7001 --workers 4 --plan-cache-bytes 16777216
 //
 // --port 0 (the default) picks an ephemeral port; the chosen port is printed
 // either way, as the line "nvx_executord listening on port <p>", which the
@@ -30,10 +32,12 @@ namespace {
 
 void Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--port P] [--workers N] [--plan-cache C]\n"
-               "  --port P        TCP port to listen on, 0-65535 (0 = ephemeral; default 0)\n"
-               "  --workers N     runs executing at once (0 = hardware concurrency; default 0)\n"
-               "  --plan-cache C  decoded-plan cache capacity (default 64)\n",
+               "usage: %s [--port P] [--workers N] [--plan-cache-bytes B]\n"
+               "  --port P              TCP port to listen on, 0-65535 (0 = ephemeral; default 0)\n"
+               "  --workers N           runs executing at once (0 = hardware concurrency;\n"
+               "                        default 0)\n"
+               "  --plan-cache-bytes B  encoded plan bytes the plan cache holds; a larger plan\n"
+               "                        runs uncached (default 8388608, 8 MiB)\n",
                argv0);
 }
 
@@ -60,8 +64,8 @@ int main(int argc, char** argv) {
       ok = ParseDecimal(value, &port);
     } else if (std::strcmp(arg, "--workers") == 0) {
       ok = ParseDecimal(value, &options.n_workers);
-    } else if (std::strcmp(arg, "--plan-cache") == 0) {
-      ok = ParseDecimal(value, &options.plan_cache_capacity);
+    } else if (std::strcmp(arg, "--plan-cache-bytes") == 0) {
+      ok = ParseDecimal(value, &options.plan_cache_bytes);
     }
     if (!ok) {
       Usage(argv[0]);
