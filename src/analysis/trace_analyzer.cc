@@ -382,12 +382,5 @@ void AnalyzeTraces(const nxe::EngineConfig& config,
   }
 }
 
-AnalysisReport AnalyzeTracesReport(const nxe::EngineConfig& config,
-                                   const std::vector<nxe::VariantTrace>& variants) {
-  AnalysisReport report;
-  AnalyzeTraces(config, variants, &report);
-  return report;
-}
-
 }  // namespace analysis
 }  // namespace bunshin

@@ -60,10 +60,6 @@ void AnalyzeTraces(const nxe::EngineConfig& config,
                    const std::vector<nxe::VariantTrace>& variants,
                    AnalysisReport* report);
 
-// Convenience wrapper: fresh report.
-AnalysisReport AnalyzeTracesReport(const nxe::EngineConfig& config,
-                                   const std::vector<nxe::VariantTrace>& variants);
-
 }  // namespace analysis
 }  // namespace bunshin
 

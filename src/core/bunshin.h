@@ -92,12 +92,6 @@ class IrNvxSystem {
   // per-variant interpreter results for report building.
   DetailedNvxRun RunDetailed(const std::string& entry, const std::vector<int64_t>& args) const;
 
-  // DEPRECATED: thin wrapper over RunDetailed() kept for the old call sites;
-  // new code should program against api::NvxSession (src/api/nvx.h).
-  NvxResult Run(const std::string& entry, const std::vector<int64_t>& args) const {
-    return RunDetailed(entry, args).result;
-  }
-
   size_t n_variants() const { return variants_.size(); }
   const ir::Module& variant(size_t i) const { return *variants_[i]; }
   // Check-distribution plan (empty protected sets for sanitizer distribution).

@@ -50,10 +50,5 @@ std::vector<uint32_t> SynccallRuntime::Order() const {
   return order_;
 }
 
-size_t SynccallRuntime::OrderSize() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return order_.size();
-}
-
 }  // namespace nxe
 }  // namespace bunshin

@@ -61,7 +61,6 @@ class SynccallRuntime {
 
   // Snapshot of the recorded total order.
   std::vector<uint32_t> Order() const;
-  size_t OrderSize() const;
 
  private:
   void EndTurn(size_t follower);

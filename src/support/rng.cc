@@ -51,11 +51,6 @@ uint64_t Rng::NextBounded(uint64_t bound) {
   }
 }
 
-int64_t Rng::NextInRange(int64_t lo, int64_t hi) {
-  const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  return lo + static_cast<int64_t>(NextBounded(span));
-}
-
 double Rng::NextDouble() {
   // 53 high bits -> [0, 1).
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;

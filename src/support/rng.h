@@ -27,9 +27,6 @@ class Rng {
   // modulo bias.
   uint64_t NextBounded(uint64_t bound);
 
-  // Uniform in [lo, hi] inclusive. Requires lo <= hi.
-  int64_t NextInRange(int64_t lo, int64_t hi);
-
   // Uniform double in [0, 1).
   double NextDouble();
 

@@ -154,44 +154,8 @@ bool IsMemoryManagement(Sysno no) {
   }
 }
 
-bool IsVirtualized(Sysno no) {
-  switch (no) {
-    case Sysno::kGettimeofday:
-    case Sysno::kClockGettime:
-    case Sysno::kGetpid:
-    case Sysno::kGettid:
-    case Sysno::kGetrandom:
-    case Sysno::kUname:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool IsProcessSpawn(Sysno no) { return no == Sysno::kFork || no == Sysno::kClone; }
-
 bool IsSyncRelevant(Sysno no) {
   return !IsMemoryManagement(no) && no != Sysno::kSynccall && no != Sysno::kCount;
-}
-
-SyscallTable::SyscallTable() { patched_.fill(false); }
-
-void SyscallTable::Patch(Sysno no) { patched_[static_cast<size_t>(no)] = true; }
-
-void SyscallTable::PatchAll() { patched_.fill(true); }
-
-void SyscallTable::Restore(Sysno no) { patched_[static_cast<size_t>(no)] = false; }
-
-void SyscallTable::RestoreAll() { patched_.fill(false); }
-
-bool SyscallTable::IsPatched(Sysno no) const { return patched_[static_cast<size_t>(no)]; }
-
-size_t SyscallTable::patched_count() const {
-  size_t n = 0;
-  for (bool p : patched_) {
-    n += p ? 1 : 0;
-  }
-  return n;
 }
 
 SyscallRecord ParseIntroducedSyscall(const std::string& entry) {

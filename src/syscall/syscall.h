@@ -8,9 +8,7 @@
 //   * sync-relevant vs ignorable (sanitizer memory-management syscalls are
 //     excluded from comparison, §3.3),
 //   * IO-write related (the syscalls that stay in lockstep even in
-//     selective-lockstep mode, §3.3),
-//   * virtual syscalls (nondeterministic results copied leader -> followers),
-//   * process-control (fork/clone spawn new execution groups).
+//     selective-lockstep mode, §3.3).
 #ifndef BUNSHIN_SRC_SYSCALL_SYSCALL_H_
 #define BUNSHIN_SRC_SYSCALL_SYSCALL_H_
 
@@ -112,37 +110,9 @@ bool IsIoWriteRelated(Sysno no);
 // comparison (§3.3, class 2 of sanitizer-introduced syscalls).
 bool IsMemoryManagement(Sysno no);
 
-// Results are nondeterministic across variants and must be virtualized: the
-// leader executes, followers receive copies.
-bool IsVirtualized(Sysno no);
-
-// Spawns a new process/thread and therefore a new execution group.
-bool IsProcessSpawn(Sysno no);
-
 // Participates in sequence comparison at all (everything except memory
 // management and the synccall hook).
 bool IsSyncRelevant(Sysno no);
-
-// --- Syscall table (kernel-module patching model) ---------------------------
-
-// Models the loadable kernel module temporarily patching the syscall table:
-// hooked entries trap into the engine; unhooked entries go straight to the
-// "kernel". The NXE patches on attach and restores on detach.
-class SyscallTable {
- public:
-  SyscallTable();
-
-  void Patch(Sysno no);
-  void PatchAll();
-  void Restore(Sysno no);
-  void RestoreAll();
-
-  bool IsPatched(Sysno no) const;
-  size_t patched_count() const;
-
- private:
-  std::array<bool, static_cast<size_t>(Sysno::kCount)> patched_;
-};
 
 // Parses a sanitizer catalog entry like "mmap:shadow" or
 // "read:/proc/self/maps" into a record (tag hashed into the digest).

@@ -559,19 +559,5 @@ nxe::VariantTrace BuildServerTrace(const ServerSpec& server, const VariantSpec& 
   return trace;
 }
 
-std::vector<nxe::VariantTrace> BuildIdenticalServerVariants(const ServerSpec& server, size_t n,
-                                                            uint64_t workload_seed) {
-  TraceTemplate tmpl;
-  BuildServerTemplate(server, workload_seed, &tmpl);
-  std::vector<nxe::VariantTrace> variants(n);
-  for (size_t v = 0; v < n; ++v) {
-    VariantSpec spec;
-    spec.name = "v" + std::to_string(v);
-    spec.jitter_seed = 2000 + v;
-    DeriveTrace(tmpl, spec, &variants[v]);
-  }
-  return variants;
-}
-
 }  // namespace workload
 }  // namespace bunshin

@@ -124,9 +124,6 @@ double TemplateActions(const ServerSpec& server);
 nxe::VariantTrace BuildServerTrace(const ServerSpec& server, const VariantSpec& variant,
                                    uint64_t workload_seed);
 
-std::vector<nxe::VariantTrace> BuildIdenticalServerVariants(const ServerSpec& server, size_t n,
-                                                            uint64_t workload_seed);
-
 }  // namespace workload
 }  // namespace bunshin
 

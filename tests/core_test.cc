@@ -37,7 +37,7 @@ TEST(IrNvxTest, BenignRunsAgree) {
                                                     BenignWorkload(), Options{.n_variants = 3});
   ASSERT_TRUE(system.ok()) << system.status().ToString();
   for (int n : {1, 5, 17, 40}) {
-    const auto result = system->Run("main", {n});
+    const auto result = system->RunDetailed("main", {n}).result;
     EXPECT_EQ(result.outcome, NvxOutcome::kOk) << "n=" << n << " " << result.divergence_detail;
   }
 }
@@ -49,7 +49,7 @@ TEST(IrNvxTest, BenignResultMatchesBaseline) {
                                                     BenignWorkload(), Options{.n_variants = 2});
   ASSERT_TRUE(system.ok());
   for (int n : {2, 9, 31}) {
-    const auto result = system->Run("main", {n});
+    const auto result = system->RunDetailed("main", {n}).result;
     ASSERT_EQ(result.outcome, NvxOutcome::kOk);
     EXPECT_EQ(result.return_value, interp.Run("main", {n}).return_value);
   }
@@ -63,7 +63,7 @@ TEST(IrNvxTest, AttackDetectedByExactlyTheVariantHoldingTheCheck) {
       Options{.n_variants = 2});
   ASSERT_TRUE(system.ok()) << system.status().ToString();
 
-  const auto result = system->Run("main", {4});  // one past the end
+  const auto result = system->RunDetailed("main", {4}).result;  // one past the end
   ASSERT_EQ(result.outcome, NvxOutcome::kDetected);
   EXPECT_EQ(result.detector, "__asan_report_load");
 
@@ -97,7 +97,7 @@ TEST(IrNvxTest, SecurityEquivalentToFullInstrumentation) {
 
   for (int idx = -2; idx <= 5; ++idx) {
     const auto full_result = full.Run("main", {idx});
-    const auto nvx_result = system->Run("main", {idx});
+    const auto nvx_result = system->RunDetailed("main", {idx}).result;
     if (full_result.outcome == ir::Outcome::kDetected) {
       EXPECT_EQ(nvx_result.outcome, NvxOutcome::kDetected) << "idx=" << idx;
     } else {
@@ -117,11 +117,11 @@ TEST(IrNvxTest, SanitizerDistributionSeparatesConflicts) {
   EXPECT_NE(groups[0], groups[1]);
 
   // Benign run is clean even though the sanitizers would conflict if fused.
-  const auto result = system->Run("main", {2});
+  const auto result = system->RunDetailed("main", {2}).result;
   EXPECT_EQ(result.outcome, NvxOutcome::kOk) << result.divergence_detail;
 
   // Overflow: the ASan-carrying variant detects.
-  const auto attack = system->Run("main", {4});
+  const auto attack = system->RunDetailed("main", {4}).result;
   EXPECT_EQ(attack.outcome, NvxOutcome::kDetected);
 }
 
@@ -131,11 +131,11 @@ TEST(IrNvxTest, UbsanSubSanitizerDistribution) {
   ASSERT_TRUE(system.ok()) << system.status().ToString();
 
   // Benign input: agreement.
-  EXPECT_EQ(system->Run("main", {20, 3}).outcome, NvxOutcome::kOk);
+  EXPECT_EQ(system->RunDetailed("main", {20, 3}).result.outcome, NvxOutcome::kOk);
   // Division by zero: the variant carrying integer-divide-by-zero detects
   // (in the other variant the div traps, which would also stop the attack,
   // but detection wins because the check fires before the UB executes).
-  const auto result = system->Run("main", {10, 0});
+  const auto result = system->RunDetailed("main", {10, 0}).result;
   EXPECT_EQ(result.outcome, NvxOutcome::kDetected);
   EXPECT_EQ(result.detector, "__ubsan_report_integer_divide_by_zero");
 }
@@ -145,8 +145,8 @@ TEST(IrNvxTest, SingleVariantDegeneratesToFullInstrumentation) {
   auto system = IrNvxSystem::CreateCheckDistributed(
       *baseline, san::SanitizerId::kASan, {{"main", {1}}}, Options{.n_variants = 1});
   ASSERT_TRUE(system.ok());
-  EXPECT_EQ(system->Run("main", {2}).outcome, NvxOutcome::kOk);
-  EXPECT_EQ(system->Run("main", {4}).outcome, NvxOutcome::kDetected);
+  EXPECT_EQ(system->RunDetailed("main", {2}).result.outcome, NvxOutcome::kOk);
+  EXPECT_EQ(system->RunDetailed("main", {4}).result.outcome, NvxOutcome::kDetected);
 }
 
 TEST(IrNvxTest, RejectsProfilingWorkloadThatCrashes) {

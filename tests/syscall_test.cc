@@ -1,4 +1,4 @@
-// Tests for the virtual syscall layer: classification, records, table.
+// Tests for the virtual syscall layer: classification and records.
 #include <gtest/gtest.h>
 
 #include "src/sanitizer/sanitizer.h"
@@ -29,12 +29,6 @@ TEST(SyscallTest, SynccallNeverCompared) {
   EXPECT_FALSE(sc::IsSyncRelevant(Sysno::kSynccall));
 }
 
-TEST(SyscallTest, VirtualizedSyscalls) {
-  EXPECT_TRUE(sc::IsVirtualized(Sysno::kGettimeofday));
-  EXPECT_TRUE(sc::IsVirtualized(Sysno::kGetrandom));
-  EXPECT_FALSE(sc::IsVirtualized(Sysno::kRead));
-}
-
 TEST(SyscallTest, EverySysnoHasAName) {
   for (size_t i = 0; i < static_cast<size_t>(Sysno::kCount); ++i) {
     EXPECT_STRNE(sc::SysnoName(static_cast<Sysno>(i)), "?");
@@ -62,18 +56,6 @@ TEST(SyscallTest, DigestIsStableAndSensitive) {
   EXPECT_EQ(sc::DigestString("abc"), sc::DigestString("abc"));
   EXPECT_NE(sc::DigestString("abc"), sc::DigestString("abd"));
   EXPECT_NE(sc::DigestString(""), sc::DigestString("a"));
-}
-
-TEST(SyscallTest, TablePatchRestore) {
-  sc::SyscallTable table;
-  EXPECT_EQ(table.patched_count(), 0u);
-  table.Patch(Sysno::kWrite);
-  EXPECT_TRUE(table.IsPatched(Sysno::kWrite));
-  EXPECT_FALSE(table.IsPatched(Sysno::kRead));
-  table.PatchAll();
-  EXPECT_EQ(table.patched_count(), static_cast<size_t>(Sysno::kCount));
-  table.RestoreAll();
-  EXPECT_EQ(table.patched_count(), 0u);
 }
 
 TEST(SyscallTest, ParseIntroducedSyscall) {
