@@ -142,13 +142,16 @@ RandomCase GenerateCase(uint64_t seed) {
         break;
       }
       nxe::ThreadTrace& thread = random_thread_of(1 + rng() % (n_variants - 1));
-      for (const auto& a : thread.actions) {
+      for (size_t i = 0; i < thread.actions.size(); ++i) {
+        const nxe::ThreadAction& a = thread.actions[i];
         if (a.kind == nxe::ActionKind::kSyscall && sc::IsSyncRelevant(thread.RecordOf(a).no)) {
+          sc::SyscallRecord mutant = thread.RecordOf(a);
           if (rng() % 2 == 0) {
-            thread.RecordOf(a).args[0] += 1;
+            mutant.args[0] += 1;
           } else {
-            thread.RecordOf(a).payload_digest ^= 0x5bd1e995ULL;
+            mutant.payload_digest ^= 0x5bd1e995ULL;
           }
+          thread.ReplaceRecord(i, mutant);
           c.label = "arg-divergence";
           break;
         }

@@ -147,10 +147,26 @@ class IrBackend final : public Backend {
 // builds one template into `tmpl` and derives each covered trace and the
 // baseline trace from it once, whatever the group count, into buffers that
 // keep their capacity from seed to seed, as the engine arenas in
-// `workspace` do from run to run. Run() is const and concurrent, so
-// scratches live on a checkout freelist (one per in-flight run), never as
-// bare mutable members.
+// `workspace` do from run to run. The traces own their actions and the
+// records they add, and borrow the template's record tables. Run() is const
+// and concurrent, so scratches live on a checkout freelist (one per
+// in-flight run), never as bare mutable members.
 struct SessionScratch {
+  // Drops the traces' borrows of the template's record tables, so the next
+  // template build refills those tables in place. The traces name records
+  // they no longer hold until they are derived again.
+  void ReleaseTemplate() {
+    auto release = [](nxe::VariantTrace& trace) {
+      for (nxe::ThreadTrace& thread : trace.threads) {
+        thread.borrowed.reset();
+      }
+    };
+    for (nxe::VariantTrace& trace : traces) {
+      release(trace);
+    }
+    release(baseline_trace);
+  }
+
   bool valid = false;
   uint64_t seed = 0;
   workload::TraceTemplate tmpl;
@@ -212,6 +228,7 @@ class TraceBackend final : public Backend {
       scratch->valid = false;
       scratch->baseline_time.reset();
       scratch->standalone_valid = false;
+      scratch->ReleaseTemplate();
       BuildPlanTemplate(plan, seed, &scratch->tmpl);
       Status built = DerivePlanTraces(plan, coverage_, scratch->tmpl, &scratch->traces);
       if (!built.ok()) {

@@ -201,9 +201,13 @@ Status DerivePlanTraces(const VariantPlan& plan, const std::vector<size_t>& memb
                                 std::to_string(injection.variant) +
                                 " has no sync-relevant syscall to diverge at");
     }
-    sc::SyscallRecord& rec = thread.RecordOf(thread.actions[sites[sites.size() / 2]]);
+    // The record may be the template's, shared by every variant: the
+    // overlay is a modified copy that only this variant's action names.
+    const size_t site = sites[sites.size() / 2];
+    sc::SyscallRecord rec = thread.RecordOf(thread.actions[site]);
     rec.payload_digest = sc::DigestString(injection.payload);
     rec.args[1] = static_cast<int64_t>(injection.payload.size());
+    thread.ReplaceRecord(site, rec);
   }
   return Status::Ok();
 }

@@ -195,7 +195,7 @@ static_assert(sizeof(EvThread) == 32, "EvThread must keep its power-of-two strid
 struct Walk {
   const ThreadAction* cur = nullptr;
   const ThreadAction* end = nullptr;
-  const sc::SyscallRecord* recs = nullptr;  // the thread's syscall table
+  const ThreadTrace* thread = nullptr;  // resolves the syscall records
   double clock = 0.0;
   size_t pos = 0;       // sync-relevant syscalls completed
   bool parked = false;  // at a sync-relevant syscall (else: done)
@@ -1208,7 +1208,7 @@ class EagerScheduler {
           ++w.cur;
           continue;
         case ActionKind::kSyscall:
-          if (!sc::IsSyncRelevant(w.recs[a.arg].no)) {
+          if (!sc::IsSyncRelevant(w.thread->RecordOf(a).no)) {
             w.clock += cm_.kernel_syscall + cm_.trap_hook;
             ++report_.ignored_syscalls;
             ++w.cur;
@@ -1301,7 +1301,7 @@ std::optional<SyncReport> EagerScheduler::Execute() {
       const ThreadTrace& thread = variants_[v].threads[t];
       w.cur = thread.actions.data();
       w.end = thread.actions.data() + thread.actions.size();
-      w.recs = thread.syscalls.data();
+      w.thread = &thread;
       w.clock = startup[v];
       w.pos = 0;
       w.parked = false;
@@ -1320,7 +1320,7 @@ std::optional<SyncReport> EagerScheduler::Execute() {
       // IO/strict lockstep point needs every variant; run each lockstep as
       // soon as all variants arrive.
       while (L.parked) {
-        const sc::SyscallRecord& rec = L.recs[L.cur->arg];
+        const sc::SyscallRecord& rec = L.thread->RecordOf(*L.cur);
         if (!selective_ || sc::IsIoWriteRelated(rec.no)) {
           // Lockstep: every variant must be parked at this position.
           bool all_at = true;
@@ -1334,7 +1334,7 @@ std::optional<SyncReport> EagerScheduler::Execute() {
             break;  // followers still have slots to drain
           }
           for (size_t v = 1; v < V_; ++v) {
-            if (!walks[v].recs[walks[v].cur->arg].SameRequest(rec)) {
+            if (!walks[v].thread->RecordOf(*walks[v].cur).SameRequest(rec)) {
               return std::nullopt;  // divergence: report needs round clocks
             }
           }
@@ -1416,7 +1416,7 @@ std::optional<SyncReport> EagerScheduler::Execute() {
           Walk& w = walks[v];
           const size_t f = v - 1;
           while (w.parked && w.pos < pub_count) {
-            const sc::SyscallRecord& rec = w.recs[w.cur->arg];
+            const sc::SyscallRecord& rec = w.thread->RecordOf(*w.cur);
             if (!rec.SameRequest(*pub_rec[base + w.pos])) {
               return std::nullopt;  // divergence (or IO record meeting a ring slot)
             }

@@ -10,24 +10,33 @@
 // kind:
 //   kCompute                            unused (0); `cost` is the cycles
 //   kLockAcquire, kLockRelease, kBarrier the sync id
-//   kSyscall                            index into the thread's `syscalls`
+//   kSyscall                            index into the thread's records
 //   kDetect                             index into the thread's `detectors`
 //   kExit                               unused (0)
-// Every ThreadTrace owns its two tables, and they are append-only: splicing
-// an action in mid-stream (an attack overlay, a sanitizer's memory-management
-// syscall) appends its record and inserts one 16-byte action, so no index
-// already handed out moves. The engine walks the dense action arrays and
-// reads a record only at the syscalls it filters or synchronizes.
+// A thread's syscall records sit in two tables. `borrowed` is its template's
+// table: immutable, and shared by every trace derived from that template, the
+// baseline included. `syscalls` holds only the records this trace added
+// itself: a sanitizer's memory-management syscalls, an attack overlay. An
+// index with ThreadTrace::kOwnRecord set names `syscalls`, the others name
+// the borrowed table, so resolving one costs a bit test, not a size read. A
+// hand-built trace borrows nothing and owns all its records. Every table
+// only grows: splicing an action in mid-stream appends
+// its record and inserts one 16-byte action, and changing a record appends a
+// modified copy and repoints its action, so no index already handed out moves
+// and no shared record is ever written. The engine walks the dense action
+// arrays and reads a record only at the syscalls it filters or synchronizes.
 //
 // The workload generators (src/workload) build one template per (benchmark,
 // workload seed) and derive every variant's trace from it: a jitter pass over
 // the compute costs plus an in-order merge of the sanitizer-introduced
-// syscalls. Attack behavior for the security experiments is spliced in on
-// top (src/api/plan.cc, src/attack).
+// syscalls. A session thus holds one record table per template thread and
+// one action array per variant. Attack behavior for the security
+// experiments is spliced in on top (src/api/plan.cc, src/attack).
 #ifndef BUNSHIN_SRC_NXE_TRACE_H_
 #define BUNSHIN_SRC_NXE_TRACE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -65,15 +74,35 @@ struct ThreadAction {
 static_assert(sizeof(ThreadAction) == 16, "ThreadAction must stay a 16-byte record");
 static_assert(std::is_trivially_copyable_v<ThreadAction>);
 
+// A template thread's syscall records (see the layout above).
+using RecordTable = std::vector<sc::SyscallRecord>;
+
 struct ThreadTrace {
   std::vector<ThreadAction> actions;
-  std::vector<sc::SyscallRecord> syscalls;  // kSyscall records, by action arg
-  std::vector<std::string> detectors;       // kDetect report handlers, by action arg
+  std::shared_ptr<const RecordTable> borrowed;  // the template's records, or null
+  std::vector<sc::SyscallRecord> syscalls;      // records this trace added
+  std::vector<std::string> detectors;           // kDetect report handlers, by action arg
 
-  const sc::SyscallRecord& RecordOf(const ThreadAction& a) const { return syscalls[a.arg]; }
-  sc::SyscallRecord& RecordOf(const ThreadAction& a) { return syscalls[a.arg]; }
+  // Marks a kSyscall index into `syscalls` (see the layout above).
+  static constexpr uint32_t kOwnRecord = 1u << 31;
+
+  const sc::SyscallRecord& RecordOf(const ThreadAction& a) const {
+    return (a.arg & kOwnRecord) != 0 ? syscalls[a.arg & ~kOwnRecord] : (*borrowed)[a.arg];
+  }
   uint32_t SyncIdOf(const ThreadAction& a) const { return a.arg; }
   const std::string& DetectorOf(const ThreadAction& a) const { return detectors[a.arg]; }
+
+  // Appends `record` to this trace's own table; returns the index a kSyscall
+  // action names it by.
+  uint32_t AddRecord(const sc::SyscallRecord& record) {
+    syscalls.push_back(record);
+    return kOwnRecord | static_cast<uint32_t>(syscalls.size() - 1);
+  }
+  // Points the syscall action at `pos` to `record`, added as a new record:
+  // the one it named may be shared with other traces.
+  void ReplaceRecord(size_t pos, const sc::SyscallRecord& record) {
+    actions[pos].arg = AddRecord(record);
+  }
 
   // Inserts before actions[pos] (pos == actions.size() appends). The
   // syscall and detect forms append the record or detector to its table.
@@ -81,8 +110,7 @@ struct ThreadTrace {
     actions.insert(actions.begin() + static_cast<std::ptrdiff_t>(pos), action);
   }
   void InsertSyscall(size_t pos, const sc::SyscallRecord& record) {
-    syscalls.push_back(record);
-    Insert(pos, {0.0, static_cast<uint32_t>(syscalls.size() - 1), ActionKind::kSyscall});
+    Insert(pos, {0.0, AddRecord(record), ActionKind::kSyscall});
   }
   void InsertDetect(size_t pos, std::string detector) {
     detectors.push_back(std::move(detector));

@@ -1,52 +1,6 @@
 #include "src/support/stats.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace bunshin {
-
-void RunningStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  if (count_ < 2) {
-    return 0.0;
-  }
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) {
-    return 0.0;
-  }
-  std::sort(values.begin(), values.end());
-  if (p <= 0.0) {
-    return values.front();
-  }
-  if (p >= 100.0) {
-    return values.back();
-  }
-  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= values.size()) {
-    return values.back();
-  }
-  return values[lo] * (1.0 - frac) + values[lo + 1] * frac;
-}
 
 double Mean(const std::vector<double>& values) {
   if (values.empty()) {
@@ -57,24 +11,6 @@ double Mean(const std::vector<double>& values) {
     sum += v;
   }
   return sum / static_cast<double>(values.size());
-}
-
-double GeometricMean(const std::vector<double>& values) {
-  if (values.empty()) {
-    return 0.0;
-  }
-  double log_sum = 0.0;
-  for (double v : values) {
-    log_sum += std::log(v);
-  }
-  return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
-double Overhead(double baseline, double measured) {
-  if (baseline == 0.0) {
-    return 0.0;
-  }
-  return (measured - baseline) / baseline;
 }
 
 }  // namespace bunshin

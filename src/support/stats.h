@@ -1,44 +1,14 @@
-// Small statistics helpers shared by the profiler, simulator, and benches.
+// The arithmetic mean the paper harnesses average their table columns with
+// (bench/bench_util.h).
 #ifndef BUNSHIN_SRC_SUPPORT_STATS_H_
 #define BUNSHIN_SRC_SUPPORT_STATS_H_
 
-#include <cstddef>
 #include <vector>
 
 namespace bunshin {
 
-// Streaming accumulator (Welford) for mean/variance plus min/max.
-class RunningStats {
- public:
-  void Add(double x);
-
-  size_t count() const { return count_; }
-  double mean() const { return count_ ? mean_ : 0.0; }
-  double variance() const;  // Sample variance (n-1); 0 if count < 2.
-  double stddev() const;
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
- private:
-  size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
-// Percentile with linear interpolation. p in [0, 100]. Copies and sorts.
-double Percentile(std::vector<double> values, double p);
-
-// Arithmetic and geometric means; both return 0 for empty input.
+// Arithmetic mean; 0 for empty input.
 double Mean(const std::vector<double>& values);
-double GeometricMean(const std::vector<double>& values);
-
-// Relative overhead of `measured` vs `baseline` as a fraction (0.5 == +50%).
-// Returns 0 if baseline is 0.
-double Overhead(double baseline, double measured);
 
 }  // namespace bunshin
 

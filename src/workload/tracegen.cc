@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -172,13 +173,13 @@ bool DrawsJitter(const nxe::ThreadAction& a) {
          !(a.cost <= 0.0);
 }
 
-// The jitter draws `tmpl` makes from action `i` of thread `t` on.
-size_t JitterDraws(const TraceTemplate& tmpl, size_t t, size_t i) {
+// The jitter draws a derive from `tmpl` makes, counted on every derive: a
+// hand-built template carries no count to trust.
+size_t JitterDraws(const TraceTemplate& tmpl) {
   size_t draws = 0;
-  for (; t < tmpl.threads.size(); ++t, i = 0) {
-    const std::vector<nxe::ThreadAction>& actions = tmpl.threads[t].actions;
-    for (; i < actions.size(); ++i) {
-      draws += DrawsJitter(actions[i]) ? 1 : 0;
+  for (const nxe::ThreadTrace& thread : tmpl.threads) {
+    for (const nxe::ThreadAction& a : thread.actions) {
+      draws += DrawsJitter(a) ? 1 : 0;
     }
   }
   return draws;
@@ -232,19 +233,19 @@ nxe::ThreadAction JitteredSegment(double cost) {
 }
 
 // One in-execution memory-management syscall: its final position in the
-// derived thread and its index in the thread's syscall table.
+// derived thread and the index its action names its record by.
 struct MmInsert {
   uint32_t pos;
   uint32_t record;
 };
 
 // Draws the memory-management syscalls a sanitizer runtime issues, spread
-// across the thread's timeline, and appends their records to `thread`'s
-// syscall table. These are *not* in the template — each variant has
-// different ones — which is exactly why the NXE must ignore them (§3.3).
-// Each draw inserts into the growing action list at a position uniform over
-// its current length; `inserts` receives the positions those inserts end up
-// at in the final list, ascending.
+// across the thread's timeline, and adds their records to `thread`'s own
+// table. These are *not* in the template — each variant has different ones —
+// which is exactly why the NXE must ignore them (§3.3). Each draw inserts
+// into the growing action list at a position uniform over its current
+// length; `inserts` receives the positions those inserts end up at in the
+// final list, ascending.
 void DrawMemoryManagement(size_t count, size_t template_len, Rng* rng, nxe::ThreadTrace* thread,
                           MmInsert* inserts) {
   for (size_t i = 0; i < count; ++i) {
@@ -256,11 +257,93 @@ void DrawMemoryManagement(size_t count, size_t template_len, Rng* rng, nxe::Thre
     for (size_t j = 0; j < i; ++j) {
       inserts[j].pos += inserts[j].pos >= pos ? 1 : 0;
     }
-    inserts[i] = {pos, static_cast<uint32_t>(thread->syscalls.size())};
-    thread->syscalls.push_back(rec);
+    inserts[i] = {pos, thread->AddRecord(rec)};
   }
   std::sort(inserts, inserts + count,
             [](const MmInsert& a, const MmInsert& b) { return a.pos < b.pos; });
+}
+
+// Where a derive stands in its variant's noise tape, which holds at least
+// every draw the template makes.
+struct TapeCursor {
+  const Rng::GaussianFactors* gaussian;  // the next draw's factors
+  const Burst* burst;                    // the next burst (or the sentinel)
+  size_t draw;                           // the next draw's index
+};
+
+// The derive kernel: writes the derived form of the template actions
+// [in, end) to `out` and returns the end of what it wrote. Every action is
+// copied as a whole 16-byte record; a compute action then gets arg 0 and, if
+// it draws, its jittered cost. The cursor is read into locals so the loop
+// state stays in registers, and the tape's length is never checked.
+nxe::ThreadAction* DeriveRun(const nxe::ThreadAction* in, const nxe::ThreadAction* end,
+                             nxe::ThreadAction* out, double sigma, double scale_div,
+                             TapeCursor* cursor) {
+  const Rng::GaussianFactors* g = cursor->gaussian;
+  const Burst* burst = cursor->burst;
+  size_t draw = cursor->draw;
+  for (; in != end; ++in, ++out) {
+    std::memcpy(out, in, sizeof(nxe::ThreadAction));
+    if (in->kind != nxe::ActionKind::kCompute) {
+      continue;
+    }
+    out->arg = 0;
+    if (!DrawsJitter(*in)) {
+      continue;
+    }
+    // OS noise behaves like a random walk over the segment, so the absolute
+    // deviation grows with sqrt(cost): long compute bursts between syscalls
+    // absorb proportionally less jitter than dense syscall bursts.
+    // `scale_div` is max(1, the variant's sanitizer slowdown): the engine
+    // multiplies every compute cost by the slowdown, but OS jitter is a
+    // property of wall-clock time, not of the instrumentation, so the
+    // deviation is divided out here to be scale-invariant after the engine's
+    // multiplication. The `0.0 +` is NextGaussian's mean: the arithmetic is
+    // the live draw's, operation for operation.
+    const double cost = in->cost;
+    const double sigma_abs = sigma * std::sqrt(cost) / scale_div;
+    double jittered = std::max(0.05 * cost, cost + (0.0 + sigma_abs * g->a * g->b));
+    // Occasionally the OS preempts the process for a scheduling quantum — a
+    // heavy-tailed burst that lets the leader run several syscalls ahead of
+    // a follower in selective mode (the §5.3 gap measurements).
+    if (burst->draw == draw) {
+      jittered += burst->cycles / scale_div;
+      ++burst;
+    }
+    ++g;
+    ++draw;
+    out->cost = jittered;
+  }
+  *cursor = {g, burst, draw};
+  return out;
+}
+
+// Empties template thread `thread` for a rebuild and returns the record
+// table it borrows, to be filled. A table no derived trace borrows any more
+// (the template holds the only reference) is refilled in place, so its
+// capacity carries over from seed to seed; one still borrowed stays with its
+// borrowers. use_count() is a relaxed read, so a borrower on another thread
+// must have dropped its reference before the rebuild starts, as the session
+// scratch's checkout mutex orders it.
+nxe::RecordTable* ResetTemplateThread(nxe::ThreadTrace* thread) {
+  thread->actions.clear();
+  thread->syscalls.clear();
+  thread->detectors.clear();
+  if (thread->borrowed.use_count() != 1) {
+    thread->borrowed = std::make_shared<nxe::RecordTable>();
+  }
+  // Every table a template borrows was made non-const just above.
+  auto* table = const_cast<nxe::RecordTable*>(thread->borrowed.get());
+  table->clear();
+  return table;
+}
+
+// Appends a syscall action naming `record`, added to the template table
+// `table` that `thread` borrows.
+void AppendTemplateSyscall(const sc::SyscallRecord& record, nxe::RecordTable* table,
+                           nxe::ThreadTrace* thread) {
+  thread->Append({0.0, static_cast<uint32_t>(table->size()), nxe::ActionKind::kSyscall});
+  table->push_back(record);
 }
 
 }  // namespace
@@ -293,15 +376,12 @@ void BuildTemplate(const BenchmarkSpec& bench, uint64_t workload_seed, TraceTemp
   for (size_t t = 0; t < threads; ++t) {
     Rng struct_rng = Rng(workload_seed ^ (0x5DEECE66DULL * (t + 1)));
     nxe::ThreadTrace& thread = out->threads[t];
-    thread.actions.clear();
-    thread.syscalls.clear();
-    thread.detectors.clear();
-    thread.syscalls.reserve(syscalls_per_thread);
+    nxe::RecordTable* records = ResetTemplateThread(&thread);
+    records->reserve(syscalls_per_thread);
 
     events.clear();
     for (size_t i = 0; i < syscalls_per_thread; ++i) {
-      thread.syscalls.push_back(
-          TemplateSyscall(t * 100000 + i, bench.io_write_frac, &struct_rng));
+      records->push_back(TemplateSyscall(t * 100000 + i, bench.io_write_frac, &struct_rng));
       events.push_back({Ev::Type::kSyscall, static_cast<uint32_t>(i)});
     }
     for (size_t i = 0; i < locks_per_thread; ++i) {
@@ -382,72 +462,45 @@ void DeriveTrace(const TraceTemplate& tmpl, const VariantSpec& variant, nxe::Var
   }
   std::vector<MmInsert> inserts(mm_count);
 
-  // The tape is fetched again, longer, when this template outruns it.
-  std::shared_ptr<const NoiseTape> tape = Tapes().Find(key);
-  size_t held = tape == nullptr ? 0 : tape->gaussians.size();
-  size_t draw = 0;
-  size_t burst = 0;
+  // One tape fetch per derive, long enough for every draw.
+  const size_t draws = JitterDraws(tmpl);
+  const std::shared_ptr<const NoiseTape> tape = draws == 0 ? nullptr : Tapes().Get(key, draws);
+  TapeCursor cursor{tape == nullptr ? nullptr : tape->gaussians.data(),
+                    tape == nullptr ? nullptr : tape->bursts.data(), 0};
 
   const double sigma = tmpl.noise_sigma;
-  const double scale = variant.compute_scale;
+  const double scale_div = std::max(1.0, variant.compute_scale);
   for (size_t t = 0; t < tmpl.threads.size(); ++t) {
     const nxe::ThreadTrace& src = tmpl.threads[t];
     nxe::ThreadTrace& dst = out->threads[t];
     const size_t len = src.actions.size();
     const size_t inserted = len == 0 ? 0 : mm_count;
 
+    // The template's records are borrowed, not copied: the derived thread
+    // resolves every index the template does, and owns only what it adds.
+    dst.borrowed = src.borrowed;
     dst.syscalls.clear();
     dst.syscalls.reserve(src.syscalls.size() + inserted);
     dst.syscalls.insert(dst.syscalls.end(), src.syscalls.begin(), src.syscalls.end());
-    dst.detectors.clear();
+    dst.detectors = src.detectors;
     if (inserted > 0) {
       DrawMemoryManagement(inserted, len, &*mm_rng, &dst, inserts.data());
     }
 
-    dst.actions.clear();
-    dst.actions.reserve(len + inserted);
-    size_t next = 0;
-    for (size_t i = 0; i < len; ++i) {
-      const nxe::ThreadAction& a = src.actions[i];
-      while (next < inserted && inserts[next].pos == dst.actions.size()) {
-        dst.Append({0.0, inserts[next++].record, nxe::ActionKind::kSyscall});
-      }
-      if (a.kind != nxe::ActionKind::kCompute) {
-        dst.Append(a);
-        continue;
-      }
-      if (!DrawsJitter(a)) {
-        dst.Append(nxe::ThreadAction::Compute(a.cost));
-        continue;
-      }
-      if (draw == held) {
-        tape = Tapes().Get(key, draw + JitterDraws(tmpl, t, i));
-        held = tape->gaussians.size();
-      }
-      // OS noise behaves like a random walk over the segment, so the
-      // absolute deviation grows with sqrt(cost): long compute bursts
-      // between syscalls absorb proportionally less jitter than dense
-      // syscall bursts. `scale` is the variant's sanitizer slowdown: the
-      // engine multiplies every compute cost by it, but OS jitter is a
-      // property of wall-clock time, not of the instrumentation, so the
-      // deviation is divided out here to be scale-invariant after the
-      // engine's multiplication. The `0.0 +` is NextGaussian's mean: the
-      // arithmetic is the live draw's, operation for operation.
-      const Rng::GaussianFactors& g = tape->gaussians[draw];
-      const double sigma_abs = sigma * std::sqrt(a.cost) / std::max(1.0, scale);
-      double jittered = std::max(0.05 * a.cost, a.cost + (0.0 + sigma_abs * g.a * g.b));
-      // Occasionally the OS preempts the process for a scheduling quantum —
-      // a heavy-tailed burst that lets the leader run several syscalls ahead
-      // of a follower in selective mode (the §5.3 gap measurements).
-      if (tape->bursts[burst].draw == draw) {
-        jittered += tape->bursts[burst++].cycles / std::max(1.0, scale);
-      }
-      ++draw;
-      dst.Append(nxe::ThreadAction::Compute(jittered));
+    // Runs of template actions between the inserts, written into a buffer
+    // presized to the derived length. Insert k ends at position pos, after
+    // pos - k template actions.
+    dst.actions.resize(len + inserted);
+    const nxe::ThreadAction* in = src.actions.data();
+    nxe::ThreadAction* next = dst.actions.data();
+    size_t done = 0;
+    for (size_t k = 0; k < inserted; ++k) {
+      const size_t upto = inserts[k].pos - k;
+      next = DeriveRun(in + done, in + upto, next, sigma, scale_div, &cursor);
+      *next++ = {0.0, inserts[k].record, nxe::ActionKind::kSyscall};
+      done = upto;
     }
-    while (next < inserted) {
-      dst.Append({0.0, inserts[next++].record, nxe::ActionKind::kSyscall});
-    }
+    DeriveRun(in + done, in + len, next, sigma, scale_div, &cursor);
   }
 
   AddSanitizerRuntimeSyscalls(variant, out);
@@ -495,9 +548,7 @@ void BuildServerTemplate(const ServerSpec& server, uint64_t workload_seed, Trace
   for (size_t t = 0; t < out->threads.size(); ++t) {
     Rng struct_rng = Rng(workload_seed ^ (0xC0FFEEULL * (t + 1)));
     nxe::ThreadTrace& thread = out->threads[t];
-    thread.actions.clear();
-    thread.syscalls.clear();
-    thread.detectors.clear();
+    nxe::RecordTable* records = ResetTemplateThread(&thread);
     const size_t reqs = server.requests / out->threads.size();
     for (size_t r = 0; r < reqs; ++r) {
       const std::string req_tag =
@@ -506,19 +557,19 @@ void BuildServerTemplate(const ServerSpec& server, uint64_t workload_seed, Trace
       sc::SyscallRecord accept;
       accept.no = sc::Sysno::kAccept;
       accept.args = {4, 0, 0, 0, 0, 0};
-      thread.AppendSyscall(accept);
+      AppendTemplateSyscall(accept, records, &thread);
 
       thread.Append(JitteredSegment(parse_compute));
 
       sc::SyscallRecord open;
       open.no = sc::Sysno::kOpen;
       open.payload_digest = sc::DigestString("www/file" + std::to_string(struct_rng.NextBounded(8)));
-      thread.AppendSyscall(open);
+      AppendTemplateSyscall(open, records, &thread);
 
       sc::SyscallRecord read;
       read.no = sc::Sysno::kRead;
       read.args = {5, static_cast<int64_t>(server.file_kb * 1024), 0, 0, 0, 0};
-      thread.AppendSyscall(read);
+      AppendTemplateSyscall(read, records, &thread);
       thread.Append(JitteredSegment(read_compute));
 
       for (size_t c = 0; c < chunks; ++c) {
@@ -526,7 +577,7 @@ void BuildServerTemplate(const ServerSpec& server, uint64_t workload_seed, Trace
         write.no = sc::Sysno::kWrite;
         write.args = {6, static_cast<int64_t>(server.file_kb * 1024 / chunks), 0, 0, 0, 0};
         write.payload_digest = sc::DigestString(req_tag + "#chunk" + std::to_string(c));
-        thread.AppendSyscall(write);
+        AppendTemplateSyscall(write, records, &thread);
         if (large) {
           thread.Append(JitteredSegment(34.0));
         }
@@ -535,7 +586,7 @@ void BuildServerTemplate(const ServerSpec& server, uint64_t workload_seed, Trace
       sc::SyscallRecord close;
       close.no = sc::Sysno::kClose;
       close.args = {6, 0, 0, 0, 0, 0};
-      thread.AppendSyscall(close);
+      AppendTemplateSyscall(close, records, &thread);
     }
     thread.Append(nxe::ThreadAction::Exit());
   }
@@ -548,15 +599,6 @@ double TemplateActions(const ServerSpec& server) {
   // write and, for 1MB responses, its send segment; one exit per thread.
   const double per_request = server.file_kb >= 1024 ? 6.0 + 16.0 * 2.0 : 6.0 + 1.0;
   return static_cast<double>(threads) * (requests * per_request + 1.0);
-}
-
-nxe::VariantTrace BuildServerTrace(const ServerSpec& server, const VariantSpec& variant,
-                                   uint64_t workload_seed) {
-  TraceTemplate tmpl;
-  BuildServerTemplate(server, workload_seed, &tmpl);
-  nxe::VariantTrace trace;
-  DeriveTrace(tmpl, variant, &trace);
-  return trace;
 }
 
 }  // namespace workload

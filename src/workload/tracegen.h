@@ -20,7 +20,11 @@
 //   * template: BuildTemplate makes every structural draw once per
 //     (benchmark, workload seed);
 //   * derive: DeriveTrace turns the template into one variant's trace,
-//     scaling the tape's draws, with no sampling of its own.
+//     scaling the tape's draws, with no sampling of its own. The derived
+//     trace borrows the template's per-thread record tables and owns only
+//     its actions and the memory-management records it adds, so a session
+//     holds one record table per template thread and one action array per
+//     variant.
 #ifndef BUNSHIN_SRC_WORKLOAD_TRACEGEN_H_
 #define BUNSHIN_SRC_WORKLOAD_TRACEGEN_H_
 
@@ -55,7 +59,10 @@ struct VariantSpec {
 // The variant-independent part of a target's traces: every draw of the
 // template streams (syscall records, lock ids, the shuffle, barrier slots,
 // base segment costs), laid out per thread exactly as a derived trace is,
-// minus the sanitizer memory-management syscalls.
+// minus the sanitizer memory-management syscalls. The builders put each
+// thread's records in the table it borrows (nxe::ThreadTrace::borrowed),
+// which every trace derived from the template then shares; a rebuild refills
+// a table in place once no derived trace borrows it.
 struct TraceTemplate {
   // Marks a template kCompute action (in `arg`) whose cost the variant's
   // jitter stream perturbs; the other compute actions (lock hold times) keep
@@ -81,10 +88,14 @@ void BuildTemplate(const BenchmarkSpec& bench, uint64_t workload_seed, TraceTemp
 double TemplateActions(const BenchmarkSpec& bench);
 
 // Derives one variant's trace from `tmpl` into `out`, reusing its buffers'
-// capacity. Jittered segments read the variant's noise tape in action order,
-// one entry per jittered segment whose cost is not <= 0 (NaN included); the
-// memory-management insert positions (a stream forked off the jitter stream
-// before its first draw) are drawn first and merged in the same single pass.
+// capacity. Each derived thread borrows what the template thread borrows and
+// copies what it owns (a hand-built template may own records), so `out`
+// stays valid after `tmpl` is rebuilt or destroyed. Jittered segments read
+// the variant's noise tape in action order, one entry per jittered segment
+// whose cost is not <= 0 (NaN included); the tape is fetched once, holding
+// every draw the template makes. The memory-management insert positions (a
+// stream forked off the jitter stream before its first draw) are drawn
+// first; the template actions between them are copied in runs.
 // The result depends only on (tmpl, variant), never on which other variants
 // share the template or on what the memo holds: it is bit-identical to
 // drawing the stream live.
@@ -119,10 +130,6 @@ void BuildServerTemplate(const ServerSpec& server, uint64_t workload_seed, Trace
 
 // The number of actions BuildServerTemplate(server, ...) builds.
 double TemplateActions(const ServerSpec& server);
-
-// Builds one variant of the server loop (BuildServerTemplate + DeriveTrace).
-nxe::VariantTrace BuildServerTrace(const ServerSpec& server, const VariantSpec& variant,
-                                   uint64_t workload_seed);
 
 }  // namespace workload
 }  // namespace bunshin

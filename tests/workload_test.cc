@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <thread>
 
@@ -140,8 +141,10 @@ TEST(TracegenTest, ServerTraceRequestStructure) {
   workload::ServerSpec server;
   server.requests = 8;
   server.file_kb = 1024;
-  workload::VariantSpec spec;
-  const auto trace = workload::BuildServerTrace(server, spec, 5);
+  workload::TraceTemplate tmpl;
+  workload::BuildServerTemplate(server, 5, &tmpl);
+  nxe::VariantTrace trace;
+  workload::DeriveTrace(tmpl, workload::VariantSpec{}, &trace);
   size_t writes = 0;
   size_t accepts = 0;
   const nxe::ThreadTrace& thread = trace.threads[0];
@@ -380,8 +383,13 @@ TEST(TraceFingerprintTest, ServerTraces) {
       server.threads = std::string(name) == "nginx" ? 4 : 1;
       server.file_kb = file_kb;
       for (uint64_t seed : {1ULL, 7ULL, 301ULL}) {
-        digest.Trace(workload::BuildServerTrace(server, workload::VariantSpec{}, seed));
-        digest.Trace(workload::BuildServerTrace(server, instrumented, seed));
+        workload::TraceTemplate tmpl;
+        workload::BuildServerTemplate(server, seed, &tmpl);
+        for (const workload::VariantSpec& spec : {workload::VariantSpec{}, instrumented}) {
+          nxe::VariantTrace trace;
+          workload::DeriveTrace(tmpl, spec, &trace);
+          digest.Trace(trace);
+        }
       }
     }
   }
@@ -459,7 +467,9 @@ void ExpectLiveDraws(const workload::TraceTemplate& tmpl, const workload::Varian
     const nxe::ThreadTrace& src = tmpl.threads[t];
     const std::vector<nxe::ThreadAction>& got = derived.threads[t].actions;
     auto inserted = [&](size_t d) {
-      return got[d].kind == nxe::ActionKind::kSyscall && got[d].arg >= src.syscalls.size();
+      constexpr uint32_t kOwn = nxe::ThreadTrace::kOwnRecord;
+      return got[d].kind == nxe::ActionKind::kSyscall && (got[d].arg & kOwn) != 0 &&
+             (got[d].arg & ~kOwn) >= src.syscalls.size();
     };
     size_t d = 0;
     for (size_t i = 0; i < src.actions.size(); ++i, ++d) {
@@ -620,22 +630,37 @@ TEST(NoiseTapeTest, ConcurrentDerivesFromAColdMemoMatchLiveDraws) {
   }
 }
 
-#ifdef __SANITIZE_ADDRESS__
-// ASan's allocator statistics (declared in sanitizer/allocator_interface.h,
-// which GCC does not ship).
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+// The sanitizer allocator's statistics (declared in
+// sanitizer/allocator_interface.h, which GCC does not ship).
 extern "C" size_t __sanitizer_get_current_allocated_bytes();
-#else
-size_t PeakRssKb() {
+#endif
+#ifndef __SANITIZE_ADDRESS__
+// A KiB field of /proc/self/status ("VmHWM:" peak RSS, "VmRSS:" current), or
+// 0 when absent.
+size_t StatusKb(const std::string& field) {
   std::ifstream status("/proc/self/status");
   std::string line;
   while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::stoul(line.substr(6));
+    if (line.rfind(field, 0) == 0) {
+      return std::stoul(line.substr(field.size()));
     }
   }
   return 0;
 }
+size_t PeakRssKb() { return StatusKb("VmHWM:"); }
 #endif
+
+// The bytes the heap holds: the sanitizer allocator's live bytes where one
+// runs (ASan's quarantine keeps freed blocks resident, TSan adds shadow
+// memory), else the resident set; 0 when unreadable.
+size_t HeapBytes() {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return __sanitizer_get_current_allocated_bytes();
+#else
+  return StatusKb("VmRSS:") << 10;
+#endif
+}
 
 // Junk jitter seeds (as a hostile wire client could send) and over-cap
 // templates must not grow the memo past its bound. Kept unbounded, the
@@ -675,6 +700,234 @@ TEST(NoiseTapeTest, MemoStaysBoundedUnderJunkSeedsAndOverCapTemplates) {
   EXPECT_LT(PeakRssKb(), before + (32u << 10)) << "peak RSS grew by " << (PeakRssKb() - before)
                                                << " KiB";
 #endif
+}
+
+// --- Borrowed record tables ----------------------------------------------------
+//
+// Every trace derived from one template, the baseline included, reads the
+// template's record tables; a derived thread owns only the records it adds.
+
+api::VariantPlan AsanCheckPlan(const char* name, bool inject_divergence) {
+  api::NvxBuilder builder;
+  builder.Benchmark(*workload::FindBenchmark(name))
+      .Variants(8)
+      .DistributeChecks(san::SanitizerId::kASan);
+  if (inject_divergence) {
+    builder.InjectDivergence(6, "exfiltrated");
+  }
+  auto plan = builder.PlanVariants();
+  EXPECT_TRUE(plan.ok()) << name << ": " << plan.status().ToString();
+  return plan.ok() ? std::move(*plan) : api::VariantPlan{};
+}
+
+// The plan's variants, then the baseline, all derived from `tmpl`.
+std::vector<nxe::VariantTrace> DeriveSession(const api::VariantPlan& plan,
+                                             const workload::TraceTemplate& tmpl) {
+  std::vector<size_t> slots(plan.n_variants());
+  std::iota(slots.begin(), slots.end(), size_t{0});
+  std::vector<nxe::VariantTrace> traces;
+  EXPECT_TRUE(api::DerivePlanTraces(plan, slots, tmpl, &traces).ok());
+  traces.emplace_back();
+  workload::DeriveTrace(tmpl, workload::VariantSpec{}, &traces.back());
+  return traces;
+}
+
+TEST(BorrowedRecordsTest, TemplateSyscallsResolveToOneRecordInEveryTrace) {
+  for (const char* name : {"perlbench", "radiosity"}) {
+    const api::VariantPlan plan = AsanCheckPlan(name, false);
+    workload::TraceTemplate tmpl;
+    api::BuildPlanTemplate(plan, 7, &tmpl);
+    const std::vector<nxe::VariantTrace> traces = DeriveSession(plan, tmpl);
+    ASSERT_EQ(traces.size(), 9u);
+    size_t own_records = 0;
+    for (size_t v = 0; v < traces.size(); ++v) {
+      ASSERT_EQ(traces[v].threads.size(), tmpl.threads.size()) << name;
+      for (size_t t = 0; t < tmpl.threads.size(); ++t) {
+        const nxe::ThreadTrace& src = tmpl.threads[t];
+        const nxe::ThreadTrace& thread = traces[v].threads[t];
+        ASSERT_NE(src.borrowed, nullptr) << name;
+        EXPECT_TRUE(src.syscalls.empty()) << name << ", thread " << t;
+        std::vector<const sc::SyscallRecord*> want;
+        for (const nxe::ThreadAction& a : src.actions) {
+          if (a.kind == nxe::ActionKind::kSyscall) {
+            want.push_back(&src.RecordOf(a));
+          }
+        }
+        std::vector<const sc::SyscallRecord*> borrowed;
+        size_t own = 0;
+        for (const nxe::ThreadAction& a : thread.actions) {
+          if (a.kind != nxe::ActionKind::kSyscall) {
+            continue;
+          }
+          if ((a.arg & nxe::ThreadTrace::kOwnRecord) == 0) {
+            borrowed.push_back(&thread.RecordOf(a));
+          } else {
+            EXPECT_TRUE(sc::IsMemoryManagement(thread.RecordOf(a).no));
+            ++own;
+          }
+        }
+        // The same records at the same addresses, in template order.
+        EXPECT_EQ(borrowed, want) << name << ", trace " << v << ", thread " << t;
+        // The thread's own table holds its memory-management records and
+        // nothing else.
+        EXPECT_EQ(own, thread.syscalls.size()) << name << ", trace " << v << ", thread " << t;
+        for (const sc::SyscallRecord& rec : thread.syscalls) {
+          EXPECT_TRUE(sc::IsMemoryManagement(rec.no)) << name << ", trace " << v;
+        }
+        own_records += own;
+      }
+    }
+    EXPECT_GT(own_records, 0u) << name << ": no variant carries a sanitizer runtime";
+  }
+}
+
+// The overlay replaces one record of variant 6 with a modified copy. A write
+// through the shared table would change the template and every other trace.
+TEST(BorrowedRecordsTest, DivergenceOverlayChangesOnlyTheInjectedVariant) {
+  const api::VariantPlan plan = AsanCheckPlan("perlbench", true);
+  workload::TraceTemplate tmpl;
+  api::BuildPlanTemplate(plan, 7, &tmpl);
+  const nxe::ThreadTrace& src = tmpl.threads[0];
+  const nxe::RecordTable original = *src.borrowed;
+  const std::vector<nxe::VariantTrace> traces = DeriveSession(plan, tmpl);
+
+  auto same = [](const sc::SyscallRecord& a, const sc::SyscallRecord& b) {
+    return a.SameRequest(b) && a.result == b.result;
+  };
+  ASSERT_EQ(src.borrowed->size(), original.size());
+  for (size_t i = 0; i < original.size(); ++i) {
+    EXPECT_TRUE(same((*src.borrowed)[i], original[i])) << "template record " << i;
+  }
+  std::vector<uint32_t> template_syscalls;  // record indices, in action order
+  for (const nxe::ThreadAction& a : src.actions) {
+    if (a.kind == nxe::ActionKind::kSyscall) {
+      template_syscalls.push_back(a.arg);
+    }
+  }
+  for (size_t v = 0; v < traces.size(); ++v) {
+    const nxe::ThreadTrace& thread = traces[v].threads[0];
+    size_t k = 0;
+    size_t changed = 0;
+    for (const nxe::ThreadAction& a : thread.actions) {
+      if (a.kind != nxe::ActionKind::kSyscall ||
+          sc::IsMemoryManagement(thread.RecordOf(a).no)) {
+        continue;
+      }
+      ASSERT_LT(k, template_syscalls.size()) << "trace " << v;
+      const sc::SyscallRecord& want = original[template_syscalls[k++]];
+      if (same(thread.RecordOf(a), want)) {
+        continue;
+      }
+      ++changed;
+      EXPECT_EQ(thread.RecordOf(a).payload_digest, sc::DigestString("exfiltrated"));
+      EXPECT_NE(a.arg & nxe::ThreadTrace::kOwnRecord, 0u)
+          << "the overlay must be the variant's own record";
+    }
+    EXPECT_EQ(k, template_syscalls.size()) << "trace " << v;
+    EXPECT_EQ(changed, v == 6 ? 1u : 0u) << "trace " << v;
+  }
+}
+
+// BuildPlanTraces destroys its template on return; the traces keep the
+// tables they borrow alive (under ASan a dangling table is a hard failure).
+TEST(BorrowedRecordsTest, PlanTracesOutliveTheirTemplate) {
+  const api::VariantPlan plan = AsanCheckPlan("radiosity", true);
+  std::vector<size_t> slots(plan.n_variants());
+  std::iota(slots.begin(), slots.end(), size_t{0});
+  const auto orphaned = api::BuildPlanTraces(plan, slots, 301);
+  ASSERT_TRUE(orphaned.ok()) << orphaned.status().ToString();
+
+  workload::TraceTemplate tmpl;
+  api::BuildPlanTemplate(plan, 301, &tmpl);
+  std::vector<nxe::VariantTrace> live;
+  ASSERT_TRUE(api::DerivePlanTraces(plan, slots, tmpl, &live).ok());
+  ASSERT_EQ(orphaned->size(), live.size());
+  for (size_t v = 0; v < live.size(); ++v) {
+    TraceDigest got;
+    TraceDigest want;
+    got.Trace((*orphaned)[v]);
+    want.Trace(live[v]);
+    EXPECT_EQ(got.value(), want.value()) << "trace " << v;
+  }
+  auto report = nxe::Engine(nxe::EngineConfig{}).Run(*orphaned);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->divergence.has_value());
+}
+
+// A rebuild refills a table no trace borrows, keeping its capacity, and
+// leaves a borrowed one to its borrowers untouched.
+TEST(BorrowedRecordsTest, RebuildRefillsOnlyAnUnborrowedTable) {
+  const workload::BenchmarkSpec& bench = *workload::FindBenchmark("perlbench");
+  workload::TraceTemplate tmpl;
+  workload::BuildTemplate(bench, 1, &tmpl);
+  const nxe::RecordTable* table = tmpl.threads[0].borrowed.get();
+  const size_t capacity = table->capacity();
+
+  workload::BuildTemplate(bench, 2, &tmpl);
+  EXPECT_EQ(tmpl.threads[0].borrowed.get(), table);
+  EXPECT_EQ(tmpl.threads[0].borrowed->capacity(), capacity);
+
+  nxe::VariantTrace held;
+  workload::DeriveTrace(tmpl, workload::VariantSpec{}, &held);
+  TraceDigest want;
+  want.Trace(held);
+  workload::BuildTemplate(bench, 3, &tmpl);
+  EXPECT_NE(tmpl.threads[0].borrowed.get(), table);
+  EXPECT_EQ(held.threads[0].borrowed.get(), table);
+  TraceDigest got;
+  got.Trace(held);
+  EXPECT_EQ(got.value(), want.value()) << "a rebuild wrote a table a trace still borrows";
+}
+
+// 64 sessions of perlbench at n = 8 (each its variants and baseline) grow the
+// heap by their actions and memory-management records, plus each trace's
+// fixed bookkeeping and allocator slack: about 13.5 MB. A copy of the
+// template's records per trace (560 records, 40 KB) would add 23 MB more.
+// Measured as HeapBytes: resident set growth in plain builds, the live heap
+// under ASan and TSan.
+TEST(BorrowedRecordsTest, DerivingPerlbenchGrowsTheHeapByActionsAndOwnRecords) {
+  const api::VariantPlan plan = AsanCheckPlan("perlbench", false);
+  workload::TraceTemplate tmpl;
+  api::BuildPlanTemplate(plan, 7, &tmpl);
+  DeriveSession(plan, tmpl);  // fills the noise tapes this plan reads
+
+  constexpr size_t kSessions = 64;
+  std::vector<std::vector<nxe::VariantTrace>> sessions(kSessions);
+  const size_t before = HeapBytes();
+  if (before == 0) {
+    GTEST_SKIP() << "no VmRSS in /proc/self/status";
+  }
+  for (std::vector<nxe::VariantTrace>& traces : sessions) {
+    traces = DeriveSession(plan, tmpl);
+  }
+  const size_t after = HeapBytes();
+
+  size_t actions = 0;
+  size_t mm_records = 0;
+  size_t bookkeeping = 0;
+  for (const std::vector<nxe::VariantTrace>& traces : sessions) {
+    bookkeeping += traces.capacity() * sizeof(nxe::VariantTrace);
+    for (const nxe::VariantTrace& trace : traces) {
+      bookkeeping += trace.threads.capacity() * sizeof(nxe::ThreadTrace) +
+                     (trace.pre_main.capacity() + trace.post_exit.capacity()) *
+                         sizeof(sc::SyscallRecord);
+      for (const nxe::ThreadTrace& thread : trace.threads) {
+        actions += thread.actions.capacity();
+        for (const sc::SyscallRecord& rec : thread.syscalls) {
+          mm_records += sc::IsMemoryManagement(rec.no) ? 1 : 0;
+        }
+      }
+    }
+  }
+  ASSERT_GT(mm_records, 0u);
+  // Allocators round blocks up to size classes (TSan's 19.9 KB action
+  // arrays take 20 KB), so a tenth more plus 1 MiB is allowed.
+  const size_t owned =
+      actions * sizeof(nxe::ThreadAction) + mm_records * sizeof(sc::SyscallRecord) + bookkeeping;
+  const size_t bound = owned + owned / 10 + (1u << 20);
+  const size_t grown = after > before ? after - before : 0;
+  EXPECT_LE(grown, bound) << "the heap grew by " << grown << " bytes for " << actions
+                          << " actions and " << mm_records << " memory-management records";
 }
 
 }  // namespace
