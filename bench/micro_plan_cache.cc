@@ -5,8 +5,9 @@
 // many executions; this bench measures what that amortization is worth in
 // our reproduction. "build-only" isolates the planning half that the cache
 // elides (profile synthesis + check partitioning + spec construction) — the
-// acceptance gate is >= 2x there on repeated identical builds, verified via
-// the cache's own hit/miss counters. "build+run" shows the end-to-end gain
+// gate is >= 2x warm/cold sessions/sec on both build-only rows, and every
+// row's planning runs must match the cache's own hit/miss counters; the
+// bench exits 1 when either fails. "build+run" shows the end-to-end gain
 // when every session also executes once; the multi-threaded section stresses
 // the single-flight path (many builders, one cache, one planning run).
 //
@@ -85,9 +86,10 @@ double TimeSessions(const workload::BenchmarkSpec& bench, std::shared_ptr<api::P
 // One shared cache serves every row (the fleet shape); each row snapshots
 // the cumulative counters before and after its warm phase and diffs, so the
 // printed hit/miss/coalesced are that phase's own, not the fleet lifetime's.
+// A row fails below `min_speedup` (0: not gated).
 int Row(const char* label, const workload::BenchmarkSpec& bench, size_t sessions,
         size_t threads, bool run_each, const std::shared_ptr<api::PlanCache>& cache,
-        uint64_t expected_misses) {
+        uint64_t expected_misses, double min_speedup) {
   const double cold = TimeSessions(bench, nullptr, sessions, threads, run_each);
   const api::PlanCacheStats before = cache->stats();
   const double warm = TimeSessions(bench, cache, sessions, threads, run_each);
@@ -110,6 +112,11 @@ int Row(const char* label, const workload::BenchmarkSpec& bench, size_t sessions
                  static_cast<unsigned long long>(phase_misses));
     return 1;
   }
+  if (cold / warm < min_speedup) {
+    std::fprintf(stderr, "%s: warm/cold %.2fx is below the %.1fx gate\n", label, cold / warm,
+                 min_speedup);
+    return 1;
+  }
   return 0;
 }
 
@@ -128,14 +135,17 @@ int main() {
   auto cache = std::make_shared<api::PlanCache>(16);
   // Build-only: the planning cost the cache amortizes (the >= 2x gate). The
   // first phase plans once; every later phase must be all hits.
-  rc |= Row("build-only", bench, 192, 1, /*run_each=*/false, cache, /*expected_misses=*/1);
+  constexpr double kBuildOnlyGate = 2.0;
+  rc |= Row("build-only", bench, 192, 1, /*run_each=*/false, cache, /*expected_misses=*/1,
+            kBuildOnlyGate);
   // Build+run: one execution per session diluted by engine time.
-  rc |= Row("build+run", bench, 64, 1, /*run_each=*/true, cache, /*expected_misses=*/0);
+  rc |= Row("build+run", bench, 64, 1, /*run_each=*/true, cache, /*expected_misses=*/0,
+            /*min_speedup=*/0.0);
   // Multi-threaded builders sharing one cache (single-flight coalescing).
   rc |= Row("build-only x4 threads", bench, 192, 4, /*run_each=*/false, cache,
-            /*expected_misses=*/0);
+            /*expected_misses=*/0, kBuildOnlyGate);
   rc |= Row("build+run  x4 threads", bench, 64, 4, /*run_each=*/true, cache,
-            /*expected_misses=*/0);
+            /*expected_misses=*/0, /*min_speedup=*/0.0);
 
   std::printf("\nwarm builds resolve the plan by cache key (one miss total, in the first\n"
               "phase); cold builds re-run profile synthesis + check partitioning per\n"

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/analysis/trace_analyzer.h"
@@ -24,21 +25,28 @@ std::string SpecLoc(size_t v) { return "spec " + std::to_string(v); }
 std::string SubsetLoc(size_t v) { return "subset " + std::to_string(v); }
 std::string GroupLoc(size_t v) { return "group " + std::to_string(v); }
 
-// Renders up to `max_shown` names, then "... and N more" — coverage rules
-// report one diagnostic per defect class, not one per function.
-std::string NameList(const std::vector<std::string>& names, size_t max_shown = 8) {
+// Renders the first kShownNames of a list `total` names long (`names` holds
+// at least those), then "... and N more" — coverage rules report one
+// diagnostic per defect class, not one per function.
+constexpr size_t kShownNames = 8;
+
+std::string NameList(const std::vector<std::string>& names, size_t total) {
   std::string out;
-  const size_t shown = names.size() < max_shown ? names.size() : max_shown;
+  const size_t shown = std::min({names.size(), total, kShownNames});
   for (size_t i = 0; i < shown; ++i) {
     if (i != 0) {
       out += ", ";
     }
     out += names[i];
   }
-  if (names.size() > shown) {
-    out += " ... and " + std::to_string(names.size() - shown) + " more";
+  if (total > shown) {
+    out += " ... and " + std::to_string(total - shown) + " more";
   }
   return out;
+}
+
+std::string NameList(const std::vector<std::string>& names) {
+  return NameList(names, names.size());
 }
 
 std::optional<san::SanitizerId> SanitizerIdByName(const std::string& name) {
@@ -218,44 +226,59 @@ void CheckCheckDistribution(const api::VariantPlan& plan, AnalysisReport* report
   // profile synthesis is deterministic in (benchmark, sanitizer, seed).
   const profile::OverheadProfile profile =
       workload::SynthesizeFunctionProfile(*plan.benchmark, plan.check_sanitizer, plan.seed);
-  std::set<std::string> ground;
+  // Index it once: the names, distinct by construction, sorted (the order
+  // gaps are listed in), and per sorted position the subset that claimed it.
+  // A plan's names are found by binary search: no allocation, and at most
+  // log2(n) + 1 comparisons however the names are crafted.
+  constexpr size_t kUnowned = static_cast<size_t>(-1);
+  std::vector<std::string_view> ground;
+  ground.reserve(profile.functions.size());
   for (const profile::FunctionOverhead& fn : profile.functions) {
-    ground.insert(fn.function);
+    ground.emplace_back(fn.function);
   }
-  std::map<std::string, size_t> owner;  // function -> owning subset
-  std::vector<std::string> unknown;
+  std::sort(ground.begin(), ground.end());
+  std::vector<size_t> owner(ground.size(), kUnowned);
+  std::vector<std::string> unknown;  // the first kShownNames only
+  size_t n_unknown = 0;
   for (size_t v = 0; v < cp.protected_functions.size(); ++v) {
     for (const std::string& name : cp.protected_functions[v]) {
-      if (ground.find(name) == ground.end()) {
-        unknown.push_back(name + " (" + SubsetLoc(v) + ")");
+      const auto it = std::lower_bound(ground.begin(), ground.end(), std::string_view(name));
+      if (it == ground.end() || *it != name) {
+        if (n_unknown++ < kShownNames) {
+          unknown.push_back(name + " (" + SubsetLoc(v) + ")");
+        }
         continue;
       }
-      const auto [it, inserted] = owner.emplace(name, v);
-      if (!inserted) {
+      size_t& first = owner[static_cast<size_t>(it - ground.begin())];
+      if (first != kUnowned) {
         report->AddError("coverage/overlap", SubsetLoc(v),
                          "function '" + name + "' is already protected by " +
-                             SubsetLoc(it->second) +
+                             SubsetLoc(first) +
                              "; overlapping checks double-pay overhead and break the "
                              "disjointness claim",
                          "assign every function to exactly one variant");
+        continue;
       }
+      first = v;
     }
   }
-  if (!unknown.empty()) {
+  if (n_unknown != 0) {
     report->AddError("coverage/unknown-function", "",
                      "subset(s) protect function(s) absent from the profiled set: " +
-                         NameList(unknown),
+                         NameList(unknown, n_unknown),
                      "partition exactly the profiled functions");
   }
-  std::vector<std::string> gaps;
-  for (const std::string& name : ground) {
-    if (owner.find(name) == owner.end()) {
-      gaps.push_back(name);
+  std::vector<std::string> gaps;  // the first kShownNames only
+  size_t n_gaps = 0;
+  for (size_t i = 0; i < ground.size(); ++i) {
+    if (owner[i] == kUnowned && n_gaps++ < kShownNames) {
+      gaps.emplace_back(ground[i]);
     }
   }
-  if (!gaps.empty()) {
+  if (n_gaps != 0) {
     report->AddError("coverage/gap", "",
-                     "profiled function(s) protected by no variant: " + NameList(gaps) +
+                     "profiled function(s) protected by no variant: " +
+                         NameList(gaps, n_gaps) +
                          "; an attack on them is invisible to every variant",
                      "the subsets must cover the full profiled function set");
   }

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <numeric>
-#include <queue>
 #include <set>
 
 #include "src/support/enum_name.h"
@@ -57,67 +57,37 @@ std::vector<std::vector<size_t>> GreedyLpt(const std::vector<double>& weights, s
 
 // --- Karmarkar–Karp (largest differencing, N-way) ---------------------------
 
-// A partial solution: N bins with sums, ordered descending by sum. Combining
-// two partials pairs the largest bin of one with the smallest of the other,
-// which "differences away" their mass.
-struct KkNode {
-  std::vector<double> sums;                   // descending
-  std::vector<std::vector<size_t>> bins;      // parallel to sums
-  double spread() const { return sums.front() - sums.back(); }
+// The representation and its tie and order rules are described at
+// KarmarkarKarpBins in partition.h.
+constexpr size_t kNoItem = std::numeric_limits<size_t>::max();
+
+// One bin of a partial solution: its sum and the ends of its item list.
+struct KkBin {
+  double sum;
+  size_t head;  // first item, or kNoItem when the bin is empty
+  size_t tail;  // last item, or kNoItem when the bin is empty
 };
 
-struct KkNodeLess {
-  bool operator()(const KkNode& a, const KkNode& b) const { return a.spread() < b.spread(); }
+// A heap entry: partial `block` owns the bins at [block * N, block * N + N).
+struct KkEntry {
+  double spread;  // largest bin sum minus smallest
+  size_t block;
 };
 
-void SortNode(KkNode* node) {
-  std::vector<size_t> order(node->sums.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](size_t a, size_t b) { return node->sums[a] > node->sums[b]; });
-  std::vector<double> sums;
-  std::vector<std::vector<size_t>> bins;
-  for (size_t i : order) {
-    sums.push_back(node->sums[i]);
-    bins.push_back(std::move(node->bins[i]));
-  }
-  node->sums = std::move(sums);
-  node->bins = std::move(bins);
-}
+// Spread only, never the block: the pop order of equal spreads decides the
+// bins (see KarmarkarKarpBins in partition.h).
+bool KkEntryLess(const KkEntry& a, const KkEntry& b) { return a.spread < b.spread; }
 
-std::vector<std::vector<size_t>> KarmarkarKarp(const std::vector<double>& weights,
-                                               size_t n_bins) {
-  std::priority_queue<KkNode, std::vector<KkNode>, KkNodeLess> heap;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    KkNode node;
-    node.sums.assign(n_bins, 0.0);
-    node.bins.assign(n_bins, {});
-    node.sums[0] = weights[i];
-    node.bins[0] = {i};
-    heap.push(std::move(node));
-  }
-  if (heap.empty()) {
-    return std::vector<std::vector<size_t>>(n_bins);
-  }
-  while (heap.size() > 1) {
-    KkNode a = heap.top();
-    heap.pop();
-    KkNode b = heap.top();
-    heap.pop();
-    // Merge: a's k-th largest bin with b's k-th smallest bin.
-    KkNode merged;
-    merged.sums.resize(n_bins);
-    merged.bins.resize(n_bins);
-    for (size_t k = 0; k < n_bins; ++k) {
-      const size_t bk = n_bins - 1 - k;
-      merged.sums[k] = a.sums[k] + b.sums[bk];
-      merged.bins[k] = std::move(a.bins[k]);
-      merged.bins[k].insert(merged.bins[k].end(), b.bins[bk].begin(), b.bins[bk].end());
+// Stable sort of one partial's bins by descending sum, in place.
+void SortBins(KkBin* bins, size_t n_bins) {
+  for (size_t i = 1; i < n_bins; ++i) {
+    const KkBin bin = bins[i];
+    size_t j = i;
+    for (; j > 0 && bins[j - 1].sum < bin.sum; --j) {
+      bins[j] = bins[j - 1];
     }
-    SortNode(&merged);
-    heap.push(std::move(merged));
+    bins[j] = bin;
   }
-  return heap.top().bins;
 }
 
 // --- Complete greedy (branch and bound) -------------------------------------
@@ -294,6 +264,67 @@ std::vector<std::vector<size_t>> FptasPeel(const std::vector<double>& weights, s
 
 }  // namespace
 
+std::vector<std::vector<size_t>> KarmarkarKarpBins(const std::vector<double>& weights,
+                                                   size_t n_bins) {
+  const size_t n_items = weights.size();
+  std::vector<std::vector<size_t>> out(n_bins);
+  if (n_items == 0) {
+    return out;
+  }
+  // Item i starts as partial i: bin 0 holds it, the rest are empty.
+  std::vector<KkBin> blocks(n_items * n_bins, KkBin{0.0, kNoItem, kNoItem});
+  std::vector<size_t> next(n_items, kNoItem);  // the item after this one in its bin
+  std::vector<KkEntry> heap;
+  heap.reserve(n_items);
+  for (size_t i = 0; i < n_items; ++i) {
+    KkBin* bins = &blocks[i * n_bins];
+    bins[0] = KkBin{weights[i], i, i};
+    heap.push_back(KkEntry{bins[0].sum - bins[n_bins - 1].sum, i});
+    std::push_heap(heap.begin(), heap.end(), KkEntryLess);
+  }
+  while (heap.size() > 1) {
+    std::pop_heap(heap.begin(), heap.end(), KkEntryLess);
+    const size_t a = heap.back().block;
+    heap.pop_back();
+    std::pop_heap(heap.begin(), heap.end(), KkEntryLess);
+    const size_t b = heap.back().block;
+    heap.pop_back();
+    // Merge into a's block: a's k-th largest bin takes b's k-th smallest,
+    // whose items follow a's.
+    KkBin* merged = &blocks[a * n_bins];
+    const KkBin* other = &blocks[b * n_bins];
+    for (size_t k = 0; k < n_bins; ++k) {
+      KkBin& into = merged[k];
+      const KkBin& from = other[n_bins - 1 - k];
+      into.sum += from.sum;
+      if (from.head == kNoItem) {
+        continue;
+      }
+      if (into.head == kNoItem) {
+        into.head = from.head;
+      } else {
+        next[into.tail] = from.head;
+      }
+      into.tail = from.tail;
+    }
+    SortBins(merged, n_bins);
+    heap.push_back(KkEntry{merged[0].sum - merged[n_bins - 1].sum, a});
+    std::push_heap(heap.begin(), heap.end(), KkEntryLess);
+  }
+  const KkBin* root = &blocks[heap.front().block * n_bins];
+  for (size_t k = 0; k < n_bins; ++k) {
+    size_t count = 0;
+    for (size_t item = root[k].head; item != kNoItem; item = next[item]) {
+      ++count;
+    }
+    out[k].reserve(count);
+    for (size_t item = root[k].head; item != kNoItem; item = next[item]) {
+      out[k].push_back(item);
+    }
+  }
+  return out;
+}
+
 const char* AlgorithmName(Algorithm algorithm) {
   static constexpr support::EnumNameEntry kNames[] = {
       {static_cast<int>(Algorithm::kGreedyLpt), "greedy-lpt"},
@@ -320,7 +351,12 @@ StatusOr<PartitionResult> Partition(const std::vector<double>& weights, size_t n
       bins = GreedyLpt(weights, n_bins);
       break;
     case Algorithm::kKarmarkarKarp:
-      bins = KarmarkarKarp(weights, n_bins);
+      // The kernel keeps N bins per item in one array.
+      if (!weights.empty() &&
+          n_bins > std::numeric_limits<std::ptrdiff_t>::max() / sizeof(KkBin) / weights.size()) {
+        return InvalidArgument("too many bins for " + std::to_string(weights.size()) + " items");
+      }
+      bins = KarmarkarKarpBins(weights, n_bins);
       break;
     case Algorithm::kCompleteGreedy:
       bins = CompleteGreedy(weights, n_bins, options.max_nodes);

@@ -54,6 +54,37 @@ struct PartitionOptions {
 StatusOr<PartitionResult> Partition(const std::vector<double>& weights, size_t n_bins,
                                     const PartitionOptions& options = {});
 
+// The kKarmarkarKarp kernel (largest differencing, N-way), before Partition
+// sorts each bin: bins in descending order of sum, each listing its items in
+// the order the merges joined them.
+//
+// Item i starts as partial i (bin 0 holds it, the other N-1 are empty). The
+// heap holds (spread, block) entries, where spread is a partial's largest bin
+// sum minus its smallest and `block` names its N bins in one flat array. Each
+// bin is a (sum, head, tail) triple over an item list threaded through one
+// `next` index array. Merging the two widest partials a and b pairs a's k-th
+// largest bin with b's k-th smallest inside a's block: the sums add in that
+// order, b's list is linked after a's (O(1)), and an insertion sort puts the
+// bins back in descending order, stable among equal sums. A merge copies no
+// item and allocates nothing.
+//
+// Two rules keep the result bit-identical to the former node-copying kernel
+// (std::priority_queue of whole partials), which tests/partition_test.cc
+// keeps as its oracle:
+//   - Ties. The heap is driven by std::push_heap/std::pop_heap in the same
+//     push/pop sequence and compares spread only, never the block id, so
+//     equal spreads pop in the same order.
+//   - Item order. Finalize sums each bin in this item order before sorting
+//     it; those sums become predicted_overhead, then each check variant's
+//     compute scale and so every trace. Floating-point addition is not
+//     associative, so a join keeps a's items before b's.
+// Item indices are size_t; the end-of-list mark is SIZE_MAX, which no vector
+// index reaches. Callers pass what Partition has validated: n_bins >= 1,
+// finite non-negative weights, and weights.size() * n_bins bins that fit in
+// one array.
+std::vector<std::vector<size_t>> KarmarkarKarpBins(const std::vector<double>& weights,
+                                                   size_t n_bins);
+
 // Validates the partition invariants: disjoint cover of [0, weights.size()),
 // bin sums consistent with weights. Used by tests and debug assertions.
 Status ValidatePartition(const std::vector<double>& weights, const PartitionResult& result,

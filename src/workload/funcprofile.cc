@@ -1,6 +1,8 @@
 #include "src/workload/funcprofile.h"
 
+#include <charconv>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "src/support/rng.h"
@@ -42,13 +44,14 @@ profile::OverheadProfile SynthesizeFunctionProfileWithOverhead(const BenchmarkSp
   share[0] = bench.hottest_share;
   // The tail starts at rank 2 so its largest element stays below the
   // calibrated hottest share even for flat-profile programs like gcc.
+  // share[i] holds rank i's tail weight until the norm is known.
   double tail_norm = 0.0;
   for (size_t i = 1; i < n; ++i) {
-    tail_norm += 1.0 / std::pow(static_cast<double>(i + 1), 1.1);
+    share[i] = 1.0 / std::pow(static_cast<double>(i + 1), 1.1);
+    tail_norm += share[i];
   }
   for (size_t i = 1; i < n; ++i) {
-    share[i] = (1.0 - bench.hottest_share) * (1.0 / std::pow(static_cast<double>(i + 1), 1.1)) /
-               (tail_norm > 0.0 ? tail_norm : 1.0);
+    share[i] = (1.0 - bench.hottest_share) * share[i] / (tail_norm > 0.0 ? tail_norm : 1.0);
   }
 
   // Memory-intensity rate per function: how check-heavy the function is per
@@ -69,10 +72,14 @@ profile::OverheadProfile SynthesizeFunctionProfileWithOverhead(const BenchmarkSp
 
   profile::OverheadProfile out;
   out.baseline_total = static_cast<uint64_t>(baseline_total);
+  out.functions.reserve(n);
   double delta_sum = 0.0;
   for (size_t i = 0; i < n; ++i) {
     profile::FunctionOverhead fn;
-    fn.function = bench.name + "::fn" + std::to_string(i);
+    char digits[std::numeric_limits<size_t>::digits10 + 1];
+    char* const digits_end = std::to_chars(digits, digits + sizeof(digits), i).ptr;
+    fn.function.reserve(bench.name.size() + 4 + static_cast<size_t>(digits_end - digits));
+    fn.function.append(bench.name).append("::fn").append(digits, digits_end);
     fn.baseline_cost = static_cast<uint64_t>(share[i] * baseline_total);
     const double delta = distributable * share[i] * rate[i] / weighted_rate;
     fn.instrumented_cost = fn.baseline_cost + static_cast<uint64_t>(delta);

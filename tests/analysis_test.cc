@@ -382,6 +382,51 @@ TEST(PlanAnalyzerTest, FlagsCoverageOverlapAndUnknownFunction) {
   EXPECT_FALSE(report.coverage_complete());
 }
 
+// The coverage diagnostics' exact text: gaps in name order (mcf::fn10 before
+// mcf::fn2) cut after eight names, an overlap naming the first owner, and
+// unknown names in plan order.
+TEST(PlanAnalyzerTest, CoverageDiagnosticsTextIsPinned) {
+  VariantPlan plan = CheckPlanFixture();
+  auto& subsets = plan.check_plan->protected_functions;
+  ASSERT_EQ(subsets.size(), 4u);
+  const std::vector<std::string> dropped = {"mcf::fn2", "mcf::fn3", "mcf::fn4",  "mcf::fn5",
+                                            "mcf::fn6", "mcf::fn7", "mcf::fn8",  "mcf::fn9",
+                                            "mcf::fn10", "mcf::fn11"};
+  size_t n_dropped = 0;
+  for (auto& subset : subsets) {
+    n_dropped += std::erase_if(subset, [&](const std::string& name) {
+      return std::find(dropped.begin(), dropped.end(), name) != dropped.end();
+    });
+  }
+  ASSERT_EQ(n_dropped, dropped.size());
+  ASSERT_EQ(subsets[0], std::vector<std::string>{"mcf::fn0"});
+  subsets[2].push_back("mcf::fn0");
+  subsets[1].push_back("mcf::no_such_fn");
+  EXPECT_EQ(AnalyzePlan(plan).Render(),
+            "error coverage/overlap [subset 2]: function 'mcf::fn0' is already protected by "
+            "subset 0; overlapping checks double-pay overhead and break the disjointness "
+            "claim (fix: assign every function to exactly one variant)\n"
+            "error coverage/unknown-function: subset(s) protect function(s) absent from the "
+            "profiled set: mcf::no_such_fn (subset 1) (fix: partition exactly the profiled "
+            "functions)\n"
+            "error coverage/gap: profiled function(s) protected by no variant: mcf::fn10, "
+            "mcf::fn11, mcf::fn2, mcf::fn3, mcf::fn4, mcf::fn5, mcf::fn6, mcf::fn7 ... and 2 "
+            "more; an attack on them is invisible to every variant (fix: the subsets must "
+            "cover the full profiled function set)\n");
+}
+
+TEST(PlanAnalyzerTest, UnknownFunctionListIsCutAfterEightNames) {
+  VariantPlan plan = CheckPlanFixture();
+  for (size_t i = 0; i < 10; ++i) {
+    plan.check_plan->protected_functions[i % 4].push_back("x" + std::to_string(i));
+  }
+  EXPECT_EQ(AnalyzePlan(plan).Render(),
+            "error coverage/unknown-function: subset(s) protect function(s) absent from the "
+            "profiled set: x0 (subset 0), x4 (subset 0), x8 (subset 0), x1 (subset 1), x5 "
+            "(subset 1), x9 (subset 1), x2 (subset 2), x6 (subset 2) ... and 2 more (fix: "
+            "partition exactly the profiled functions)\n");
+}
+
 TEST(PlanAnalyzerTest, FlagsConflictingSanitizerGroup) {
   NvxBuilder b;
   b.Benchmark(*workload::FindBenchmark("bzip2")).Variants(3).Seed(5).DistributeSanitizers(
