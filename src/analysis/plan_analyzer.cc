@@ -2,17 +2,17 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/trace_analyzer.h"
 #include "src/distribution/distribution.h"
 #include "src/nxe/engine.h"
-#include "src/profile/profiler.h"
 #include "src/sanitizer/sanitizer.h"
 #include "src/workload/funcprofile.h"
 #include "src/workload/tracegen.h"
@@ -66,7 +66,7 @@ std::optional<san::SanitizerId> SanitizerIdByName(const std::string& name) {
 // covers every variant plus the baseline trace and sits far above the
 // largest in-repo session (under 18k actions).
 constexpr double kMaxSessionActions = 1 << 22;
-// Check distribution synthesizes one profile entry per function; the
+// The coverage proof keeps one owner slot per profiled function; the
 // largest catalog program has 2,600.
 constexpr size_t kMaxFunctions = 1 << 16;
 
@@ -220,36 +220,29 @@ void CheckCheckDistribution(const api::VariantPlan& plan, AnalysisReport* report
     return;
   }
   if (!plan.benchmark.has_value() || report->HasRule("plan/trace-shape")) {
-    return;  // no target, or a reported shape error that can make synthesis unbounded
+    return;  // no target, or a reported shape error that can make the function set unbounded
   }
-  // Recompute the ground-truth function set the same way the planner did:
-  // profile synthesis is deterministic in (benchmark, sanitizer, seed).
-  const profile::OverheadProfile profile =
-      workload::SynthesizeFunctionProfile(*plan.benchmark, plan.check_sanitizer, plan.seed);
-  // Index it once: the names, distinct by construction, sorted (the order
-  // gaps are listed in), and per sorted position the subset that claimed it.
-  // A plan's names are found by binary search: no allocation, and at most
-  // log2(n) + 1 comparisons however the names are crafted.
+  // The ground truth is recomputed from the planning inputs, never read
+  // from the plan: the profiled function names follow the synthesizer's
+  // rule (workload::ProfiledFunctionName), so a plan name is matched by
+  // parsing its index back out, with no profile synthesized and nothing
+  // allocated per name however the names are crafted. Each index has one
+  // owner slot, the subset that claimed it first.
+  const workload::BenchmarkSpec& bench = *plan.benchmark;
   constexpr size_t kUnowned = static_cast<size_t>(-1);
-  std::vector<std::string_view> ground;
-  ground.reserve(profile.functions.size());
-  for (const profile::FunctionOverhead& fn : profile.functions) {
-    ground.emplace_back(fn.function);
-  }
-  std::sort(ground.begin(), ground.end());
-  std::vector<size_t> owner(ground.size(), kUnowned);
+  std::vector<size_t> owner(workload::ProfiledFunctionCount(bench), kUnowned);
   std::vector<std::string> unknown;  // the first kShownNames only
   size_t n_unknown = 0;
   for (size_t v = 0; v < cp.protected_functions.size(); ++v) {
     for (const std::string& name : cp.protected_functions[v]) {
-      const auto it = std::lower_bound(ground.begin(), ground.end(), std::string_view(name));
-      if (it == ground.end() || *it != name) {
+      const std::optional<size_t> index = workload::ProfiledFunctionIndex(bench, name);
+      if (!index.has_value()) {
         if (n_unknown++ < kShownNames) {
           unknown.push_back(name + " (" + SubsetLoc(v) + ")");
         }
         continue;
       }
-      size_t& first = owner[static_cast<size_t>(it - ground.begin())];
+      size_t& first = owner[*index];
       if (first != kUnowned) {
         report->AddError("coverage/overlap", SubsetLoc(v),
                          "function '" + name + "' is already protected by " +
@@ -268,37 +261,75 @@ void CheckCheckDistribution(const api::VariantPlan& plan, AnalysisReport* report
                          NameList(unknown, n_unknown),
                      "partition exactly the profiled functions");
   }
-  std::vector<std::string> gaps;  // the first kShownNames only
-  size_t n_gaps = 0;
-  for (size_t i = 0; i < ground.size(); ++i) {
-    if (owner[i] == kUnowned && n_gaps++ < kShownNames) {
-      gaps.emplace_back(ground[i]);
+  // Gaps are listed in name order (mcf::fn10 before mcf::fn2): only the
+  // gaps' names are built, and only the first few sorted.
+  std::vector<std::string> gaps;
+  for (size_t i = 0; i < owner.size(); ++i) {
+    if (owner[i] == kUnowned) {
+      gaps.push_back(workload::ProfiledFunctionName(bench, i));
     }
   }
-  if (n_gaps != 0) {
-    report->AddError("coverage/gap", "",
-                     "profiled function(s) protected by no variant: " +
-                         NameList(gaps, n_gaps) +
-                         "; an attack on them is invisible to every variant",
-                     "the subsets must cover the full profiled function set");
+  if (gaps.empty()) {
+    return;
   }
+  const size_t shown = std::min(gaps.size(), kShownNames);
+  std::partial_sort(gaps.begin(), gaps.begin() + static_cast<std::ptrdiff_t>(shown), gaps.end());
+  report->AddError("coverage/gap", "",
+                   "profiled function(s) protected by no variant: " + NameList(gaps) +
+                       "; an attack on them is invisible to every variant",
+                   "the subsets must cover the full profiled function set");
 }
 
 // --- coverage/* for sanitizer / UBSan-sub distribution -----------------------
 
+// Reports, per group, the first name listed earlier in the same or an
+// earlier group, naming the group that listed it first. Names are compared
+// as views into the plan, sorted once: no copy, no allocation per name,
+// and no hash keyed by untrusted strings.
 void CheckGroupDuplicates(const std::vector<std::vector<std::string>>& groups,
                           AnalysisReport* report) {
-  std::map<std::string, size_t> owner;
+  struct Listing {
+    std::string_view name;
+    size_t group;
+    size_t order;  // position in the groups' concatenated lists
+  };
+  std::vector<Listing> listings;
   for (size_t g = 0; g < groups.size(); ++g) {
-    bool reported = false;  // one diagnostic per group, however long its list
     for (const std::string& name : groups[g]) {
-      const auto [it, inserted] = owner.emplace(name, g);
-      if (!inserted && !reported) {
-        reported = true;
-        report->AddError("coverage/group-duplicate", GroupLoc(g),
-                         "'" + name + "' already appears in " + GroupLoc(it->second),
-                         "each protection unit belongs to exactly one group");
-      }
+      listings.push_back({name, g, listings.size()});
+    }
+  }
+  std::sort(listings.begin(), listings.end(), [](const Listing& a, const Listing& b) {
+    const int by_name = a.name.compare(b.name);
+    return by_name != 0 ? by_name < 0 : a.order < b.order;
+  });
+  // Per group, its first repeated listing and the group that owns the name.
+  constexpr size_t kNoRepeat = static_cast<size_t>(-1);
+  struct Repeat {
+    size_t order = kNoRepeat;
+    size_t owner = 0;
+    std::string_view name;
+  };
+  std::vector<Repeat> first_repeat(groups.size());
+  size_t first = 0;  // the current name's first listing
+  for (size_t i = 1; i < listings.size(); ++i) {
+    const Listing& listing = listings[i];
+    if (listing.name != listings[first].name) {
+      first = i;
+      continue;
+    }
+    Repeat& repeat = first_repeat[listing.group];
+    if (listing.order < repeat.order) {
+      repeat = {listing.order, listings[first].group, listing.name};
+    }
+  }
+  for (size_t g = 0; g < groups.size(); ++g) {
+    const Repeat& repeat = first_repeat[g];
+    if (repeat.order != kNoRepeat) {
+      std::string message = "'";
+      message.append(repeat.name).append("' already appears in ").append(GroupLoc(repeat.owner));
+      report->AddError("coverage/group-duplicate", GroupLoc(g), std::move(message),
+                       "each protection unit belongs to exactly one group");
     }
   }
 }
@@ -311,7 +342,7 @@ void CheckSanitizerDistribution(const api::VariantPlan& plan, AnalysisReport* re
     return;
   }
   CheckGroupDuplicates(plan.sanitizer_groups, report);
-  std::set<std::string> covered;
+  std::vector<san::SanitizerId> covered;  // distinct, at most the catalog's size
   for (size_t g = 0; g < plan.sanitizer_groups.size(); ++g) {
     std::vector<san::SanitizerId> ids;
     for (const std::string& name : plan.sanitizer_groups[g]) {
@@ -322,7 +353,9 @@ void CheckSanitizerDistribution(const api::VariantPlan& plan, AnalysisReport* re
                          "groups name catalog sanitizers");
         continue;
       }
-      covered.insert(name);
+      if (std::find(covered.begin(), covered.end(), *id) == covered.end()) {
+        covered.push_back(*id);
+      }
       // Repeats are coverage/group-duplicate's; keeping one of each bounds
       // the pairwise conflict check by the catalog size.
       if (std::find(ids.begin(), ids.end(), *id) == ids.end()) {
@@ -349,9 +382,8 @@ void CheckSanitizerDistribution(const api::VariantPlan& plan, AnalysisReport* re
         !plan.benchmark->overheads.msan_supported) {
       continue;  // the planner legitimately drops MSan here (gcc case)
     }
-    const std::string name = san::SanitizerName(id);
-    if (covered.find(name) == covered.end()) {
-      missing.push_back(name);
+    if (std::find(covered.begin(), covered.end(), id) == covered.end()) {
+      missing.push_back(san::SanitizerName(id));
     }
   }
   if (!missing.empty()) {
@@ -369,28 +401,28 @@ void CheckUbsanDistribution(const api::VariantPlan& plan, AnalysisReport* report
     return;
   }
   CheckGroupDuplicates(plan.sanitizer_groups, report);
-  std::set<std::string> catalog;
-  for (const san::SubSanitizer& sub : san::UBSanSubSanitizers()) {
-    catalog.insert(sub.name);
-  }
-  std::set<std::string> covered;
+  const std::vector<san::SubSanitizer>& catalog = san::UBSanSubSanitizers();
+  std::vector<bool> covered(catalog.size(), false);  // by catalog position
   for (size_t g = 0; g < plan.sanitizer_groups.size(); ++g) {
     for (const std::string& name : plan.sanitizer_groups[g]) {
-      if (catalog.find(name) == catalog.end()) {
+      const auto sub = std::find_if(catalog.begin(), catalog.end(),
+                                    [&](const san::SubSanitizer& s) { return s.name == name; });
+      if (sub == catalog.end()) {
         report->AddError("coverage/unknown-sanitizer", GroupLoc(g),
                          "'" + name + "' is not a UBSan sub-sanitizer",
                          "groups name the 19 catalog sub-sanitizers");
         continue;
       }
-      covered.insert(name);
+      covered[static_cast<size_t>(sub - catalog.begin())] = true;
     }
   }
   std::vector<std::string> missing;
-  for (const std::string& name : catalog) {
-    if (covered.find(name) == covered.end()) {
-      missing.push_back(name);
+  for (size_t i = 0; i < catalog.size(); ++i) {
+    if (!covered[i]) {
+      missing.push_back(catalog[i].name);
     }
   }
+  std::sort(missing.begin(), missing.end());  // listed in name order
   if (!missing.empty()) {
     report->AddError("coverage/ubsan-gap", "",
                      "sub-sanitizer(s) enforced by no variant: " + NameList(missing) +

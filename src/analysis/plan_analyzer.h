@@ -8,14 +8,18 @@
 //                   bounded trace shape (variants, threads, actions).
 //   * coverage/*  — the §3.2 security claim: under kCheck the distribution
 //                   subsets partition the *recomputed* profiled function set
-//                   exactly (no gap, no overlap, no unknown name); under
-//                   kSanitizer/kUbsanSub the groups are duplicate-free,
-//                   conflict-free, and cover every requested unit; every
-//                   spec's sanitizer set is collectively enforceable.
+//                   exactly (no gap, no overlap, no unknown name). The set is
+//                   recomputed from the planning inputs by the synthesizer's
+//                   own name rule (workload::ProfiledFunctionIndex), one
+//                   owner slot per function, with no profile synthesized and
+//                   nothing memoized. Under kSanitizer/kUbsanSub the groups
+//                   are duplicate-free, conflict-free, and cover every
+//                   requested unit; every spec's sanitizer set is
+//                   collectively enforceable.
 //   * liveness/*  — the plan's concrete traces (built by api::BuildPlanTraces,
 //                   the exact trace construction backends execute, injections
 //                   included) pass the trace analyzer's deadlock-freedom
-//                   proof.
+//                   proof, one walk per (variant, thread).
 //   * analysis/*  — predicted run outcomes for the oracle suite.
 //
 // Callers at the three trust boundaries:

@@ -40,6 +40,13 @@
 // Predicted-outcome notes (`analysis/expected-detection`,
 // `analysis/expected-divergence`) record statically visible incidents so the
 // oracle suite can cross-check verdicts against real engine runs.
+//
+// Cost: one walk per (variant, thread) feeds every rule. The leader's
+// skeletons are built once into one flat buffer; each follower thread is
+// compared with its leader thread entry by entry while it is walked, and the
+// same walk counts barriers, collects lock-order edges into a flat list and
+// notes the first detection. Diagnostics are reported afterwards in the
+// order above.
 #ifndef BUNSHIN_SRC_ANALYSIS_TRACE_ANALYZER_H_
 #define BUNSHIN_SRC_ANALYSIS_TRACE_ANALYZER_H_
 

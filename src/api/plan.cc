@@ -1,7 +1,9 @@
 #include "src/api/plan.h"
 
-#include <cstdio>
+#include <charconv>
 #include <optional>
+#include <string_view>
+#include <type_traits>
 
 #include "src/support/enum_name.h"
 #include "src/syscall/syscall.h"
@@ -20,21 +22,47 @@ std::optional<size_t> LocalSlot(const std::vector<size_t>& members, size_t globa
   return std::nullopt;
 }
 
+// Room for a catalog plan's whole key, about 360 characters.
+constexpr size_t kCacheKeyReserve = 512;
+
+// Appends `value` as CacheKeyDouble renders it.
+void AppendKeyDouble(std::string* key, double value) {
+  // The longest rendering, "-2.2250738585072014e-308", takes 24 characters.
+  char buf[32];
+  const std::to_chars_result end =
+      std::to_chars(buf, buf + sizeof(buf), value, std::chars_format::general, 17);
+  key->append(buf, end.ptr);
+}
+
+// Appends each part of a key in turn: doubles as CacheKeyDouble renders
+// them, integers in decimal, strings as they are.
+template <typename... Parts>
+void AppendKey(std::string* key, const Parts&... parts) {
+  const auto append = [key](const auto& part) {
+    using Part = std::decay_t<decltype(part)>;
+    if constexpr (std::is_same_v<Part, double>) {
+      AppendKeyDouble(key, part);
+    } else if constexpr (std::is_integral_v<Part>) {
+      static_assert(!std::is_same_v<Part, bool> && !std::is_same_v<Part, char>);
+      char buf[24];
+      key->append(buf, std::to_chars(buf, buf + sizeof(buf), part).ptr);
+    } else {
+      key->append(std::string_view(part));
+    }
+  };
+  (append(parts), ...);
+}
+
 // Strategy-parameter fragments of CacheKey().
 void AppendPartitionOptionsKey(std::string* key, const partition::PartitionOptions& options) {
-  *key += "|part=";
-  *key += partition::AlgorithmName(options.algorithm);
-  *key += "/";
-  *key += std::to_string(options.max_nodes);
-  *key += "/";
-  *key += CacheKeyDouble(options.epsilon);
+  AppendKey(key, "|part=", partition::AlgorithmName(options.algorithm), "/", options.max_nodes,
+            "/", options.epsilon);
 }
 
 void AppendSanitizerListKey(std::string* key, const std::vector<san::SanitizerId>& sanitizers) {
-  *key += "|sans=" + std::to_string(sanitizers.size());
+  AppendKey(key, "|sans=", sanitizers.size());
   for (san::SanitizerId id : sanitizers) {
-    *key += ",";
-    *key += san::SanitizerName(id);
+    AppendKey(key, ",", san::SanitizerName(id));
   }
 }
 
@@ -51,15 +79,13 @@ const char* DistributionStrategyName(DistributionStrategy strategy) {
 }
 
 std::string CacheKeyDouble(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+  std::string out;
+  AppendKeyDouble(&out, value);
+  return out;
 }
 
 void AppendCacheKeyComponent(std::string* key, const std::string& component) {
-  *key += std::to_string(component.size());
-  *key += ':';
-  *key += component;
+  AppendKey(key, component.size(), ":", component);
 }
 
 std::string VariantPlan::CacheKey() const {
@@ -67,71 +93,57 @@ std::string VariantPlan::CacheKey() const {
   // every knob that drives trace generation or planning. The sanitizer
   // overhead table and the profile-shape fields matter too: a custom spec
   // may reuse a catalog name with different calibration, and those values
-  // feed straight into per-variant compute scales.
+  // feed straight into per-variant compute scales. Every part is appended
+  // into one string, reserved for a catalog key with room to spare.
   std::string key;
+  key.reserve(kCacheKeyReserve);
   if (benchmark.has_value()) {
-    key = "bench:";
-    AppendCacheKeyComponent(&key, benchmark->name);
-    key += "/" + std::to_string(benchmark->n_functions) + "/" +
-           CacheKeyDouble(benchmark->hottest_share) + "/" +
-           CacheKeyDouble(benchmark->func_rate_sigma) + "/" +
-           CacheKeyDouble(benchmark->total_compute) + "/" +
-           std::to_string(benchmark->n_syscalls) + "/" +
-           CacheKeyDouble(benchmark->io_write_frac) + "/" +
-           CacheKeyDouble(benchmark->noise_rel_sigma) + "/" +
-           std::to_string(benchmark->threads) + "/" +
-           CacheKeyDouble(benchmark->locks_per_kilo) + "/" +
-           std::to_string(benchmark->barriers);
-    key += "/ovh=" + CacheKeyDouble(benchmark->overheads.asan) + "/" +
-           CacheKeyDouble(benchmark->overheads.msan) + "/" +
-           CacheKeyDouble(benchmark->overheads.ubsan) + "/" +
-           (benchmark->overheads.msan_supported ? "1" : "0");
+    const workload::BenchmarkSpec& b = *benchmark;
+    key += "bench:";
+    AppendCacheKeyComponent(&key, b.name);
+    AppendKey(&key, "/", b.n_functions, "/", b.hottest_share, "/", b.func_rate_sigma, "/",
+              b.total_compute, "/", b.n_syscalls, "/", b.io_write_frac, "/", b.noise_rel_sigma,
+              "/", b.threads, "/", b.locks_per_kilo, "/", b.barriers);
+    AppendKey(&key, "/ovh=", b.overheads.asan, "/", b.overheads.msan, "/", b.overheads.ubsan,
+              "/", b.overheads.msan_supported ? "1" : "0");
   } else if (server.has_value()) {
-    key = "server:";
+    key += "server:";
     AppendCacheKeyComponent(&key, server->name);
-    key += "/" + std::to_string(server->threads) + "/" + std::to_string(server->requests) +
-           "/" + std::to_string(server->file_kb) + "/" + std::to_string(server->concurrency) +
-           "/" + CacheKeyDouble(server->noise_rel_sigma);
+    AppendKey(&key, "/", server->threads, "/", server->requests, "/", server->file_kb, "/",
+              server->concurrency, "/", server->noise_rel_sigma);
   } else {
-    key = "none";
+    key += "none";
   }
-  key += "|";
-  key += DistributionStrategyName(strategy);
+  AppendKey(&key, "|", DistributionStrategyName(strategy));
   // Strategy parameters (only the ones the active strategy consumes, so a
   // stale knob left over from builder reuse cannot split the key).
   if (strategy == DistributionStrategy::kCheck) {
-    key += "|san=";
-    key += san::SanitizerName(check_sanitizer);
+    AppendKey(&key, "|san=", san::SanitizerName(check_sanitizer));
     AppendPartitionOptionsKey(&key, partition_options);
   } else if (strategy == DistributionStrategy::kSanitizer) {
     AppendSanitizerListKey(&key, sanitizers);
   }
-  key += "|n=" + std::to_string(requested_variants != 0 ? requested_variants : specs.size());
-  key += "|seed=" + std::to_string(seed);
-  key += "|mode=";
-  key += nxe::LockstepModeName(engine_config.mode);
-  key += "|ring=" + std::to_string(engine_config.ring_capacity);
+  AppendKey(&key, "|n=", requested_variants != 0 ? requested_variants : specs.size(),
+            "|seed=", seed, "|mode=", nxe::LockstepModeName(engine_config.mode),
+            "|ring=", engine_config.ring_capacity);
   // Everything the reports' timing depends on: LLC sensitivity and the full
   // cost/hardware model.
-  key += "|llc=" + CacheKeyDouble(engine_config.cache_sensitivity);
   const nxe::CostModel& cost = engine_config.cost;
-  key += "|cost=" + CacheKeyDouble(cost.kernel_syscall) + "/" + CacheKeyDouble(cost.trap_hook) +
-         "/" + CacheKeyDouble(cost.sync_slot) + "/" + CacheKeyDouble(cost.result_fetch) + "/" +
-         CacheKeyDouble(cost.wait_wakeup) + "/" + CacheKeyDouble(cost.synccall) + "/" +
-         CacheKeyDouble(cost.lock_primitive) + "/" + std::to_string(cost.cores) + "/" +
-         CacheKeyDouble(cost.llc_alpha) + "/" + CacheKeyDouble(cost.llc_exponent) + "/" +
-         CacheKeyDouble(cost.background_load) + "/" + CacheKeyDouble(cost.load_wait_coeff);
+  AppendKey(&key, "|llc=", engine_config.cache_sensitivity, "|cost=", cost.kernel_syscall, "/",
+            cost.trap_hook, "/", cost.sync_slot, "/", cost.result_fetch, "/", cost.wait_wakeup,
+            "/", cost.synccall, "/", cost.lock_primitive, "/", cost.cores, "/", cost.llc_alpha,
+            "/", cost.llc_exponent, "/", cost.background_load, "/", cost.load_wait_coeff);
   if (measure_standalone) {
     key += "|standalone";
   }
   // Attack overlays last: the cacheable base plan has none, so its key is
   // the shared prefix every injected session looks up the cache under.
   for (const auto& injection : detect_injections) {
-    key += "|det" + std::to_string(injection.variant) + ":";
+    AppendKey(&key, "|det", injection.variant, ":");
     AppendCacheKeyComponent(&key, injection.detector);
   }
   for (const auto& injection : diverge_injections) {
-    key += "|div" + std::to_string(injection.variant) + ":";
+    AppendKey(&key, "|div", injection.variant, ":");
     AppendCacheKeyComponent(&key, injection.payload);
   }
   return key;

@@ -161,7 +161,9 @@ std::vector<std::vector<size_t>> ShardMemberGroups(size_t n_variants, size_t k);
 //
 // to_string's fixed 6-decimal formatting aliased distinct doubles (any
 // sub-1e-6 delta, e.g. noise_rel_sigma 1e-7 vs 2e-7 both printed
-// "0.000000"); %.17g round-trips IEEE-754 doubles exactly.
+// "0.000000"); %.17g round-trips IEEE-754 doubles exactly. The rendering is
+// printf's "%.17g", byte for byte, made by std::to_chars (general format,
+// precision 17) without printf's format parsing.
 std::string CacheKeyDouble(double value);
 // Appends `component` length-prefixed ("<len>:<bytes>") so a free-form name
 // containing the key's separators cannot alias across field boundaries.

@@ -1,8 +1,11 @@
 #include "src/workload/funcprofile.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <limits>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "src/support/rng.h"
@@ -10,6 +13,46 @@
 
 namespace bunshin {
 namespace workload {
+namespace {
+
+constexpr std::string_view kFunctionInfix = "::fn";
+
+}  // namespace
+
+size_t ProfiledFunctionCount(const BenchmarkSpec& bench) {
+  return std::max<size_t>(1, bench.n_functions);
+}
+
+std::string ProfiledFunctionName(const BenchmarkSpec& bench, size_t index) {
+  char digits[std::numeric_limits<size_t>::digits10 + 1];
+  char* const digits_end = std::to_chars(digits, digits + sizeof(digits), index).ptr;
+  std::string name;
+  name.reserve(bench.name.size() + kFunctionInfix.size() +
+               static_cast<size_t>(digits_end - digits));
+  name.append(bench.name).append(kFunctionInfix).append(digits, digits_end);
+  return name;
+}
+
+std::optional<size_t> ProfiledFunctionIndex(const BenchmarkSpec& bench, std::string_view name) {
+  const size_t prefix = bench.name.size() + kFunctionInfix.size();
+  if (name.size() <= prefix || !name.starts_with(bench.name) ||
+      name.substr(bench.name.size(), kFunctionInfix.size()) != kFunctionInfix) {
+    return std::nullopt;
+  }
+  const std::string_view digits = name.substr(prefix);
+  if (digits.size() > 1 && digits.front() == '0') {
+    return std::nullopt;  // not the synthesizer's spelling of any index
+  }
+  // from_chars into an unsigned type takes digits only (no sign, no
+  // whitespace) and reports overflow.
+  size_t index = 0;
+  const auto [end, error] = std::from_chars(digits.data(), digits.data() + digits.size(), index);
+  if (error != std::errc() || end != digits.data() + digits.size() ||
+      index >= ProfiledFunctionCount(bench)) {
+    return std::nullopt;
+  }
+  return index;
+}
 
 double ResidualFraction(san::SanitizerId id) {
   switch (id) {
@@ -36,7 +79,7 @@ profile::OverheadProfile SynthesizeFunctionProfileWithOverhead(const BenchmarkSp
                                                                double residual_fraction,
                                                                uint64_t seed) {
   Rng rng(seed ^ sc::DigestString(bench.name));
-  const size_t n = std::max<size_t>(1, bench.n_functions);
+  const size_t n = ProfiledFunctionCount(bench);
 
   // Baseline cost shares: the hottest function takes `hottest_share`, the
   // remainder follows a Zipf(1.1) tail.
@@ -76,10 +119,7 @@ profile::OverheadProfile SynthesizeFunctionProfileWithOverhead(const BenchmarkSp
   double delta_sum = 0.0;
   for (size_t i = 0; i < n; ++i) {
     profile::FunctionOverhead fn;
-    char digits[std::numeric_limits<size_t>::digits10 + 1];
-    char* const digits_end = std::to_chars(digits, digits + sizeof(digits), i).ptr;
-    fn.function.reserve(bench.name.size() + 4 + static_cast<size_t>(digits_end - digits));
-    fn.function.append(bench.name).append("::fn").append(digits, digits_end);
+    fn.function = ProfiledFunctionName(bench, i);
     fn.baseline_cost = static_cast<uint64_t>(share[i] * baseline_total);
     const double delta = distributable * share[i] * rate[i] / weighted_rate;
     fn.instrumented_cost = fn.baseline_cost + static_cast<uint64_t>(delta);

@@ -11,7 +11,11 @@
 #ifndef BUNSHIN_SRC_WORKLOAD_FUNCPROFILE_H_
 #define BUNSHIN_SRC_WORKLOAD_FUNCPROFILE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <string_view>
 
 #include "src/profile/profiler.h"
 #include "src/sanitizer/sanitizer.h"
@@ -22,6 +26,17 @@ namespace workload {
 
 // Fraction of a sanitizer's slowdown that cannot be split across variants.
 double ResidualFraction(san::SanitizerId id);
+
+// The profiled function names of `bench`, the one home of their rule: the
+// synthesizer profiles ProfiledFunctionCount(bench) functions, max(1,
+// n_functions), and names function i "<bench.name>::fn<i>", i in decimal.
+size_t ProfiledFunctionCount(const BenchmarkSpec& bench);
+std::string ProfiledFunctionName(const BenchmarkSpec& bench, size_t index);
+// The index `name` names, or nullopt when it names no profiled function of
+// `bench`: the exact "<bench.name>::fn" prefix, then a canonical decimal
+// below the count (digits only: no sign, no leading zero, no overflow).
+// Compares and parses in place, allocating nothing.
+std::optional<size_t> ProfiledFunctionIndex(const BenchmarkSpec& bench, std::string_view name);
 
 // Builds the per-function profile of `bench` instrumented with `sanitizer`.
 // Deterministic in (bench.name, seed).

@@ -1,6 +1,7 @@
 #include "src/workload/tracegen.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <iterator>
@@ -239,6 +240,13 @@ struct MmInsert {
   uint32_t record;
 };
 
+// Inserts per thread a derive keeps on the stack. A variant's sanitizers
+// add three per in-execution catalog syscall: 12 for ASan or MSan, alone or
+// with UBSan, the most any planned variant carries. The buffer stays small
+// because every executor connection thread derives, and a deeper frame can
+// cost each of them another stack page.
+constexpr size_t kInlineMmInserts = 16;
+
 // Draws the memory-management syscalls a sanitizer runtime issues, spread
 // across the thread's timeline, and adds their records to `thread`'s own
 // table. These are *not* in the template — each variant has different ones —
@@ -460,7 +468,15 @@ void DeriveTrace(const TraceTemplate& tmpl, const VariantSpec& variant, nxe::Var
       mm_count += RuntimeRecordsOf(id).in_execution * 3;
     }
   }
-  std::vector<MmInsert> inserts(mm_count);
+  // The inserts' scratch, on the heap only for a sanitizer list too long
+  // for the inline buffer.
+  std::array<MmInsert, kInlineMmInserts> inline_inserts{};
+  std::vector<MmInsert> heap_inserts;
+  MmInsert* inserts = inline_inserts.data();
+  if (mm_count > inline_inserts.size()) {
+    heap_inserts.resize(mm_count);
+    inserts = heap_inserts.data();
+  }
 
   // One tape fetch per derive, long enough for every draw.
   const size_t draws = JitterDraws(tmpl);
@@ -484,7 +500,7 @@ void DeriveTrace(const TraceTemplate& tmpl, const VariantSpec& variant, nxe::Var
     dst.syscalls.insert(dst.syscalls.end(), src.syscalls.begin(), src.syscalls.end());
     dst.detectors = src.detectors;
     if (inserted > 0) {
-      DrawMemoryManagement(inserted, len, &*mm_rng, &dst, inserts.data());
+      DrawMemoryManagement(inserted, len, &*mm_rng, &dst, inserts);
     }
 
     // Runs of template actions between the inserts, written into a buffer

@@ -4,11 +4,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <new>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -16,8 +19,56 @@
 #include "src/api/plan.h"
 #include "src/nxe/engine.h"
 #include "src/support/rng.h"
+#include "src/workload/funcprofile.h"
 #include "src/workload/tracegen.h"
 #include "src/workload/workload.h"
+
+// Counts operator new calls while g_count_allocs is set (the derive tests
+// below); every other allocation passes straight to malloc. Plain builds
+// only: under ASan and TSan the runtime's own operator new stays, since ASan
+// checks that each block is freed the way it was allocated.
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+#define BUNSHIN_COUNTS_ALLOCS 1
+namespace {
+
+std::atomic<bool> g_count_allocs{false};
+std::atomic<uint64_t> g_allocs{0};
+
+void* CountedAlloc(std::size_t size, std::size_t alignment) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  void* ptr = nullptr;
+  if (alignment <= alignof(std::max_align_t)) {
+    ptr = std::malloc(size == 0 ? 1 : size);
+  } else if (posix_memalign(&ptr, alignment, size == 0 ? 1 : size) != 0) {
+    ptr = nullptr;
+  }
+  if (ptr == nullptr) {
+    throw std::bad_alloc();
+  }
+  return ptr;
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAlloc(size, 0); }
+void* operator new[](std::size_t size) { return CountedAlloc(size, 0); }
+void* operator new(std::size_t size, std::align_val_t al) {
+  return CountedAlloc(size, static_cast<std::size_t>(al));
+}
+void* operator new[](std::size_t size, std::align_val_t al) {
+  return CountedAlloc(size, static_cast<std::size_t>(al));
+}
+void operator delete(void* ptr) noexcept { std::free(ptr); }
+void operator delete[](void* ptr) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::align_val_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::align_val_t) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::size_t, std::align_val_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept { std::free(ptr); }
+#endif
 
 namespace bunshin {
 namespace {
@@ -45,6 +96,57 @@ TEST(WorkloadCatalogTest, OutliersAndExceptionsPresent) {
   EXPECT_GT(workload::FindBenchmark("lbm")->hottest_share, 0.9);
   EXPECT_FALSE(workload::FindBenchmark("gcc")->overheads.msan_supported);
   EXPECT_EQ(workload::FindBenchmark("nonexistent"), nullptr);
+}
+
+// --- Profiled function names ---------------------------------------------------
+//
+// Check distribution's ground truth is the synthesizer's name rule; the
+// coverage proof matches plan names by parsing their index back out.
+
+TEST(ProfiledFunctionNameTest, IndexRoundTripsEveryCatalogProgramsNames) {
+  std::vector<workload::BenchmarkSpec> programs = workload::Spec2006();
+  programs.insert(programs.end(), workload::Splash2x().begin(), workload::Splash2x().end());
+  programs.insert(programs.end(), workload::Parsec().begin(), workload::Parsec().end());
+  for (const workload::BenchmarkSpec& bench : programs) {
+    const size_t n = workload::ProfiledFunctionCount(bench);
+    ASSERT_EQ(n, std::max<size_t>(1, bench.n_functions)) << bench.name;
+    const profile::OverheadProfile profile =
+        workload::SynthesizeFunctionProfile(bench, san::SanitizerId::kASan, 42);
+    ASSERT_EQ(profile.functions.size(), n) << bench.name;
+    for (size_t i = 0; i < n; ++i) {
+      const std::string name = workload::ProfiledFunctionName(bench, i);
+      ASSERT_EQ(profile.functions[i].function, name);
+      ASSERT_EQ(name, bench.name + "::fn" + std::to_string(i));
+      ASSERT_EQ(workload::ProfiledFunctionIndex(bench, name), std::optional<size_t>(i)) << name;
+    }
+  }
+}
+
+TEST(ProfiledFunctionNameTest, ZeroFunctionsStillProfileFn0) {
+  workload::BenchmarkSpec bench = *workload::FindBenchmark("mcf");
+  bench.n_functions = 0;
+  EXPECT_EQ(workload::ProfiledFunctionCount(bench), 1u);
+  EXPECT_EQ(workload::ProfiledFunctionName(bench, 0), "mcf::fn0");
+  EXPECT_EQ(workload::ProfiledFunctionIndex(bench, "mcf::fn0"), std::optional<size_t>(0));
+  EXPECT_EQ(workload::ProfiledFunctionIndex(bench, "mcf::fn1"), std::nullopt);
+  const profile::OverheadProfile profile =
+      workload::SynthesizeFunctionProfile(bench, san::SanitizerId::kASan, 42);
+  ASSERT_EQ(profile.functions.size(), 1u);
+  EXPECT_EQ(profile.functions[0].function, "mcf::fn0");
+}
+
+TEST(ProfiledFunctionNameTest, IndexRejectsEveryOtherSpelling) {
+  const workload::BenchmarkSpec& bench = *workload::FindBenchmark("mcf");
+  ASSERT_EQ(bench.n_functions, 40u);
+  EXPECT_EQ(workload::ProfiledFunctionIndex(bench, "mcf::fn7"), std::optional<size_t>(7));
+  EXPECT_EQ(workload::ProfiledFunctionIndex(bench, "mcf::fn39"), std::optional<size_t>(39));
+  for (const std::string name :
+       {"mcf::fn07", "mcf::fn00", "mcf::fn+7", "mcf::fn-1", "mcf::fn 7", "mcf::fn7 ",
+        "mcf::fn0x7", "mcf::fn7::fn7", "mcf::fn123456789012345678901234567890", "mcf::fn40",
+        "mcf::fn18446744073709551615", "mcf::fn18446744073709551616", "bzip2::fn7",
+        "mcf2::fn7", "Mcf::fn7", "mcf:fn7", "mcf::Fn7", "xmcf::fn7", "mcf::fn", "mcf", ""}) {
+    EXPECT_EQ(workload::ProfiledFunctionIndex(bench, name), std::nullopt) << '"' << name << '"';
+  }
 }
 
 // The N-version invariant: all variants of a benchmark must issue the same
@@ -877,6 +979,36 @@ TEST(BorrowedRecordsTest, RebuildRefillsOnlyAnUnborrowedTable) {
   TraceDigest got;
   got.Trace(held);
   EXPECT_EQ(got.value(), want.value()) << "a rebuild wrote a table a trace still borrows";
+}
+
+// A derive into a trace that already holds the same variant reuses every
+// buffer, the memory-management inserts' scratch included: an ASan check
+// variant's 12 inserts per thread sit in an inline buffer.
+TEST(BorrowedRecordsTest, RederivingAnAsanCheckVariantAllocatesNothing) {
+#ifndef BUNSHIN_COUNTS_ALLOCS
+  GTEST_SKIP() << "allocations are counted in builds without a sanitizer";
+#else
+  for (const char* name : {"perlbench", "radiosity"}) {
+    const api::VariantPlan plan = AsanCheckPlan(name, false);
+    workload::TraceTemplate tmpl;
+    api::BuildPlanTemplate(plan, 7, &tmpl);
+    const workload::VariantSpec& spec = plan.specs[1];
+    ASSERT_EQ(spec.sanitizers, std::vector<san::SanitizerId>{san::SanitizerId::kASan});
+    nxe::VariantTrace trace;
+    workload::DeriveTrace(tmpl, spec, &trace);  // sizes the trace, fills the tape memo
+    size_t mm_records = 0;
+    for (const nxe::ThreadTrace& thread : trace.threads) {
+      mm_records += thread.syscalls.size();
+    }
+    ASSERT_EQ(mm_records, 12 * trace.threads.size()) << name;
+
+    const uint64_t before = g_allocs.load();
+    g_count_allocs = true;
+    workload::DeriveTrace(tmpl, spec, &trace);
+    g_count_allocs = false;
+    EXPECT_EQ(g_allocs.load() - before, 0u) << name;
+  }
+#endif
 }
 
 // 64 sessions of perlbench at n = 8 (each its variants and baseline) grow the
