@@ -35,7 +35,7 @@ double TimeRuns(const workload::ServerSpec& server, size_t workers, size_t runs)
   for (uint64_t i = 0; i < runs; ++i) {
     api::RunRequest request;
     request.workload_seed = 1 + i;  // distinct workloads, like distinct requests
-    session->Submit(request, &done, i);
+    session->Submit(request, done, i);
   }
   for (size_t i = 0; i < runs; ++i) {
     api::CompletionEvent event = done.Wait();

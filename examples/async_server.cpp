@@ -68,14 +68,14 @@ int main() {
   for (uint64_t i = 0; i < 12; ++i) {
     api::RunRequest request;
     request.workload_seed = 3000 + i;
-    traffic->Submit(request, &verdicts, (i << 8) | kClean);
+    traffic->Submit(request, verdicts, (i << 8) | kClean);
     ++submitted;
   }
   for (uint64_t i = 0; i < 12; ++i) {
     api::RunRequest request;
     request.workload_seed = 4000 + i;
     ((i % 2 == 0) ? *exploited : *compromised)
-        .Submit(request, &verdicts, (i << 8) | (i % 2 == 0 ? kExploit : kCompromise));
+        .Submit(request, verdicts, (i << 8) | (i % 2 == 0 ? kExploit : kCompromise));
     ++submitted;
   }
   std::printf("submitted %zu concurrent sessions to a %zu-worker pool\n\n", submitted,

@@ -95,9 +95,9 @@ int main() {
 
     api::RunRequest request;
     request.workload_seed = 7000 + round;
-    traffic->Submit(request, &verdicts, (round << 8) | kClean);
-    batch->Submit(request, &verdicts, ((round + 100) << 8) | kClean);
-    exploited->Submit({}, &verdicts, ((round + 200) << 8) | kExploit);
+    traffic->Submit(request, verdicts, (round << 8) | kClean);
+    batch->Submit(request, verdicts, ((round + 100) << 8) | kClean);
+    exploited->Submit({}, verdicts, ((round + 200) << 8) | kExploit);
     submitted += 3;
     sessions.push_back(std::move(*traffic));
     sessions.push_back(std::move(*batch));

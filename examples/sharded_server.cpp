@@ -73,9 +73,9 @@ int main() {
   for (uint64_t i = 0; i < 6; ++i) {
     api::RunRequest request;
     request.workload_seed = 5000 + i;
-    traffic->Submit(request, &verdicts, (i << 8) | kClean);
-    batch->Submit(request, &verdicts, ((i + 100) << 8) | kClean);
-    exploited->Submit({}, &verdicts, ((i + 200) << 8) | kExploit);
+    traffic->Submit(request, verdicts, (i << 8) | kClean);
+    batch->Submit(request, verdicts, ((i + 100) << 8) | kClean);
+    exploited->Submit({}, verdicts, ((i + 200) << 8) | kExploit);
     submitted += 3;
   }
   std::printf("submitted %zu sharded sessions (3 sessions x 2 shards each) to a "

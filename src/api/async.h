@@ -3,19 +3,16 @@
 // The synchronous NvxSession blocks its caller for a whole synchronization
 // run — unusable inside a server that must keep accepting requests while
 // sessions synchronize (the monitor deployment of PAPER.md §3.3/§4.2). This
-// layer runs sessions on support::ThreadPool workers and hands results back
-// two ways:
-//
-//   * RunHandle — a future-style handle per submission (Wait() / TryGet());
-//   * CompletionQueue — a queue many sessions can share; finished runs are
-//     delivered as CompletionEvents (tagged with a caller token) in
-//     completion order, so one dispatcher thread can drain an entire fleet.
+// layer runs sessions on support::ThreadPool workers and hands each result
+// back through a CompletionQueue: a queue many sessions can share, which
+// delivers finished runs as CompletionEvents (tagged with a caller token) in
+// completion order, so one dispatcher thread can drain an entire fleet.
 //
 //   auto pool = std::make_shared<support::ThreadPool>(8);
 //   auto session = api::NvxBuilder().Benchmark(b).Variants(3).BuildAsync(pool);
 //   api::CompletionQueue done;
 //   for (uint64_t id = 0; id < 100; ++id) {
-//     session->Submit({}, &done, /*token=*/id);
+//     session->Submit({}, done, /*token=*/id);
 //   }
 //   for (int i = 0; i < 100; ++i) {
 //     api::CompletionEvent ev = done.Wait();   // ev.token, ev.report
@@ -34,7 +31,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
 
 #include "src/api/nvx.h"
@@ -68,9 +64,6 @@ class CompletionQueue {
 
   // Blocks until an event is available.
   CompletionEvent Wait();
-  // Non-blocking; empty when no run has completed since the last drain.
-  std::optional<CompletionEvent> TryNext();
-  size_t size() const;
 
   // Called by sessions on run completion (public so custom executors can
   // feed the same queue).
@@ -86,41 +79,10 @@ class CompletionQueue {
   }
 
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<CompletionEvent> events_;
   std::atomic<size_t> producers_{0};
-};
-
-// ---------------------------------------------------------------------------
-// RunHandle: future-style result of one Submit().
-// ---------------------------------------------------------------------------
-
-class RunHandle {
- public:
-  RunHandle() = default;
-
-  bool valid() const { return state_ != nullptr; }
-  uint64_t token() const { return state_ == nullptr ? 0 : state_->token; }
-
-  // Non-blocking: has the run finished?
-  bool done() const;
-  // Blocks until the run finishes and returns its result.
-  StatusOr<RunReport> Wait() const;
-  // Non-blocking: the result if finished, nullopt otherwise.
-  std::optional<StatusOr<RunReport>> TryGet() const;
-
- private:
-  friend class AsyncNvxSession;
-
-  struct State {
-    std::mutex mu;
-    std::condition_variable cv;
-    uint64_t token = 0;
-    std::optional<StatusOr<RunReport>> result;
-  };
-
-  std::shared_ptr<State> state_;
 };
 
 // ---------------------------------------------------------------------------
@@ -136,40 +98,20 @@ class AsyncNvxSession {
   ~AsyncNvxSession();
 
   AsyncNvxSession(AsyncNvxSession&&) = default;
-  // Drains the overwritten session first — its completion-queue deliveries
-  // finish before the assignment returns, same guarantee as the destructor.
-  AsyncNvxSession& operator=(AsyncNvxSession&& other) noexcept;
 
-  // Schedules one run on the pool and returns immediately. The optional
-  // `completions` queue additionally receives a CompletionEvent tagged with
-  // `token` once the run (and its observer callbacks) finished; the queue
-  // must outlive the run.
-  RunHandle Submit(RunRequest request = {});
-  RunHandle Submit(RunRequest request, CompletionQueue* completions, uint64_t token);
-
-  // Runs submitted but not yet completed.
-  size_t outstanding() const;
-
-  const std::shared_ptr<support::ThreadPool>& pool() const { return pool_; }
-  const char* backend_name() const { return core_->session.backend_name(); }
-  size_t n_variants() const { return core_->session.n_variants(); }
-  const std::vector<std::string>& variant_labels() const {
-    return core_->session.variant_labels();
-  }
-  // The underlying session, e.g. for an occasional synchronous Run().
-  const NvxSession& session() const { return core_->session; }
+  // Schedules one run on the pool and returns immediately. Once the run (and
+  // its observer callbacks) finished, `completions` receives one
+  // CompletionEvent tagged with `token`; the queue must outlive the run.
+  void Submit(RunRequest request, CompletionQueue& completions, uint64_t token);
 
  private:
-  // Blocks until outstanding == 0.
-  void Drain();
-
   // Shared with in-flight tasks so completions outlast even a destroyed
   // session object (the destructor additionally drains, keeping the
   // accounting simple for callers).
   struct Core {
     explicit Core(NvxSession s) : session(std::move(s)) {}
     NvxSession session;
-    mutable std::mutex mu;
+    std::mutex mu;
     std::condition_variable idle_cv;
     size_t outstanding = 0;
   };

@@ -745,10 +745,6 @@ NvxBuilder& NvxBuilder::ProfilingWorkload(std::vector<profile::WorkloadRun> work
   profiling_workload_ = std::move(workload);
   return *this;
 }
-NvxBuilder& NvxBuilder::PartitionOptions(const partition::PartitionOptions& options) {
-  partition_options_ = options;
-  return *this;
-}
 NvxBuilder& NvxBuilder::InjectDetection(size_t variant, std::string detector) {
   detect_injections_.push_back({variant, std::move(detector)});
   return *this;
@@ -769,10 +765,6 @@ NvxBuilder& NvxBuilder::Remote(std::vector<net::Endpoint> endpoints, net::Remote
 }
 NvxBuilder& NvxBuilder::Lockstep(nxe::LockstepMode mode) {
   engine_config_.mode = mode;
-  return *this;
-}
-NvxBuilder& NvxBuilder::Cost(const nxe::CostModel& cost) {
-  engine_config_.cost = cost;
   return *this;
 }
 NvxBuilder& NvxBuilder::Cores(int cores) {
@@ -944,7 +936,6 @@ StatusOr<std::unique_ptr<Backend>> NvxBuilder::BuildIrBackend() const {
   // The expensive half: instrument + profile + partition + slice.
   core::Options options;
   options.n_variants = n_variants_;
-  options.partition = partition_options_;
   StatusOr<core::IrNvxSystem> system = InvalidArgument("unreachable");
   switch (strategy_) {
     case DistributionStrategy::kNone:
@@ -1010,7 +1001,6 @@ VariantPlan NvxBuilder::SkeletonPlan() const {
   plan.requested_variants = n_variants_;
   plan.check_sanitizer = check_sanitizer_;
   plan.sanitizers = sanitizers_;
-  plan.partition_options = partition_options_;
   plan.engine_config = engine_config_;
   plan.engine_config.cache_sensitivity =
       benchmark_.has_value() ? benchmark_->cache_sensitivity : 1.0;
@@ -1160,9 +1150,7 @@ StatusOr<VariantPlan> NvxBuilder::PlanBase() const {
       }
       const profile::OverheadProfile profile =
           workload::SynthesizeFunctionProfile(*benchmark_, check_sanitizer_, seed_);
-      distribution::CheckDistributionOptions dist_options;
-      dist_options.partition = partition_options_;
-      auto plan = distribution::PlanCheckDistribution(profile, n_variants_, dist_options);
+      auto plan = distribution::PlanCheckDistribution(profile, n_variants_);
       if (!plan.ok()) {
         return plan.status();
       }

@@ -309,7 +309,6 @@ class NvxBuilder {
   // Profiling inputs for check distribution on a module (the paper's `train`
   // run). Required with Module + DistributeChecks.
   NvxBuilder& ProfilingWorkload(std::vector<profile::WorkloadRun> workload);
-  NvxBuilder& PartitionOptions(const partition::PartitionOptions& options);
   // Splice a firing sanitizer check into one variant's trace (attack
   // scenarios / tests). Trace targets only.
   NvxBuilder& InjectDetection(size_t variant, std::string detector);
@@ -323,7 +322,6 @@ class NvxBuilder {
 
   // --- Engine / execution knobs --------------------------------------------
   NvxBuilder& Lockstep(nxe::LockstepMode mode);
-  NvxBuilder& Cost(const nxe::CostModel& cost);
   NvxBuilder& Cores(int cores);
   NvxBuilder& BackgroundLoad(double load);
   NvxBuilder& RingCapacity(size_t slots);
@@ -379,8 +377,8 @@ class NvxBuilder {
   // configuration without planning. Trace targets only.
   StatusOr<std::string> PlanCacheKey() const;
 
-  // Async variant of Build(): a session exposing Submit() -> RunHandle plus
-  // completion-queue delivery (src/api/async.h). Pass a shared pool to run
+  // Async variant of Build(): a session whose Submit() delivers each result
+  // to a CompletionQueue (src/api/async.h). Pass a shared pool to run
   // many sessions' work on one set of workers; with no pool the session
   // creates its own, one worker per hardware thread.
   StatusOr<AsyncNvxSession> BuildAsync(
@@ -415,7 +413,6 @@ class NvxBuilder {
   san::SanitizerId check_sanitizer_ = san::SanitizerId::kASan;
   std::vector<san::SanitizerId> sanitizers_;
   std::vector<profile::WorkloadRun> profiling_workload_;
-  partition::PartitionOptions partition_options_;
   std::vector<DetectInjection> detect_injections_;
   std::vector<DivergeInjection> diverge_injections_;
 

@@ -18,12 +18,6 @@ PlanCache::PlanPtr PlanCache::LookupLocked(const std::string& key) {
 
 void PlanCache::InsertLocked(const std::string& key, PlanPtr plan, size_t weight) {
   weight = std::max<size_t>(1, weight);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    weight_ -= it->second->weight;
-    lru_.erase(it->second);
-    index_.erase(it);
-  }
   if (weight > capacity_) {
     return;  // would evict everything and still not fit: serve it, keep nothing
   }
@@ -121,11 +115,6 @@ PlanCache::PlanPtr PlanCache::Lookup(const std::string& key) {
     ++misses_;
   }
   return plan;
-}
-
-void PlanCache::Insert(const std::string& key, PlanPtr plan, size_t weight) {
-  std::lock_guard<std::mutex> lock(mu_);
-  InsertLocked(key, std::move(plan), weight);
 }
 
 void PlanCache::Clear() {

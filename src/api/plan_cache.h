@@ -92,9 +92,6 @@ class PlanCache {
 
   // Peek without a factory; counts as a hit or miss. Null when absent.
   PlanPtr Lookup(const std::string& key);
-  // Inserts/overwrites at `weight`, marking `key` most recently used; like
-  // GetOrPlan, keeps nothing under `key` when `weight` exceeds the capacity.
-  void Insert(const std::string& key, PlanPtr plan, size_t weight = 1);
   void Clear();
   PlanCacheStats stats() const;
 
@@ -110,7 +107,8 @@ class PlanCache {
     size_t weight;
   };
 
-  // Both require mu_ held.
+  // Both require mu_ held. InsertLocked's `key` is absent: only the planner
+  // of a key inserts it, after a miss, and single flight keeps it unique.
   void InsertLocked(const std::string& key, PlanPtr plan, size_t weight);
   PlanPtr LookupLocked(const std::string& key);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/nxe/engine.h"
-#include "src/support/enum_name.h"
 #include "src/syscall/syscall.h"
 
 namespace bunshin {
@@ -198,28 +197,6 @@ size_t RipeAttack::Index() const {
   return index;
 }
 
-std::string RipeAttack::ToString() const {
-  static const char* kTech[] = {"direct", "indirect"};
-  static const char* kCode[] = {"shellcode", "ret2libc", "rop", "dataonly"};
-  static const char* kLoc[] = {"stack", "heap", "bss", "data"};
-  static const char* kFunc[] = {"memcpy", "strcpy",  "strncpy", "sprintf", "snprintf",
-                                "strcat", "strncat", "sscanf",  "fscanf",  "homebrew"};
-  return std::string(kTech[static_cast<size_t>(technique)]) + "/" +
-         kCode[static_cast<size_t>(code)] + "/" + kLoc[static_cast<size_t>(location)] +
-         "/target" + std::to_string(static_cast<size_t>(target)) + "/" +
-         kFunc[static_cast<size_t>(func)];
-}
-
-const char* OutcomeName(RipeOutcome outcome) {
-  static constexpr support::EnumNameEntry kNames[] = {
-      {static_cast<int>(RipeOutcome::kSuccess), "success"},
-      {static_cast<int>(RipeOutcome::kProbabilistic), "probabilistic"},
-      {static_cast<int>(RipeOutcome::kFailure), "failure"},
-      {static_cast<int>(RipeOutcome::kNotPossible), "not-possible"},
-  };
-  return support::EnumName(kNames, outcome);
-}
-
 std::vector<RipeAttack> EnumerateRipe() {
   std::vector<RipeAttack> all;
   all.reserve(kRipeTotal);
@@ -238,8 +215,6 @@ std::vector<RipeAttack> EnumerateRipe() {
   }
   return all;
 }
-
-bool IsViable(const RipeAttack& attack) { return Tables().viable[attack.Index()]; }
 
 RipeOutcome VanillaOutcome(const RipeAttack& attack) {
   return Tables().vanilla[attack.Index()];

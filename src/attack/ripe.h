@@ -23,8 +23,8 @@
 #ifndef BUNSHIN_SRC_ATTACK_RIPE_H_
 #define BUNSHIN_SRC_ATTACK_RIPE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace bunshin {
@@ -77,20 +77,15 @@ struct RipeAttack {
 
   // Stable configuration index in [0, kRipeTotal).
   size_t Index() const;
-  std::string ToString() const;
 };
 
 enum class RipeOutcome : uint8_t { kSuccess, kProbabilistic, kFailure, kNotPossible };
 
-const char* OutcomeName(RipeOutcome outcome);
-
 // All 3840 configurations in stable order.
 std::vector<RipeAttack> EnumerateRipe();
 
-// Is the configuration buildable at all (the "Not possible" filter)?
-bool IsViable(const RipeAttack& attack);
-
-// Outcome on the vanilla 32-bit OS (no sanitizer).
+// Outcome on the vanilla 32-bit OS (no sanitizer); kNotPossible marks a
+// configuration that cannot be built at all.
 RipeOutcome VanillaOutcome(const RipeAttack& attack);
 
 // Does a fully ASan-instrumented build catch this configuration? (All viable

@@ -72,9 +72,7 @@ StatusOr<IrNvxSystem> IrNvxSystem::CreateCheckDistributed(
     return prof.status();
   }
 
-  distribution::CheckDistributionOptions dist_options;
-  dist_options.partition = options.partition;
-  auto plan = distribution::PlanCheckDistribution(*prof, options.n_variants, dist_options);
+  auto plan = distribution::PlanCheckDistribution(*prof, options.n_variants);
   if (!plan.ok()) {
     return plan.status();
   }

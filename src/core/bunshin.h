@@ -62,7 +62,6 @@ struct DetailedNvxRun {
 // Knobs for building an N-version system from a module.
 struct Options {
   size_t n_variants = 2;
-  partition::PartitionOptions partition;
   // Profiling fuel per run.
   uint64_t interpreter_fuel = 50'000'000;
 };

@@ -10,8 +10,7 @@ namespace bunshin {
 namespace distribution {
 
 StatusOr<CheckDistributionPlan> PlanCheckDistribution(const profile::OverheadProfile& profile,
-                                                      size_t n_variants,
-                                                      const CheckDistributionOptions& options) {
+                                                      size_t n_variants) {
   if (n_variants == 0) {
     return InvalidArgument("need at least one variant");
   }
@@ -20,7 +19,7 @@ StatusOr<CheckDistributionPlan> PlanCheckDistribution(const profile::OverheadPro
   }
 
   const std::vector<double> weights = profile.DistributableWeights();
-  auto part = partition::Partition(weights, n_variants, options.partition);
+  auto part = partition::Partition(weights, n_variants);
   if (!part.ok()) {
     return part.status();
   }

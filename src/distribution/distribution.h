@@ -45,14 +45,10 @@ struct CheckDistributionPlan {
   partition::PartitionResult partition;
 };
 
-struct CheckDistributionOptions {
-  partition::PartitionOptions partition;
-};
-
-// Plans which functions each variant protects, from a measured profile.
+// Plans which functions each variant protects, from a measured profile,
+// with the default partition options (Karmarkar–Karp).
 StatusOr<CheckDistributionPlan> PlanCheckDistribution(const profile::OverheadProfile& profile,
-                                                      size_t n_variants,
-                                                      const CheckDistributionOptions& options = {});
+                                                      size_t n_variants);
 
 // Materializes the variants: clones the *fully instrumented* module N times
 // and de-instruments (removes checks from) every function not assigned to

@@ -37,10 +37,6 @@ struct Interpreter::Frame {
 
 Interpreter::Interpreter(const Module* module) : module_(module) {}
 
-void Interpreter::SetExternalResult(const std::string& name, int64_t result) {
-  external_results_[name] = result;
-}
-
 int64_t Interpreter::Eval(const Frame& frame, const Value& v) const {
   switch (v.kind) {
     case Value::Kind::kConst:
@@ -255,10 +251,8 @@ bool Interpreter::RunFunction(const Function& fn, const std::vector<int64_t>& ar
             frame.values[inst.id] = ret;
           } else {
             // External call: observable event (our syscall analogue).
-            auto it = external_results_.find(inst.callee);
-            const int64_t ret = it == external_results_.end() ? 0 : it->second;
-            result->events.push_back(ExecEvent{inst.callee, call_args, ret});
-            frame.values[inst.id] = ret;
+            result->events.push_back(ExecEvent{inst.callee, call_args, 0});
+            frame.values[inst.id] = 0;
           }
           break;
         }

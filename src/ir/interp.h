@@ -69,11 +69,8 @@ class Interpreter {
   // Words of flat memory available to allocas.
   void set_memory_words(size_t words) { memory_words_ = words; }
 
-  // Registers an external function: calls to `name` evaluate via the module if
-  // a function exists, otherwise they are recorded as observable events with
-  // result `result`.
-  void SetExternalResult(const std::string& name, int64_t result);
-
+  // Calls to a function the module does not define are recorded as
+  // observable events that return 0.
   ExecResult Run(const std::string& entry, const std::vector<int64_t>& args);
 
  private:
@@ -87,7 +84,6 @@ class Interpreter {
   const Module* module_;
   uint64_t fuel_ = 10'000'000;
   size_t memory_words_ = 1 << 20;
-  std::map<std::string, int64_t> external_results_;
 
   // Per-run state.
   std::vector<int64_t> memory_;

@@ -43,14 +43,6 @@ const BasicBlock* Function::block(BlockId id) const {
   return &blocks_[id];
 }
 
-size_t Function::InstructionCount() const {
-  size_t n = 0;
-  for (const auto& bb : blocks_) {
-    n += bb.insts.size();
-  }
-  return n;
-}
-
 bool Function::Locate(InstId id, BlockId* block_out, size_t* index_out) const {
   for (const auto& bb : blocks_) {
     for (size_t i = 0; i < bb.insts.size(); ++i) {
@@ -72,22 +64,9 @@ Function* Module::AddFunction(std::string name, uint32_t num_args) {
   return raw;
 }
 
-Function* Module::GetFunction(const std::string& name) {
-  auto it = by_name_.find(name);
-  return it == by_name_.end() ? nullptr : it->second;
-}
-
 const Function* Module::GetFunction(const std::string& name) const {
   auto it = by_name_.find(name);
   return it == by_name_.end() ? nullptr : it->second;
-}
-
-size_t Module::InstructionCount() const {
-  size_t n = 0;
-  for (const auto& fn : functions_) {
-    n += fn->InstructionCount();
-  }
-  return n;
 }
 
 std::unique_ptr<Module> Module::Clone() const {
@@ -227,21 +206,6 @@ std::string InstToString(const Instruction& inst) {
     case InstOrigin::kCheck:
       out << "  ; check";
       break;
-  }
-  return out.str();
-}
-
-std::string Module::ToString() const {
-  std::ostringstream out;
-  for (const auto& fn : functions_) {
-    out << "func @" << fn->name() << "(" << fn->num_args() << " args) {\n";
-    for (const auto& bb : fn->blocks()) {
-      out << " bb" << bb.id << " (" << bb.label << "):\n";
-      for (const auto& inst : bb.insts) {
-        out << "    " << InstToString(inst) << "\n";
-      }
-    }
-    out << "}\n";
   }
   return out.str();
 }

@@ -143,9 +143,6 @@ class Function {
   InstId NextInstId() { return next_inst_id_++; }
   uint32_t next_inst_id_value() const { return next_inst_id_; }
 
-  // Total instruction count across blocks.
-  size_t InstructionCount() const;
-
   // Finds the (block, index) of an instruction id; returns false if absent.
   bool Locate(InstId id, BlockId* block_out, size_t* index_out) const;
 
@@ -160,17 +157,11 @@ class Module {
  public:
   // Adds a function; name must be unique.
   Function* AddFunction(std::string name, uint32_t num_args);
-  Function* GetFunction(const std::string& name);
   const Function* GetFunction(const std::string& name) const;
   const std::vector<std::unique_ptr<Function>>& functions() const { return functions_; }
 
-  size_t InstructionCount() const;
-
   // Deep copy (functions are value-copied).
   std::unique_ptr<Module> Clone() const;
-
-  // Human-readable dump for debugging and golden tests.
-  std::string ToString() const;
 
  private:
   std::vector<std::unique_ptr<Function>> functions_;

@@ -174,11 +174,6 @@ void ExecutorServer::ReapFinishedConnections() {
   }
 }
 
-size_t ExecutorServer::tracked_connections() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return connections_.size();
-}
-
 void ExecutorServer::ServeConnection(support::Socket& socket) {
   for (;;) {
     const support::Deadline idle = std::chrono::steady_clock::now() + kIdleDeadline;
@@ -331,7 +326,7 @@ void ExecutorServer::HandleRun(const std::string& payload, Frame* reply_frame) {
   }
 
   // Run on this connection's thread once a run slot is free. queue_depth and
-  // in_flight are the occupancy feedback the dispatcher's routing consumes.
+  // in_flight feed the occupancy snapshot of every reply.
   queue_depth_.fetch_add(1, std::memory_order_relaxed);
   run_slots_.acquire();
   queue_depth_.fetch_sub(1, std::memory_order_relaxed);

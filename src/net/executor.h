@@ -99,10 +99,6 @@ class ExecutorServer {
 
   ExecutorOccupancy occupancy() const;
   ExecutorStats stats() const;
-  // Connections currently tracked: being served, or finished and not yet
-  // reaped (a finishing serve thread, and each accept, joins and closes the
-  // ones that finished before it).
-  size_t tracked_connections() const;
   api::PlanCacheStats plan_cache_stats() const { return plan_cache_.stats(); }
 
  private:

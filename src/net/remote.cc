@@ -55,8 +55,7 @@ RemoteBackend::RemoteBackend(std::shared_ptr<const api::VariantPlan> plan,
       plan_bytes_(EncodeVariantPlan(*plan_)),
       affinity_(AffinityHash(cache_key_)),
       health_(endpoints_.size()),
-      holds_plan_(endpoints_.size(), false),
-      stats_(endpoints_.size()) {}
+      holds_plan_(endpoints_.size(), false) {}
 
 size_t RemoteBackend::PreferredEndpoint(size_t group) const {
   return (affinity_ + group) % endpoints_.size();
@@ -85,25 +84,17 @@ std::vector<size_t> RemoteBackend::AttemptOrder(size_t group) const {
 
 void RemoteBackend::MarkFailure(size_t e) const {
   std::lock_guard<std::mutex> lock(mu_);
-  stats_[e].failures++;
   health_[e].unhealthy = true;
   health_[e].retry_after = std::chrono::steady_clock::now() +
                            std::chrono::milliseconds(options_.unhealthy_cooldown_ms);
 }
 
-void RemoteBackend::MarkSuccess(size_t e, const ExecutorOccupancy& occupancy,
-                                bool holds_plan) const {
+void RemoteBackend::MarkSuccess(size_t e, bool holds_plan) const {
   std::lock_guard<std::mutex> lock(mu_);
   health_[e].unhealthy = false;
-  stats_[e].last_occupancy = occupancy;
   if (holds_plan) {
     holds_plan_[e] = true;
   }
-}
-
-std::vector<EndpointStats> RemoteBackend::endpoint_stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 RemoteBackend::Call RemoteBackend::Start(size_t e, size_t group,
@@ -114,7 +105,6 @@ RemoteBackend::Call RemoteBackend::Start(size_t e, size_t group,
   call.deadline = support::DeadlineAfter(options_.timeout_ms);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stats_[e].dispatches++;
     call.request_id = next_request_id_++;
     call.with_plan = !holds_plan_[e];
   }
@@ -207,7 +197,7 @@ StatusOr<api::PartialReport> RemoteBackend::Receive(Call& call,
     if (!decoded.ok()) {
       return decoded.status();
     }
-    MarkSuccess(e, decoded->occupancy, decoded->run_status.ok());
+    MarkSuccess(e, decoded->run_status.ok());
 
     if (!decoded->run_status.ok()) {
       // A genuine executor-side run error: deterministic, so retrying it on

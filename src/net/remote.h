@@ -54,14 +54,6 @@ uint64_t AffinityHash(std::string_view cache_key);
 // fresh connection).
 StatusOr<ExecutorStats> FetchExecutorStats(const Endpoint& endpoint, int timeout_ms);
 
-// Dispatcher-side counters, per endpoint (index-aligned with the endpoint
-// list passed to the backend).
-struct EndpointStats {
-  uint64_t dispatches = 0;  // requests sent (including ones that then failed)
-  uint64_t failures = 0;    // transport/decode failures observed
-  ExecutorOccupancy last_occupancy;  // from the most recent reply
-};
-
 class RemoteBackend final : public api::Backend {
  public:
   // `groups` comes from api::ShardMemberGroups; groups[0] owns the baseline.
@@ -86,8 +78,6 @@ class RemoteBackend final : public api::Backend {
   // The endpoint group g is routed to first (before health rotation), for
   // affinity assertions in tests.
   size_t PreferredEndpoint(size_t group) const;
-
-  std::vector<EndpointStats> endpoint_stats() const;
 
  private:
   // One attempt of one group against one endpoint, from send to reply.
@@ -120,7 +110,7 @@ class RemoteBackend final : public api::Backend {
   StatusOr<api::PartialReport> ExecuteGroup(const api::RunRequest& request,
                                             std::vector<size_t> order, Call call) const;
   void MarkFailure(size_t e) const;
-  void MarkSuccess(size_t e, const ExecutorOccupancy& occupancy, bool holds_plan) const;
+  void MarkSuccess(size_t e, bool holds_plan) const;
 
   std::shared_ptr<const api::VariantPlan> plan_;
   std::vector<std::vector<size_t>> groups_;
@@ -137,11 +127,10 @@ class RemoteBackend final : public api::Backend {
     bool unhealthy = false;
     std::chrono::steady_clock::time_point retry_after;  // cooldown expiry
   };
-  mutable std::mutex mu_;  // guards health_, holds_plan_, stats_, next_request_id_
+  mutable std::mutex mu_;  // guards health_, holds_plan_, next_request_id_
   mutable std::vector<Health> health_;
   // Per endpoint: it answered this plan, so requests to it go by key alone.
   mutable std::vector<bool> holds_plan_;
-  mutable std::vector<EndpointStats> stats_;
   mutable uint64_t next_request_id_ = 1;
 };
 

@@ -183,23 +183,6 @@ Status CheckFrameHeader(WireReader& r, Frame* frame, uint64_t* payload_len) {
 
 }  // namespace
 
-StatusOr<Frame> DecodeFrameBuffer(std::string_view bytes) {
-  WireReader r(bytes);
-  Frame frame;
-  uint64_t payload_len = 0;
-  Status header = CheckFrameHeader(r, &frame, &payload_len);
-  if (!header.ok()) {
-    return header;
-  }
-  if (payload_len != r.remaining()) {
-    return InvalidArgument("wire: frame payload truncated (header says " +
-                           std::to_string(payload_len) + " bytes, buffer has " +
-                           std::to_string(r.remaining()) + ")");
-  }
-  frame.payload = std::string(bytes.substr(bytes.size() - payload_len));
-  return frame;
-}
-
 Status WriteFrame(support::Socket& socket, const Frame& frame, support::Deadline deadline) {
   const std::string bytes = EncodeFrame(frame);
   return socket.SendAll(bytes.data(), bytes.size(), deadline);
@@ -378,6 +361,12 @@ std::vector<san::SanitizerId> DecodeSanitizerList(WireReader& r) {
   return ids;
 }
 
+// The shortest encoded spec: an empty name's length word, compute_scale,
+// jitter_seed and an empty sanitizer list's count. A spec count is checked
+// against it, so a hostile count cannot make the decoder build more specs
+// than its bytes could hold.
+constexpr size_t kMinEncodedSpecBytes = 4 + 8 + 8 + 4;
+
 void EncodeVariantSpec(WireWriter& w, const workload::VariantSpec& v) {
   w.Str(v.name);
   w.F64(v.compute_scale);
@@ -555,7 +544,7 @@ StatusOr<api::VariantPlan> DecodeVariantPlan(std::string_view bytes) {
   plan.partition_options.max_nodes = r.U64();
   plan.partition_options.epsilon = r.F64();
   plan.engine_config = DecodeEngineConfig(r);
-  const size_t n_specs = r.Count(1);
+  const size_t n_specs = r.Count(kMinEncodedSpecBytes);
   plan.specs.reserve(n_specs);
   for (size_t i = 0; i < n_specs; ++i) {
     plan.specs.push_back(DecodeVariantSpec(r));
@@ -830,16 +819,6 @@ std::string EncodeOccupancy(const ExecutorOccupancy& occupancy) {
   WireWriter w;
   EncodeOccupancyFields(w, occupancy);
   return w.Take();
-}
-
-StatusOr<ExecutorOccupancy> DecodeOccupancy(std::string_view bytes) {
-  WireReader r(bytes);
-  ExecutorOccupancy occupancy = DecodeOccupancyFields(r);
-  Status status = CheckConsumed(r, "ExecutorOccupancy");
-  if (!status.ok()) {
-    return status;
-  }
-  return occupancy;
 }
 
 std::string EncodePlanUnknownMsg(const PlanUnknownMsg& msg) {

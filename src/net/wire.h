@@ -138,8 +138,6 @@ struct Frame {
 // Header + payload as one contiguous buffer (written with a single SendAll so
 // concurrent writers on one socket cannot interleave a frame).
 std::string EncodeFrame(const Frame& frame);
-// Parses a complete frame from a buffer (tests and in-memory paths).
-StatusOr<Frame> DecodeFrameBuffer(std::string_view bytes);
 Status WriteFrame(support::Socket& socket, const Frame& frame,
                   support::Deadline deadline = support::kNoDeadline);
 // Reads one frame; validates magic, version, and payload length before
@@ -179,8 +177,9 @@ Status ValidatePartialReport(const api::PartialReport& partial, size_t n_variant
 // Messages.
 // ---------------------------------------------------------------------------
 
-// Executor load snapshot, piggybacked on every reply: the health/occupancy
-// feedback stream the dispatcher's routing consumes.
+// Executor load snapshot, piggybacked on every reply. The dispatcher routes
+// by plan affinity and endpoint health, not load, so it decodes the
+// snapshot and drops it.
 struct ExecutorOccupancy {
   uint64_t queue_depth = 0;   // runs waiting for one of the executor's run slots
   uint64_t in_flight = 0;     // runs executing right now
@@ -234,7 +233,6 @@ std::string EncodeRunReplyMsg(const RunReplyMsg& msg);
 StatusOr<RunReplyMsg> DecodeRunReplyMsg(std::string_view bytes, size_t n_variants);
 
 std::string EncodeOccupancy(const ExecutorOccupancy& occupancy);
-StatusOr<ExecutorOccupancy> DecodeOccupancy(std::string_view bytes);
 
 std::string EncodePlanUnknownMsg(const PlanUnknownMsg& msg);
 StatusOr<PlanUnknownMsg> DecodePlanUnknownMsg(std::string_view bytes);

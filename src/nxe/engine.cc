@@ -274,8 +274,6 @@ struct EngineWorkspace::Impl {
 
 EngineWorkspace::EngineWorkspace() : impl_(std::make_unique<Impl>()) {}
 EngineWorkspace::~EngineWorkspace() = default;
-EngineWorkspace::EngineWorkspace(EngineWorkspace&&) noexcept = default;
-EngineWorkspace& EngineWorkspace::operator=(EngineWorkspace&&) noexcept = default;
 
 void EngineWorkspace::RecycleFinishBuffer(std::vector<double> buffer) {
   if (buffer.capacity() > impl_->finish_spare.capacity()) {

@@ -150,8 +150,6 @@ class EngineWorkspace {
  public:
   EngineWorkspace();
   ~EngineWorkspace();
-  EngineWorkspace(EngineWorkspace&&) noexcept;
-  EngineWorkspace& operator=(EngineWorkspace&&) noexcept;
   EngineWorkspace(const EngineWorkspace&) = delete;
   EngineWorkspace& operator=(const EngineWorkspace&) = delete;
 

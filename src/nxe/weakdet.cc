@@ -34,17 +34,6 @@ void SynccallRuntime::EndTurn(size_t follower) {
   cv_.notify_all();
 }
 
-bool SynccallRuntime::FollowerTryAcquire(size_t follower, uint32_t egid) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!turn_held_[follower] && cursor_[follower] < order_.size() &&
-      order_[cursor_[follower]] == egid) {
-    ++cursor_[follower];
-    cv_.notify_all();
-    return true;
-  }
-  return false;
-}
-
 std::vector<uint32_t> SynccallRuntime::Order() const {
   std::lock_guard<std::mutex> lock(mu_);
   return order_;

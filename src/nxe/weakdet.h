@@ -55,10 +55,6 @@ class SynccallRuntime {
   // turn, then returns that turn.
   Turn FollowerAcquire(size_t follower, uint32_t egid);
 
-  // Non-blocking probe used by tests/telemetry: consumes the next entry
-  // immediately when it is `egid` and no turn is held.
-  bool FollowerTryAcquire(size_t follower, uint32_t egid);
-
   // Snapshot of the recorded total order.
   std::vector<uint32_t> Order() const;
 

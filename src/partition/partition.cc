@@ -368,38 +368,5 @@ StatusOr<PartitionResult> Partition(const std::vector<double>& weights, size_t n
   return Finalize(weights, n_bins, std::move(bins));
 }
 
-Status ValidatePartition(const std::vector<double>& weights, const PartitionResult& result,
-                         size_t n_bins) {
-  if (result.bins.size() != n_bins) {
-    return Internal("wrong number of bins");
-  }
-  std::vector<int> seen(weights.size(), 0);
-  for (const auto& bin : result.bins) {
-    for (size_t item : bin) {
-      if (item >= weights.size()) {
-        return Internal("item index out of range");
-      }
-      if (++seen[item] > 1) {
-        return Internal("item " + std::to_string(item) + " assigned to multiple bins");
-      }
-    }
-  }
-  for (size_t i = 0; i < seen.size(); ++i) {
-    if (seen[i] == 0) {
-      return Internal("item " + std::to_string(i) + " not assigned to any bin");
-    }
-  }
-  for (size_t b = 0; b < n_bins; ++b) {
-    double sum = 0.0;
-    for (size_t item : result.bins[b]) {
-      sum += weights[item];
-    }
-    if (std::abs(sum - result.bin_sums[b]) > 1e-9 * std::max(1.0, sum)) {
-      return Internal("bin sum mismatch for bin " + std::to_string(b));
-    }
-  }
-  return Status::Ok();
-}
-
 }  // namespace partition
 }  // namespace bunshin

@@ -85,11 +85,6 @@ StatusOr<PartitionResult> Partition(const std::vector<double>& weights, size_t n
 std::vector<std::vector<size_t>> KarmarkarKarpBins(const std::vector<double>& weights,
                                                    size_t n_bins);
 
-// Validates the partition invariants: disjoint cover of [0, weights.size()),
-// bin sums consistent with weights. Used by tests and debug assertions.
-Status ValidatePartition(const std::vector<double>& weights, const PartitionResult& result,
-                         size_t n_bins);
-
 }  // namespace partition
 }  // namespace bunshin
 

@@ -1,6 +1,5 @@
 #include "src/profile/profiler.h"
 
-#include <algorithm>
 #include <map>
 
 namespace bunshin {
@@ -33,14 +32,6 @@ StatusOr<AggregatedCosts> RunWorkload(const ir::Module& module,
 
 }  // namespace
 
-double OverheadProfile::TotalOverhead() const {
-  if (baseline_total == 0) {
-    return 0.0;
-  }
-  return static_cast<double>(instrumented_total - baseline_total) /
-         static_cast<double>(baseline_total);
-}
-
 std::vector<double> OverheadProfile::DistributableWeights() const {
   std::vector<double> weights;
   weights.reserve(functions.size());
@@ -48,17 +39,6 @@ std::vector<double> OverheadProfile::DistributableWeights() const {
     weights.push_back(static_cast<double>(fn.Delta()));
   }
   return weights;
-}
-
-double OverheadProfile::HottestFunctionShare() const {
-  if (baseline_total == 0) {
-    return 0.0;
-  }
-  uint64_t hottest = 0;
-  for (const auto& fn : functions) {
-    hottest = std::max(hottest, fn.baseline_cost);
-  }
-  return static_cast<double>(hottest) / static_cast<double>(baseline_total);
 }
 
 StatusOr<OverheadProfile> ProfileCheckDistribution(const ir::Module& baseline,
@@ -95,22 +75,6 @@ StatusOr<OverheadProfile> ProfileCheckDistribution(const ir::Module& baseline,
     out.functions.push_back(std::move(entry));
   }
   return out;
-}
-
-StatusOr<double> ProfileWholeProgram(const ir::Module& baseline, const ir::Module& instrumented,
-                                     const std::vector<WorkloadRun>& workload) {
-  auto base = RunWorkload(baseline, workload);
-  if (!base.ok()) {
-    return base.status();
-  }
-  auto inst = RunWorkload(instrumented, workload);
-  if (!inst.ok()) {
-    return inst.status();
-  }
-  if (base->total == 0) {
-    return InvalidArgument("baseline workload executed zero instructions");
-  }
-  return static_cast<double>(inst->total) / static_cast<double>(base->total) - 1.0;
 }
 
 }  // namespace profile

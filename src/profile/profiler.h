@@ -8,9 +8,9 @@
 // the unsplittable remainder (metadata in functions, runtime init/reporting)
 // is O_residual of Appendix A.2.
 //
-// Sanitizer distribution only needs whole-program overheads per sanitizer,
-// obtained by running each singly-instrumented build (§4.1: "no extra
-// instrumentation is needed").
+// Sanitizer distribution only needs whole-program overheads per sanitizer
+// (§4.1: "no extra instrumentation is needed"); those come from the
+// sanitizer catalog's calibrated means (src/sanitizer/sanitizer.h).
 #ifndef BUNSHIN_SRC_PROFILE_PROFILER_H_
 #define BUNSHIN_SRC_PROFILE_PROFILER_H_
 
@@ -48,12 +48,8 @@ struct OverheadProfile {
   uint64_t baseline_total = 0;
   uint64_t instrumented_total = 0;
 
-  // Whole-program slowdown fraction (O_total / baseline).
-  double TotalOverhead() const;
   // Weights for the partitioner, aligned with `functions`.
   std::vector<double> DistributableWeights() const;
-  // Fraction of the baseline each function contributes (hot-function report).
-  double HottestFunctionShare() const;
 };
 
 // Runs both modules on the workload and produces the per-function profile.
@@ -62,10 +58,6 @@ struct OverheadProfile {
 StatusOr<OverheadProfile> ProfileCheckDistribution(const ir::Module& baseline,
                                                    const ir::Module& instrumented,
                                                    const std::vector<WorkloadRun>& workload);
-
-// Whole-program overhead of one instrumented build vs baseline.
-StatusOr<double> ProfileWholeProgram(const ir::Module& baseline, const ir::Module& instrumented,
-                                     const std::vector<WorkloadRun>& workload);
 
 }  // namespace profile
 }  // namespace bunshin

@@ -273,13 +273,5 @@ RemovalStats RemoveChecks(ir::Function* fn) {
   return stats;
 }
 
-RemovalStats RemoveChecksInModule(ir::Module* module) {
-  RemovalStats total;
-  for (const auto& fn : module->functions()) {
-    total.Accumulate(RemoveChecks(fn.get()));
-  }
-  return total;
-}
-
 }  // namespace slicing
 }  // namespace bunshin

@@ -42,21 +42,12 @@ struct RemovalStats {
   size_t checks_removed = 0;
   size_t instructions_removed = 0;
   size_t blocks_removed = 0;
-
-  void Accumulate(const RemovalStats& other) {
-    checks_removed += other.checks_removed;
-    instructions_removed += other.instructions_removed;
-    blocks_removed += other.blocks_removed;
-  }
 };
 
 // Removes every discovered check from `fn` ("de-instrumentation"): deletes
 // the sliced condition instructions, rewrites the guarding condbr into an
 // unconditional branch to the fallthrough, and erases unreachable blocks.
 RemovalStats RemoveChecks(ir::Function* fn);
-
-// Whole-module variant.
-RemovalStats RemoveChecksInModule(ir::Module* module);
 
 // Erases blocks not reachable from the entry (renumbering block ids and
 // fixing all branch targets and phi predecessors). Exposed for testing.

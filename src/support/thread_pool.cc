@@ -35,11 +35,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   work_cv_.notify_one();
 }
 
-void ThreadPool::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
@@ -51,17 +46,8 @@ void ThreadPool::WorkerLoop() {
       }
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++active_;
     }
     task();
-    task = nullptr;  // release captures before reporting idle
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) {
-        idle_cv_.notify_all();
-      }
-    }
   }
 }
 

@@ -1,10 +1,12 @@
 // Tests for the async session layer (src/api/async.h): the thread pool, the
-// future-style RunHandle, the shared CompletionQueue over both backends, and
-// per-session observer sequencing under concurrent completions. This suite is
-// the one CI runs under ThreadSanitizer.
+// shared CompletionQueue over both backends, and per-session observer
+// sequencing under concurrent completions. This suite is the one CI runs
+// under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,8 +25,8 @@ using api::CompletionQueue;
 using api::NvxBuilder;
 using api::NvxOutcome;
 using api::Observer;
-using api::RunHandle;
 using api::RunReport;
+using testutil::ExpectDrained;
 
 // ---------------------------------------------------------------------------
 // ThreadPool
@@ -34,10 +36,14 @@ TEST(ThreadPoolTest, RunsEveryTask) {
   support::ThreadPool pool(4);
   EXPECT_EQ(pool.n_workers(), 4u);
   std::atomic<int> count{0};
+  std::latch finished(100);
   for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { ++count; });
+    pool.Submit([&count, &finished] {
+      ++count;
+      finished.count_down();
+    });
   }
-  pool.WaitIdle();
+  finished.wait();
   EXPECT_EQ(count.load(), 100);
 }
 
@@ -63,77 +69,54 @@ TEST(ThreadPoolTest, ZeroWorkersMeansHardwareConcurrency) {
 
 TEST(CompletionQueueTest, DeliversInPushOrder) {
   CompletionQueue queue;
-  EXPECT_FALSE(queue.TryNext().has_value());
   RunReport report;
   queue.Push(CompletionEvent{7, report});
   queue.Push(CompletionEvent{9, report});
-  EXPECT_EQ(queue.size(), 2u);
   EXPECT_EQ(queue.Wait().token, 7u);
-  auto next = queue.TryNext();
-  ASSERT_TRUE(next.has_value());
-  EXPECT_EQ(next->token, 9u);
-  EXPECT_EQ(queue.size(), 0u);
+  EXPECT_EQ(queue.Wait().token, 9u);
+  ExpectDrained(queue);
 }
 
 // ---------------------------------------------------------------------------
-// AsyncNvxSession: handles
+// AsyncNvxSession: results match synchronous runs.
 // ---------------------------------------------------------------------------
 
-TEST(AsyncSessionTest, HandleWaitMatchesSynchronousRun) {
+TEST(AsyncSessionTest, QueuedResultsMatchSynchronousRuns) {
   NvxBuilder builder;
   builder.Benchmark(workload::Spec2006()[0]).Variants(3);
 
   auto sync_session = builder.Build();
   ASSERT_TRUE(sync_session.ok()) << sync_session.status().ToString();
-  auto async_session = builder.BuildAsync(std::make_shared<support::ThreadPool>(4));
-  ASSERT_TRUE(async_session.ok()) << async_session.status().ToString();
-  EXPECT_STREQ(async_session->backend_name(), "trace");
-  EXPECT_EQ(async_session->n_variants(), 3u);
-
-  // Several concurrent submissions with distinct seeds; each must reproduce
-  // the synchronous run bit-for-bit (the engine is deterministic).
-  std::vector<RunHandle> handles;
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    api::RunRequest request;
-    request.workload_seed = seed;
-    handles.push_back(async_session->Submit(request));
+  CompletionQueue done;
+  std::map<uint64_t, StatusOr<RunReport>> by_seed;
+  {
+    auto async_session = builder.BuildAsync(std::make_shared<support::ThreadPool>(4));
+    ASSERT_TRUE(async_session.ok()) << async_session.status().ToString();
+    // Several concurrent submissions with distinct seeds, each tagged with
+    // its seed; each must reproduce the synchronous run bit-for-bit (the
+    // engine is deterministic).
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      api::RunRequest request;
+      request.workload_seed = seed;
+      async_session->Submit(request, done, seed);
+    }
+    for (int i = 0; i < 8; ++i) {
+      CompletionEvent event = done.Wait();
+      by_seed.emplace(event.token, std::move(event.report));
+    }
   }
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
+  ExpectDrained(done);
+  ASSERT_EQ(by_seed.size(), 8u);
+  for (const auto& [seed, actual] : by_seed) {
     api::RunRequest request;
     request.workload_seed = seed;
     auto expected = sync_session->Run(request);
     ASSERT_TRUE(expected.ok());
-    auto actual = handles[seed - 1].Wait();
     ASSERT_TRUE(actual.ok()) << actual.status().ToString();
     EXPECT_EQ(actual->outcome, expected->outcome);
     EXPECT_DOUBLE_EQ(actual->total_time, expected->total_time);
     EXPECT_EQ(actual->synced_syscalls, expected->synced_syscalls);
   }
-  EXPECT_EQ(async_session->outstanding(), 0u);
-}
-
-TEST(AsyncSessionTest, TryGetIsNonBlockingAndEventuallyReady) {
-  auto session = NvxBuilder()
-                     .Benchmark(workload::Spec2006()[1])
-                     .Variants(2)
-                     .BuildAsync(std::make_shared<support::ThreadPool>(1));
-  ASSERT_TRUE(session.ok());
-
-  RunHandle invalid;
-  EXPECT_FALSE(invalid.valid());
-  EXPECT_FALSE(invalid.done());
-  EXPECT_FALSE(invalid.TryGet().has_value());
-  EXPECT_FALSE(invalid.Wait().ok());
-
-  RunHandle handle = session->Submit();
-  ASSERT_TRUE(handle.valid());
-  auto report = handle.Wait();  // after Wait(), TryGet must see the result
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(handle.done());
-  auto ready = handle.TryGet();
-  ASSERT_TRUE(ready.has_value());
-  ASSERT_TRUE(ready->ok());
-  EXPECT_DOUBLE_EQ((*ready)->total_time, report->total_time);
 }
 
 // ---------------------------------------------------------------------------
@@ -144,46 +127,47 @@ TEST(AsyncSessionTest, BothBackendsDrainFromOneQueue) {
   auto pool = std::make_shared<support::ThreadPool>(4);
   CompletionQueue done;
 
-  // Trace sessions: clean clones, an injected detection, an injected
-  // divergence — all sharing the pool.
-  NvxBuilder trace_builder;
-  trace_builder.Benchmark(workload::Spec2006()[0]).Variants(3);
-  auto clean = trace_builder.BuildAsync(pool);
-  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-  auto detect =
-      NvxBuilder().Benchmark(workload::Spec2006()[0]).Variants(3)
-          .InjectDetection(1, "__asan_report_store").BuildAsync(pool);
-  ASSERT_TRUE(detect.ok()) << detect.status().ToString();
-  auto diverge =
-      NvxBuilder().Benchmark(workload::Spec2006()[0]).Variants(3)
-          .InjectDivergence(2, "leaked-secret").BuildAsync(pool);
-  ASSERT_TRUE(diverge.ok()) << diverge.status().ToString();
-
-  // IR session on the same pool and queue: the buffer program with ASan
-  // checks split across two variants; argument 4 overflows, 2 is benign.
-  auto module = testutil::BuildBufferProgram();
-  auto ir = NvxBuilder()
-                .Module(*module)
-                .Variants(2)
-                .DistributeChecks(san::SanitizerId::kASan)
-                .ProfilingWorkload({{"main", {0}}, {"main", {3}}})
-                .BuildAsync(pool);
-  ASSERT_TRUE(ir.ok()) << ir.status().ToString();
-  EXPECT_STREQ(ir->backend_name(), "ir");
-
   // Token encodes the expected outcome in its low digit.
   constexpr uint64_t kOk = 0, kDetected = 1, kDiverged = 2;
   size_t submitted = 0;
-  for (uint64_t i = 0; i < 6; ++i) {
-    api::RunRequest reseed;
-    reseed.workload_seed = 100 + i;
-    clean->Submit(reseed, &done, 10 * i + kOk);
-    detect->Submit({}, &done, 1000 + 10 * i + kDetected);
-    diverge->Submit({}, &done, 2000 + 10 * i + kDiverged);
-    ir->Submit(api::Call("main", {4}), &done, 3000 + 10 * i + kDetected);
-    ir->Submit(api::Call("main", {2}), &done, 4000 + 10 * i + kOk);
-    submitted += 5;
-  }
+  {
+    // Trace sessions: clean clones, an injected detection, an injected
+    // divergence — all sharing the pool.
+    NvxBuilder trace_builder;
+    trace_builder.Benchmark(workload::Spec2006()[0]).Variants(3);
+    auto clean = trace_builder.BuildAsync(pool);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    auto detect =
+        NvxBuilder().Benchmark(workload::Spec2006()[0]).Variants(3)
+            .InjectDetection(1, "__asan_report_store").BuildAsync(pool);
+    ASSERT_TRUE(detect.ok()) << detect.status().ToString();
+    auto diverge =
+        NvxBuilder().Benchmark(workload::Spec2006()[0]).Variants(3)
+            .InjectDivergence(2, "leaked-secret").BuildAsync(pool);
+    ASSERT_TRUE(diverge.ok()) << diverge.status().ToString();
+
+    // IR session on the same pool and queue: the buffer program with ASan
+    // checks split across two variants; argument 4 overflows, 2 is benign.
+    auto module = testutil::BuildBufferProgram();
+    auto ir = NvxBuilder()
+                  .Module(*module)
+                  .Variants(2)
+                  .DistributeChecks(san::SanitizerId::kASan)
+                  .ProfilingWorkload({{"main", {0}}, {"main", {3}}})
+                  .BuildAsync(pool);
+    ASSERT_TRUE(ir.ok()) << ir.status().ToString();
+
+    for (uint64_t i = 0; i < 6; ++i) {
+      api::RunRequest reseed;
+      reseed.workload_seed = 100 + i;
+      clean->Submit(reseed, done, 10 * i + kOk);
+      detect->Submit({}, done, 1000 + 10 * i + kDetected);
+      diverge->Submit({}, done, 2000 + 10 * i + kDiverged);
+      ir->Submit(api::Call("main", {4}), done, 3000 + 10 * i + kDetected);
+      ir->Submit(api::Call("main", {2}), done, 4000 + 10 * i + kOk);
+      submitted += 5;
+    }
+  }  // each session's destructor waits for its runs
 
   size_t ok_count = 0, detected_count = 0, diverged_count = 0;
   for (size_t i = 0; i < submitted; ++i) {
@@ -209,7 +193,7 @@ TEST(AsyncSessionTest, BothBackendsDrainFromOneQueue) {
   EXPECT_EQ(ok_count, 12u);
   EXPECT_EQ(detected_count, 12u);
   EXPECT_EQ(diverged_count, 6u);
-  EXPECT_FALSE(done.TryNext().has_value());  // exactly one event per submit
+  ExpectDrained(done);  // exactly one event per submit
 }
 
 // ---------------------------------------------------------------------------
@@ -232,6 +216,7 @@ TEST(AsyncSessionTest, ObserverBlocksStaySequencedPerSession) {
   };
 
   constexpr size_t kRuns = 16;
+  CompletionQueue done;
   {
     auto session = NvxBuilder()
                        .Benchmark(workload::Spec2006()[0])
@@ -241,7 +226,7 @@ TEST(AsyncSessionTest, ObserverBlocksStaySequencedPerSession) {
                        .BuildAsync(std::make_shared<support::ThreadPool>(4));
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     for (size_t i = 0; i < kRuns; ++i) {
-      session->Submit();
+      session->Submit({}, done, i);
     }
   }  // destructor waits for all 16 runs
 
@@ -263,11 +248,19 @@ TEST(AsyncSessionTest, DestructorDrainsOutstandingRuns) {
                        .BuildAsync(std::make_shared<support::ThreadPool>(2));
     ASSERT_TRUE(session.ok());
     for (uint64_t i = 0; i < 6; ++i) {
-      session->Submit({}, &done, i);  // handles intentionally dropped
+      session->Submit({}, done, i);
     }
   }
-  // Every run completed (and delivered) before the destructor returned.
-  EXPECT_EQ(done.size(), 6u);
+  // Every run completed and delivered before the destructor returned: the
+  // six events come out ahead of a sentinel pushed afterwards.
+  std::vector<bool> seen(6, false);
+  for (int i = 0; i < 6; ++i) {
+    const uint64_t token = done.Wait().token;
+    ASSERT_LT(token, 6u);
+    EXPECT_FALSE(seen[token]) << "token " << token << " delivered twice";
+    seen[token] = true;
+  }
+  ExpectDrained(done);
 }
 
 }  // namespace

@@ -50,19 +50,14 @@ TEST(RipeTest, AsanMissesAreVanillaSuccesses) {
   // on the vanilla platform (otherwise "8 succeed under ASan" is vacuous).
   size_t misses = 0;
   for (const auto& a : attack::EnumerateRipe()) {
-    if (attack::IsViable(a) && !attack::AsanDetects(a)) {
+    if (attack::VanillaOutcome(a) != attack::RipeOutcome::kNotPossible &&
+        !attack::AsanDetects(a)) {
       ++misses;
-      EXPECT_EQ(attack::VanillaOutcome(a), attack::RipeOutcome::kSuccess) << a.ToString();
+      EXPECT_EQ(attack::VanillaOutcome(a), attack::RipeOutcome::kSuccess) << "config "
+                                                                           << a.Index();
     }
   }
   EXPECT_EQ(misses, 8u);
-}
-
-TEST(RipeTest, NotPossibleConfigsAreNotViable) {
-  for (const auto& a : attack::EnumerateRipe()) {
-    EXPECT_EQ(attack::VanillaOutcome(a) == attack::RipeOutcome::kNotPossible,
-              !attack::IsViable(a));
-  }
 }
 
 TEST(CveTest, FiveCasesFromTable4) {

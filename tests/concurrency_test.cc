@@ -1,7 +1,7 @@
 // Stress and unit coverage for the session layer's concurrency substrate:
 // CompletionQueue FIFO-per-producer and exactly-once delivery under 16
 // producers x 4 consumers (the TSan acceptance workload), the producer-
-// registration assert, ThreadPool draining, and the plan cache's counters
+// registration assert, and the plan cache's counters
 // and weight bound under concurrent lookups. This suite runs under ThreadSanitizer and
 // AddressSanitizer in CI alongside the async/shard suites.
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -18,7 +17,7 @@
 
 #include "src/api/async.h"
 #include "src/api/plan_cache.h"
-#include "src/support/thread_pool.h"
+#include "tests/testutil.h"
 
 namespace bunshin {
 namespace {
@@ -28,7 +27,7 @@ using api::CompletionQueue;
 using api::PlanCache;
 using api::PlanCacheStats;
 using api::RunReport;
-using support::ThreadPool;
+using testutil::ExpectDrained;
 
 // ---------------------------------------------------------------------------
 // CompletionQueue stress: FIFO per producer, exactly-once delivery.
@@ -78,11 +77,9 @@ TEST(CompletionQueueStressTest, FifoPerProducerUnderSerializedPops) {
         if (popped.load(std::memory_order_relaxed) == kTotalEvents) {
           return;
         }
-        std::optional<CompletionEvent> event = queue.TryNext();
-        if (!event.has_value()) {
-          continue;
-        }
-        const uint64_t item = event->token;
+        // Producers push without pop_mu, so a pop that waits here for the
+        // next event still gets it.
+        const uint64_t item = queue.Wait().token;
         popped.fetch_add(1, std::memory_order_relaxed);
         const size_t producer = item >> 32;
         const uint64_t seq = item & 0xffffffffu;
@@ -105,7 +102,7 @@ TEST(CompletionQueueStressTest, FifoPerProducerUnderSerializedPops) {
   for (size_t p = 0; p < kProducers; ++p) {
     EXPECT_EQ(next_seq[p], kEventsPerProducer) << "producer " << p;
   }
-  EXPECT_EQ(queue.size(), 0u);
+  ExpectDrained(queue);
 }
 
 // Free-running consumers (blocking Wait, no external order) still see each
@@ -152,11 +149,10 @@ TEST(CompletionQueueStressTest, ExactlyOnceDeliveryUnderConcurrentConsumers) {
     }
   }
   EXPECT_EQ(all.size(), kTotalEvents) << "events lost or duplicated";
-  EXPECT_EQ(queue.size(), 0u);
+  ExpectDrained(queue);
 }
 
-// Report payloads (not just tokens) moving through the queue, with
-// TryNext/Wait/size intact.
+// Report payloads (not just tokens) moving through the queue.
 TEST(CompletionQueueTest, ShardedLanesCarryReportsFifoPerProducer) {
   CompletionQueue queue;
   constexpr size_t kThreads = 8;
@@ -188,8 +184,7 @@ TEST(CompletionQueueTest, ShardedLanesCarryReportsFifoPerProducer) {
     ASSERT_TRUE(event.report.ok());
     EXPECT_EQ(event.report->synced_syscalls, seq);
   }
-  EXPECT_EQ(queue.size(), 0u);
-  EXPECT_FALSE(queue.TryNext().has_value());
+  ExpectDrained(queue);
   EXPECT_EQ(queue.registered_producers(), 0u);
 }
 
@@ -203,20 +198,6 @@ TEST(CompletionQueueDeathTest, DestructionWithRegisteredProducersAsserts) {
       "registered producers");
 }
 #endif
-
-// ---------------------------------------------------------------------------
-// ThreadPool draining.
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPoolStealTest, WaitIdleDrainsTargetedAndRoundRobinWork) {
-  ThreadPool pool(3);
-  std::atomic<size_t> ran{0};
-  for (size_t i = 0; i < 128; ++i) {
-    pool.Submit([&ran] { ran.fetch_add(1); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(ran.load(), 128u);
-}
 
 // ---------------------------------------------------------------------------
 // Plan cache counters.

@@ -44,7 +44,7 @@ TEST(CheckDistributionTest, OverheadBalancedAcrossVariants) {
   const auto profile = SampleProfile();
   auto plan = distribution::PlanCheckDistribution(profile, 3);
   ASSERT_TRUE(plan.ok());
-  const double total_overhead = profile.TotalOverhead();
+  const double total_overhead = testutil::TotalOverhead(profile);
   for (double o : plan->predicted_overhead) {
     // Each variant carries roughly 1/3 of the distributable overhead.
     EXPECT_LT(o, total_overhead * 0.55);
@@ -64,7 +64,7 @@ TEST(CheckDistributionTest, DominantFunctionBecomesBottleneck) {
   ASSERT_TRUE(plan.ok());
   const double max_pred =
       *std::max_element(plan->predicted_overhead.begin(), plan->predicted_overhead.end());
-  EXPECT_GT(max_pred, profile.TotalOverhead() * 0.75);  // no distribution happened
+  EXPECT_GT(max_pred, testutil::TotalOverhead(profile) * 0.75);  // no distribution happened
 }
 
 TEST(CheckDistributionTest, BuiltVariantsKeepOnlyAssignedChecks) {

@@ -139,10 +139,10 @@ TEST(IrTest, VerifierCatchesUndefinedValueUse) {
 TEST(IrTest, CloneIsDeepAndIdentical) {
   auto module = testutil::BuildMultiFunctionProgram();
   auto clone = module->Clone();
-  EXPECT_EQ(module->ToString(), clone->ToString());
+  EXPECT_EQ(testutil::ModuleToString(*module), testutil::ModuleToString(*clone));
   // Mutating the clone must not affect the original.
-  clone->GetFunction("main")->mutable_blocks()[0].insts.clear();
-  EXPECT_NE(module->ToString(), clone->ToString());
+  testutil::MutableFunction(*clone, "main")->mutable_blocks()[0].insts.clear();
+  EXPECT_NE(testutil::ModuleToString(*module), testutil::ModuleToString(*clone));
 }
 
 TEST(IrTest, MemsetIntrinsicWritesMemoryWithoutEvents) {

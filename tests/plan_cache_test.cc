@@ -56,17 +56,21 @@ TEST(CacheKeyTest, SubMicroNoiseSigmaDeltasGetDistinctKeys) {
   EXPECT_NE(key_at_sigma(1e-7), key_at_sigma(2e-7));
 }
 
+// No builder setting reaches the plan's cost model or partition options,
+// but the plan and the wire carry both, so the key must split on them.
+VariantPlan CheckDistributionSkeleton() {
+  VariantPlan plan;
+  plan.benchmark = workload::Spec2006()[0];
+  plan.strategy = api::DistributionStrategy::kCheck;
+  plan.requested_variants = 4;
+  return plan;
+}
+
 TEST(CacheKeyTest, SubMicroCostModelDeltasGetDistinctKeys) {
   auto key_at_alpha = [](double alpha) {
-    nxe::CostModel cost;
-    cost.llc_alpha = alpha;
-    auto key = NvxBuilder()
-                   .Benchmark(workload::Spec2006()[0])
-                   .Variants(2)
-                   .Cost(cost)
-                   .PlanCacheKey();
-    EXPECT_TRUE(key.ok()) << key.status().ToString();
-    return *key;
+    VariantPlan plan = CheckDistributionSkeleton();
+    plan.engine_config.cost.llc_alpha = alpha;
+    return plan.CacheKey();
   };
   EXPECT_NE(key_at_alpha(0.0035), key_at_alpha(0.0035 + 1e-9));
 }
@@ -139,22 +143,21 @@ TEST(CacheKeyTest, BaseKeyIsComputableWithoutPlanningAndMatchesBasePlan) {
 TEST(CacheKeyTest, PartitionOptionsAndOverheadsAreKeyed) {
   // Planning inputs that the old spec-derived key could only see indirectly
   // (or not at all) now split the key directly.
+  const std::string skeleton_key = CheckDistributionSkeleton().CacheKey();
+  VariantPlan greedy = CheckDistributionSkeleton();
+  greedy.partition_options.algorithm = partition::Algorithm::kGreedyLpt;
+  EXPECT_NE(greedy.CacheKey(), skeleton_key);
+  VariantPlan capped = CheckDistributionSkeleton();
+  capped.partition_options.max_nodes += 1;
+  EXPECT_NE(capped.CacheKey(), skeleton_key);
+  VariantPlan coarse = CheckDistributionSkeleton();
+  coarse.partition_options.epsilon *= 2;
+  EXPECT_NE(coarse.CacheKey(), skeleton_key);
+
   NvxBuilder base;
   base.Benchmark(workload::Spec2006()[0]).Variants(4).DistributeChecks(san::SanitizerId::kASan);
   auto base_key = base.PlanCacheKey();
   ASSERT_TRUE(base_key.ok());
-
-  partition::PartitionOptions greedy;
-  greedy.algorithm = partition::Algorithm::kGreedyLpt;
-  auto other_algo = NvxBuilder()
-                        .Benchmark(workload::Spec2006()[0])
-                        .Variants(4)
-                        .DistributeChecks(san::SanitizerId::kASan)
-                        .PartitionOptions(greedy)
-                        .PlanCacheKey();
-  ASSERT_TRUE(other_algo.ok());
-  EXPECT_NE(*base_key, *other_algo);
-
   workload::BenchmarkSpec recalibrated = workload::Spec2006()[0];
   recalibrated.overheads.asan += 0.25;  // same name, different calibration
   auto other_overhead = NvxBuilder()
@@ -170,16 +173,20 @@ TEST(CacheKeyTest, PartitionOptionsAndOverheadsAreKeyed) {
 // PlanCache mechanics: LRU order, counters, error handling.
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<const VariantPlan> DummyPlan() {
-  return std::make_shared<const VariantPlan>();
+// Caches an empty plan under `key` at `weight` through the one fill path,
+// GetOrPlan.
+void Fill(PlanCache& cache, const std::string& key, size_t weight = 1) {
+  auto plan = cache.GetOrPlan(
+      key, []() -> StatusOr<VariantPlan> { return VariantPlan(); }, nullptr, weight);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
 }
 
 TEST(PlanCacheTest, LruEvictsLeastRecentlyUsed) {
   PlanCache cache(/*capacity=*/2);
-  cache.Insert("a", DummyPlan());
-  cache.Insert("b", DummyPlan());
+  Fill(cache, "a");
+  Fill(cache, "b");
   EXPECT_NE(cache.Lookup("a"), nullptr);  // touch a: b becomes LRU
-  cache.Insert("c", DummyPlan());         // evicts b
+  Fill(cache, "c");                       // evicts b
 
   EXPECT_EQ(cache.Lookup("b"), nullptr);
   EXPECT_NE(cache.Lookup("a"), nullptr);
@@ -193,12 +200,12 @@ TEST(PlanCacheTest, LruEvictsLeastRecentlyUsed) {
 
 TEST(PlanCacheTest, WeightedEntriesEvictLeastRecentlyUsedUntilTheyFit) {
   PlanCache cache(/*capacity=*/10);
-  cache.Insert("a", DummyPlan(), 4);
-  cache.Insert("b", DummyPlan(), 3);
-  cache.Insert("c", DummyPlan(), 3);
+  Fill(cache, "a", 4);
+  Fill(cache, "b", 3);
+  Fill(cache, "c", 3);
   EXPECT_EQ(cache.stats().weight, 10u);
   EXPECT_NE(cache.Lookup("a"), nullptr);  // touch a: b, then c, are LRU
-  cache.Insert("d", DummyPlan(), 5);      // 15 held: evicts b, then c
+  Fill(cache, "d", 5);                    // 15 held: evicts b, then c
 
   EXPECT_EQ(cache.Lookup("b"), nullptr);
   EXPECT_EQ(cache.Lookup("c"), nullptr);
@@ -209,8 +216,6 @@ TEST(PlanCacheTest, WeightedEntriesEvictLeastRecentlyUsedUntilTheyFit) {
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_EQ(stats.weight, 9u);
 
-  cache.Insert("a", DummyPlan(), 1);  // an overwrite re-weighs its entry
-  EXPECT_EQ(cache.stats().weight, 6u);
   cache.Clear();
   stats = cache.stats();
   EXPECT_EQ(stats.entries, 0u);
@@ -219,7 +224,7 @@ TEST(PlanCacheTest, WeightedEntriesEvictLeastRecentlyUsedUntilTheyFit) {
 
 TEST(PlanCacheTest, EntryHeavierThanTheCapacityIsServedButNotKept) {
   PlanCache cache(/*capacity=*/10);
-  cache.Insert("small", DummyPlan(), 4);
+  Fill(cache, "small", 4);
   size_t planned = 0;
   auto factory = [&planned]() -> StatusOr<VariantPlan> {
     ++planned;
@@ -236,13 +241,9 @@ TEST(PlanCacheTest, EntryHeavierThanTheCapacityIsServedButNotKept) {
   EXPECT_FALSE(hit) << "an over-capacity plan is planned again, not kept";
   EXPECT_EQ(planned, 2u);
   EXPECT_NE(cache.Lookup("small"), nullptr) << "it must not flush what fits";
-
-  // Overwriting a kept key with an over-capacity plan leaves nothing stale.
-  cache.Insert("small", DummyPlan(), 11);
-  EXPECT_EQ(cache.Lookup("small"), nullptr);
   const PlanCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.weight, 0u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.weight, 4u);
   EXPECT_EQ(stats.evictions, 0u);
 }
 

@@ -453,26 +453,27 @@ TEST(ShardedSessionTest, FourCallersShareOneShardedSession) {
 
 TEST(ShardedSessionTest, AsyncSubmissionsDrainOneQueue) {
   CompletionQueue done;
+  auto pool = std::make_shared<support::ThreadPool>(0);
   auto clean = NvxBuilder()
                    .Benchmark(workload::Spec2006()[0])
                    .Variants(4)
                    .Shards(2)
-                   .BuildAsync();
+                   .BuildAsync(pool);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
   auto detect = NvxBuilder()
                     .Benchmark(workload::Spec2006()[0])
                     .Variants(4)
                     .Shards(2)
                     .InjectDetection(2, "__asan_report_load")
-                    .BuildAsync(clean->pool());
+                    .BuildAsync(pool);
   ASSERT_TRUE(detect.ok()) << detect.status().ToString();
 
   constexpr uint64_t kClean = 0, kDetect = 1;
   for (uint64_t i = 0; i < 6; ++i) {
     api::RunRequest request;
     request.workload_seed = 50 + i;
-    clean->Submit(request, &done, 10 * i + kClean);
-    detect->Submit({}, &done, 10 * i + kDetect);
+    clean->Submit(request, done, 10 * i + kClean);
+    detect->Submit({}, done, 10 * i + kDetect);
   }
   size_t ok = 0, detected = 0;
   for (size_t i = 0; i < 12; ++i) {
@@ -494,6 +495,7 @@ TEST(ShardedSessionTest, AsyncSubmissionsDrainOneQueue) {
 TEST(ShardedSessionTest, SingleWorkerPoolCannotStarveItsOwnShards) {
   // A deliberately undersized user pool: every shard group of a run executes
   // on the one worker running it, so nothing waits on a second worker.
+  CompletionQueue done;  // declared first: the session drains into it on destruction
   auto pool = std::make_shared<support::ThreadPool>(1);
   auto session = NvxBuilder()
                      .Benchmark(workload::Spec2006()[1])
@@ -502,14 +504,13 @@ TEST(ShardedSessionTest, SingleWorkerPoolCannotStarveItsOwnShards) {
                      .Seed(41)
                      .BuildAsync(pool);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
-  std::vector<api::RunHandle> handles;
-  for (int i = 0; i < 3; ++i) {
-    handles.push_back(session->Submit());
+  for (uint64_t i = 0; i < 3; ++i) {
+    session->Submit({}, done, i);
   }
-  for (auto& handle : handles) {
-    auto report = handle.Wait();
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_EQ(report->outcome, NvxOutcome::kOk);
+  for (int i = 0; i < 3; ++i) {
+    api::CompletionEvent event = done.Wait();
+    ASSERT_TRUE(event.report.ok()) << event.report.status().ToString();
+    EXPECT_EQ(event.report->outcome, NvxOutcome::kOk);
   }
 }
 
@@ -525,6 +526,7 @@ TEST(ShardedSessionTest, ObserverBlocksStaySequencedAcrossShardedRuns) {
   };
 
   constexpr size_t kRuns = 8;
+  CompletionQueue done;
   {
     auto session = NvxBuilder()
                        .Benchmark(workload::Spec2006()[0])
@@ -535,7 +537,7 @@ TEST(ShardedSessionTest, ObserverBlocksStaySequencedAcrossShardedRuns) {
                        .BuildAsync(std::make_shared<support::ThreadPool>(3));
     ASSERT_TRUE(session.ok()) << session.status().ToString();
     for (size_t i = 0; i < kRuns; ++i) {
-      session->Submit();
+      session->Submit({}, done, i);
     }
   }  // destructor waits for all runs
 

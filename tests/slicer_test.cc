@@ -55,7 +55,7 @@ TEST(SlicerTest, DiscoveryIgnoresMetadata) {
   auto module = testutil::BuildBufferProgram();
   san::AsanPass pass;
   ASSERT_TRUE(pass.Run(module.get()).ok());
-  ir::Function* fn = module->GetFunction("main");
+  ir::Function* fn = testutil::MutableFunction(*module, "main");
   slicing::RemoveChecks(fn);
   EXPECT_TRUE(slicing::DiscoverChecks(*fn).empty());
   // Metadata is still there.
@@ -69,7 +69,8 @@ TEST(SlicerTest, RemovalRestoresBaselineSemantics) {
   ASSERT_TRUE(pass.Run(instrumented.get()).ok());
 
   auto deinstrumented = instrumented->Clone();
-  const auto removal = slicing::RemoveChecksInModule(deinstrumented.get());
+  const auto removal =
+      slicing::RemoveChecks(testutil::MutableFunction(*deinstrumented, "main"));
   EXPECT_GT(removal.checks_removed, 0u);
   ASSERT_TRUE(ir::VerifyModule(*deinstrumented).ok())
       << ir::VerifyModule(*deinstrumented).message();
@@ -91,7 +92,7 @@ TEST(SlicerTest, RemovalDeletesAllCheckInstructions) {
   auto module = testutil::BuildBufferProgram();
   san::AsanPass pass;
   ASSERT_TRUE(pass.Run(module.get()).ok());
-  ir::Function* fn = module->GetFunction("main");
+  ir::Function* fn = testutil::MutableFunction(*module, "main");
   const size_t metadata_before = CountByOrigin(*fn, ir::InstOrigin::kMetadata);
   ASSERT_GT(CountByOrigin(*fn, ir::InstOrigin::kCheck), 0u);
 
@@ -110,7 +111,7 @@ TEST(SlicerTest, WorksForMsanChecks) {
   san::MsanPass pass;
   ASSERT_TRUE(pass.Run(instrumented.get()).ok());
   auto removed = instrumented->Clone();
-  slicing::RemoveChecksInModule(removed.get());
+  slicing::RemoveChecks(testutil::MutableFunction(*removed, "main"));
   ASSERT_TRUE(ir::VerifyModule(*removed).ok());
 
   // After removal, even the buggy input runs to completion (check gone).
@@ -122,7 +123,7 @@ TEST(SlicerTest, WorksForUbsanChecks) {
   auto module = testutil::BuildArithProgram();
   san::UbsanPass pass;
   ASSERT_TRUE(pass.Run(module.get()).ok());
-  slicing::RemoveChecksInModule(module.get());
+  slicing::RemoveChecks(testutil::MutableFunction(*module, "main"));
   ASSERT_TRUE(ir::VerifyModule(*module).ok());
   ir::Interpreter interp(module.get());
   // Div-by-zero is UB again (traps) rather than detected.
@@ -135,7 +136,7 @@ TEST(SlicerTest, RemoveUnreachableBlocksCompacts) {
   auto module = testutil::BuildBufferProgram();
   san::AsanPass pass;
   ASSERT_TRUE(pass.Run(module.get()).ok());
-  ir::Function* fn = module->GetFunction("main");
+  ir::Function* fn = testutil::MutableFunction(*module, "main");
   const auto removal = slicing::RemoveChecks(fn);
   EXPECT_GT(removal.blocks_removed, 0u);
   // Block ids must be dense and valid after compaction.
@@ -146,9 +147,9 @@ TEST(SlicerTest, RemoveUnreachableBlocksCompacts) {
 
 TEST(SlicerTest, NoChecksNoChanges) {
   auto module = testutil::BuildBufferProgram();
-  const std::string before = module->ToString();
-  slicing::RemoveChecksInModule(module.get());
-  EXPECT_EQ(module->ToString(), before);
+  const std::string before = testutil::ModuleToString(*module);
+  slicing::RemoveChecks(testutil::MutableFunction(*module, "main"));
+  EXPECT_EQ(testutil::ModuleToString(*module), before);
 }
 
 TEST(SlicerTest, SharedValuesSurviveSlicing) {
@@ -157,7 +158,7 @@ TEST(SlicerTest, SharedValuesSurviveSlicing) {
   auto module = testutil::BuildBufferProgram();
   san::AsanPass pass;
   ASSERT_TRUE(pass.Run(module.get()).ok());
-  ir::Function* fn = module->GetFunction("main");
+  ir::Function* fn = testutil::MutableFunction(*module, "main");
   slicing::RemoveChecks(fn);
   ASSERT_TRUE(ir::VerifyModule(*module).ok());
   ir::Interpreter interp(module.get());

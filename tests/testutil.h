@@ -1,14 +1,101 @@
-// Shared IR test programs used across the test suite.
+// Shared IR test programs and test helpers used across the test suite.
 #ifndef BUNSHIN_TESTS_TESTUTIL_H_
 #define BUNSHIN_TESTS_TESTUTIL_H_
 
-#include <memory>
+#include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <string_view>
+
+#include "src/api/async.h"
 #include "src/ir/builder.h"
 #include "src/ir/ir.h"
+#include "src/net/wire.h"
+#include "src/profile/profiler.h"
+#include "src/support/socket.h"
 
 namespace bunshin {
 namespace testutil {
+
+// ---------------------------------------------------------------------------
+// Helpers.
+// ---------------------------------------------------------------------------
+
+// The module's function named `name`, for tests that edit a program in
+// place (Module's own lookup is read-only); null when absent.
+inline ir::Function* MutableFunction(ir::Module& module, const std::string& name) {
+  for (const auto& fn : module.functions()) {
+    if (fn->name() == name) {
+      return fn.get();
+    }
+  }
+  return nullptr;
+}
+
+// A listing of every function, block and instruction: two modules list
+// alike exactly when they hold the same program.
+inline std::string ModuleToString(const ir::Module& module) {
+  std::ostringstream out;
+  for (const auto& fn : module.functions()) {
+    out << "func @" << fn->name() << "(" << fn->num_args() << " args) {\n";
+    for (const auto& bb : fn->blocks()) {
+      out << " bb" << bb.id << " (" << bb.label << "):\n";
+      for (const auto& inst : bb.insts) {
+        out << "    " << ir::InstToString(inst) << "\n";
+      }
+    }
+    out << "}\n";
+  }
+  return out.str();
+}
+
+// Whole-program slowdown fraction of a profile (O_total / baseline).
+inline double TotalOverhead(const profile::OverheadProfile& profile) {
+  if (profile.baseline_total == 0) {
+    return 0.0;
+  }
+  return static_cast<double>(profile.instrumented_total - profile.baseline_total) /
+         static_cast<double>(profile.baseline_total);
+}
+
+// No event is left in `queue`: a sentinel pushed now is the next one out.
+inline void ExpectDrained(api::CompletionQueue& queue) {
+  constexpr uint64_t kSentinel = ~uint64_t{0};
+  queue.Push(api::CompletionEvent{kSentinel, api::RunReport()});
+  EXPECT_EQ(queue.Wait().token, kSentinel) << "an event was left in the queue";
+}
+
+// Sends `bytes` down an in-process connection, closes it, and reads one
+// frame from the other end with the production reader.
+inline StatusOr<net::Frame> ReadFrameFrom(std::string_view bytes) {
+  auto [sender, receiver] = support::LoopbackSocketPair();
+  const Status sent = sender->SendAll(bytes.data(), bytes.size());
+  if (!sent.ok()) {
+    return sent;
+  }
+  sender->Close();
+  return net::ReadFrame(*receiver);
+}
+
+// Peak resident set of this process in KiB (VmHWM); 0 when unavailable.
+inline size_t PeakRssKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::stoul(line.substr(6));
+    }
+  }
+  return 0;
+}
+
+// ---------------------------------------------------------------------------
+// IR programs.
+// ---------------------------------------------------------------------------
 
 // main(idx):
 //   buf = alloca 4; buf[i] = i*10 for i in 0..3;

@@ -162,7 +162,7 @@ TEST(WarmPathConcurrencyTest, SixteenAsyncSessionsOnOneQueue) {
   }
   for (size_t s = 0; s < kSessions; ++s) {
     for (size_t r = 0; r < kRunsPerSession; ++r) {
-      sessions[s].Submit({}, &done, s * kRunsPerSession + r);
+      sessions[s].Submit({}, done, s * kRunsPerSession + r);
     }
   }
   for (size_t i = 0; i < kSessions * kRunsPerSession; ++i) {

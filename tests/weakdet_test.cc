@@ -21,15 +21,6 @@ TEST(WeakDetTest, OrderRecordedByLeader) {
   EXPECT_EQ(runtime.Order(), (std::vector<uint32_t>{2, 0, 1}));
 }
 
-TEST(WeakDetTest, FollowerTryAcquireRespectsOrder) {
-  nxe::SynccallRuntime runtime(1);
-  runtime.LeaderAcquire(1);
-  runtime.LeaderAcquire(0);
-  EXPECT_FALSE(runtime.FollowerTryAcquire(0, 0));  // 1 must go first
-  EXPECT_TRUE(runtime.FollowerTryAcquire(0, 1));
-  EXPECT_TRUE(runtime.FollowerTryAcquire(0, 0));
-}
-
 // The core property (§3.3): whatever interleaving the leader's threads
 // produce, every follower replays the same total order of acquisitions.
 TEST(WeakDetTest, FollowersReplayLeaderOrder) {

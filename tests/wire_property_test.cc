@@ -6,10 +6,14 @@
 // replies and stats replies. Bit
 // flips anywhere in a valid buffer must never crash or over-read (they may
 // decode to a different valid value; lengths, counts, and enums are the
-// fields that must reject). Runs under AddressSanitizer in CI, where an
-// over-read is a hard failure rather than a silent one.
+// fields that must reject). Frames go through the production reader over an
+// in-process connection. A plan whose counts overstate its bytes must fail
+// without the decoder building what the counts claim. Runs under
+// AddressSanitizer in CI, where an over-read is a hard failure rather than a
+// silent one.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <random>
 #include <string>
 #include <vector>
@@ -17,6 +21,7 @@
 #include "src/api/plan.h"
 #include "src/net/wire.h"
 #include "src/sanitizer/sanitizer.h"
+#include "tests/testutil.h"
 
 namespace bunshin {
 namespace {
@@ -283,7 +288,7 @@ TEST(WirePropertyTest, BitFlipsNeverCrashPlanDecode) {
   }
 }
 
-TEST(WirePropertyTest, FrameDecodeSurvivesTruncationAndFlips) {
+TEST(WirePropertyTest, FrameReadSurvivesTruncationAndFlips) {
   std::mt19937_64 rng(0x5EED);
   for (int i = 0; i < 50; ++i) {
     net::Frame frame;
@@ -292,14 +297,41 @@ TEST(WirePropertyTest, FrameDecodeSurvivesTruncationAndFlips) {
     frame.payload = RandomName(rng);
     const std::string bytes = net::EncodeFrame(frame);
     for (size_t cut = 0; cut < bytes.size(); ++cut) {
-      EXPECT_FALSE(net::DecodeFrameBuffer(std::string_view(bytes).substr(0, cut)).ok());
+      EXPECT_FALSE(testutil::ReadFrameFrom(std::string_view(bytes).substr(0, cut)).ok());
     }
     for (size_t pos = 0; pos < bytes.size(); ++pos) {
       std::string corrupt = bytes;
       corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x10);
-      (void)net::DecodeFrameBuffer(corrupt);  // definite result, no crash
+      (void)testutil::ReadFrameFrom(corrupt);  // definite result, no crash
     }
   }
+}
+
+// A plan whose spec count equals the number of bytes that follow it. A
+// spec takes at least 24 bytes, so the count overstates what the bytes can
+// hold; the decoder must reject it before building the specs it claims. An
+// 8 MB payload must fail with less than 64 MB of peak growth.
+TEST(WirePropertyTest, OverstatedSpecCountCostsOnlyTheBytesSent) {
+  // A plan without specs, labels, check plan, groups or injections ends in
+  // those five counts and the check-plan flag: 4 + 4 + 1 + 4 + 4 + 4 bytes,
+  // the first of which is the spec count.
+  const std::string empty = net::EncodeVariantPlan(api::VariantPlan());
+  constexpr size_t kTail = 21;
+  ASSERT_GT(empty.size(), kTail);
+  constexpr uint32_t kTrailing = 8u << 20;
+  net::WireWriter w;
+  w.U32(kTrailing);
+  const std::string hostile = empty.substr(0, empty.size() - kTail) + w.Take() +
+                              std::string(kTrailing, '\0');
+
+  std::ofstream("/proc/self/clear_refs") << "5";  // peak := current, where allowed
+  const size_t before = testutil::PeakRssKb();
+  if (before == 0) {
+    GTEST_SKIP() << "no VmHWM in /proc/self/status";
+  }
+  EXPECT_FALSE(net::DecodeVariantPlan(hostile).ok());
+  EXPECT_LT(testutil::PeakRssKb(), before + (64u << 10))
+      << "peak RSS grew by " << (testutil::PeakRssKb() - before) << " KiB";
 }
 
 TEST(WirePropertyTest, PartialReportRoundTripAndTruncation) {
