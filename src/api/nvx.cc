@@ -10,7 +10,6 @@
 #include "src/ir/verifier.h"
 #include "src/net/remote.h"
 #include "src/support/enum_name.h"
-#include "src/support/thread_pool.h"
 #include "src/workload/funcprofile.h"
 
 namespace bunshin {
@@ -902,9 +901,6 @@ StatusOr<AsyncNvxSession> NvxBuilder::BuildAsync(
   StatusOr<NvxSession> session = Build();
   if (!session.ok()) {
     return session.status();
-  }
-  if (pool == nullptr) {
-    pool = std::make_shared<support::ThreadPool>(0);  // 0 = hardware concurrency
   }
   return AsyncNvxSession(std::move(*session), std::move(pool));
 }

@@ -377,12 +377,10 @@ class NvxBuilder {
   // configuration without planning. Trace targets only.
   StatusOr<std::string> PlanCacheKey() const;
 
-  // Async variant of Build(): a session whose Submit() delivers each result
-  // to a CompletionQueue (src/api/async.h). Pass a shared pool to run
-  // many sessions' work on one set of workers; with no pool the session
-  // creates its own, one worker per hardware thread.
-  StatusOr<AsyncNvxSession> BuildAsync(
-      std::shared_ptr<support::ThreadPool> pool = nullptr) const;
+  // Async variant of Build(): a session whose Submit() runs on `pool` (not
+  // null) and delivers each result to a CompletionQueue (src/api/async.h).
+  // Many sessions may share one pool, and so one set of workers.
+  StatusOr<AsyncNvxSession> BuildAsync(std::shared_ptr<support::ThreadPool> pool) const;
 
  private:
   StatusOr<std::unique_ptr<Backend>> BuildIrBackend() const;

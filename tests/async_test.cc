@@ -124,8 +124,8 @@ TEST(AsyncSessionTest, QueuedResultsMatchSynchronousRuns) {
 // ---------------------------------------------------------------------------
 
 TEST(AsyncSessionTest, BothBackendsDrainFromOneQueue) {
+  CompletionQueue done;  // declared first: it outlives every run pushing to it
   auto pool = std::make_shared<support::ThreadPool>(4);
-  CompletionQueue done;
 
   // Token encodes the expected outcome in its low digit.
   constexpr uint64_t kOk = 0, kDetected = 1, kDiverged = 2;
@@ -168,6 +168,7 @@ TEST(AsyncSessionTest, BothBackendsDrainFromOneQueue) {
       submitted += 5;
     }
   }  // each session's destructor waits for its runs
+  testutil::PushSentinel(done);  // so every event is queued ahead of it
 
   size_t ok_count = 0, detected_count = 0, diverged_count = 0;
   for (size_t i = 0; i < submitted; ++i) {
@@ -193,7 +194,8 @@ TEST(AsyncSessionTest, BothBackendsDrainFromOneQueue) {
   EXPECT_EQ(ok_count, 12u);
   EXPECT_EQ(detected_count, 12u);
   EXPECT_EQ(diverged_count, 6u);
-  ExpectDrained(done);  // exactly one event per submit
+  // Exactly one event per submit: the sentinel is next.
+  EXPECT_EQ(done.Wait().token, testutil::kSentinelToken);
 }
 
 // ---------------------------------------------------------------------------
@@ -240,27 +242,31 @@ TEST(AsyncSessionTest, ObserverBlocksStaySequencedPerSession) {
 }
 
 TEST(AsyncSessionTest, DestructorDrainsOutstandingRuns) {
-  CompletionQueue done;
+  CompletionQueue done;  // declared first: it outlives every run pushing to it
+  // The pool outlives the session, so its own drain on destruction cannot
+  // stand in for the session's.
+  auto pool = std::make_shared<support::ThreadPool>(2);
   {
     auto session = NvxBuilder()
                        .Benchmark(workload::Spec2006()[1])
                        .Variants(2)
-                       .BuildAsync(std::make_shared<support::ThreadPool>(2));
+                       .BuildAsync(pool);
     ASSERT_TRUE(session.ok());
     for (uint64_t i = 0; i < 6; ++i) {
       session->Submit({}, done, i);
     }
   }
-  // Every run completed and delivered before the destructor returned: the
-  // six events come out ahead of a sentinel pushed afterwards.
+  // Every run delivered before the destructor returned: the six events come
+  // out ahead of a sentinel pushed the moment it did.
+  testutil::PushSentinel(done);
   std::vector<bool> seen(6, false);
   for (int i = 0; i < 6; ++i) {
     const uint64_t token = done.Wait().token;
-    ASSERT_LT(token, 6u);
+    ASSERT_LT(token, 6u) << "the sentinel came out after only " << i << " run(s)";
     EXPECT_FALSE(seen[token]) << "token " << token << " delivered twice";
     seen[token] = true;
   }
-  ExpectDrained(done);
+  EXPECT_EQ(done.Wait().token, testutil::kSentinelToken);
 }
 
 }  // namespace

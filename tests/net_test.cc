@@ -606,6 +606,22 @@ Endpoint RecordedEndpoint(std::shared_ptr<ExecutorServer> server, std::shared_pt
   return endpoint;
 }
 
+// A one-group backend whose group prefers `preferred` over `bystander`. A
+// failure on the preferred endpoint would retry on the bystander and keep
+// the preferred one out of the rotation for a minute, so while the
+// bystander serves nothing, no run failed or demoted its endpoint.
+std::unique_ptr<net::RemoteBackend> BackendPreferring(
+    std::shared_ptr<const api::VariantPlan> plan, Endpoint preferred, Endpoint bystander,
+    RemoteOptions options) {
+  std::vector<Endpoint> endpoints(2);
+  const size_t first = net::AffinityHash(plan->CacheKey()) % 2;
+  endpoints[first] = std::move(preferred);
+  endpoints[1 - first] = std::move(bystander);
+  options.unhealthy_cooldown_ms = 60000;
+  return std::make_unique<net::RemoteBackend>(
+      plan, api::ShardMemberGroups(plan->n_variants(), 1), std::move(endpoints), options);
+}
+
 TEST(ExecutorTest, PlansTravelOncePerEndpoint) {
   NvxBuilder other;
   other.Benchmark(workload::Spec2006()[1]).Variants(3).Seed(61);
@@ -621,15 +637,17 @@ TEST(ExecutorTest, PlansTravelOncePerEndpoint) {
       std::make_shared<ExecutorServer>(net::ExecutorOptions{.plan_cache_bytes = one_plan});
   auto log = std::make_shared<PlanLog>();
   const Endpoint endpoint = RecordedEndpoint(server, log);
-  // Both backends hold copies of one endpoint, so they share its connections.
-  net::RemoteBackend a(plan_a, api::ShardMemberGroups(plan_a->n_variants(), 1), {endpoint},
-                       RemoteOptions{});
-  net::RemoteBackend b(plan_b, api::ShardMemberGroups(plan_b->n_variants(), 1), {endpoint},
-                       RemoteOptions{});
+  // Both backends hold copies of one endpoint, so they share its
+  // connections; a bystander shows whether a plan-unknown reply demoted it.
+  auto bystander = std::make_shared<ExecutorServer>();
+  auto a = BackendPreferring(plan_a, endpoint, net::LoopbackEndpoint(bystander, "bystander"),
+                             RemoteOptions{});
+  auto b = BackendPreferring(plan_b, endpoint, net::LoopbackEndpoint(bystander, "bystander"),
+                             RemoteOptions{});
 
   // One plan: only the first request carries it.
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(a.Run({}).ok());
+    ASSERT_TRUE(a->Run({}).ok());
   }
   EXPECT_EQ(log->Take(), (std::vector<bool>{true, false, false, false}));
   auto stats = net::FetchExecutorStats(endpoint, 5000);
@@ -639,14 +657,18 @@ TEST(ExecutorTest, PlansTravelOncePerEndpoint) {
 
   // Two plans sharing a one-plan cache: each switch back to a plan the
   // cache evicted costs exactly one plan-unknown reply and one resend.
-  ASSERT_TRUE(b.Run({}).ok());  // b's first request: it carries b
-  ASSERT_TRUE(a.Run({}).ok());  // by key, unknown, resent with a
-  ASSERT_TRUE(b.Run({}).ok());  // by key, unknown, resent with b
-  ASSERT_TRUE(b.Run({}).ok());  // by key, cached
-  EXPECT_EQ(log->Take(), (std::vector<bool>{true, false, true, false, true, false}));
+  ASSERT_TRUE(b->Run({}).ok());  // b's first request: it carries b
+  ASSERT_TRUE(a->Run({}).ok());  // by key, unknown, resent with a
+  ASSERT_TRUE(b->Run({}).ok());  // by key, unknown, resent with b
+  ASSERT_TRUE(b->Run({}).ok());  // by key, cached
+  ASSERT_TRUE(a->Run({}).ok());  // by key, unknown, resent with a
+  ASSERT_TRUE(a->Run({}).ok());  // by key, cached
+  EXPECT_EQ(log->Take(),
+            (std::vector<bool>{true, false, true, false, true, false, false, true, false}));
   stats = net::FetchExecutorStats(endpoint, 5000);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->plan_unknown_replies, 2u);
+  EXPECT_EQ(stats->plan_unknown_replies, 3u);
+  EXPECT_EQ(bystander->stats().requests, 0u);
 }
 
 // The trust rule for plans by key: only a request that carries a plan (and
@@ -1046,22 +1068,6 @@ TEST(FaultTest, StoppedExecutorRecoversAfterRestart) {
   ASSERT_TRUE(up.ok()) << up.status().ToString();
 }
 
-// A one-group backend whose group prefers `preferred` over `bystander`. A
-// failure on the preferred endpoint would retry on the bystander and keep
-// the preferred one out of the rotation for a minute, so while the
-// bystander serves nothing, no run failed or demoted its endpoint.
-std::unique_ptr<net::RemoteBackend> BackendPreferring(
-    std::shared_ptr<const api::VariantPlan> plan, Endpoint preferred, Endpoint bystander) {
-  std::vector<Endpoint> endpoints(2);
-  const size_t first = net::AffinityHash(plan->CacheKey()) % 2;
-  endpoints[first] = std::move(preferred);
-  endpoints[1 - first] = std::move(bystander);
-  RemoteOptions options = FastFail();
-  options.unhealthy_cooldown_ms = 60000;
-  return std::make_unique<net::RemoteBackend>(
-      plan, api::ShardMemberGroups(plan->n_variants(), 1), std::move(endpoints), options);
-}
-
 // A pooled connection the executor closed is redialed once for free: the
 // run succeeds and the endpoint is not demoted. Over loopback the send on
 // the stale connection fails; over TCP the send succeeds and the close
@@ -1071,7 +1077,7 @@ TEST(FaultTest, StalePooledConnectionIsRedialed) {
   auto server = std::make_shared<ExecutorServer>();
   auto bystander = std::make_shared<ExecutorServer>();
   auto backend = BackendPreferring(plan, net::LoopbackEndpoint(server, "cycled"),
-                                   net::LoopbackEndpoint(bystander, "bystander"));
+                                   net::LoopbackEndpoint(bystander, "bystander"), FastFail());
   ASSERT_TRUE(backend->Run({}).ok());
   server->Stop();
   server->Start();
@@ -1086,7 +1092,7 @@ TEST(FaultTest, StalePooledConnectionIsRedialed) {
   }
   const uint16_t port = tcp.port();
   auto tcp_backend = BackendPreferring(plan, net::TcpEndpoint("127.0.0.1", port),
-                                       net::LoopbackEndpoint(bystander, "bystander"));
+                                       net::LoopbackEndpoint(bystander, "bystander"), FastFail());
   ASSERT_TRUE(tcp_backend->Run({}).ok());
   tcp.Stop();
   tcp.Start();

@@ -62,11 +62,18 @@ inline double TotalOverhead(const profile::OverheadProfile& profile) {
          static_cast<double>(profile.baseline_total);
 }
 
+// A token no test submits under: pushed behind the events a queue holds, it
+// comes out only after all of them.
+constexpr uint64_t kSentinelToken = ~uint64_t{0};
+
+inline void PushSentinel(api::CompletionQueue& queue) {
+  queue.Push(api::CompletionEvent{kSentinelToken, api::RunReport()});
+}
+
 // No event is left in `queue`: a sentinel pushed now is the next one out.
 inline void ExpectDrained(api::CompletionQueue& queue) {
-  constexpr uint64_t kSentinel = ~uint64_t{0};
-  queue.Push(api::CompletionEvent{kSentinel, api::RunReport()});
-  EXPECT_EQ(queue.Wait().token, kSentinel) << "an event was left in the queue";
+  PushSentinel(queue);
+  EXPECT_EQ(queue.Wait().token, kSentinelToken) << "an event was left in the queue";
 }
 
 // Sends `bytes` down an in-process connection, closes it, and reads one

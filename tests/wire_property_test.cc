@@ -13,6 +13,7 @@
 // silent one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <random>
 #include <string>
@@ -309,29 +310,36 @@ TEST(WirePropertyTest, FrameReadSurvivesTruncationAndFlips) {
 
 // A plan whose spec count equals the number of bytes that follow it. A
 // spec takes at least 24 bytes, so the count overstates what the bytes can
-// hold; the decoder must reject it before building the specs it claims. An
-// 8 MB payload must fail with less than 64 MB of peak growth.
+// hold; the decoder must reject that count before building the specs it
+// claims. An 8 MB payload must fail with less than 64 MB of peak growth.
 TEST(WirePropertyTest, OverstatedSpecCountCostsOnlyTheBytesSent) {
-  // A plan without specs, labels, check plan, groups or injections ends in
-  // those five counts and the check-plan flag: 4 + 4 + 1 + 4 + 4 + 4 bytes,
-  // the first of which is the spec count.
-  const std::string empty = net::EncodeVariantPlan(api::VariantPlan());
-  constexpr size_t kTail = 21;
-  ASSERT_GT(empty.size(), kTail);
+  // The spec count sits where a plan with one spec first differs from a
+  // plan with none; the hostile plan keeps what comes before it.
+  api::VariantPlan one_spec;
+  one_spec.specs.emplace_back();
+  one_spec.labels.emplace_back();
+  const std::string none = net::EncodeVariantPlan(api::VariantPlan());
+  const std::string one = net::EncodeVariantPlan(one_spec);
+  ASSERT_TRUE(net::DecodeVariantPlan(one).ok());
+  const size_t at = std::mismatch(none.begin(), none.end(), one.begin()).first - none.begin();
+  ASSERT_LT(at, none.size());
   constexpr uint32_t kTrailing = 8u << 20;
   net::WireWriter w;
   w.U32(kTrailing);
-  const std::string hostile = empty.substr(0, empty.size() - kTail) + w.Take() +
-                              std::string(kTrailing, '\0');
+  const std::string hostile = none.substr(0, at) + w.Take() + std::string(kTrailing, '\0');
 
   std::ofstream("/proc/self/clear_refs") << "5";  // peak := current, where allowed
   const size_t before = testutil::PeakRssKb();
   if (before == 0) {
     GTEST_SKIP() << "no VmHWM in /proc/self/status";
   }
-  EXPECT_FALSE(net::DecodeVariantPlan(hostile).ok());
+  const auto decoded = net::DecodeVariantPlan(hostile);
   EXPECT_LT(testutil::PeakRssKb(), before + (64u << 10))
       << "peak RSS grew by " << (testutil::PeakRssKb() - before) << " KiB";
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().message().find("element count " + std::to_string(kTrailing)),
+            std::string::npos)
+      << "rejected for another reason: " << decoded.status().ToString();
 }
 
 TEST(WirePropertyTest, PartialReportRoundTripAndTruncation) {

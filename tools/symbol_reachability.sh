@@ -81,8 +81,8 @@ paste -d' ' "$WORK/functions.raw" "$WORK/functions.demangled" |
     >"$WORK/functions"
 
 # The allowlist: "<function> # <reason>" per line, where <function> is a
-# demangled name with its parameter list, or without it to cover every
-# overload. Every entry must name a library function and give a reason.
+# demangled name with its parameter list. Every entry must name a library
+# function and give a reason.
 ROOTS=()
 ALLOWED="$WORK/allowed"
 : >"$ALLOWED"
@@ -93,10 +93,10 @@ while IFS= read -r line || [ -n "$line" ]; do
   reason="${line#*#}"
   [[ "$line" == *"#"* && "$reason" =~ [^[:space:]] ]] ||
     fail "allowlist entry without a reason: $line"
-  mangled="$(awk -v n="$name" '{ d = $0; sub(/^[^ ]+ [^ ]+ /, "", d); q = d; sub(/\(.*/, "", q) }
-    d == n || q == n { print $2 }' "$WORK/functions")"
+  mangled="$(awk -v n="$name" '{ d = $0; sub(/^[^ ]+ [^ ]+ /, "", d) } d == n { print $2 }' \
+    "$WORK/functions")"
   [ -n "$mangled" ] || fail "allowlist entry names no function in libbunshin.a: $name"
-  for m in $mangled; do ROOTS+=("-Wl,--undefined=$m"); done
+  ROOTS+=("-Wl,--undefined=$mangled")
   echo "$name" >>"$ALLOWED"
 done <"$ALLOWLIST"
 
