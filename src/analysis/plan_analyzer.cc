@@ -66,9 +66,6 @@ std::optional<san::SanitizerId> SanitizerIdByName(const std::string& name) {
 // covers every variant plus the baseline trace and sits far above the
 // largest in-repo session (under 18k actions).
 constexpr double kMaxSessionActions = 1 << 22;
-// The coverage proof keeps one owner slot per profiled function; the
-// largest catalog program has 2,600.
-constexpr size_t kMaxFunctions = 1 << 16;
 
 void CheckTraceShape(const char* target, size_t threads, double template_actions,
                      size_t n_specs, AnalysisReport* report) {
@@ -114,10 +111,10 @@ void CheckWellFormedness(const api::VariantPlan& plan, AnalysisReport* report) {
   if (has_bench) {
     CheckTraceShape("benchmark", std::max<size_t>(1, plan.benchmark->threads),
                     workload::TemplateActions(*plan.benchmark), plan.specs.size(), report);
-    if (plan.benchmark->n_functions > kMaxFunctions) {
+    if (plan.benchmark->n_functions > workload::kMaxProfiledFunctions) {
       report->AddError("plan/trace-shape", "benchmark",
                        std::to_string(plan.benchmark->n_functions) + " functions exceed the " +
-                           std::to_string(kMaxFunctions) + "-function limit",
+                           std::to_string(workload::kMaxProfiledFunctions) + "-function limit",
                        "size n_functions like the catalog's programs");
     }
   }

@@ -57,9 +57,6 @@ class IrBackend final : public Backend {
   const distribution::CheckDistributionPlan* check_plan() const override {
     return has_check_plan_ ? &system_.check_plan() : nullptr;
   }
-  const std::vector<std::vector<std::string>>* sanitizer_groups() const override {
-    return system_.sanitizer_groups().empty() ? nullptr : &system_.sanitizer_groups();
-  }
 
   StatusOr<RunReport> Run(const RunRequest& request) const override {
     RunReport report;
@@ -139,44 +136,83 @@ class IrBackend final : public Backend {
 // PartialReport the same way.
 // ---------------------------------------------------------------------------
 
-// Per-session scratch the warm path reuses across runs of one backend:
-// built traces and derived baseline times are pure functions of
-// (plan, coverage, seed), so a run with the scratch's seed skips trace
-// construction and the baseline simulations entirely. A run with a new seed
-// builds one template into `tmpl` and derives each covered trace and the
-// baseline trace from it once, whatever the group count, into buffers that
-// keep their capacity from seed to seed, as the engine arenas in
-// `workspace` do from run to run. The traces own their actions and the
-// records they add, and borrow the template's record tables. Run() is const
-// and concurrent, so scratches live on a checkout freelist (one per
-// in-flight run), never as bare mutable members.
-struct SessionScratch {
-  // Drops the traces' borrows of the template's record tables, so the next
-  // template build refills those tables in place. The traces name records
-  // they no longer hold until they are derived again.
-  void ReleaseTemplate() {
-    auto release = [](nxe::VariantTrace& trace) {
-      for (nxe::ThreadTrace& thread : trace.threads) {
-        thread.borrowed.reset();
-      }
-    };
-    for (nxe::VariantTrace& trace : traces) {
-      release(trace);
+// A bounded LIFO of idle items behind one mutex. Take() hands back the item
+// parked last, or a default-constructed one when none is idle; Put() parks
+// `item` unless `Capacity` items are idle already, and otherwise leaves it
+// with the caller, to be destroyed.
+template <typename T, size_t Capacity>
+class Freelist {
+ public:
+  T Take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (free_.empty()) {
+      return T{};
     }
-    release(baseline_trace);
+    T item = std::move(free_.back());
+    free_.pop_back();
+    return item;
   }
 
+  void Put(T&& item) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (free_.size() < Capacity) {
+      free_.push_back(std::move(item));
+    }
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<T> free_;
+};
+
+// Drops `trace`'s borrows of its template's record tables, so a rebuild of
+// that template refills them in place. The trace names records it no longer
+// holds until it is derived again.
+void ReleaseTemplate(nxe::VariantTrace& trace) {
+  for (nxe::ThreadTrace& thread : trace.threads) {
+    thread.borrowed.reset();
+  }
+}
+
+// A session's replay state: what a later run of the same (plan, coverage,
+// seed) reads. Built traces and derived baseline and standalone times are
+// pure functions of those, so a run with the scratch's seed skips trace
+// construction and the baseline simulations entirely. A run with a new seed
+// builds one template into `tmpl` and derives each covered trace from it
+// once, whatever the group count, into buffers that keep their capacity from
+// seed to seed. The traces own their actions and the records they add, and
+// borrow the template's record tables. Run() is const and concurrent, so
+// scratches live on a per-backend checkout freelist (one per in-flight run),
+// never as bare mutable members.
+struct SessionScratch {
   bool valid = false;
   uint64_t seed = 0;
   workload::TraceTemplate tmpl;
   std::vector<nxe::VariantTrace> traces;  // one per covered slot
-  std::vector<nxe::VariantTrace> view;    // one group's traces, swapped in from `traces`
-  nxe::VariantTrace baseline_trace;       // owns_baseline backends only
   std::optional<double> baseline_time;    // owns_baseline backends only
   std::vector<double> standalone;         // measure_standalone plans only; per covered slot
   bool standalone_valid = false;
-  nxe::EngineWorkspace workspace;         // warm backends only
 };
+
+// A run's working memory: what one run fills and reads and no later run
+// does. It comes from one process-wide freelist (RunMemories), whichever
+// session runs, so idle sessions hold none of it; its buffers keep the
+// capacity of the largest runs they served.
+struct RunMemory {
+  nxe::EngineWorkspace workspace;      // warm backends only
+  nxe::VariantTrace baseline_trace;    // derived on a new seed by owns_baseline backends
+  std::vector<nxe::VariantTrace> view;  // one group's traces, swapped in from the scratch's
+};
+
+// At most this many idle RunMemory blocks are kept: one per concurrent run
+// up to it; a burst of more runs builds fresh ones and drops the excess.
+constexpr size_t kMaxIdleRunMemory = 16;
+
+Freelist<std::unique_ptr<RunMemory>, kMaxIdleRunMemory>& RunMemories() {
+  // Leaked intentionally: runs may finish during static teardown.
+  static auto* freelist = new Freelist<std::unique_ptr<RunMemory>, kMaxIdleRunMemory>();
+  return *freelist;
+}
 
 class TraceBackend final : public Backend {
  public:
@@ -202,39 +238,36 @@ class TraceBackend final : public Backend {
   const distribution::CheckDistributionPlan* check_plan() const override {
     return plan_->check_plan.has_value() ? &*plan_->check_plan : nullptr;
   }
-  const std::vector<std::vector<std::string>>* sanitizer_groups() const override {
-    return plan_->sanitizer_groups.empty() ? nullptr : &plan_->sanitizer_groups;
-  }
 
   StatusOr<RunReport> Run(const RunRequest& request) const override {
     const VariantPlan& plan = *plan_;
     const uint64_t seed = request.workload_seed.value_or(plan.seed);
 
-    // Check out per-run scratch; it returns to the freelist on every exit.
-    std::unique_ptr<SessionScratch> scratch = TakeScratch();
-    struct ScratchReturn {
-      const TraceBackend* backend;
-      std::unique_ptr<SessionScratch>& scratch;
-      ~ScratchReturn() { backend->PutScratch(std::move(scratch)); }
-    } scratch_return{this, scratch};
+    // Check out the session's replay state and the run's working memory;
+    // both go back on every exit.
+    Checkout checkout(*this);
+    SessionScratch& scratch = *checkout.scratch;
+    RunMemory& memory = *checkout.memory;
 
-    if (!scratch->valid || scratch->seed != seed) {
+    if (!scratch.valid || scratch.seed != seed) {
       // Trace construction + injection splicing live in BuildPlanTemplate /
       // DerivePlanTraces (the halves of BuildPlanTraces) so the static
       // analyzer proves properties of exactly the traces run here. The
       // scratch caches the result per seed: a warm run (same plan, same
       // seed) skips this entirely.
-      scratch->valid = false;
-      scratch->baseline_time.reset();
-      scratch->standalone_valid = false;
-      scratch->ReleaseTemplate();
-      BuildPlanTemplate(plan, seed, &scratch->tmpl);
-      Status built = DerivePlanTraces(plan, coverage_, scratch->tmpl, &scratch->traces);
+      scratch.valid = false;
+      scratch.baseline_time.reset();
+      scratch.standalone_valid = false;
+      for (nxe::VariantTrace& trace : scratch.traces) {
+        ReleaseTemplate(trace);
+      }
+      BuildPlanTemplate(plan, seed, &scratch.tmpl);
+      Status built = DerivePlanTraces(plan, coverage_, scratch.tmpl, &scratch.traces);
       if (!built.ok()) {
         return built;
       }
-      scratch->seed = seed;
-      scratch->valid = true;
+      scratch.seed = seed;
+      scratch.valid = true;
     }
 
     // A subset backend runs a trace subset, but the whole session still
@@ -243,39 +276,39 @@ class TraceBackend final : public Backend {
     nxe::EngineConfig config = plan.engine_config;
     config.contention_variants = plan.n_variants();
     const nxe::Engine engine(config);
-    // Warm path: the scratch's engine arenas, reset in place run to run.
+    // Warm path: the run memory's engine arenas, reset in place run to run.
     // A cold backend runs without a workspace.
-    nxe::EngineWorkspace* workspace = warm_engines_ ? &scratch->workspace : nullptr;
+    nxe::EngineWorkspace* workspace = warm_engines_ ? &memory.workspace : nullptr;
 
-    if (owns_baseline_ && !scratch->baseline_time.has_value()) {
-      workload::DeriveTrace(scratch->tmpl, workload::VariantSpec{}, &scratch->baseline_trace);
-      auto baseline = engine.RunBaseline(scratch->baseline_trace, workspace);
+    if (owns_baseline_ && !scratch.baseline_time.has_value()) {
+      workload::DeriveTrace(scratch.tmpl, workload::VariantSpec{}, &memory.baseline_trace);
+      auto baseline = engine.RunBaseline(memory.baseline_trace, workspace);
       if (!baseline.ok()) {
         return baseline.status();
       }
-      scratch->baseline_time = *baseline;
+      scratch.baseline_time = *baseline;
     }
-    if (plan.measure_standalone && !scratch->standalone_valid) {
-      scratch->standalone.clear();
-      for (size_t slot = 0; slot < scratch->traces.size(); ++slot) {
+    if (plan.measure_standalone && !scratch.standalone_valid) {
+      scratch.standalone.clear();
+      for (size_t slot = 0; slot < scratch.traces.size(); ++slot) {
         if (slot == 0 && !owns_baseline_) {
           // The leader's standalone time is owned (and measured) by the
           // backend that owns the baseline; Merge ignores this slot, so
           // don't simulate the most expensive trace again.
-          scratch->standalone.push_back(0.0);
+          scratch.standalone.push_back(0.0);
           continue;
         }
-        auto standalone = engine.RunBaseline(scratch->traces[slot], workspace);
+        auto standalone = engine.RunBaseline(scratch.traces[slot], workspace);
         if (!standalone.ok()) {
           return standalone.status();
         }
-        scratch->standalone.push_back(*standalone);
+        scratch.standalone.push_back(*standalone);
       }
-      scratch->standalone_valid = true;
+      scratch.standalone_valid = true;
     }
 
     if (groups_.size() == 1) {
-      return RunGroup(engine, workspace, scratch->traces, groups_[0], owns_baseline_, *scratch);
+      return RunGroup(engine, workspace, scratch.traces, groups_[0], owns_baseline_, scratch);
     }
     // Each group's traces are swapped into the view for its engine run and
     // back afterwards, so no trace is copied; the leader passes through
@@ -285,17 +318,17 @@ class TraceBackend final : public Backend {
     for (size_t g = 0; g < groups_.size(); ++g) {
       const std::vector<size_t>& group = groups_[g];
       const bool group_owns_baseline = g == 0 && owns_baseline_;
-      scratch->valid = false;
-      scratch->view.resize(group.size());
+      scratch.valid = false;
+      memory.view.resize(group.size());
       for (size_t local = 0; local < group.size(); ++local) {
-        std::swap(scratch->view[local], scratch->traces[group[local]]);
+        std::swap(memory.view[local], scratch.traces[group[local]]);
       }
       StatusOr<RunReport> report =
-          RunGroup(engine, workspace, scratch->view, group, group_owns_baseline, *scratch);
+          RunGroup(engine, workspace, memory.view, group, group_owns_baseline, scratch);
       for (size_t local = 0; local < group.size(); ++local) {
-        std::swap(scratch->view[local], scratch->traces[group[local]]);
+        std::swap(memory.view[local], scratch.traces[group[local]]);
       }
-      scratch->valid = true;
+      scratch.valid = true;
       if (!report.ok()) {
         return report.status();
       }
@@ -375,24 +408,34 @@ class TraceBackend final : public Backend {
     return report;
   }
 
-  std::unique_ptr<SessionScratch> TakeScratch() const {
-    {
-      std::lock_guard<std::mutex> lock(scratch_mu_);
-      if (!scratch_free_.empty()) {
-        std::unique_ptr<SessionScratch> scratch = std::move(scratch_free_.back());
-        scratch_free_.pop_back();
-        return scratch;
+  // A run's checkout: the backend's replay state and the process's working
+  // memory, idle ones when there are, else new ones. On every exit the
+  // working memory goes back first, with its borrows of the scratch's
+  // record tables dropped, so the template's next rebuild (ordered after
+  // this by the scratch freelist's mutex) refills them in place.
+  struct Checkout {
+    explicit Checkout(const TraceBackend& b)
+        : backend(b), scratch(b.scratches_.Take()), memory(RunMemories().Take()) {
+      if (scratch == nullptr) {
+        scratch = std::make_unique<SessionScratch>();
+      }
+      if (memory == nullptr) {
+        memory = std::make_unique<RunMemory>();
       }
     }
-    return std::make_unique<SessionScratch>();
-  }
-
-  void PutScratch(std::unique_ptr<SessionScratch> scratch) const {
-    std::lock_guard<std::mutex> lock(scratch_mu_);
-    if (scratch_free_.size() < kMaxScratch) {
-      scratch_free_.push_back(std::move(scratch));
+    ~Checkout() {
+      ReleaseTemplate(memory->baseline_trace);
+      memory->view.clear();  // empty traces, or the scratch's after a throw (it rebuilds)
+      RunMemories().Put(std::move(memory));
+      backend.scratches_.Put(std::move(scratch));
     }
-  }
+    Checkout(const Checkout&) = delete;
+    Checkout& operator=(const Checkout&) = delete;
+
+    const TraceBackend& backend;
+    std::unique_ptr<SessionScratch> scratch;
+    std::unique_ptr<RunMemory> memory;
+  };
 
   // One scratch per in-flight run; beyond this, extra concurrent runs just
   // rebuild (bounded memory beats unbounded caching of a burst).
@@ -404,8 +447,7 @@ class TraceBackend final : public Backend {
   bool owns_baseline_;
   bool warm_engines_;  // false: every engine call runs without a workspace
   std::vector<std::string> labels_;
-  mutable std::mutex scratch_mu_;
-  mutable std::vector<std::unique_ptr<SessionScratch>> scratch_free_;
+  mutable Freelist<std::unique_ptr<SessionScratch>, kMaxScratch> scratches_;
 };
 
 // Runs the static analyzer over a freshly planned (or injection-overlaid)
@@ -430,67 +472,44 @@ std::string JoinNames(const std::vector<std::string>& names) {
   return out.empty() ? "none" : out;
 }
 
+// Every field back to its default; vectors cleared, not shrunk — their
+// capacity is the entire point of recycling.
+void ResetReport(RunReport* r) {
+  r->backend.clear();
+  r->outcome = NvxOutcome::kOk;
+  r->detection.reset();
+  r->divergence.reset();
+  r->aborted_all = false;
+  r->return_value.reset();
+  r->total_time = 0.0;
+  r->baseline_time.reset();
+  r->variant_finish_time.clear();
+  r->variant_standalone_time.clear();
+  r->variant_compute_scale.clear();
+  r->synced_syscalls = 0;
+  r->ignored_syscalls = 0;
+  r->lockstep_barriers = 0;
+  r->lock_acquisitions = 0;
+  r->avg_syscall_gap = 0.0;
+  r->max_syscall_gap = 0;
+}
+
 // Process-wide RunReport shell freelist (see AcquireReport/RecycleReport in
 // nvx.h). Bounded so a burst of recycles cannot pin memory.
-class ReportFreelist {
- public:
-  RunReport Acquire() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (free_.empty()) {
-      return RunReport{};
-    }
-    RunReport report = std::move(free_.back());
-    free_.pop_back();
-    return report;
-  }
-
-  void Recycle(RunReport&& report) {
-    ResetReport(&report);
-    std::lock_guard<std::mutex> lock(mu_);
-    if (free_.size() < kCapacity) {
-      free_.push_back(std::move(report));
-    }
-  }
-
- private:
-  // Every field back to its default; vectors cleared, not shrunk — their
-  // capacity is the entire point of recycling.
-  static void ResetReport(RunReport* r) {
-    r->backend.clear();
-    r->outcome = NvxOutcome::kOk;
-    r->detection.reset();
-    r->divergence.reset();
-    r->aborted_all = false;
-    r->return_value.reset();
-    r->total_time = 0.0;
-    r->baseline_time.reset();
-    r->variant_finish_time.clear();
-    r->variant_standalone_time.clear();
-    r->variant_compute_scale.clear();
-    r->synced_syscalls = 0;
-    r->ignored_syscalls = 0;
-    r->lockstep_barriers = 0;
-    r->lock_acquisitions = 0;
-    r->avg_syscall_gap = 0.0;
-    r->max_syscall_gap = 0;
-  }
-
-  static constexpr size_t kCapacity = 64;
-  std::mutex mu_;
-  std::vector<RunReport> free_;
-};
-
-ReportFreelist& GlobalReportFreelist() {
+Freelist<RunReport, 64>& Reports() {
   // Leaked intentionally: reports may be recycled during static teardown.
-  static ReportFreelist* freelist = new ReportFreelist();
+  static auto* freelist = new Freelist<RunReport, 64>();
   return *freelist;
 }
 
 }  // namespace
 
-RunReport AcquireReport() { return GlobalReportFreelist().Acquire(); }
+RunReport AcquireReport() { return Reports().Take(); }
 
-void RecycleReport(RunReport&& report) { GlobalReportFreelist().Recycle(std::move(report)); }
+void RecycleReport(RunReport&& report) {
+  ResetReport(&report);
+  Reports().Put(std::move(report));
+}
 
 StatusOr<std::unique_ptr<Backend>> MakeTraceBackend(std::shared_ptr<const VariantPlan> plan,
                                                     std::vector<size_t> members,

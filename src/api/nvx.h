@@ -220,9 +220,6 @@ class Backend {
 
   // Introspection; null when the backend has no such plan.
   virtual const distribution::CheckDistributionPlan* check_plan() const { return nullptr; }
-  virtual const std::vector<std::vector<std::string>>* sanitizer_groups() const {
-    return nullptr;
-  }
 };
 
 // A trace backend executing `members` (global slots, [0] must be the leader
@@ -230,8 +227,9 @@ class Backend {
 // rebuilds from a received plan. Validates plan presence, member shape
 // (non-empty, leader first, in range, no duplicates). Runs take
 // the warm path (docs/warm_path.md): the backend caches built traces and
-// baseline times per seed and keeps engine arenas across runs, so repeat
-// runs of one plan+seed are allocation-free in the steady state.
+// baseline times per seed, and each run checks its engine arenas out of a
+// process-wide freelist, so repeat runs of one plan+seed are
+// allocation-free in the steady state.
 StatusOr<std::unique_ptr<Backend>> MakeTraceBackend(std::shared_ptr<const VariantPlan> plan,
                                                     std::vector<size_t> members,
                                                     bool owns_baseline);
@@ -273,9 +271,6 @@ class NvxSession {
   const std::vector<std::string>& variant_labels() const { return backend_->variant_labels(); }
   const distribution::CheckDistributionPlan* check_plan() const {
     return backend_->check_plan();
-  }
-  const std::vector<std::vector<std::string>>* sanitizer_groups() const {
-    return backend_->sanitizer_groups();
   }
 
  private:
@@ -354,11 +349,12 @@ class NvxBuilder {
   // per-request timeout and bounded retry to a different executor. Merged
   // reports are bit-identical to Shards(k) and to the unsharded session.
   NvxBuilder& Remote(std::vector<net::Endpoint> endpoints, net::RemoteOptions options = {});
-  // Warm-run engine arenas (trace targets; on by default): the session's
-  // trace backends keep the engine's scheduler arenas in their per-run
-  // scratch, making repeat runs of one plan allocation-free in the steady
-  // state. Reports are bit-identical either way. PooledEngines(false) runs
-  // every engine call without a workspace (the cold path).
+  // Warm-run engine arenas (trace targets; on by default): each run of the
+  // session's trace backends checks the engine's scheduler arenas out of a
+  // process-wide freelist, making repeat runs of one plan allocation-free in
+  // the steady state. Reports are bit-identical either way.
+  // PooledEngines(false) runs every engine call without a workspace (the
+  // cold path).
   NvxBuilder& PooledEngines(bool pooled = true);
 
   // Validates the configuration and constructs the session (and its

@@ -315,8 +315,9 @@ void ExecutorServer::HandleRun(const std::string& payload, Frame* reply_frame) {
     return finish();
   }
 
-  // A backend per request: its scratch starts empty, so every run here is
-  // cold (docs/warm_path.md).
+  // A backend per request: its scratch starts empty, so every run here
+  // builds its traces; its engine arenas come from the process-wide
+  // freelist every trace backend shares (docs/warm_path.md).
   StatusOr<std::unique_ptr<api::Backend>> backend =
       api::MakeTraceBackend(plan, msg->members, msg->owns_baseline);
   if (!backend.ok()) {

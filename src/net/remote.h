@@ -71,9 +71,6 @@ class RemoteBackend final : public api::Backend {
   const distribution::CheckDistributionPlan* check_plan() const override {
     return plan_->check_plan.has_value() ? &*plan_->check_plan : nullptr;
   }
-  const std::vector<std::vector<std::string>>* sanitizer_groups() const override {
-    return plan_->sanitizer_groups.empty() ? nullptr : &plan_->sanitizer_groups;
-  }
 
   // The endpoint group g is routed to first (before health rotation), for
   // affinity assertions in tests.

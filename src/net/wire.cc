@@ -4,6 +4,9 @@
 #include <cstring>
 #include <unordered_set>
 
+#include "src/sanitizer/sanitizer.h"
+#include "src/workload/funcprofile.h"
+
 namespace bunshin {
 namespace net {
 namespace {
@@ -390,8 +393,21 @@ void EncodeStringList(WireWriter& w, const std::vector<std::string>& list) {
   }
 }
 
-std::vector<std::string> DecodeStringList(WireReader& r) {
-  const size_t n = r.Count(4);
+// Reads a list count and rejects it, before anything is reserved for it,
+// when it is above `limit`, a bound the fields already decoded set; 0 on
+// failure.
+size_t CountAtMost(WireReader& r, size_t min_element_size, size_t limit, const char* what) {
+  const size_t count = r.Count(min_element_size);
+  if (count > limit) {
+    r.Fail(InvalidArgument("wire: " + std::to_string(count) + " " + what + " exceed the " +
+                           std::to_string(limit) + " allowed"));
+    return 0;
+  }
+  return count;
+}
+
+// Reads `n` strings, a count the caller read and bounded.
+std::vector<std::string> DecodeStrings(WireReader& r, size_t n) {
   std::vector<std::string> list;
   list.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -451,16 +467,20 @@ void EncodeCheckPlan(WireWriter& w, const distribution::CheckDistributionPlan& p
   w.F64(p.partition.balance_ratio);
 }
 
-distribution::CheckDistributionPlan DecodeCheckPlan(WireReader& r) {
+// The check plan of a plan with `n_specs` specs: at most one
+// protected-function subset and one partition bin per spec, and no subset
+// naming more functions than a profiled program can have.
+distribution::CheckDistributionPlan DecodeCheckPlan(WireReader& r, size_t n_specs) {
   distribution::CheckDistributionPlan p;
   p.n_variants = r.U64();
-  const size_t n_funcs = r.Count(4);
+  const size_t n_funcs = CountAtMost(r, 4, n_specs, "protected-function subset(s)");
   p.protected_functions.reserve(n_funcs);
   for (size_t i = 0; i < n_funcs; ++i) {
-    p.protected_functions.push_back(DecodeStringList(r));
+    p.protected_functions.push_back(DecodeStrings(
+        r, CountAtMost(r, 4, workload::kMaxProfiledFunctions, "protected function name(s)")));
   }
   p.predicted_overhead = DecodeDoubleList(r);
-  const size_t n_bins = r.Count(4);
+  const size_t n_bins = CountAtMost(r, 4, n_specs, "partition bin(s)");
   p.partition.bins.reserve(n_bins);
   for (size_t i = 0; i < n_bins; ++i) {
     p.partition.bins.push_back(DecodeIndexList(r));
@@ -549,14 +569,25 @@ StatusOr<api::VariantPlan> DecodeVariantPlan(std::string_view bytes) {
   for (size_t i = 0; i < n_specs; ++i) {
     plan.specs.push_back(DecodeVariantSpec(r));
   }
-  plan.labels = DecodeStringList(r);
-  if (r.Bool()) {
-    plan.check_plan = DecodeCheckPlan(r);
+  // The counts from here on are bounded by the spec count: one label per
+  // spec, at most one sanitizer group per spec, and no group listing more
+  // protection units than a catalog holds.
+  size_t n_labels = r.Count(4);
+  if (n_labels != n_specs) {
+    r.Fail(InvalidArgument("wire: plan carries " + std::to_string(n_specs) + " spec(s) but " +
+                           std::to_string(n_labels) + " label(s)"));
+    n_labels = 0;
   }
-  const size_t n_groups = r.Count(4);
+  plan.labels = DecodeStrings(r, n_labels);
+  if (r.Bool()) {
+    plan.check_plan = DecodeCheckPlan(r, n_specs);
+  }
+  const size_t max_units = std::max(san::AllSanitizers().size(), san::UBSanSubSanitizers().size());
+  const size_t n_groups = CountAtMost(r, 4, n_specs, "sanitizer group(s)");
   plan.sanitizer_groups.reserve(n_groups);
   for (size_t i = 0; i < n_groups; ++i) {
-    plan.sanitizer_groups.push_back(DecodeStringList(r));
+    plan.sanitizer_groups.push_back(
+        DecodeStrings(r, CountAtMost(r, 4, max_units, "name(s) in one sanitizer group")));
   }
   const size_t n_detect = r.Count(12);
   plan.detect_injections.reserve(n_detect);
@@ -580,10 +611,6 @@ StatusOr<api::VariantPlan> DecodeVariantPlan(std::string_view bytes) {
   if (!r.AtEnd()) {
     return InvalidArgument("wire: " + std::to_string(r.remaining()) +
                            " trailing byte(s) after VariantPlan");
-  }
-  if (plan.labels.size() != plan.specs.size()) {
-    return InvalidArgument("wire: plan carries " + std::to_string(plan.specs.size()) +
-                           " spec(s) but " + std::to_string(plan.labels.size()) + " label(s)");
   }
   return plan;
 }

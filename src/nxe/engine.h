@@ -144,8 +144,8 @@ struct SyncReport {
 // capacity-warm vectors) instead of reconstructed, and values are identical
 // to a fresh run bit for bit (the buffers only donate capacity, never
 // content). A workspace serves one run at a time — concurrent Run() calls
-// must use distinct workspaces (the session layer keeps one per in-flight
-// run, in its per-run scratch).
+// must use distinct workspaces (the session layer checks one out of a
+// process-wide freelist per in-flight run).
 class EngineWorkspace {
  public:
   EngineWorkspace();

@@ -27,6 +27,11 @@ namespace workload {
 // Fraction of a sanitizer's slowdown that cannot be split across variants.
 double ResidualFraction(san::SanitizerId id);
 
+// The most functions a profiled program may have: the coverage proof keeps
+// one owner slot per profiled function, and a plan's protected-function
+// subsets name at most this many. The largest catalog program has 2,600.
+constexpr size_t kMaxProfiledFunctions = 1 << 16;
+
 // The profiled function names of `bench`, the one home of their rule: the
 // synthesizer profiles ProfiledFunctionCount(bench) functions, max(1,
 // n_functions), and names function i "<bench.name>::fn<i>", i in decimal.

@@ -234,16 +234,16 @@ TEST(NvxSessionTest, SanitizerDistributionDropsUnsupportedMsan) {
     }
   }
   ASSERT_NE(no_msan, nullptr);
-  auto session = NvxBuilder()
-                     .Benchmark(*no_msan)
-                     .Variants(3)
-                     .DistributeSanitizers({san::SanitizerId::kASan, san::SanitizerId::kUBSan,
-                                            san::SanitizerId::kMSan})
-                     .Build();
+  NvxBuilder builder;
+  builder.Benchmark(*no_msan).Variants(3).DistributeSanitizers(
+      {san::SanitizerId::kASan, san::SanitizerId::kUBSan, san::SanitizerId::kMSan});
+  auto session = builder.Build();
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   EXPECT_EQ(session->n_variants(), 2u);  // MSan dropped, two variants remain
-  ASSERT_NE(session->sanitizer_groups(), nullptr);
-  for (const auto& group : *session->sanitizer_groups()) {
+  auto plan = builder.PlanVariants();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->sanitizer_groups.size(), 2u);
+  for (const auto& group : plan->sanitizer_groups) {
     for (const auto& name : group) {
       EXPECT_NE(name, "msan");
     }

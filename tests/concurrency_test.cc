@@ -1,11 +1,13 @@
 // Stress and unit coverage for the session layer's concurrency substrate:
 // CompletionQueue FIFO-per-producer and exactly-once delivery under 16
 // producers x 4 consumers (the TSan acceptance workload), the producer-
-// registration assert, and the plan cache's counters
-// and weight bound under concurrent lookups. This suite runs under ThreadSanitizer and
-// AddressSanitizer in CI alongside the async/shard suites.
+// registration assert, the plan cache's counters and weight bound under
+// concurrent lookups, and the working memory every session's runs share.
+// This suite runs under ThreadSanitizer and AddressSanitizer in CI alongside
+// the async/shard suites.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -16,7 +18,9 @@
 #include <vector>
 
 #include "src/api/async.h"
+#include "src/api/nvx.h"
 #include "src/api/plan_cache.h"
+#include "tests/heap_counter.h"
 #include "tests/testutil.h"
 
 namespace bunshin {
@@ -284,6 +288,94 @@ TEST(SegmentedCacheTest, HeldWeightStaysWithinCapacityUnderMixedWeights) {
   EXPECT_EQ(stats.hits + stats.misses, kThreads * kLookups);
   EXPECT_LE(stats.weight, kCapacity);
   EXPECT_GT(stats.evictions, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Working memory shared by every session's runs.
+// ---------------------------------------------------------------------------
+
+// Many fresh_local-shaped sessions running at once on a few threads share
+// one freelist of working memory: once each has run, the heap holds their
+// replay state and bookkeeping plus at most one block of working memory
+// per thread, not one per session. Every run reports what a fresh session
+// running without a workspace reports, bit for bit.
+TEST(RunMemoryTest, ConcurrentSessionsShareOneFreelist) {
+  constexpr size_t kSessions = 32;
+  constexpr size_t kThreads = 4;
+  // The scratch object and its slot on its backend's freelist.
+  constexpr int64_t kBookkeepingBytes = 512;
+  const auto seed_of = [](size_t i) -> uint64_t { return 0xC0C0'0000 + i; };
+
+  std::vector<api::VariantPlan> plans;
+  std::vector<RunReport> fresh;
+  std::vector<api::NvxSession> warmups;
+  std::vector<api::NvxSession> sessions;
+  for (size_t i = 0; i < kSessions; ++i) {
+    api::NvxBuilder builder = testutil::FreshLocalShaped(i);
+    auto plan = builder.PlanVariants();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    plans.push_back(std::move(*plan));
+    auto warmup = builder.Build();
+    auto session = builder.Build();
+    auto unpooled = builder.PooledEngines(false).Build();
+    ASSERT_TRUE(warmup.ok() && session.ok() && unpooled.ok());
+    warmups.push_back(std::move(*warmup));
+    sessions.push_back(std::move(*session));
+    api::RunRequest request;
+    request.workload_seed = seed_of(i);
+    auto report = unpooled->Run(request);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    fresh.push_back(std::move(*report));
+  }
+
+  // Runs every session of `group` once at its seed, kThreads at a time.
+  const auto run_all = [&](const std::vector<api::NvxSession>& group) {
+    std::atomic<size_t> next{0};
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        for (size_t i = next++; i < kSessions; i = next++) {
+          api::RunRequest request;
+          request.workload_seed = seed_of(i);
+          auto report = group[i].Run(request);
+          ASSERT_TRUE(report.ok()) << report.status().ToString();
+          EXPECT_EQ(report->outcome, fresh[i].outcome) << "session " << i;
+          EXPECT_EQ(report->total_time, fresh[i].total_time) << "session " << i;
+          EXPECT_EQ(report->baseline_time, fresh[i].baseline_time) << "session " << i;
+          EXPECT_TRUE(report->variant_finish_time == fresh[i].variant_finish_time)
+              << "session " << i;
+          EXPECT_EQ(report->synced_syscalls, fresh[i].synced_syscalls) << "session " << i;
+          api::RecycleReport(std::move(*report));
+        }
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+  };
+  // The throwaway twins fill the process-wide state first: noise tapes and
+  // the report and working-memory freelists, kThreads deep.
+  run_all(warmups);
+
+  const int64_t before = testutil::HeapHeld();
+  run_all(sessions);
+  const int64_t held = testutil::HeapHeld() - before;
+
+  int64_t replay = 0;
+  int64_t largest_working = 0;
+  for (size_t i = 0; i < kSessions; ++i) {
+    const int64_t state = testutil::ReplayStateBytes(plans[i], seed_of(i));
+    const int64_t working = testutil::WorkingMemoryBytes(plans[i], seed_of(i));
+    ASSERT_GT(state, 0);
+    ASSERT_GT(working, 0);
+    replay += state;
+    largest_working = std::max(largest_working, working);
+  }
+  EXPECT_LE(held, replay + static_cast<int64_t>(kSessions) * kBookkeepingBytes +
+                      static_cast<int64_t>(kThreads) * largest_working)
+      << "per session: " << held / static_cast<int64_t>(kSessions) << " bytes held, "
+      << replay / static_cast<int64_t>(kSessions) << " of them replay state; the largest "
+      << "run's working memory is " << largest_working << " bytes";
 }
 
 }  // namespace

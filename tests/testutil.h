@@ -10,8 +10,10 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/api/async.h"
+#include "src/api/nvx.h"
 #include "src/ir/builder.h"
 #include "src/ir/ir.h"
 #include "src/net/wire.h"
@@ -98,6 +100,41 @@ inline size_t PeakRssKb() {
     }
   }
   return 0;
+}
+
+// The i-th of a set of sessions shaped like the benchmark's default traffic
+// (perfbench's fresh_local): a program of the SPEC2006, SPLASH-2x or
+// runnable PARSEC catalog, one of the four strategies, 2, 4 or 8 variants,
+// either lockstep mode.
+inline api::NvxBuilder FreshLocalShaped(size_t i) {
+  static const std::vector<workload::BenchmarkSpec> programs = [] {
+    std::vector<workload::BenchmarkSpec> all = workload::Spec2006();
+    const std::vector<workload::BenchmarkSpec>& splash = workload::Splash2x();
+    all.insert(all.end(), splash.begin(), splash.end());
+    const std::vector<workload::BenchmarkSpec> parsec = workload::ParsecSupported();
+    all.insert(all.end(), parsec.begin(), parsec.end());
+    return all;
+  }();
+  api::NvxBuilder builder;
+  builder.Benchmark(programs[(i * 7) % programs.size()])
+      .Variants(size_t{2} << (i % 3))
+      .Lockstep(i % 2 == 0 ? nxe::LockstepMode::kStrict : nxe::LockstepMode::kSelective)
+      .Seed(4242 + i);
+  switch (i % 4) {
+    case 1:
+      builder.DistributeChecks(san::SanitizerId::kASan);
+      break;
+    case 2:
+      builder.DistributeSanitizers(
+          {san::SanitizerId::kASan, san::SanitizerId::kMSan, san::SanitizerId::kUBSan});
+      break;
+    case 3:
+      builder.DistributeUbsanSubSanitizers();
+      break;
+    default:
+      break;
+  }
+  return builder;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 // Tests for the warm-run path (docs/warm_path.md): sessions whose trace
-// backends keep engine arenas in their per-run scratch must produce
+// runs check engine arenas out of the shared working memory must produce
 // bit-identical RunReports to sessions run without a workspace, across every
 // outcome class and the shard seam, and reused scratch must be safe under
 // many concurrent sessions (this suite runs under ThreadSanitizer in CI
-// alongside the async suites).
+// alongside the async suites). An idle session holds only its replay state,
+// and a session moving from seed to seed rebuilds it in place.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,6 +16,8 @@
 #include "src/nxe/engine.h"
 #include "src/support/thread_pool.h"
 #include "src/workload/workload.h"
+#include "tests/heap_counter.h"
+#include "tests/testutil.h"
 
 namespace bunshin {
 namespace {
@@ -169,6 +172,99 @@ TEST(WarmPathConcurrencyTest, SixteenAsyncSessionsOnOneQueue) {
     api::CompletionEvent event = done.Wait();
     ASSERT_TRUE(event.report.ok()) << event.report.status().ToString();
     ExpectReportsBitIdentical(*event.report, *reference);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// What a session keeps between runs.
+// ---------------------------------------------------------------------------
+
+uint64_t FreshSeed(size_t i) { return 0xF2E5'0000 + i; }
+
+// Runs `session` once at `seed` and recycles the report.
+void RunAt(const api::NvxSession& session, uint64_t seed) {
+  api::RunRequest request;
+  request.workload_seed = seed;
+  auto report = session.Run(request);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  api::RecycleReport(std::move(*report));
+}
+
+// fresh_local-shaped sessions, after one fresh-seed run each, hold their
+// templates and member traces plus a little bookkeeping: the engine arenas
+// and the baseline trace are working memory, checked out of one
+// process-wide freelist for the length of a run.
+TEST(SessionMemoryTest, IdleSessionsHoldOnlyTheirReplayState) {
+  constexpr size_t kSessions = 24;
+  // The scratch object and its slot on its backend's freelist.
+  constexpr int64_t kBookkeepingBytes = 512;
+
+  // A throwaway session of each shape runs first, at the seed its measured
+  // twin runs below, so process-wide state is in place: the noise tapes and
+  // the report and working-memory freelists.
+  std::vector<api::VariantPlan> plans;
+  for (size_t i = 0; i < kSessions; ++i) {
+    const NvxBuilder builder = testutil::FreshLocalShaped(i);
+    auto plan = builder.PlanVariants();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    plans.push_back(std::move(*plan));
+    auto session = builder.Build();
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    RunAt(*session, FreshSeed(i));
+  }
+  std::vector<api::NvxSession> sessions;
+  sessions.reserve(kSessions);
+  for (size_t i = 0; i < kSessions; ++i) {
+    auto session = testutil::FreshLocalShaped(i).Build();
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    sessions.push_back(std::move(*session));
+  }
+
+  const int64_t before = testutil::HeapHeld();
+  for (size_t i = 0; i < kSessions; ++i) {
+    RunAt(sessions[i], FreshSeed(i));
+  }
+  const int64_t held = testutil::HeapHeld() - before;
+  int64_t replay = 0;
+  for (size_t i = 0; i < kSessions; ++i) {
+    const int64_t bytes = testutil::ReplayStateBytes(plans[i], FreshSeed(i));
+    ASSERT_GT(bytes, 0);
+    replay += bytes;
+  }
+  EXPECT_LE(held, replay + static_cast<int64_t>(kSessions) * kBookkeepingBytes)
+      << "per session: " << held / static_cast<int64_t>(kSessions) << " bytes held, "
+      << replay / static_cast<int64_t>(kSessions) << " of them replay state";
+}
+
+// A session alternating two fresh seeds rebuilds its template into the same
+// record tables and re-derives into buffers that already fit: once both
+// seeds have run, a run allocates only what rebuilding its template in place
+// does (its event list). A borrow of the tables that outlived its run (the
+// baseline trace lives in the shared working memory) would make each
+// rebuild swap in a new table per template thread.
+TEST(SessionMemoryTest, FreshSeedsRefillTheTemplateInPlace) {
+  for (size_t shape = 0; shape < 4; ++shape) {
+    SCOPED_TRACE("fresh_local shape " + std::to_string(shape));
+    const NvxBuilder builder = testutil::FreshLocalShaped(shape);
+    auto plan = builder.PlanVariants();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    workload::TraceTemplate tmpl;
+    api::BuildPlanTemplate(*plan, FreshSeed(0), &tmpl);
+    api::BuildPlanTemplate(*plan, FreshSeed(1), &tmpl);
+    uint64_t before = testutil::HeapAllocations();
+    api::BuildPlanTemplate(*plan, FreshSeed(0), &tmpl);
+    const uint64_t rebuild = testutil::HeapAllocations() - before;
+
+    auto session = builder.Build();
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    RunAt(*session, FreshSeed(0));
+    RunAt(*session, FreshSeed(1));
+    before = testutil::HeapAllocations();
+    for (int round = 0; round < 3; ++round) {
+      RunAt(*session, FreshSeed(0));
+      RunAt(*session, FreshSeed(1));
+    }
+    EXPECT_EQ(testutil::HeapAllocations() - before, 6 * rebuild);
   }
 }
 

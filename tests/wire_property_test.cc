@@ -7,14 +7,17 @@
 // flips anywhere in a valid buffer must never crash or over-read (they may
 // decode to a different valid value; lengths, counts, and enums are the
 // fields that must reject). Frames go through the production reader over an
-// in-process connection. A plan whose counts overstate its bytes must fail
-// without the decoder building what the counts claim. Runs under
+// in-process connection. A plan whose counts overstate its bytes, or that
+// the fields decoded before them rule out, must fail without the decoder
+// building what the counts claim. Runs under
 // AddressSanitizer in CI, where an over-read is a hard failure rather than a
 // silent one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
+#include <ostream>
 #include <random>
 #include <string>
 #include <vector>
@@ -22,6 +25,7 @@
 #include "src/api/plan.h"
 #include "src/net/wire.h"
 #include "src/sanitizer/sanitizer.h"
+#include "tests/heap_counter.h"
 #include "tests/testutil.h"
 
 namespace bunshin {
@@ -147,7 +151,8 @@ api::VariantPlan RandomPlan(std::mt19937_64& rng) {
   if (rng() % 3 == 0) {
     distribution::CheckDistributionPlan check;
     check.n_variants = rng() % 8;
-    const size_t n_funcs = rng() % 4;
+    // At most one subset and one bin per spec, as decode demands.
+    const size_t n_funcs = std::min<size_t>(rng() % 4, n_specs);
     for (size_t i = 0; i < n_funcs; ++i) {
       std::vector<std::string> funcs;
       for (size_t f = 0; f < rng() % 4; ++f) {
@@ -156,7 +161,7 @@ api::VariantPlan RandomPlan(std::mt19937_64& rng) {
       check.protected_functions.push_back(std::move(funcs));
       check.predicted_overhead.push_back(RandomDouble(rng));
     }
-    const size_t n_bins = rng() % 4;
+    const size_t n_bins = std::min<size_t>(rng() % 4, n_specs);
     for (size_t i = 0; i < n_bins; ++i) {
       std::vector<size_t> bin;
       for (size_t b = 0; b < rng() % 5; ++b) {
@@ -170,7 +175,7 @@ api::VariantPlan RandomPlan(std::mt19937_64& rng) {
     check.partition.balance_ratio = RandomDouble(rng);
     plan.check_plan = std::move(check);
   }
-  const size_t n_groups = rng() % 3;
+  const size_t n_groups = std::min<size_t>(rng() % 3, n_specs);  // at most one per spec
   for (size_t i = 0; i < n_groups; ++i) {
     std::vector<std::string> group;
     for (size_t g = 0; g < rng() % 3; ++g) {
@@ -341,6 +346,86 @@ TEST(WirePropertyTest, OverstatedSpecCountCostsOnlyTheBytesSent) {
             std::string::npos)
       << "rejected for another reason: " << decoded.status().ToString();
 }
+
+// Lists whose count the fields before them bound. `shorter` and `longer`
+// encode alike up to that count, where `longer` lists more; the hostile plan
+// keeps what comes before the count, claims one element per 4 of the 8 MB
+// of zero bytes that follow (an empty string or list each), and sends those
+// bytes. The decoder must reject the count as soon as it reads it: building
+// what it claims would hold 48 MB (a 24-byte vector per element) or 64 MB
+// (a 32-byte string per element).
+struct BoundedList {
+  const char* name;  // the test's name
+  const char* what;  // the list, as the decoder's error names it
+  api::VariantPlan shorter;
+  api::VariantPlan longer;
+};
+
+std::vector<BoundedList> BoundedLists() {
+  // One spec, labeled, with an empty check plan.
+  api::VariantPlan one_spec;
+  one_spec.specs.emplace_back();
+  one_spec.labels.emplace_back();
+  one_spec.check_plan.emplace();
+  api::VariantPlan one_group = one_spec;
+  one_group.sanitizer_groups.emplace_back();
+  api::VariantPlan one_subset = one_spec;
+  one_subset.check_plan->protected_functions.emplace_back();
+
+  std::vector<BoundedList> lists;
+  auto add = [&](const char* name, const char* what, const api::VariantPlan& shorter,
+                 auto lengthen) {
+    api::VariantPlan longer = shorter;
+    lengthen(longer);
+    lists.push_back({name, what, shorter, std::move(longer)});
+  };
+  add("Labels", "label(s)", one_spec, [](api::VariantPlan& p) { p.labels.emplace_back(); });
+  add("CheckPlanSubsets", "protected-function subset(s)", one_spec,
+      [](api::VariantPlan& p) { p.check_plan->protected_functions.resize(2); });
+  add("PartitionBins", "partition bin(s)", one_spec,
+      [](api::VariantPlan& p) { p.check_plan->partition.bins.resize(2); });
+  add("SanitizerGroups", "sanitizer group(s)", one_spec,
+      [](api::VariantPlan& p) { p.sanitizer_groups.resize(2); });
+  add("NamesInOneGroup", "name(s) in one sanitizer group", one_group,
+      [](api::VariantPlan& p) { p.sanitizer_groups[0].emplace_back("asan"); });
+  add("ProtectedFunctionNames", "protected function name(s)", one_subset,
+      [](api::VariantPlan& p) { p.check_plan->protected_functions[0].emplace_back("fn0"); });
+  return lists;
+}
+
+void PrintTo(const BoundedList& list, std::ostream* os) { *os << list.name; }
+
+class OverstatedListCountTest : public ::testing::TestWithParam<BoundedList> {};
+
+TEST_P(OverstatedListCountTest, CostsOnlyTheBytesSent) {
+  const BoundedList& list = GetParam();
+  constexpr uint32_t kTrailing = 8u << 20;
+  constexpr uint32_t kCount = kTrailing / 4;
+  const std::string shorter = net::EncodeVariantPlan(list.shorter);
+  const std::string longer = net::EncodeVariantPlan(list.longer);
+  ASSERT_TRUE(net::DecodeVariantPlan(shorter).ok());
+  const size_t at =
+      std::mismatch(shorter.begin(), shorter.end(), longer.begin()).first - shorter.begin();
+  ASSERT_LT(at, shorter.size());
+  net::WireWriter w;
+  w.U32(kCount);
+  const std::string hostile = shorter.substr(0, at) + w.Take() + std::string(kTrailing, '\0');
+
+  StatusOr<api::VariantPlan> decoded = InvalidArgument("not decoded");
+  const int64_t growth =
+      testutil::PeakHeapGrowth([&] { decoded = net::DecodeVariantPlan(hostile); });
+  EXPECT_LT(growth, int64_t{1} << 20) << "the decode held " << growth << " bytes at its peak";
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().message().find(std::to_string(kCount) + " " + list.what),
+            std::string::npos)
+      << "rejected for another reason: " << decoded.status().ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(WirePropertyTest, OverstatedListCountTest,
+                         ::testing::ValuesIn(BoundedLists()),
+                         [](const ::testing::TestParamInfo<BoundedList>& info) {
+                           return std::string(info.param.name);
+                         });
 
 TEST(WirePropertyTest, PartialReportRoundTripAndTruncation) {
   std::mt19937_64 rng(0xDECADE);
