@@ -44,8 +44,9 @@ std::string Loc(size_t variant, size_t thread) {
 constexpr size_t kNone = static_cast<size_t>(-1);
 
 // The skeleton side of a thread walk (WalkThread, below) takes each syscall
-// the walk meets and each barrier and lock acquisition. Three kinds exist:
-// the leader's builder, a follower's matcher, and a no-op for followers that
+// the engine compares, which the walk tells by the action's sync class as the
+// engine does, and each barrier and lock acquisition. Three kinds exist: the
+// leader's builder, a follower's matcher, and a no-op for followers that
 // cannot be compared.
 
 // Appends the leader's skeleton entries to one flat buffer.
@@ -53,9 +54,7 @@ class LeaderSkeleton {
  public:
   explicit LeaderSkeleton(std::vector<SkeletonEntry>* out) : out_(out) {}
   void Syscall(const sc::SyscallRecord& record) {
-    if (sc::IsSyncRelevant(record.no)) {
-      out_->push_back({nxe::ActionKind::kSyscall, &record});
-    }
+    out_->push_back({nxe::ActionKind::kSyscall, &record});
   }
   void SyncPoint(nxe::ActionKind kind) { out_->push_back({kind, nullptr}); }
 
@@ -87,7 +86,7 @@ class SkeletonMatch {
     // would only count it too.)
     if (len_ < leader_len_ && leader_[len_].record == &record) {
       ++len_;
-    } else if (sc::IsSyncRelevant(record.no)) {
+    } else {
       Step(nxe::ActionKind::kSyscall, &record);
     }
   }
@@ -299,8 +298,8 @@ struct ThreadTally {
   const std::string* detector = nullptr;  // the first kDetect's, if any
 };
 
-// Walks `thread` once: syscalls, barriers and lock acquisitions go to
-// `skeleton`, acquisitions and releases to `graph`.
+// Walks `thread` once: the syscalls the engine compares, barriers and lock
+// acquisitions go to `skeleton`, acquisitions and releases to `graph`.
 template <typename Skeleton>
 ThreadTally WalkThread(const nxe::ThreadTrace& thread, Skeleton* skeleton,
                        LockOrderGraph* graph) {
@@ -317,7 +316,9 @@ ThreadTally WalkThread(const nxe::ThreadTrace& thread, Skeleton* skeleton,
       continue;
     }
     if (kind == nxe::ActionKind::kSyscall) {
-      skeleton->Syscall(thread.RecordOf(action));
+      if (action.sync != sc::SyncClass::kIgnored) {
+        skeleton->Syscall(thread.RecordOf(action));
+      }
     } else if (kind == nxe::ActionKind::kLockAcquire || kind == nxe::ActionKind::kLockRelease) {
       if (kind == nxe::ActionKind::kLockAcquire) {
         graph->Acquire(thread.SyncIdOf(action));

@@ -1,5 +1,6 @@
 #include "src/api/plan.h"
 
+#include <algorithm>
 #include <charconv>
 #include <optional>
 #include <string_view>
@@ -200,22 +201,26 @@ Status DerivePlanTraces(const VariantPlan& plan, const std::vector<size_t>& memb
     // The compromised variant tries to push a different payload through a
     // mid-run observable syscall; the monitor must flag the mismatch.
     nxe::ThreadTrace& thread = traces[*local].threads.front();
-    std::vector<size_t> sites;
-    for (size_t i = 0; i < thread.actions.size(); ++i) {
-      if (thread.actions[i].kind == nxe::ActionKind::kSyscall &&
-          sc::IsSyncRelevant(thread.RecordOf(thread.actions[i]).no)) {
-        sites.push_back(i);
-      }
-    }
-    if (sites.empty()) {
+    auto is_site = [](const nxe::ThreadAction& a) {
+      return a.kind == nxe::ActionKind::kSyscall && a.sync != sc::SyncClass::kIgnored;
+    };
+    const auto sites =
+        static_cast<size_t>(std::count_if(thread.actions.begin(), thread.actions.end(), is_site));
+    if (sites == 0) {
       traces.clear();
       return FailedPrecondition("InjectDivergence(): variant " +
                                 std::to_string(injection.variant) +
                                 " has no sync-relevant syscall to diverge at");
     }
-    // The record may be the template's, shared by every variant: the
-    // overlay is a modified copy that only this variant's action names.
-    const size_t site = sites[sites.size() / 2];
+    // The middle site. Its record may be the template's, shared by every
+    // variant: the overlay is a modified copy that only this variant's
+    // action names.
+    size_t site = 0;
+    for (size_t seen = 0;; ++site) {
+      if (is_site(thread.actions[site]) && seen++ == sites / 2) {
+        break;
+      }
+    }
     sc::SyscallRecord rec = thread.RecordOf(thread.actions[site]);
     rec.payload_digest = sc::DigestString(injection.payload);
     rec.args[1] = static_cast<int64_t>(injection.payload.size());

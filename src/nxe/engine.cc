@@ -312,37 +312,28 @@ struct VariantState {
 };
 
 // Out-param form so a warm workspace's summary resets in place (assign on a
-// capacity-warm vector) instead of reallocating per run.
+// capacity-warm vector) instead of reallocating per run. The counts are
+// branch-free: action kinds come shuffled, so a switch over them
+// mispredicts often.
 void SummarizeLeader(const VariantTrace& leader, LeaderSummary* s) {
   const size_t n_threads = leader.threads.size();
   s->pub_base.assign(n_threads + 1, 0);
-  s->total_syncs = 0;
-  s->locks = 0;
-  s->has_barrier_or_detect = false;
+  size_t locks = 0;
+  bool barrier_or_detect = false;
   for (size_t t = 0; t < n_threads; ++t) {
     size_t syncs = 0;
-    const ThreadTrace& thread = leader.threads[t];
-    for (const auto& action : thread.actions) {
-      switch (action.kind) {
-        case ActionKind::kSyscall:
-          if (sc::IsSyncRelevant(thread.RecordOf(action).no)) {
-            ++syncs;
-          }
-          break;
-        case ActionKind::kLockAcquire:
-          ++s->locks;
-          break;
-        case ActionKind::kBarrier:
-        case ActionKind::kDetect:
-          s->has_barrier_or_detect = true;
-          break;
-        default:
-          break;
-      }
+    for (const ThreadAction& action : leader.threads[t].actions) {
+      const ActionKind kind = action.kind;
+      syncs += static_cast<size_t>((kind == ActionKind::kSyscall) &
+                                   (action.sync != sc::SyncClass::kIgnored));
+      locks += static_cast<size_t>(kind == ActionKind::kLockAcquire);
+      barrier_or_detect |= (kind == ActionKind::kBarrier) | (kind == ActionKind::kDetect);
     }
     s->pub_base[t + 1] = s->pub_base[t] + syncs;
   }
   s->total_syncs = s->pub_base[n_threads];
+  s->locks = locks;
+  s->has_barrier_or_detect = barrier_or_detect;
 }
 
 // ---------------------------------------------------------------------------
@@ -482,49 +473,55 @@ class EventScheduler {
   }
 
   // Advances local (non-blocking) actions of one thread until it parks.
-  // Identical to the reference's advance_local, on flattened state.
+  // Identical to the reference's advance_local, on flattened state; the
+  // clock and the cursor stay in registers until the thread parks.
   void AdvanceLocal(size_t v, size_t t, size_t vt) {
     EvThread& ts = th_[vt];
-    const ThreadTrace& thread = variants_[v].threads[t];
-    const auto& actions = thread.actions;
+    const std::vector<ThreadAction>& actions = variants_[v].threads[t].actions;
     const double vscale = variants_[v].compute_scale;
-    while (ts.cursor < actions.size()) {
-      const ThreadAction& a = actions[ts.cursor];
-      switch (a.kind) {
+    const ThreadAction* const begin = actions.data();
+    const ThreadAction* const end = begin + actions.size();
+    const ThreadAction* a = begin + ts.cursor;
+    double clock = ts.clock;
+    uint64_t ignored = 0;
+    Park park = Park::kDone;  // also when the actions run out
+    for (; a != end; ++a) {
+      switch (a->kind) {
         case ActionKind::kCompute:
-          ts.clock += a.cost * vscale * compute_factor_;
-          ++ts.cursor;
+          clock += a->cost * vscale * compute_factor_;
           continue;
         case ActionKind::kSyscall:
-          if (!sc::IsSyncRelevant(thread.RecordOf(a).no)) {
+          if (a->sync == sc::SyncClass::kIgnored) {
             // Sanitizer memory-management syscall: executed locally, never
             // compared (§3.3 class 2).
-            ts.clock += cm_.kernel_syscall + cm_.trap_hook;
-            ++report_.ignored_syscalls;
-            ++ts.cursor;
+            clock += cm_.kernel_syscall + cm_.trap_hook;
+            ++ignored;
             continue;
           }
-          ts.park = Park::kSyscall;
-          return;
+          park = Park::kSyscall;
+          break;
         case ActionKind::kLockAcquire:
-          ts.park = Park::kLock;
-          return;
+          park = Park::kLock;
+          break;
         case ActionKind::kLockRelease:
-          ts.clock += cm_.lock_primitive;
-          ++ts.cursor;
+          clock += cm_.lock_primitive;
           continue;
         case ActionKind::kBarrier:
-          ts.park = Park::kBarrier;
-          return;
+          park = Park::kBarrier;
+          break;
         case ActionKind::kDetect:
-          ts.park = Park::kDetect;
-          return;
+          park = Park::kDetect;
+          break;
         case ActionKind::kExit:
-          ts.park = Park::kDone;
-          return;
+          park = Park::kDone;
+          break;
       }
+      break;  // parked at *a
     }
-    ts.park = Park::kDone;
+    ts.clock = clock;
+    ts.cursor = static_cast<uint32_t>(a - begin);
+    ts.park = park;
+    report_.ignored_syscalls += ignored;
   }
 
   // A thread just parked: update the readiness indices its park affects.
@@ -535,8 +532,7 @@ class EventScheduler {
         ++sys_parked_[t];
         if (selective_) {
           if (v == 0) {
-            const sc::SyscallRecord& rec = Rec(0, t);
-            if (!sc::IsIoWriteRelated(rec.no)) {
+            if (Act(0, t).sync == sc::SyncClass::kRing) {
               // Ring back-pressure: publishing entry k reuses the slot of
               // entry k - capacity; readiness needs that slot fetched by
               // every follower.
@@ -599,7 +595,7 @@ class EventScheduler {
         return;  // a lagging follower still has ring slots to consume
       }
     }
-    if (selective_ && !sc::IsIoWriteRelated(Rec(0, t).no)) {
+    if (selective_ && Act(0, t).sync == sc::SyncClass::kRing) {
       return;  // handled by the ring-buffer publish path
     }
     AddReady(lockstep_ready_, in_lockstep_, t, static_cast<uint32_t>(t));
@@ -640,10 +636,11 @@ class EventScheduler {
   bool ExecuteLockstep(size_t t) {
     const size_t k = th_[t].stream_pos;
     const sc::SyscallRecord& leader_rec = Rec(0, t);
-    // Argument agreement check (sequence + arguments, §2.2).
+    // Argument agreement check (sequence + arguments, §2.2); a follower
+    // naming the leader's very record agrees without a look at it.
     for (size_t v = 1; v < V_; ++v) {
       const sc::SyscallRecord& rec = Rec(v, t);
-      if (!rec.SameRequest(leader_rec)) {
+      if (&rec != &leader_rec && !rec.SameRequest(leader_rec)) {
         report_.divergence =
             Divergence{v, t, k, sc::RecordToString(leader_rec), sc::RecordToString(rec)};
         return true;
@@ -736,7 +733,7 @@ class EventScheduler {
     // through the ring (non-IO). If the follower's record is IO-related
     // the comparison below reports the sequence divergence.
     const size_t slot = pub_base_[t] + k;
-    if (!rec.SameRequest(*pub_rec_[slot])) {
+    if (&rec != pub_rec_[slot] && !rec.SameRequest(*pub_rec_[slot])) {
       report_.divergence =
           Divergence{v, t, k, sc::RecordToString(*pub_rec_[slot]), sc::RecordToString(rec)};
       return true;
@@ -1206,7 +1203,7 @@ class EagerScheduler {
           ++w.cur;
           continue;
         case ActionKind::kSyscall:
-          if (!sc::IsSyncRelevant(w.thread->RecordOf(a).no)) {
+          if (a.sync == sc::SyncClass::kIgnored) {
             w.clock += cm_.kernel_syscall + cm_.trap_hook;
             ++report_.ignored_syscalls;
             ++w.cur;
@@ -1319,7 +1316,7 @@ std::optional<SyncReport> EagerScheduler::Execute() {
       // soon as all variants arrive.
       while (L.parked) {
         const sc::SyscallRecord& rec = L.thread->RecordOf(*L.cur);
-        if (!selective_ || sc::IsIoWriteRelated(rec.no)) {
+        if (!selective_ || L.cur->sync == sc::SyncClass::kLockstep) {
           // Lockstep: every variant must be parked at this position.
           bool all_at = true;
           for (size_t v = 1; v < V_; ++v) {
@@ -1332,7 +1329,8 @@ std::optional<SyncReport> EagerScheduler::Execute() {
             break;  // followers still have slots to drain
           }
           for (size_t v = 1; v < V_; ++v) {
-            if (!walks[v].thread->RecordOf(*walks[v].cur).SameRequest(rec)) {
+            const sc::SyscallRecord& frec = walks[v].thread->RecordOf(*walks[v].cur);
+            if (&frec != &rec && !frec.SameRequest(rec)) {
               return std::nullopt;  // divergence: report needs round clocks
             }
           }
@@ -1415,7 +1413,8 @@ std::optional<SyncReport> EagerScheduler::Execute() {
           const size_t f = v - 1;
           while (w.parked && w.pos < pub_count) {
             const sc::SyscallRecord& rec = w.thread->RecordOf(*w.cur);
-            if (!rec.SameRequest(*pub_rec[base + w.pos])) {
+            const sc::SyscallRecord* published = pub_rec[base + w.pos];
+            if (&rec != published && !rec.SameRequest(*published)) {
               return std::nullopt;  // divergence (or IO record meeting a ring slot)
             }
             const double avail = pub_avail[base + w.pos];

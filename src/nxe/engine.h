@@ -190,6 +190,12 @@ class Engine {
   // enforced by the randomized equivalence suite in
   // tests/engine_property_test.cc.
   //
+  // Both of Run()'s schedulers take a syscall by its action's sync class
+  // (ThreadAction::sync) and read a record only to compare it with a
+  // distinct one: two actions naming one record agree without a look at it.
+  // RunReference() classifies each syscall from its record's number, so the
+  // equivalence suite also checks the class of every syscall it generates.
+  //
   // With a workspace, scheduler arenas are borrowed from it instead of
   // allocated per run (the warm path); results are bit-identical either way,
   // enforced by the same suite.

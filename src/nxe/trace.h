@@ -6,8 +6,8 @@
 // operations.
 //
 // Layout. A ThreadAction is a trivially copyable 16-byte record: its cost,
-// one 32-bit argument and its kind. The argument's meaning depends on the
-// kind:
+// one 32-bit argument, its kind and, for a syscall, its sync class. The
+// argument's meaning depends on the kind:
 //   kCompute                            unused (0); `cost` is the cycles
 //   kLockAcquire, kLockRelease, kBarrier the sync id
 //   kSyscall                            index into the thread's records
@@ -23,8 +23,18 @@
 // only grows: splicing an action in mid-stream appends
 // its record and inserts one 16-byte action, and changing a record appends a
 // modified copy and repoints its action, so no index already handed out moves
-// and no shared record is ever written. The engine walks the dense action
-// arrays and reads a record only at the syscalls it filters or synchronizes.
+// and no shared record is ever written.
+//
+// A syscall action carries its record's sc::SyncClass, set from the record's
+// number wherever the action is made (ThreadAction::Syscall): whether the
+// engine ignores the syscall, passes it through the ring in selective mode or
+// holds it in lockstep. The schedulers decide by that byte and never resolve a
+// record to classify it. They read a record only to compare two distinct ones:
+// traces derived from one template name the same borrowed record, and a changed
+// record is always a new one, so two actions that name one record agree without
+// a look at it. An action made without its class carries the zero value,
+// lockstep, and so fails closed: a spurious divergence, never a skipped
+// comparison.
 //
 // The workload generators (src/workload) build one template per (benchmark,
 // workload seed) and derive every variant's trace from it: a jitter pass over
@@ -60,9 +70,14 @@ struct ThreadAction {
   double cost = 0.0;  // kCompute: cycles at scale 1; 0 for every other kind
   uint32_t arg = 0;   // sync id or table index, by kind (see the layout above)
   ActionKind kind = ActionKind::kCompute;
+  sc::SyncClass sync = sc::SyncClass::kLockstep;  // kSyscall: its record's class
 
   static constexpr ThreadAction Compute(double cycles) {
     return {cycles, 0, ActionKind::kCompute};
+  }
+  // The syscall action naming record `index`, whose number is `no`.
+  static constexpr ThreadAction Syscall(uint32_t index, sc::Sysno no) {
+    return {0.0, index, ActionKind::kSyscall, sc::SyncClassOf(no)};
   }
   static constexpr ThreadAction Lock(uint32_t id) { return {0.0, id, ActionKind::kLockAcquire}; }
   static constexpr ThreadAction Unlock(uint32_t id) {
@@ -101,7 +116,7 @@ struct ThreadTrace {
   // Points the syscall action at `pos` to `record`, added as a new record:
   // the one it named may be shared with other traces.
   void ReplaceRecord(size_t pos, const sc::SyscallRecord& record) {
-    actions[pos].arg = AddRecord(record);
+    actions[pos] = ThreadAction::Syscall(AddRecord(record), record.no);
   }
 
   // Inserts before actions[pos] (pos == actions.size() appends). The
@@ -110,7 +125,7 @@ struct ThreadTrace {
     actions.insert(actions.begin() + static_cast<std::ptrdiff_t>(pos), action);
   }
   void InsertSyscall(size_t pos, const sc::SyscallRecord& record) {
-    Insert(pos, {0.0, AddRecord(record), ActionKind::kSyscall});
+    Insert(pos, ThreadAction::Syscall(AddRecord(record), record.no));
   }
   void InsertDetect(size_t pos, std::string detector) {
     detectors.push_back(std::move(detector));

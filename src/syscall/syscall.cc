@@ -124,40 +124,6 @@ uint64_t DigestBytes(const void* data, size_t size) {
 
 uint64_t DigestString(const std::string& s) { return DigestBytes(s.data(), s.size()); }
 
-bool IsIoWriteRelated(Sysno no) {
-  switch (no) {
-    case Sysno::kWrite:
-    case Sysno::kPwrite:
-    case Sysno::kSend:
-    case Sysno::kSendfile:
-    case Sysno::kConnect:
-    case Sysno::kExecve:
-    case Sysno::kKill:
-    case Sysno::kUnlink:
-    case Sysno::kShutdown:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool IsMemoryManagement(Sysno no) {
-  switch (no) {
-    case Sysno::kMmap:
-    case Sysno::kMunmap:
-    case Sysno::kMprotect:
-    case Sysno::kMadvise:
-    case Sysno::kBrk:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool IsSyncRelevant(Sysno no) {
-  return !IsMemoryManagement(no) && no != Sysno::kSynccall && no != Sysno::kCount;
-}
-
 SyscallRecord ParseIntroducedSyscall(const std::string& entry) {
   SyscallRecord record;
   std::string name = entry;

@@ -8,7 +8,9 @@
 //   * sync-relevant vs ignorable (sanitizer memory-management syscalls are
 //     excluded from comparison, §3.3),
 //   * IO-write related (the syscalls that stay in lockstep even in
-//     selective-lockstep mode, §3.3).
+//     selective-lockstep mode, §3.3),
+// and the one-byte sync class that combines them, which every syscall action
+// of a trace carries (src/nxe/trace.h).
 #ifndef BUNSHIN_SRC_SYSCALL_SYSCALL_H_
 #define BUNSHIN_SRC_SYSCALL_SYSCALL_H_
 
@@ -103,16 +105,61 @@ uint64_t DigestString(const std::string& s);
 // Syscalls whose effects leave the process (writes, sends, exec, kill...).
 // These are the "selected" syscalls of selective-lockstep: an attack must
 // pass one of them to do external damage or leak data.
-bool IsIoWriteRelated(Sysno no);
+constexpr bool IsIoWriteRelated(Sysno no) {
+  switch (no) {
+    case Sysno::kWrite:
+    case Sysno::kPwrite:
+    case Sysno::kSend:
+    case Sysno::kSendfile:
+    case Sysno::kConnect:
+    case Sysno::kExecve:
+    case Sysno::kKill:
+    case Sysno::kUnlink:
+    case Sysno::kShutdown:
+      return true;
+    default:
+      return false;
+  }
+}
 
 // Memory-management syscalls a sanitizer runtime issues for its own metadata
 // (mmap/munmap/mprotect/madvise/brk). The engine ignores them in divergence
 // comparison (§3.3, class 2 of sanitizer-introduced syscalls).
-bool IsMemoryManagement(Sysno no);
+constexpr bool IsMemoryManagement(Sysno no) {
+  switch (no) {
+    case Sysno::kMmap:
+    case Sysno::kMunmap:
+    case Sysno::kMprotect:
+    case Sysno::kMadvise:
+    case Sysno::kBrk:
+      return true;
+    default:
+      return false;
+  }
+}
 
 // Participates in sequence comparison at all (everything except memory
 // management and the synccall hook).
-bool IsSyncRelevant(Sysno no);
+constexpr bool IsSyncRelevant(Sysno no) {
+  return !IsMemoryManagement(no) && no != Sysno::kSynccall && no != Sysno::kCount;
+}
+
+// How the NXE synchronizes a trapped syscall, which its number alone decides
+// (§3.3). Lockstep is the zero value, so a syscall whose class was never set
+// is compared in lockstep in both modes: at worst a spurious divergence,
+// never a skipped comparison.
+enum class SyncClass : uint8_t {
+  kLockstep,  // IO-write related: lockstep in both modes
+  kRing,      // lockstep in strict mode, through the ring in selective mode
+  kIgnored,   // never compared: sanitizer memory management, the synccall hook
+};
+
+constexpr SyncClass SyncClassOf(Sysno no) {
+  if (!IsSyncRelevant(no)) {
+    return SyncClass::kIgnored;
+  }
+  return IsIoWriteRelated(no) ? SyncClass::kLockstep : SyncClass::kRing;
+}
 
 // Parses a sanitizer catalog entry like "mmap:shadow" or
 // "read:/proc/self/maps" into a record (tag hashed into the digest).

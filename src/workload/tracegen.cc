@@ -350,7 +350,7 @@ nxe::RecordTable* ResetTemplateThread(nxe::ThreadTrace* thread) {
 // `table` that `thread` borrows.
 void AppendTemplateSyscall(const sc::SyscallRecord& record, nxe::RecordTable* table,
                            nxe::ThreadTrace* thread) {
-  thread->Append({0.0, static_cast<uint32_t>(table->size()), nxe::ActionKind::kSyscall});
+  thread->Append(nxe::ThreadAction::Syscall(static_cast<uint32_t>(table->size()), record.no));
   table->push_back(record);
 }
 
@@ -369,13 +369,9 @@ void BuildTemplate(const BenchmarkSpec& bench, uint64_t workload_seed, TraceTemp
       static_cast<size_t>(bench.locks_per_kilo * compute_per_thread / 1000.0);
   const size_t barriers = bench.barriers;
 
-  // Ordered sync events of one thread: a syscall (id indexes the thread's
-  // record table), a lock (id is the lock) or a barrier (id is the episode).
-  struct Ev {
-    enum class Type : uint8_t { kSyscall, kLock, kBarrier } type;
-    uint32_t id;
-  };
-  std::vector<Ev> events;
+  // Ordered sync events of one thread, as the actions that open them: a
+  // syscall, a lock acquisition or a barrier.
+  std::vector<nxe::ThreadAction>& events = out->events;
   events.reserve(syscalls_per_thread + locks_per_thread + barriers);
 
   // Segment layout per thread: syscalls, locks, and barriers interleaved with
@@ -390,10 +386,10 @@ void BuildTemplate(const BenchmarkSpec& bench, uint64_t workload_seed, TraceTemp
     events.clear();
     for (size_t i = 0; i < syscalls_per_thread; ++i) {
       records->push_back(TemplateSyscall(t * 100000 + i, bench.io_write_frac, &struct_rng));
-      events.push_back({Ev::Type::kSyscall, static_cast<uint32_t>(i)});
+      events.push_back(nxe::ThreadAction::Syscall(static_cast<uint32_t>(i), records->back().no));
     }
     for (size_t i = 0; i < locks_per_thread; ++i) {
-      events.push_back({Ev::Type::kLock, static_cast<uint32_t>(struct_rng.NextBounded(8))});
+      events.push_back(nxe::ThreadAction::Lock(static_cast<uint32_t>(struct_rng.NextBounded(8))));
     }
     // Shuffle syscalls and locks deterministically (Fisher-Yates).
     for (size_t i = events.size(); i > 1; --i) {
@@ -407,7 +403,7 @@ void BuildTemplate(const BenchmarkSpec& bench, uint64_t workload_seed, TraceTemp
       for (size_t b = 0; b < barriers; ++b) {
         const size_t pos = std::min(events.size(), (b + 1) * stride + inserted);
         events.insert(events.begin() + static_cast<long>(pos),
-                      {Ev::Type::kBarrier, static_cast<uint32_t>(b)});
+                      nxe::ThreadAction::Barrier(static_cast<uint32_t>(b)));
         ++inserted;
       }
     }
@@ -415,22 +411,14 @@ void BuildTemplate(const BenchmarkSpec& bench, uint64_t workload_seed, TraceTemp
     const double mean_segment =
         compute_per_thread / static_cast<double>(events.size() + 1);
     thread.actions.reserve(2 * events.size() + 2 * locks_per_thread + 2);
-    for (const auto& ev : events) {
+    for (const nxe::ThreadAction& ev : events) {
       // Template segment cost; each variant jitters it (scheduling noise).
       const double base = mean_segment * (0.5 + struct_rng.NextDouble());
       thread.Append(JitteredSegment(base));
-      switch (ev.type) {
-        case Ev::Type::kSyscall:
-          thread.Append({0.0, ev.id, nxe::ActionKind::kSyscall});
-          break;
-        case Ev::Type::kLock:
-          thread.Append(nxe::ThreadAction::Lock(ev.id));
-          thread.Append(nxe::ThreadAction::Compute(mean_segment * 0.05));
-          thread.Append(nxe::ThreadAction::Unlock(ev.id));
-          break;
-        case Ev::Type::kBarrier:
-          thread.Append(nxe::ThreadAction::Barrier(ev.id));
-          break;
+      thread.Append(ev);
+      if (ev.kind == nxe::ActionKind::kLockAcquire) {
+        thread.Append(nxe::ThreadAction::Compute(mean_segment * 0.05));
+        thread.Append(nxe::ThreadAction::Unlock(ev.arg));
       }
     }
     thread.Append(JitteredSegment(mean_segment));
@@ -513,7 +501,9 @@ void DeriveTrace(const TraceTemplate& tmpl, const VariantSpec& variant, nxe::Var
     for (size_t k = 0; k < inserted; ++k) {
       const size_t upto = inserts[k].pos - k;
       next = DeriveRun(in + done, in + upto, next, sigma, scale_div, &cursor);
-      *next++ = {0.0, inserts[k].record, nxe::ActionKind::kSyscall};
+      const uint32_t record = inserts[k].record;
+      *next++ = nxe::ThreadAction::Syscall(
+          record, dst.syscalls[record & ~nxe::ThreadTrace::kOwnRecord].no);
       done = upto;
     }
     DeriveRun(in + done, in + len, next, sigma, scale_div, &cursor);

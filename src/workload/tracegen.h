@@ -75,6 +75,9 @@ struct TraceTemplate {
   // Whether variants carry in-execution memory-management syscalls (the
   // benchmark generator sprinkles them; the server generator does not).
   bool sprinkle_memory_management = false;
+  // BuildTemplate's scratch: one thread's ordered sync events. Kept with
+  // the template so that a rebuild reuses its capacity.
+  std::vector<nxe::ThreadAction> events;
 };
 
 // Builds `bench`'s template for `workload_seed` into `out`, reusing its

@@ -3,6 +3,8 @@
 // determinism, and the cost model.
 #include <gtest/gtest.h>
 
+#include "src/api/nvx.h"
+#include "src/api/plan.h"
 #include "src/nxe/engine.h"
 #include "src/workload/tracegen.h"
 #include "src/workload/workload.h"
@@ -449,6 +451,190 @@ TEST(EngineTest, SelectiveModeRejectsZeroRingCapacity) {
 
   config.mode = LockstepMode::kStrict;  // strict mode never touches the ring
   EXPECT_TRUE(Engine(config).Run(variants).ok());
+}
+
+// --- Sync classes -----------------------------------------------------------
+//
+// The schedulers take a syscall by its action's class byte and look at two
+// syscalls' records only when the actions name distinct records.
+
+// Every field of two reports, doubles compared exactly.
+void ExpectSameReport(const nxe::SyncReport& a, const nxe::SyncReport& b) {
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.aborted_all, b.aborted_all);
+  ASSERT_EQ(a.divergence.has_value(), b.divergence.has_value());
+  if (a.divergence.has_value()) {
+    EXPECT_EQ(a.divergence->variant, b.divergence->variant);
+    EXPECT_EQ(a.divergence->thread, b.divergence->thread);
+    EXPECT_EQ(a.divergence->sync_index, b.divergence->sync_index);
+    EXPECT_EQ(a.divergence->expected, b.divergence->expected);
+    EXPECT_EQ(a.divergence->actual, b.divergence->actual);
+  }
+  ASSERT_EQ(a.detection.has_value(), b.detection.has_value());
+  EXPECT_EQ(a.variant_finish_time, b.variant_finish_time);
+  EXPECT_EQ(a.total_time, b.total_time);
+  EXPECT_EQ(a.synced_syscalls, b.synced_syscalls);
+  EXPECT_EQ(a.ignored_syscalls, b.ignored_syscalls);
+  EXPECT_EQ(a.lockstep_barriers, b.lockstep_barriers);
+  EXPECT_EQ(a.lock_acquisitions, b.lock_acquisitions);
+  EXPECT_EQ(a.avg_syscall_gap, b.avg_syscall_gap);
+  EXPECT_EQ(a.max_syscall_gap, b.max_syscall_gap);
+}
+
+// The leader shape that sends a run to the eager path first: no lock
+// acquisition, barrier or detection.
+bool EagerShaped(const VariantTrace& leader) {
+  for (const nxe::ThreadTrace& thread : leader.threads) {
+    for (const ThreadAction& a : thread.actions) {
+      if (a.kind == ActionKind::kLockAcquire || a.kind == ActionKind::kBarrier ||
+          a.kind == ActionKind::kDetect) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(SyncClassTest, AnActionMadeWithoutAClassIsLockstep) {
+  EXPECT_EQ(ThreadAction{}.sync, sc::SyncClass::kLockstep);
+  EXPECT_EQ((ThreadAction{0.0, 0, ActionKind::kSyscall}.sync), sc::SyncClass::kLockstep);
+  EXPECT_EQ(ThreadAction::Syscall(0, sc::Sysno::kMmap).sync, sc::SyncClass::kIgnored);
+  EXPECT_EQ(ThreadAction::Syscall(0, sc::Sysno::kRead).sync, sc::SyncClass::kRing);
+  EXPECT_EQ(ThreadAction::Syscall(0, sc::Sysno::kWrite).sync, sc::SyncClass::kLockstep);
+}
+
+// A follower's memory-management syscall appended without its class is
+// compared like any lockstep syscall, so the run reports a divergence where
+// the classified syscall would have been skipped: the byte, not the record,
+// decides, and its zero value fails closed. The reference scheduler
+// classifies from the record, so it skips the syscall either way.
+TEST(SyncClassTest, UnclassifiedMemoryManagementSyscallFailsClosed) {
+  sc::SyscallRecord mmap_rec;
+  mmap_rec.no = sc::Sysno::kMmap;
+  mmap_rec.args = {0, 4096, 0, 0, 0, 0};
+  for (bool barrier : {false, true}) {  // eager path (which bails), event scheduler
+    std::vector<Op> ops = {Compute(10), Syscall(MakeRead()), Compute(10),
+                           Syscall(MakeWrite("ok"))};
+    if (barrier) {
+      ops.push_back(Barrier(0));
+    }
+    const VariantTrace leader = SimpleVariant("leader", 1.0, ops);
+    ASSERT_EQ(EagerShaped(leader), !barrier);
+    VariantTrace classified = SimpleVariant("classified", 1.2, ops);
+    classified.threads[0].InsertSyscall(1, mmap_rec);
+    VariantTrace unclassified = SimpleVariant("unclassified", 1.2, ops);
+    nxe::ThreadTrace& thread = unclassified.threads[0];
+    thread.Insert(1, {0.0, thread.AddRecord(mmap_rec), ActionKind::kSyscall});
+    for (LockstepMode mode : {LockstepMode::kStrict, LockstepMode::kSelective}) {
+      SCOPED_TRACE(std::string(barrier ? "with" : "without") + " a barrier, " +
+                   nxe::LockstepModeName(mode));
+      EngineConfig config;
+      config.mode = mode;
+      const Engine engine(config);
+
+      auto skipped = engine.Run({leader, classified});
+      ASSERT_TRUE(skipped.ok()) << skipped.status().ToString();
+      EXPECT_TRUE(skipped->completed);
+      EXPECT_EQ(skipped->ignored_syscalls, 1u);
+
+      auto compared = engine.Run({leader, unclassified});
+      ASSERT_TRUE(compared.ok()) << compared.status().ToString();
+      ASSERT_TRUE(compared->divergence.has_value());
+      EXPECT_EQ(compared->divergence->variant, 1u);
+      EXPECT_EQ(compared->divergence->sync_index, 0u);
+      EXPECT_EQ(compared->divergence->actual.rfind("mmap(", 0), 0u) << compared->divergence->actual;
+      EXPECT_EQ(compared->ignored_syscalls, 0u);
+
+      auto reference = engine.RunReference({leader, unclassified});
+      ASSERT_TRUE(reference.ok());
+      EXPECT_TRUE(reference->completed);
+    }
+  }
+}
+
+// `trace` with each syscall pointed at a record of its own: an equal copy of
+// the one it named, which may be shared with other traces.
+VariantTrace WithOwnRecords(VariantTrace trace) {
+  for (nxe::ThreadTrace& thread : trace.threads) {
+    for (size_t i = 0; i < thread.actions.size(); ++i) {
+      if (thread.actions[i].kind == ActionKind::kSyscall) {
+        const sc::SyscallRecord copy = thread.RecordOf(thread.actions[i]);
+        thread.ReplaceRecord(i, copy);
+      }
+    }
+  }
+  return trace;
+}
+
+// Followers derived from the leader's template name its records; followers
+// whose records are distinct objects of equal content must run exactly
+// alike, on the eager path (perlbench) and on the event scheduler
+// (radiosity's locks and barriers).
+TEST(SyncClassTest, EqualRecordsInDistinctObjectsRunLikeSharedOnes) {
+  for (const char* name : {"perlbench", "radiosity"}) {
+    const workload::BenchmarkSpec* bench = workload::FindBenchmark(name);
+    ASSERT_NE(bench, nullptr);
+    const std::vector<VariantTrace> shared = workload::BuildIdenticalVariants(*bench, 3, 11);
+    ASSERT_EQ(EagerShaped(shared[0]), std::string(name) == "perlbench");
+    std::vector<VariantTrace> copied = shared;
+    copied[1] = WithOwnRecords(copied[1]);
+    copied[2] = WithOwnRecords(copied[2]);
+    const nxe::ThreadTrace& leader = shared[0].threads[0];
+    const nxe::ThreadTrace& follower = shared[1].threads[0];
+    const nxe::ThreadTrace& own = copied[1].threads[0];
+    size_t syscalls = 0;
+    for (size_t i = 0; i < leader.actions.size(); ++i) {
+      if (leader.actions[i].kind != ActionKind::kSyscall) {
+        continue;
+      }
+      ++syscalls;
+      EXPECT_EQ(&follower.RecordOf(follower.actions[i]), &leader.RecordOf(leader.actions[i]));
+      EXPECT_NE(&own.RecordOf(own.actions[i]), &leader.RecordOf(leader.actions[i]));
+      EXPECT_EQ(own.actions[i].sync, leader.actions[i].sync);
+    }
+    ASSERT_GT(syscalls, 0u);
+    for (LockstepMode mode : {LockstepMode::kStrict, LockstepMode::kSelective}) {
+      SCOPED_TRACE(std::string(name) + ", " + nxe::LockstepModeName(mode));
+      EngineConfig config;
+      config.mode = mode;
+      config.ring_capacity = 4;  // back-pressure engages
+      auto a = Engine(config).Run(shared);
+      auto b = Engine(config).Run(copied);
+      ASSERT_TRUE(a.ok() && b.ok());
+      EXPECT_TRUE(a->completed);
+      ExpectSameReport(*a, *b);
+    }
+  }
+}
+
+// A divergence overlay is a new record, never a write to the shared one, so
+// comparing by address first cannot hide it: the eager path bails on it
+// (perlbench) and the event scheduler reports it (radiosity), with the
+// reference scheduler's report.
+TEST(SyncClassTest, DivergenceOverlayIsCaughtOnBothSchedulerPaths) {
+  for (const char* name : {"perlbench", "radiosity"}) {
+    for (LockstepMode mode : {LockstepMode::kStrict, LockstepMode::kSelective}) {
+      SCOPED_TRACE(std::string(name) + ", " + nxe::LockstepModeName(mode));
+      auto plan = api::NvxBuilder()
+                      .Benchmark(*workload::FindBenchmark(name))
+                      .Variants(3)
+                      .Lockstep(mode)
+                      .InjectDivergence(2, "exfiltrated")
+                      .PlanVariants();
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      std::vector<VariantTrace> traces;
+      ASSERT_TRUE(api::BuildPlanTraces(*plan, {0, 1, 2}, plan->seed, &traces).ok());
+      ASSERT_EQ(EagerShaped(traces[0]), std::string(name) == "perlbench");
+      const Engine engine(plan->engine_config);
+      auto report = engine.Run(traces);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      ASSERT_TRUE(report->divergence.has_value());
+      EXPECT_EQ(report->divergence->variant, 2u);
+      auto reference = engine.RunReference(traces);
+      ASSERT_TRUE(reference.ok());
+      ExpectSameReport(*report, *reference);
+    }
+  }
 }
 
 TEST(CostModelTest, LlcMultiplierMonotone) {

@@ -239,9 +239,10 @@ TEST(SessionMemoryTest, IdleSessionsHoldOnlyTheirReplayState) {
 // A session alternating two fresh seeds rebuilds its template into the same
 // record tables and re-derives into buffers that already fit: once both
 // seeds have run, a run allocates only what rebuilding its template in place
-// does (its event list). A borrow of the tables that outlived its run (the
-// baseline trace lives in the shared working memory) would make each
-// rebuild swap in a new table per template thread.
+// does, which is nothing (the template keeps its event list's capacity). A
+// borrow of the tables that outlived its run (the baseline trace lives in
+// the shared working memory) would make each rebuild swap in a new table per
+// template thread.
 TEST(SessionMemoryTest, FreshSeedsRefillTheTemplateInPlace) {
   for (size_t shape = 0; shape < 4; ++shape) {
     SCOPED_TRACE("fresh_local shape " + std::to_string(shape));
@@ -254,6 +255,7 @@ TEST(SessionMemoryTest, FreshSeedsRefillTheTemplateInPlace) {
     uint64_t before = testutil::HeapAllocations();
     api::BuildPlanTemplate(*plan, FreshSeed(0), &tmpl);
     const uint64_t rebuild = testutil::HeapAllocations() - before;
+    EXPECT_EQ(rebuild, 0u) << "an in-place template rebuild allocated";
 
     auto session = builder.Build();
     ASSERT_TRUE(session.ok()) << session.status().ToString();

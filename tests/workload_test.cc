@@ -1062,5 +1062,155 @@ TEST(BorrowedRecordsTest, DerivingPerlbenchGrowsTheHeapByActionsAndOwnRecords) {
                           << " actions and " << mm_records << " memory-management records";
 }
 
+// --- Sync classes ---------------------------------------------------------------
+//
+// The engine and the liveness proof decide how to synchronize a syscall by
+// the class byte its action carries (nxe::ThreadAction::sync), never by its
+// record. These tests hold every generator to setting that byte from the
+// record's number, on every trace a plan can produce.
+
+// Counts, per class, the syscall actions that carry their record's class,
+// and the ones that do not.
+struct ClassTally {
+  size_t by_class[3] = {0, 0, 0};
+  size_t wrong = 0;
+
+  void Add(const nxe::ThreadTrace& thread) {
+    for (const nxe::ThreadAction& action : thread.actions) {
+      if (action.kind != nxe::ActionKind::kSyscall) {
+        continue;
+      }
+      const sc::SyncClass expected = sc::SyncClassOf(thread.RecordOf(action).no);
+      ++by_class[static_cast<size_t>(expected)];
+      wrong += action.sync != expected ? 1 : 0;
+    }
+  }
+  void Add(const nxe::VariantTrace& trace) {
+    for (const nxe::ThreadTrace& thread : trace.threads) {
+      Add(thread);
+    }
+  }
+  // Every class was met, so the checks above were not vacuous.
+  void ExpectEveryClassMet() const {
+    EXPECT_GT(by_class[static_cast<size_t>(sc::SyncClass::kLockstep)], 0u);
+    EXPECT_GT(by_class[static_cast<size_t>(sc::SyncClass::kRing)], 0u);
+    EXPECT_GT(by_class[static_cast<size_t>(sc::SyncClass::kIgnored)], 0u);
+  }
+};
+
+TEST(SyncClassTest, ClassifiersAgreeWithTheClass) {
+  for (size_t i = 0; i <= static_cast<size_t>(sc::Sysno::kCount); ++i) {
+    const auto no = static_cast<sc::Sysno>(i);
+    const sc::SyncClass cls = sc::SyncClassOf(no);
+    EXPECT_EQ(cls == sc::SyncClass::kIgnored, !sc::IsSyncRelevant(no)) << sc::SysnoName(no);
+    EXPECT_EQ(cls == sc::SyncClass::kLockstep, sc::IsSyncRelevant(no) && sc::IsIoWriteRelated(no))
+        << sc::SysnoName(no);
+  }
+}
+
+// Per (program, strategy, n, mode) of the catalog: the plan as built, with a
+// detection overlay on its last variant and with a divergence overlay on its
+// middle one, run whole and split into Shards(3)'s member groups.
+TEST(SyncClassTest, CatalogMatrixTracesCarryTheirRecordsClasses) {
+  const std::vector<workload::BenchmarkSpec> programs = RunnablePrograms();
+  ASSERT_EQ(programs.size(), 38u);
+  ClassTally tally;
+  size_t plans = 0;
+  for (const workload::BenchmarkSpec& bench : programs) {
+    for (int strategy = 0; strategy < 4; ++strategy) {
+      for (size_t n : {size_t{2}, size_t{4}, size_t{8}}) {
+        for (nxe::LockstepMode mode : {nxe::LockstepMode::kStrict, nxe::LockstepMode::kSelective}) {
+          api::NvxBuilder builder;
+          builder.Benchmark(bench).Variants(n).Lockstep(mode);
+          if (strategy == 1) {
+            builder.DistributeChecks(san::SanitizerId::kASan);
+          } else if (strategy == 2) {
+            builder.DistributeSanitizers(
+                {san::SanitizerId::kASan, san::SanitizerId::kMSan, san::SanitizerId::kUBSan});
+          } else if (strategy == 3) {
+            builder.DistributeUbsanSubSanitizers();
+          }
+          StatusOr<api::VariantPlan> plan = builder.PlanVariants();
+          ASSERT_TRUE(plan.ok()) << bench.name << ": " << plan.status().ToString();
+          const size_t width = plan->n_variants();
+          api::VariantPlan detect = *plan;
+          detect.detect_injections.push_back({width - 1, "__asan_report_load8"});
+          api::VariantPlan diverge = *plan;
+          diverge.diverge_injections.push_back({width / 2, "exfiltrated"});
+          std::vector<std::vector<size_t>> member_sets = api::ShardMemberGroups(width, 3);
+          member_sets.emplace_back(width);
+          std::iota(member_sets.back().begin(), member_sets.back().end(), 0);
+          for (const api::VariantPlan* p : {&*plan, &detect, &diverge}) {
+            for (const std::vector<size_t>& members : member_sets) {
+              std::vector<nxe::VariantTrace> traces;
+              ASSERT_TRUE(api::BuildPlanTraces(*p, members, p->seed, &traces).ok()) << bench.name;
+              const size_t wrong = tally.wrong;
+              for (const nxe::VariantTrace& trace : traces) {
+                tally.Add(trace);
+              }
+              ASSERT_EQ(tally.wrong, wrong)
+                  << bench.name << ", strategy " << strategy << ", n " << n << ", "
+                  << nxe::LockstepModeName(mode) << ", " << members.size() << " member(s)";
+            }
+            ++plans;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(plans, 38u * 4 * 3 * 2 * 3);
+  tally.ExpectEveryClassMet();
+}
+
+TEST(SyncClassTest, BaselineTracesCarryTheirRecordsClasses) {
+  ClassTally tally;
+  for (const workload::BenchmarkSpec& bench : RunnablePrograms()) {
+    for (uint64_t seed : {1ULL, 7ULL}) {
+      workload::TraceTemplate tmpl;
+      workload::BuildTemplate(bench, seed, &tmpl);
+      for (const nxe::ThreadTrace& thread : tmpl.threads) {
+        tally.Add(thread);
+      }
+      nxe::VariantTrace baseline;
+      workload::DeriveTrace(tmpl, workload::VariantSpec{}, &baseline);
+      tally.Add(baseline);
+    }
+  }
+  EXPECT_EQ(tally.wrong, 0u);
+  // A baseline carries no sanitizer, so no syscall of it is ignored.
+  EXPECT_EQ(tally.by_class[static_cast<size_t>(sc::SyncClass::kIgnored)], 0u);
+  EXPECT_GT(tally.by_class[static_cast<size_t>(sc::SyncClass::kRing)], 0u);
+  EXPECT_GT(tally.by_class[static_cast<size_t>(sc::SyncClass::kLockstep)], 0u);
+}
+
+TEST(SyncClassTest, ServerTemplatesCarryTheirRecordsClasses) {
+  workload::VariantSpec instrumented;
+  instrumented.name = "asan";
+  instrumented.compute_scale = 1.8;
+  instrumented.sanitizers = {san::SanitizerId::kASan};
+  ClassTally tally;
+  for (const char* name : {"lighttpd", "nginx"}) {
+    for (size_t file_kb : {size_t{1}, size_t{1024}}) {
+      workload::ServerSpec server;
+      server.name = name;
+      server.threads = std::string(name) == "nginx" ? 4 : 1;
+      server.file_kb = file_kb;
+      workload::TraceTemplate tmpl;
+      workload::BuildServerTemplate(server, 7, &tmpl);
+      for (const nxe::ThreadTrace& thread : tmpl.threads) {
+        tally.Add(thread);
+      }
+      for (const workload::VariantSpec& spec : {workload::VariantSpec{}, instrumented}) {
+        nxe::VariantTrace trace;
+        workload::DeriveTrace(tmpl, spec, &trace);
+        tally.Add(trace);
+      }
+    }
+  }
+  EXPECT_EQ(tally.wrong, 0u);
+  EXPECT_GT(tally.by_class[static_cast<size_t>(sc::SyncClass::kRing)], 0u);      // accept, read
+  EXPECT_GT(tally.by_class[static_cast<size_t>(sc::SyncClass::kLockstep)], 0u);  // write
+}
+
 }  // namespace
 }  // namespace bunshin
