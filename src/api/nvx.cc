@@ -1,6 +1,7 @@
 #include "src/api/nvx.h"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 #include <utility>
 
@@ -178,16 +179,17 @@ void ReleaseTemplate(nxe::VariantTrace& trace) {
 // seed) reads. Built traces and derived baseline and standalone times are
 // pure functions of those, so a run with the scratch's seed skips trace
 // construction and the baseline simulations entirely. A run with a new seed
-// builds one template into `tmpl` and derives each covered trace from it
-// once, whatever the group count, into buffers that keep their capacity from
-// seed to seed. The traces own their actions and the records they add, and
-// borrow the template's record tables. Run() is const and concurrent, so
-// scratches live on a per-backend checkout freelist (one per in-flight run),
-// never as bare mutable members.
+// builds one template in its working memory, refilling the scratch's record
+// tables in place, and derives each covered trace from it once, whatever
+// the group count, into buffers that keep their capacity from seed to seed.
+// The traces own their actions and the records they add, and borrow those
+// tables, which go back to the scratch when the run checks in. Run() is
+// const and concurrent, so scratches live on a per-backend checkout freelist
+// (one per in-flight run), never as bare mutable members.
 struct SessionScratch {
   bool valid = false;
   uint64_t seed = 0;
-  workload::TraceTemplate tmpl;
+  workload::RecordTables tables;          // one per template thread
   std::vector<nxe::VariantTrace> traces;  // one per covered slot
   std::optional<double> baseline_time;    // owns_baseline backends only
   std::vector<double> standalone;         // measure_standalone plans only; per covered slot
@@ -197,11 +199,15 @@ struct SessionScratch {
 // A run's working memory: what one run fills and reads and no later run
 // does. It comes from one process-wide freelist (RunMemories), whichever
 // session runs, so idle sessions hold none of it; its buffers keep the
-// capacity of the largest runs they served.
+// capacity of the largest runs they served. An idle block's template
+// borrows no record table: each run hands its session's tables back.
 struct RunMemory {
-  nxe::EngineWorkspace workspace;      // warm backends only
-  nxe::VariantTrace baseline_trace;    // derived on a new seed by owns_baseline backends
+  nxe::EngineWorkspace workspace;       // warm backends only
+  workload::TraceTemplate tmpl;         // built on a new seed
+  nxe::VariantTrace baseline_trace;     // derived from it by owns_baseline backends
+  std::vector<nxe::ThreadTrace> spare_baseline_threads;  // see workload::ResizeThreads
   std::vector<nxe::VariantTrace> view;  // one group's traces, swapped in from the scratch's
+  std::vector<PartialReport> partials;  // Shards(k): one per group, merged into the report
 };
 
 // At most this many idle RunMemory blocks are kept: one per concurrent run
@@ -249,27 +255,6 @@ class TraceBackend final : public Backend {
     SessionScratch& scratch = *checkout.scratch;
     RunMemory& memory = *checkout.memory;
 
-    if (!scratch.valid || scratch.seed != seed) {
-      // Trace construction + injection splicing live in BuildPlanTemplate /
-      // DerivePlanTraces (the halves of BuildPlanTraces) so the static
-      // analyzer proves properties of exactly the traces run here. The
-      // scratch caches the result per seed: a warm run (same plan, same
-      // seed) skips this entirely.
-      scratch.valid = false;
-      scratch.baseline_time.reset();
-      scratch.standalone_valid = false;
-      for (nxe::VariantTrace& trace : scratch.traces) {
-        ReleaseTemplate(trace);
-      }
-      BuildPlanTemplate(plan, seed, &scratch.tmpl);
-      Status built = DerivePlanTraces(plan, coverage_, scratch.tmpl, &scratch.traces);
-      if (!built.ok()) {
-        return built;
-      }
-      scratch.seed = seed;
-      scratch.valid = true;
-    }
-
     // A subset backend runs a trace subset, but the whole session still
     // shares the host: contention (LLC, core time-sharing) is modeled
     // session-wide.
@@ -280,14 +265,40 @@ class TraceBackend final : public Backend {
     // A cold backend runs without a workspace.
     nxe::EngineWorkspace* workspace = warm_engines_ ? &memory.workspace : nullptr;
 
-    if (owns_baseline_ && !scratch.baseline_time.has_value()) {
-      workload::DeriveTrace(scratch.tmpl, workload::VariantSpec{}, &memory.baseline_trace);
-      auto baseline = engine.RunBaseline(memory.baseline_trace, workspace);
-      if (!baseline.ok()) {
-        return baseline.status();
+    if (!scratch.valid || scratch.seed != seed) {
+      // Trace construction + injection splicing live in BuildPlanTemplate /
+      // DerivePlanTraces (the halves of BuildPlanTraces) so the static
+      // analyzer proves properties of exactly the traces run here. The
+      // scratch caches the result per seed: a warm run (same plan, same
+      // seed) skips this entirely. The template lives only for this run, so
+      // the baseline is derived from it and measured here too; the scratch
+      // stays invalid until both are done.
+      scratch.valid = false;
+      scratch.baseline_time.reset();
+      scratch.standalone_valid = false;
+      for (nxe::VariantTrace& trace : scratch.traces) {
+        ReleaseTemplate(trace);
       }
-      scratch.baseline_time = *baseline;
+      workload::LendTables(&scratch.tables, &memory.tmpl);  // reclaimed at check-in
+      BuildPlanTemplate(plan, seed, &memory.tmpl);
+      Status built = DerivePlanTraces(plan, coverage_, memory.tmpl, &scratch.traces);
+      if (!built.ok()) {
+        return built;
+      }
+      if (owns_baseline_) {
+        workload::ResizeThreads(&memory.baseline_trace.threads, memory.tmpl.threads.size(),
+                                &memory.spare_baseline_threads);
+        workload::DeriveTrace(memory.tmpl, workload::VariantSpec{}, &memory.baseline_trace);
+        auto baseline = engine.RunBaseline(memory.baseline_trace, workspace);
+        if (!baseline.ok()) {
+          return baseline.status();
+        }
+        scratch.baseline_time = *baseline;
+      }
+      scratch.seed = seed;
+      scratch.valid = true;
     }
+
     if (plan.measure_standalone && !scratch.standalone_valid) {
       scratch.standalone.clear();
       for (size_t slot = 0; slot < scratch.traces.size(); ++slot) {
@@ -314,7 +325,8 @@ class TraceBackend final : public Backend {
     // back afterwards, so no trace is copied; the leader passes through
     // every group's view in turn. The cache is marked invalid while traces
     // are out, so a throw cannot leave a gutted scratch behind.
-    std::vector<PartialReport> partials(groups_.size());
+    std::vector<PartialReport>& partials = memory.partials;
+    partials.resize(groups_.size());
     for (size_t g = 0; g < groups_.size(); ++g) {
       const std::vector<size_t>& group = groups_[g];
       const bool group_owns_baseline = g == 0 && owns_baseline_;
@@ -332,6 +344,7 @@ class TraceBackend final : public Backend {
       if (!report.ok()) {
         return report.status();
       }
+      partials[g].variant_index.clear();
       for (size_t slot : group) {
         partials[g].variant_index.push_back(coverage_[slot]);
       }
@@ -411,7 +424,8 @@ class TraceBackend final : public Backend {
   // A run's checkout: the backend's replay state and the process's working
   // memory, idle ones when there are, else new ones. On every exit the
   // working memory goes back first, with its borrows of the scratch's
-  // record tables dropped, so the template's next rebuild (ordered after
+  // record tables dropped and the tables its template was lent handed back
+  // to the scratch, so the session's next template build (ordered after
   // this by the scratch freelist's mutex) refills them in place.
   struct Checkout {
     explicit Checkout(const TraceBackend& b)
@@ -426,6 +440,8 @@ class TraceBackend final : public Backend {
     ~Checkout() {
       ReleaseTemplate(memory->baseline_trace);
       memory->view.clear();  // empty traces, or the scratch's after a throw (it rebuilds)
+      // The template holds tables only when this run built it.
+      workload::ReclaimTables(&memory->tmpl, &scratch->tables);
       RunMemories().Put(std::move(memory));
       backend.scratches_.Put(std::move(scratch));
     }
@@ -582,8 +598,16 @@ StatusOr<RunReport> RunReport::Merge(size_t n_variants,
   }
 
   // A partial owns every covered slot except a leader replica it only ran
-  // for synchronization (global slot 0 when !owns_baseline).
-  std::vector<bool> owned(n_variants, false);
+  // for synchronization (global slot 0 when !owns_baseline). One bit per
+  // slot, on the stack up to 256 variants, so a merge allocates only the
+  // merged report's growth.
+  std::array<uint64_t, 4> inline_owned{};
+  std::vector<uint64_t> heap_owned;
+  uint64_t* owned = inline_owned.data();
+  if (n_variants > 64 * inline_owned.size()) {
+    heap_owned.resize((n_variants + 63) / 64);
+    owned = heap_owned.data();
+  }
   const PartialReport* detect_winner = nullptr;
   const PartialReport* diverge_winner = nullptr;
   double gap_sum = 0.0;
@@ -612,11 +636,12 @@ StatusOr<RunReport> RunReport::Merge(size_t n_variants,
       if (!partial.owns_baseline && global == 0) {
         continue;  // leader replica: run for synchronization, owned elsewhere
       }
-      if (owned[global]) {
+      const uint64_t bit = uint64_t{1} << (global % 64);
+      if ((owned[global / 64] & bit) != 0) {
         return InvalidArgument("variant " + std::to_string(global) +
                                " is owned by two partial reports");
       }
-      owned[global] = true;
+      owned[global / 64] |= bit;
       merged.variant_finish_time[global] = r.variant_finish_time[local];
       if (local < r.variant_compute_scale.size()) {
         merged.variant_compute_scale[global] = r.variant_compute_scale[local];

@@ -14,8 +14,6 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -23,47 +21,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& word : state_) {
     word = SplitMix64(sm);
   }
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-uint64_t Rng::NextBounded(uint64_t bound) {
-  if (bound == 0) {
-    return 0;
-  }
-  // Rejection sampling over the largest multiple of bound below 2^64.
-  const uint64_t threshold = (0 - bound) % bound;
-  for (;;) {
-    const uint64_t r = NextU64();
-    if (r >= threshold) {
-      return r % bound;
-    }
-  }
-}
-
-double Rng::NextDouble() {
-  // 53 high bits -> [0, 1).
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::NextBool(double p) {
-  if (p <= 0.0) {
-    return false;
-  }
-  if (p >= 1.0) {
-    return true;
-  }
-  return NextDouble() < p;
 }
 
 double Rng::NextExponential(double mean) {

@@ -174,8 +174,10 @@ bool DrawsJitter(const nxe::ThreadAction& a) {
          !(a.cost <= 0.0);
 }
 
-// The jitter draws a derive from `tmpl` makes, counted on every derive: a
-// hand-built template carries no count to trust.
+// The jitter draws a derive from `tmpl` makes. A template carries no count
+// to trust (a hand-built one may be edited between derives), so a derive
+// counts only when it reads past the end of the tape it started from, and
+// then once.
 size_t JitterDraws(const TraceTemplate& tmpl) {
   size_t draws = 0;
   for (const nxe::ThreadTrace& thread : tmpl.threads) {
@@ -271,23 +273,25 @@ void DrawMemoryManagement(size_t count, size_t template_len, Rng* rng, nxe::Thre
             [](const MmInsert& a, const MmInsert& b) { return a.pos < b.pos; });
 }
 
-// Where a derive stands in its variant's noise tape, which holds at least
-// every draw the template makes.
+// Where a derive stands in its variant's noise tape.
 struct TapeCursor {
   const Rng::GaussianFactors* gaussian;  // the next draw's factors
+  const Rng::GaussianFactors* end;       // one past the tape's last draw
   const Burst* burst;                    // the next burst (or the sentinel)
   size_t draw;                           // the next draw's index
 };
 
 // The derive kernel: writes the derived form of the template actions
-// [in, end) to `out` and returns the end of what it wrote. Every action is
-// copied as a whole 16-byte record; a compute action then gets arg 0 and, if
-// it draws, its jittered cost. The cursor is read into locals so the loop
-// state stays in registers, and the tape's length is never checked.
-nxe::ThreadAction* DeriveRun(const nxe::ThreadAction* in, const nxe::ThreadAction* end,
-                             nxe::ThreadAction* out, double sigma, double scale_div,
-                             TapeCursor* cursor) {
+// [in, end) to `out`, one for one, and returns the action it stopped at:
+// `end`, or the first that would draw past the end of the cursor's tape.
+// Every action is copied as a whole 16-byte record; a compute action then
+// gets arg 0 and, if it draws, its jittered cost. The cursor is read into
+// locals so the loop state stays in registers.
+const nxe::ThreadAction* DeriveRun(const nxe::ThreadAction* in, const nxe::ThreadAction* end,
+                                   nxe::ThreadAction* out, double sigma, double scale_div,
+                                   TapeCursor* cursor) {
   const Rng::GaussianFactors* g = cursor->gaussian;
+  const Rng::GaussianFactors* const g_end = cursor->end;
   const Burst* burst = cursor->burst;
   size_t draw = cursor->draw;
   for (; in != end; ++in, ++out) {
@@ -298,6 +302,9 @@ nxe::ThreadAction* DeriveRun(const nxe::ThreadAction* in, const nxe::ThreadActio
     out->arg = 0;
     if (!DrawsJitter(*in)) {
       continue;
+    }
+    if (g == g_end) {
+      break;  // the tape holds no draw for this segment
     }
     // OS noise behaves like a random walk over the segment, so the absolute
     // deviation grows with sqrt(cost): long compute bursts between syscalls
@@ -322,9 +329,59 @@ nxe::ThreadAction* DeriveRun(const nxe::ThreadAction* in, const nxe::ThreadActio
     ++draw;
     out->cost = jittered;
   }
-  *cursor = {g, burst, draw};
-  return out;
+  *cursor = {g, g_end, burst, draw};
+  return in;
 }
+
+// One derive's reading of its variant's noise tape. It starts from whatever
+// tape the memo keeps for the key (none on a cold memo), so a derive whose
+// template fits that tape takes one memo lookup and counts nothing. Only
+// when the template draws past the tape's end does it count the template's
+// draws, once, fetch a tape holding all of them and resume at the same draw
+// and burst: a longer tape of one stream starts with the shorter one's
+// entries.
+class TapeReader {
+ public:
+  TapeReader(const TapeKey& key, const TraceTemplate& tmpl)
+      : key_(key), tmpl_(tmpl), tape_(Tapes().Find(key)) {
+    if (tape_ != nullptr) {
+      cursor_ = {tape_->gaussians.data(), tape_->gaussians.data() + tape_->gaussians.size(),
+                 tape_->bursts.data(), 0};
+    }
+  }
+
+  // Derives the template actions [in, end) into `out` (DeriveRun) and
+  // returns the end of what it wrote.
+  nxe::ThreadAction* Derive(const nxe::ThreadAction* in, const nxe::ThreadAction* end,
+                            nxe::ThreadAction* out, double sigma, double scale_div) {
+    for (;;) {
+      const nxe::ThreadAction* stop = DeriveRun(in, end, out, sigma, scale_div, &cursor_);
+      out += stop - in;
+      if (stop == end) {
+        return out;
+      }
+      in = stop;
+      Lengthen();
+    }
+  }
+
+ private:
+  // Swaps in a tape holding every draw of the template, which is past the
+  // cursor's draw (the template draws there), so the derive moves on. The
+  // bursts before the cursor's draw are the same entries in both tapes.
+  void Lengthen() {
+    const size_t bursts_read = tape_ == nullptr ? 0 : cursor_.burst - tape_->bursts.data();
+    tape_ = Tapes().Get(key_, JitterDraws(tmpl_));
+    cursor_ = {tape_->gaussians.data() + cursor_.draw,
+               tape_->gaussians.data() + tape_->gaussians.size(),
+               tape_->bursts.data() + bursts_read, cursor_.draw};
+  }
+
+  const TapeKey key_;
+  const TraceTemplate& tmpl_;
+  std::shared_ptr<const NoiseTape> tape_;  // held while the cursor points into it
+  TapeCursor cursor_{nullptr, nullptr, nullptr, 0};
+};
 
 // Empties template thread `thread` for a rebuild and returns the record
 // table it borrows, to be filled. A table no derived trace borrows any more
@@ -358,7 +415,7 @@ void AppendTemplateSyscall(const sc::SyscallRecord& record, nxe::RecordTable* ta
 
 void BuildTemplate(const BenchmarkSpec& bench, uint64_t workload_seed, TraceTemplate* out) {
   const size_t threads = std::max<size_t>(1, bench.threads);
-  out->threads.resize(threads);
+  ResizeThreads(&out->threads, threads, &out->spare_threads);
   out->noise_sigma = bench.noise_rel_sigma;
   out->jitter_salt = 17;
   out->sprinkle_memory_management = true;
@@ -442,6 +499,42 @@ double TemplateActions(const BenchmarkSpec& bench) {
          (2.0 * syscalls + 4.0 * locks + 2.0 * static_cast<double>(bench.barriers) + 2.0);
 }
 
+void ResizeThreads(std::vector<nxe::ThreadTrace>* threads, size_t n,
+                   std::vector<nxe::ThreadTrace>* spare) {
+  while (threads->size() > n) {
+    threads->back().borrowed.reset();
+    spare->push_back(std::move(threads->back()));
+    threads->pop_back();
+  }
+  while (threads->size() < n) {
+    if (spare->empty()) {
+      threads->emplace_back();
+    } else {
+      threads->push_back(std::move(spare->back()));
+      spare->pop_back();
+    }
+  }
+}
+
+void LendTables(RecordTables* tables, TraceTemplate* tmpl) {
+  if (tables->empty()) {
+    return;
+  }
+  ResizeThreads(&tmpl->threads, tables->size(), &tmpl->spare_threads);
+  for (size_t t = 0; t < tables->size(); ++t) {
+    tmpl->threads[t].borrowed = std::move((*tables)[t]);
+  }
+  tables->clear();
+}
+
+void ReclaimTables(TraceTemplate* tmpl, RecordTables* tables) {
+  for (nxe::ThreadTrace& thread : tmpl->threads) {
+    if (thread.borrowed != nullptr) {
+      tables->push_back(std::move(thread.borrowed));
+    }
+  }
+}
+
 void DeriveTrace(const TraceTemplate& tmpl, const VariantSpec& variant, nxe::VariantTrace* out) {
   out->name = variant.name;
   out->compute_scale = variant.compute_scale;
@@ -466,12 +559,7 @@ void DeriveTrace(const TraceTemplate& tmpl, const VariantSpec& variant, nxe::Var
     inserts = heap_inserts.data();
   }
 
-  // One tape fetch per derive, long enough for every draw.
-  const size_t draws = JitterDraws(tmpl);
-  const std::shared_ptr<const NoiseTape> tape = draws == 0 ? nullptr : Tapes().Get(key, draws);
-  TapeCursor cursor{tape == nullptr ? nullptr : tape->gaussians.data(),
-                    tape == nullptr ? nullptr : tape->bursts.data(), 0};
-
+  TapeReader tape(key, tmpl);
   const double sigma = tmpl.noise_sigma;
   const double scale_div = std::max(1.0, variant.compute_scale);
   for (size_t t = 0; t < tmpl.threads.size(); ++t) {
@@ -500,13 +588,13 @@ void DeriveTrace(const TraceTemplate& tmpl, const VariantSpec& variant, nxe::Var
     size_t done = 0;
     for (size_t k = 0; k < inserted; ++k) {
       const size_t upto = inserts[k].pos - k;
-      next = DeriveRun(in + done, in + upto, next, sigma, scale_div, &cursor);
+      next = tape.Derive(in + done, in + upto, next, sigma, scale_div);
       const uint32_t record = inserts[k].record;
       *next++ = nxe::ThreadAction::Syscall(
           record, dst.syscalls[record & ~nxe::ThreadTrace::kOwnRecord].no);
       done = upto;
     }
-    DeriveRun(in + done, in + len, next, sigma, scale_div, &cursor);
+    tape.Derive(in + done, in + len, next, sigma, scale_div);
   }
 
   AddSanitizerRuntimeSyscalls(variant, out);
@@ -536,7 +624,7 @@ std::vector<nxe::VariantTrace> BuildIdenticalVariants(const BenchmarkSpec& bench
 }
 
 void BuildServerTemplate(const ServerSpec& server, uint64_t workload_seed, TraceTemplate* out) {
-  out->threads.resize(std::max<size_t>(1, server.threads));
+  ResizeThreads(&out->threads, std::max<size_t>(1, server.threads), &out->spare_threads);
   // Queueing pressure from concurrent connections: more in-flight requests
   // means noisier scheduling around each request.
   out->noise_sigma =

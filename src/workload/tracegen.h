@@ -20,16 +20,22 @@
 //   * template: BuildTemplate makes every structural draw once per
 //     (benchmark, workload seed);
 //   * derive: DeriveTrace turns the template into one variant's trace,
-//     scaling the tape's draws, with no sampling of its own. The derived
-//     trace borrows the template's per-thread record tables and owns only
-//     its actions and the memory-management records it adds, so a session
-//     holds one record table per template thread and one action array per
-//     variant.
+//     scaling the tape's draws, with no sampling of its own. It reads the
+//     tape the memo holds and never past its end: only a template that
+//     draws more than that tape holds makes it count the template's draws
+//     and fetch a longer one. The derived trace borrows the template's
+//     per-thread record tables and owns only its actions and the
+//     memory-management records it adds, so a session holds one record
+//     table per template thread and one action array per variant. The
+//     template itself is needed only while deriving: a session keeps the
+//     record tables (LendTables, ReclaimTables) and builds the rest in
+//     memory it shares with other runs.
 #ifndef BUNSHIN_SRC_WORKLOAD_TRACEGEN_H_
 #define BUNSHIN_SRC_WORKLOAD_TRACEGEN_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,7 +48,7 @@ namespace workload {
 
 // Bounds of the process-wide noise-tape memo. A stream whose template needs
 // more than kNoiseTapeDraws draws is filled into a tape of its own for the
-// one derive.
+// one derive (which reads the memo's tape first, as far as it goes).
 constexpr size_t kNoiseTapeStreams = 64;
 constexpr size_t kNoiseTapeDraws = 4096;
 
@@ -62,7 +68,9 @@ struct VariantSpec {
 // minus the sanitizer memory-management syscalls. The builders put each
 // thread's records in the table it borrows (nxe::ThreadTrace::borrowed),
 // which every trace derived from the template then shares; a rebuild refills
-// a table in place once no derived trace borrows it.
+// a table in place once no derived trace borrows it. A rebuild reuses every
+// buffer's capacity, those of threads a build with fewer threads dropped
+// included.
 struct TraceTemplate {
   // Marks a template kCompute action (in `arg`) whose cost the variant's
   // jitter stream perturbs; the other compute actions (lock hold times) keep
@@ -78,7 +86,33 @@ struct TraceTemplate {
   // BuildTemplate's scratch: one thread's ordered sync events. Kept with
   // the template so that a rebuild reuses its capacity.
   std::vector<nxe::ThreadAction> events;
+  // Threads a build with fewer threads dropped, kept for their action
+  // buffers; they borrow no table.
+  std::vector<nxe::ThreadTrace> spare_threads;
 };
+
+// Gives `threads` `n` entries. An entry dropped from the end is parked in
+// `spare`, borrowing no table, and an entry added takes a parked one first,
+// so thread buffers that programs of different thread counts refill in turn
+// keep their capacity.
+void ResizeThreads(std::vector<nxe::ThreadTrace>* threads, size_t n,
+                   std::vector<nxe::ThreadTrace>* spare);
+
+// The record tables of a template's threads, in thread order.
+using RecordTables = std::vector<std::shared_ptr<const nxe::RecordTable>>;
+
+// A template's record tables outlive its build where its traces are kept:
+// the traces borrow them, while the template's actions and scratch are
+// needed only to derive. A session keeps its tables and lends them to a
+// template for each rebuild, which refills each one that no trace borrows
+// any more in place.
+//
+// LendTables gives `tmpl` one thread per table, thread t borrowing
+// (*tables)[t], and leaves `tables` empty; it does nothing when `tables` is
+// empty. ReclaimTables moves every table `tmpl`'s threads borrow into
+// `tables`, in thread order, leaving the threads borrowing none.
+void LendTables(RecordTables* tables, TraceTemplate* tmpl);
+void ReclaimTables(TraceTemplate* tmpl, RecordTables* tables);
 
 // Builds `bench`'s template for `workload_seed` into `out`, reusing its
 // buffers' capacity.
@@ -95,10 +129,12 @@ double TemplateActions(const BenchmarkSpec& bench);
 // copies what it owns (a hand-built template may own records), so `out`
 // stays valid after `tmpl` is rebuilt or destroyed. Jittered segments read
 // the variant's noise tape in action order, one entry per jittered segment
-// whose cost is not <= 0 (NaN included); the tape is fetched once, holding
-// every draw the template makes. The memory-management insert positions (a
-// stream forked off the jitter stream before its first draw) are drawn
-// first; the template actions between them are copied in runs.
+// whose cost is not <= 0 (NaN included). The derive starts from the tape the
+// memo holds for the variant's stream and checks each read against its end;
+// a template that draws past it has its draws counted once and continues on
+// a tape holding them all. The memory-management insert positions (a stream
+// forked off the jitter stream before its first draw) are drawn first; the
+// template actions between them are copied in runs.
 // The result depends only on (tmpl, variant), never on which other variants
 // share the template or on what the memo holds: it is bit-identical to
 // drawing the stream live.

@@ -99,45 +99,52 @@ int64_t PeakHeapGrowth(const Fn& fn) {
 // What a trace session's run state costs, for `plan` at workload seed
 // `seed`, built the way a session's first run builds it.
 
-// The replay state a session keeps between runs: the template and the
-// member traces derived from it.
+// The replay state a session keeps between runs: the member traces and the
+// record tables they borrow. The rest of the template is working memory.
 inline int64_t ReplayStateBytes(const api::VariantPlan& plan, uint64_t seed) {
   std::vector<size_t> members(plan.n_variants());
   std::iota(members.begin(), members.end(), 0);
-  workload::TraceTemplate tmpl;
   std::vector<nxe::VariantTrace> traces;
+  workload::RecordTables tables;
   const int64_t before = HeapHeld();
-  api::BuildPlanTemplate(plan, seed, &tmpl);
-  if (!api::DerivePlanTraces(plan, members, tmpl, &traces).ok()) {
-    return -1;
+  {
+    workload::TraceTemplate tmpl;
+    api::BuildPlanTemplate(plan, seed, &tmpl);
+    if (!api::DerivePlanTraces(plan, members, tmpl, &traces).ok()) {
+      return -1;
+    }
+    workload::ReclaimTables(&tmpl, &tables);
   }
   return HeapHeld() - before;
 }
 
-// The working memory one run fills and no later run reads: the baseline
-// trace and the engine arenas of the baseline and session runs (with the
-// session run's finish-time vector).
+// The working memory one run fills and no later run reads: the template
+// but its record tables, the baseline trace and the engine arenas of the
+// baseline and session runs (with the session run's finish-time vector).
 inline int64_t WorkingMemoryBytes(const api::VariantPlan& plan, uint64_t seed) {
   std::vector<size_t> members(plan.n_variants());
   std::iota(members.begin(), members.end(), 0);
   workload::TraceTemplate tmpl;
   std::vector<nxe::VariantTrace> traces;
-  api::BuildPlanTemplate(plan, seed, &tmpl);
-  if (!api::DerivePlanTraces(plan, members, tmpl, &traces).ok()) {
-    return -1;
-  }
+  nxe::EngineWorkspace workspace;
+  nxe::VariantTrace baseline;
+  workload::RecordTables tables;
   nxe::EngineConfig config = plan.engine_config;
   config.contention_variants = plan.n_variants();
   const nxe::Engine engine(config);
   const int64_t before = HeapHeld();
-  nxe::EngineWorkspace workspace;
-  nxe::VariantTrace baseline;
+  api::BuildPlanTemplate(plan, seed, &tmpl);
+  if (!api::DerivePlanTraces(plan, members, tmpl, &traces).ok()) {
+    return -1;
+  }
   workload::DeriveTrace(tmpl, workload::VariantSpec{}, &baseline);
   if (!engine.RunBaseline(baseline, &workspace).ok()) {
     return -1;
   }
   const StatusOr<nxe::SyncReport> sync = engine.Run(traces, &workspace);
-  return sync.ok() ? HeapHeld() - before : -1;
+  workload::ReclaimTables(&tmpl, &tables);
+  const int64_t run = HeapHeld() - before;  // replay state and working memory
+  return sync.ok() ? run - ReplayStateBytes(plan, seed) : -1;
 }
 
 }  // namespace testutil

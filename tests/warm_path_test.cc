@@ -191,9 +191,10 @@ void RunAt(const api::NvxSession& session, uint64_t seed) {
 }
 
 // fresh_local-shaped sessions, after one fresh-seed run each, hold their
-// templates and member traces plus a little bookkeeping: the engine arenas
-// and the baseline trace are working memory, checked out of one
-// process-wide freelist for the length of a run.
+// member traces and the record tables those borrow, plus a little
+// bookkeeping: the rest of the template, the engine arenas and the baseline
+// trace are working memory, checked out of one process-wide freelist for
+// the length of a run.
 TEST(SessionMemoryTest, IdleSessionsHoldOnlyTheirReplayState) {
   constexpr size_t kSessions = 24;
   // The scratch object and its slot on its backend's freelist.
@@ -236,13 +237,14 @@ TEST(SessionMemoryTest, IdleSessionsHoldOnlyTheirReplayState) {
       << replay / static_cast<int64_t>(kSessions) << " of them replay state";
 }
 
-// A session alternating two fresh seeds rebuilds its template into the same
-// record tables and re-derives into buffers that already fit: once both
-// seeds have run, a run allocates only what rebuilding its template in place
-// does, which is nothing (the template keeps its event list's capacity). A
-// borrow of the tables that outlived its run (the baseline trace lives in
-// the shared working memory) would make each rebuild swap in a new table per
-// template thread.
+// A session alternating two fresh seeds rebuilds its template (in the
+// shared working memory) into the same record tables, which it lends to the
+// template and takes back, and re-derives into buffers that already fit:
+// once both seeds have run, a run allocates only what rebuilding its
+// template in place does, which is nothing (the template keeps its event
+// list's capacity). A borrow of the tables that outlived its run (the
+// baseline trace lives in the shared working memory) would make each
+// rebuild swap in a new table per template thread.
 TEST(SessionMemoryTest, FreshSeedsRefillTheTemplateInPlace) {
   for (size_t shape = 0; shape < 4; ++shape) {
     SCOPED_TRACE("fresh_local shape " + std::to_string(shape));
@@ -267,6 +269,85 @@ TEST(SessionMemoryTest, FreshSeedsRefillTheTemplateInPlace) {
       RunAt(*session, FreshSeed(1));
     }
     EXPECT_EQ(testutil::HeapAllocations() - before, 6 * rebuild);
+  }
+}
+
+// The run memory's template is rebuilt by whichever session runs a new
+// seed: on this thread every run checks out the same block. Sessions of a
+// one-thread and a four-thread program take turns at it between two runs of
+// two other sessions at one seed each. Those sessions' traces borrow record
+// tables they keep, so their replays are bit-identical: a clean one, which
+// allocates nothing, and a divergence, whose report names the leader's
+// borrowed record. Once the turn-takers have run both their seeds, their
+// fresh-seed runs allocate nothing either: the template and the baseline
+// trace keep each thread's buffers across thread counts.
+TEST(SessionMemoryTest, RunTemplateRebuildsLeaveOtherSessionsReplaysAlone) {
+  const auto session_of = [](const char* name, size_t n) {
+    NvxBuilder builder;
+    builder.Benchmark(*workload::FindBenchmark(name))
+        .Variants(n)
+        .DistributeChecks(san::SanitizerId::kASan);
+    return builder;
+  };
+  auto clean = session_of("bzip2", 4).Build();
+  auto diverged = session_of("bzip2", 4).InjectDivergence(2, "exfiltrated").Build();
+  auto one_thread = session_of("perlbench", 4).Build();
+  auto four_threads = session_of("radiosity", 8).Build();
+  ASSERT_TRUE(clean.ok() && diverged.ok() && one_thread.ok() && four_threads.ok());
+
+  api::RunRequest request;
+  request.workload_seed = FreshSeed(20);
+  auto clean_first = clean->Run(request);
+  auto diverged_first = diverged->Run(request);
+  ASSERT_TRUE(clean_first.ok() && diverged_first.ok());
+  ASSERT_EQ(clean_first->outcome, NvxOutcome::kOk);
+  ASSERT_EQ(diverged_first->outcome, NvxOutcome::kDiverged);
+  for (int round = 0; round < 2; ++round) {
+    RunAt(*one_thread, FreshSeed(21 + round));
+    RunAt(*four_threads, FreshSeed(23 + round));
+  }
+  const uint64_t before = testutil::HeapAllocations();
+  for (int round = 2; round < 6; ++round) {
+    RunAt(*one_thread, FreshSeed(21 + round % 2));
+    RunAt(*four_threads, FreshSeed(23 + round % 2));
+  }
+  EXPECT_EQ(testutil::HeapAllocations() - before, 0u)
+      << "fresh-seed runs of a one-thread and a four-thread program allocated";
+
+  const uint64_t replay_before = testutil::HeapAllocations();
+  auto clean_replay = clean->Run(request);
+  const uint64_t replay_allocs = testutil::HeapAllocations() - replay_before;
+  ASSERT_TRUE(clean_replay.ok()) << clean_replay.status().ToString();
+  ExpectReportsBitIdentical(*clean_replay, *clean_first);
+  EXPECT_EQ(replay_allocs, 0u) << "the clean replay allocated";
+  auto diverged_replay = diverged->Run(request);
+  ASSERT_TRUE(diverged_replay.ok()) << diverged_replay.status().ToString();
+  ExpectReportsBitIdentical(*diverged_replay, *diverged_first);
+}
+
+// A replayed Shards(4) session whose reports are recycled allocates nothing
+// once warm, like an unsharded one (micro_warm_session's gate): the group
+// partials and their member lists are run memory, and RunReport::Merge marks
+// owned slots on the stack.
+TEST(SessionMemoryTest, WarmShardedReplayAllocatesNothing) {
+  for (const char* name : {"perlbench", "radiosity"}) {
+    SCOPED_TRACE(name);
+    NvxBuilder builder;
+    builder.Benchmark(*workload::FindBenchmark(name))
+        .Variants(8)
+        .DistributeChecks(san::SanitizerId::kASan)
+        .Shards(4)
+        .Seed(FreshSeed(30));
+    auto session = builder.Build();
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    for (int warm = 0; warm < 3; ++warm) {
+      RunAt(*session, FreshSeed(30));
+    }
+    const uint64_t before = testutil::HeapAllocations();
+    for (int run = 0; run < 10; ++run) {
+      RunAt(*session, FreshSeed(30));
+    }
+    EXPECT_EQ(testutil::HeapAllocations() - before, 0u);
   }
 }
 

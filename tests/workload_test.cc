@@ -732,6 +732,175 @@ TEST(NoiseTapeTest, ConcurrentDerivesFromAColdMemoMatchLiveDraws) {
   }
 }
 
+// --- Tape bounds ------------------------------------------------------------------
+//
+// A derive starts from whatever tape the memo holds for its stream and reads
+// no entry past that tape's end: a template that draws more makes it count
+// the template's draws, fetch a longer tape and go on at the same draw and
+// burst. Each test below sets up a memo for a stream no other test uses and
+// checks the derived traces against the live stream.
+
+// A one-thread template of `draws` jittered segments, each followed by a
+// syscall, under `like`'s salt and memory-management setting.
+workload::TraceTemplate DrawingTemplate(size_t draws, const workload::TraceTemplate& like) {
+  workload::TraceTemplate tmpl;
+  tmpl.threads.resize(1);
+  tmpl.noise_sigma = 0.3;
+  tmpl.jitter_salt = like.jitter_salt;
+  tmpl.sprinkle_memory_management = like.sprinkle_memory_management;
+  for (size_t d = 0; d < draws; ++d) {
+    tmpl.threads[0].Append({40.0 + static_cast<double>(d % 7), workload::TraceTemplate::kJittered,
+                            nxe::ActionKind::kCompute});
+    sc::SyscallRecord rec;
+    rec.no = sc::Sysno::kWrite;
+    rec.args = {1, static_cast<int64_t>(d), 0, 0, 0, 0};
+    tmpl.threads[0].AppendSyscall(rec);
+  }
+  tmpl.threads[0].Append(nxe::ThreadAction::Exit());
+  return tmpl;
+}
+
+bool DrawsJitter(const nxe::ThreadAction& a) {
+  return a.kind == nxe::ActionKind::kCompute && a.arg == workload::TraceTemplate::kJittered &&
+         !(a.cost <= 0.0);
+}
+
+// The index of the first draw of `spec`'s stream under `tmpl`'s key, from
+// draw `from` on, that a preemption burst follows.
+size_t FirstBurstDraw(const workload::TraceTemplate& tmpl, const workload::VariantSpec& spec,
+                      size_t from) {
+  Rng rng(spec.jitter_seed * 0x9E3779B97F4A7C15ULL + tmpl.jitter_salt);
+  if (tmpl.sprinkle_memory_management) {
+    rng.Fork(0xABCD);
+  }
+  for (size_t d = 0;; ++d) {
+    rng.NextGaussianFactors();
+    if (rng.NextBool(0.004)) {
+      rng.NextExponential(50.0);
+      if (d >= from) {
+        return d;
+      }
+    }
+  }
+}
+
+// Derives `tmpl` for `spec` and checks the trace against the live stream.
+void ExpectDeriveMatchesLiveDraws(const workload::TraceTemplate& tmpl,
+                                  const workload::VariantSpec& spec) {
+  nxe::VariantTrace trace;
+  workload::DeriveTrace(tmpl, spec, &trace);
+  ExpectLiveDraws(tmpl, spec, trace);
+}
+
+TEST(NoiseTapeTest, DeriveFromAColdMemoMatchesLiveDraws) {
+  Rng rng(0xC07D);
+  for (uint64_t i = 0; i < 8; ++i) {
+    workload::VariantSpec spec = RandomSpec(&rng);
+    spec.jitter_seed = 0xC07D'0000'0000'0000ULL + i;  // no other test uses these
+    ExpectDeriveMatchesLiveDraws(RandomTemplate(&rng, 200 + 300 * i), spec);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+// The memo's tape for the stream holds exactly the draws before a segment
+// that follows a memory-management insert, mid-thread: the longer derive
+// runs out of it as the run after the insert starts.
+TEST(NoiseTapeTest, DeriveRunsOutOfAShorterTapeRightAfterAMemoryManagementInsert) {
+  Rng rng(0x5407);
+  workload::TraceTemplate tmpl = RandomTemplate(&rng, 1200);
+  tmpl.sprinkle_memory_management = true;
+  workload::VariantSpec spec;
+  spec.name = "asan";
+  spec.compute_scale = 1.8;
+  spec.jitter_seed = 0x5407'0000'0000'0000ULL;  // no other test uses it
+  spec.sanitizers = {san::SanitizerId::kASan};
+
+  // The insert positions depend on the stream and the thread lengths only:
+  // a twin whose segments draw nothing shows them without filling the memo.
+  workload::TraceTemplate twin = tmpl;
+  for (nxe::ThreadTrace& thread : twin.threads) {
+    for (nxe::ThreadAction& a : thread.actions) {
+      if (a.kind == nxe::ActionKind::kCompute) {
+        a.arg = 0;
+      }
+    }
+  }
+  nxe::VariantTrace positions;
+  workload::DeriveTrace(twin, spec, &positions);
+
+  std::optional<size_t> out_at;  // the draw the derive runs out at
+  size_t draws_before = 0;       // draws of the threads before `t`
+  for (size_t t = 0; t < tmpl.threads.size() && !out_at.has_value(); ++t) {
+    const nxe::ThreadTrace& src = tmpl.threads[t];
+    const std::vector<nxe::ThreadAction>& got = positions.threads[t].actions;
+    size_t i = 0;  // template actions before derived action d
+    size_t draws = draws_before;
+    for (size_t d = 0; d < got.size(); ++d) {
+      const bool inserted = got[d].kind == nxe::ActionKind::kSyscall &&
+                            (got[d].arg & nxe::ThreadTrace::kOwnRecord) != 0 &&
+                            (got[d].arg & ~nxe::ThreadTrace::kOwnRecord) >= src.syscalls.size();
+      if (!inserted) {
+        draws += DrawsJitter(src.actions[i++]) ? 1 : 0;
+        continue;
+      }
+      if (i > 0 && i < src.actions.size() && DrawsJitter(src.actions[i]) && draws > 0) {
+        out_at = draws;
+        break;
+      }
+    }
+    for (const nxe::ThreadAction& a : src.actions) {
+      draws_before += DrawsJitter(a) ? 1 : 0;
+    }
+  }
+  ASSERT_TRUE(out_at.has_value()) << "no insert mid-thread before a drawing segment";
+
+  ExpectDeriveMatchesLiveDraws(DrawingTemplate(*out_at, tmpl), spec);  // the memo's tape
+  ExpectDeriveMatchesLiveDraws(tmpl, spec);
+}
+
+// The memo's tape for the stream ends just before a draw that a preemption
+// burst follows, mid-thread: the longer derive must resume at that burst.
+TEST(NoiseTapeTest, DeriveRunsOutOfAShorterTapeOnABurstDraw) {
+  for (const bool sprinkle : {false, true}) {
+    workload::TraceTemplate like;
+    like.jitter_salt = 29;
+    like.sprinkle_memory_management = sprinkle;
+    workload::VariantSpec spec;
+    spec.jitter_seed = sprinkle ? 0xB0B5'0000'0000'0001ULL : 0xB0B5'0000'0000'0002ULL;
+    const size_t burst = FirstBurstDraw(like, spec, 1);
+    SCOPED_TRACE("burst at draw " + std::to_string(burst));
+    ExpectDeriveMatchesLiveDraws(DrawingTemplate(burst, like), spec);
+    ExpectDeriveMatchesLiveDraws(DrawingTemplate(burst + 200, like), spec);
+    // A tape that holds one burst and ends on the next burst's draw: the
+    // derive resumes at the second.
+    workload::VariantSpec next = spec;
+    next.jitter_seed += 2;
+    const size_t second = FirstBurstDraw(like, next, FirstBurstDraw(like, next, 1) + 1);
+    ExpectDeriveMatchesLiveDraws(DrawingTemplate(second, like), next);
+    ExpectDeriveMatchesLiveDraws(DrawingTemplate(second + 1, like), next);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+// An over-cap template reads the memo's capped tape to its end, then a tape
+// of its own; from a cold memo it starts on its own tape.
+TEST(NoiseTapeTest, OverCapTemplateReadsPastTheMemosTape) {
+  Rng rng(0x0CA7);
+  const workload::TraceTemplate over_cap =
+      RandomTemplate(&rng, workload::kNoiseTapeDraws + 700);
+  workload::VariantSpec spec = RandomSpec(&rng);
+  spec.jitter_seed = 0x0CA7'0000'0000'0000ULL;  // no other test uses these
+  ExpectDeriveMatchesLiveDraws(DrawingTemplate(workload::kNoiseTapeDraws, over_cap), spec);
+  ExpectDeriveMatchesLiveDraws(over_cap, spec);
+  ExpectDeriveMatchesLiveDraws(over_cap, spec);  // the memo still holds the capped tape
+  spec.jitter_seed += 1;
+  ExpectDeriveMatchesLiveDraws(over_cap, spec);
+}
+
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 // The sanitizer allocator's statistics (declared in
 // sanitizer/allocator_interface.h, which GCC does not ship).
